@@ -25,6 +25,7 @@ from .jsd import (
     complex_overlap,
     gaussian_jsd,
     pair_overlap,
+    pnd_from_segmentation,
     schmidt_number_analytic,
     schmidt_number_svd,
     segment,

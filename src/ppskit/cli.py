@@ -51,6 +51,7 @@ from .jsd import (
     FilterProfile,
     PumpGain,
     gaussian_jsd,
+    pnd_from_segmentation,
     read_filter_csv,
     read_jsd_csv,
     schmidt_number_analytic,
@@ -313,7 +314,7 @@ def cmd_jsd(cfg: RunConfig, args) -> int:
     out = _outdir(args)
 
     seg = segment(jsd, filt_s, filt_i)
-    pnd = synthesize_pnd(jsd, filt_s, filt_i, gain)
+    pnd = pnd_from_segmentation(seg, gain)
     chars = characteristics(pnd)
 
     rows = [

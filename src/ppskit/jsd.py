@@ -36,6 +36,8 @@ def _uniform_step(axis: np.ndarray, name: str) -> float:
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
         raise InvalidInputError(f"{name} must be a 1-D grid with at least 2 points")
+    if not np.all(np.isfinite(axis)):
+        raise InvalidInputError(f"{name} must be finite")
     diffs = np.diff(axis)
     step = float(diffs.mean())
     if step <= 0:
@@ -109,6 +111,8 @@ class FilterProfile:
         _uniform_step(omega, "filter axis")
         if t.shape != omega.shape:
             raise InvalidInputError("filter t and omega must have the same shape")
+        if not np.all(np.isfinite(t)):
+            raise InvalidInputError("filter transmittance must be finite")
         if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
             raise InvalidInputError("amplitude transmittance must lie in [0, 1]")
         t = np.clip(t, 0.0, 1.0)
@@ -314,12 +318,37 @@ def _require_filter_axis(filt: FilterProfile, axis: np.ndarray, step: float, nam
         raise InvalidInputError(f"{name} filter axis does not match the JSD axis")
 
 
+def _signal_weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """F† D_w² F for the scaled grid F: an idler-indexed Gram."""
+    a = w[:, None] * f
+    return a.conj().T @ a
+
+
+def _idler_weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """F D_w² F† for the scaled grid F: a signal-indexed Gram."""
+    a = f * w[None, :]
+    return a @ a.conj().T
+
+
+def _weighted_square_sum(gram: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """sum_bc u_b |gram_bc|² v_c."""
+    return float(u @ (gram.real**2 + gram.imag**2) @ v)
+
+
 def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segmentation:
     """Split a JSD into its four filter branches with weights and overlaps.
 
     The branch weights always sum to 1 because |t|^2 + |r|^2 = 1 pointwise
-    on both axes.  Mode numbers are computed analytically per nonempty
-    branch; empty branches get kappa = 1 and overlaps 0.
+    on both axes.  Empty branches get kappa = 1 and overlaps 0.
+
+    Every branch amplitude is D_wx F D_wy for the scaled grid F and the
+    filter amplitudes w, so each branch mode number and every exchange
+    overlap is an O(n^2) weighted contraction of one or two of four Gram
+    products: H_t = F† D_tx² F and H_r = F† D_rx² F (mode numbers, the x
+    overlaps and O_c), G_t = F D_ty² F† and G_r = F D_ry² F† (the y
+    overlaps).  Each Gram is formed directly from its own weights, never
+    as a difference such as F F† - G_t, which would cost small branches
+    their relative accuracy; and only when a non-empty branch needs it.
     """
     _require_filter_axis(filt_s, jsd.axis_s, jsd.step_s, "signal")
     _require_filter_axis(filt_i, jsd.axis_i, jsd.step_i, "idler")
@@ -343,19 +372,47 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     if abs(q.sum() - 1.0) > 1e-10:
         raise InvalidInputError("filter branches do not preserve the JSD norm")
 
-    kappa = np.array(
-        [1.0 if p is None else schmidt_number_analytic(p) for p in parts]
-    )
+    live = [p is not None for p in parts]
+    f = jsd.scaled()
+    tx2, rx2, ty2, ry2 = tx**2, rx**2, ty**2, ry**2
+    kappa = np.ones(4)
+    ox13 = ox24 = oy14 = oy23 = 0.0
+    oc = 0.0 + 0.0j
+
+    h_t = _signal_weighted_gram(f, tx) if live[0] or live[2] else None
+    h_r = _signal_weighted_gram(f, rx) if live[1] or live[3] else None
+    # 1/kappa_j = ||P_j† P_j||_F² with P_j† P_j = D_wy H D_wy / q_j
+    for j, h, wy2 in ((0, h_t, ry2), (1, h_r, ty2), (2, h_t, ty2), (3, h_r, ry2)):
+        if live[j]:
+            kappa[j] = q[j] ** 2 / _weighted_square_sum(h, wy2, wy2)
+    if live[0] and live[2]:
+        ox13 = _weighted_square_sum(h_t, ty2, ry2) / (q[0] * q[2])
+    if live[1] and live[3]:
+        ox24 = _weighted_square_sum(h_r, ry2, ty2) / (q[1] * q[3])
+    if all(live):
+        # O_c = trace((P_1† P_3)(P_2† P_4)), P_1† P_3 = D_ry H_t D_ty / sqrt(q1 q3)
+        oc = complex(ry2 @ (h_t * h_r.T) @ ty2) / math.sqrt(q[0] * q[1] * q[2] * q[3])
+    del h_t, h_r  # hold at most one Gram from here on, for peak memory
+    if live[0] and live[3]:
+        oy14 = _weighted_square_sum(_idler_weighted_gram(f, ry), tx2, rx2) / (q[0] * q[3])
+    if live[1] and live[2]:
+        oy23 = _weighted_square_sum(_idler_weighted_gram(f, ty), rx2, tx2) / (q[1] * q[2])
+
     return Segmentation(
         q=q,
         parts=tuple(parts),
         kappa=kappa,
-        ox13=pair_overlap(parts[0], parts[2], "x"),
-        ox24=pair_overlap(parts[1], parts[3], "x"),
-        oy14=pair_overlap(parts[0], parts[3], "y"),
-        oy23=pair_overlap(parts[1], parts[2], "y"),
-        oc=complex_overlap(parts[0], parts[1], parts[2], parts[3]),
+        ox13=ox13,
+        ox24=ox24,
+        oy14=oy14,
+        oy23=oy23,
+        oc=oc,
     )
+
+
+def _require_n_max(n_max: int) -> None:
+    if n_max < 2:
+        raise InvalidInputError("n_max must be at least 2")
 
 
 def synthesize_pnd(
@@ -367,14 +424,21 @@ def synthesize_pnd(
 ) -> PndMatrix:
     """Photon number distribution of the filtered source, two-pair exact.
 
+    Segments the JSD and hands the result to :func:`pnd_from_segmentation`.
+    """
+    _require_n_max(n_max)
+    return pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain, n_max)
+
+
+def pnd_from_segmentation(seg: Segmentation, gain: PumpGain, n_max: int = 2) -> PndMatrix:
+    """Photon number distribution of a segmented source, two-pair exact.
+
     Single-pair events distribute the branch weights onto the one-photon
     cells; two-pair events fill the two-photon cells with the exact
     mode-number and exchange-overlap corrections.  The vacuum cell absorbs
     the remainder so the matrix is normalized.
     """
-    if n_max < 2:
-        raise InvalidInputError("n_max must be at least 2")
-    seg = segment(jsd, filt_s, filt_i)
+    _require_n_max(n_max)
     mu = gain.xi_sq
     q1, q2, q3, q4 = seg.q
     k1, k2, k3, k4 = seg.kappa
@@ -525,9 +589,12 @@ def read_filter_csv(path, kind: str = "amplitude") -> FilterProfile:
             raise InvalidInputError(
                 f"filter CSV must have header omega,t, got {reader.fieldnames}"
             )
-        for row in reader:
-            omegas.append(float(row["omega"]))
-            ts.append(float(row["t"]))
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                omegas.append(float(row["omega"]))
+                ts.append(float(row["t"]))
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"malformed filter CSV row at line {line_no}")
     if not omegas:
         raise InvalidInputError("filter CSV is empty")
     order = np.argsort(omegas)

@@ -4,7 +4,9 @@ import time
 import pytest
 
 from ppskit import cli
+from ppskit import jsd as jsd_module
 from ppskit.detection import read_counts_csv
+from ppskit.jsd import segment
 from ppskit.pnd import read_pnd_csv
 
 JSD_SECTIONS = """\
@@ -90,6 +92,30 @@ class TestJsdCommand:
             "[gain]\nxi_sq = 1e-3\n",
         )
         assert cli.main(["jsd", "--config", config, "--out", str(tmp_path)]) == 2
+
+    def test_malformed_filter_csv_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "filter.csv"
+        bad.write_text("omega,t\n-1.0,0.5\n0.0,half\n1.0,0.5\n")
+        text = JSD_SECTIONS.replace(
+            "[filter_i]\nkind = rect\nwidth = 0.2", f"[filter_i]\nkind = csv\nfile = {bad}"
+        )
+        config = write_config(tmp_path, text)
+        assert cli.main(["jsd", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_segments_once_per_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_segment(*args):
+            calls.append(args)
+            return segment(*args)
+
+        # Patch both names, so a segment call made inside the library counts too.
+        monkeypatch.setattr(cli, "segment", counting_segment)
+        monkeypatch.setattr(jsd_module, "segment", counting_segment)
+        config = write_config(tmp_path, JSD_SECTIONS)
+        assert cli.main(["jsd", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_unknown_key_rejected_with_name(self, tmp_path, capsys):
         config = write_config(tmp_path, "[jsd]\nsource = gaussian\nwobble = 3\n")

@@ -13,6 +13,7 @@ from ppskit.jsd import (
     complex_overlap,
     gaussian_jsd,
     pair_overlap,
+    pnd_from_segmentation,
     schmidt_number_analytic,
     schmidt_number_svd,
     segment,
@@ -86,6 +87,31 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError):
             JsdGrid(np.ones((4, 5)), np.arange(4.0), np.arange(4.0))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FilterProfile(np.arange(4.0), np.array([0.0, np.nan, 0.5, 1.0])),
+            lambda: FilterProfile(np.array([0.0, np.nan, 2.0, 3.0]), np.full(4, 0.5)),
+            lambda: FilterProfile(np.array([0.0, 1.0, 2.0, np.inf]), np.full(4, 0.5)),
+            lambda: FilterProfile.from_intensity(np.arange(4.0), np.full(4, np.nan)),
+            lambda: FilterProfile.rect(np.array([0.0, 1.0, np.nan, 3.0]), 1.0, 2.0),
+            lambda: JsdGrid(np.ones((4, 4)), [0.0, np.nan, 2.0, 3.0], np.arange(4.0)),
+            lambda: JsdGrid(np.ones((4, 4)), np.arange(4.0), [-np.inf, 1.0, 2.0, 3.0]),
+        ],
+        ids=[
+            "filter-nan-t",
+            "filter-nan-omega",
+            "filter-inf-omega",
+            "filter-nan-intensity",
+            "rect-nan-axis",
+            "grid-nan-axis_s",
+            "grid-inf-axis_i",
+        ],
+    )
+    def test_non_finite_axes_and_filters_rejected(self, build):
+        with pytest.raises(InvalidInputError, match="finite"):
+            build()
+
 
 class TestFilterProfile:
     def test_amplitude_reflectance_complement(self):
@@ -142,6 +168,55 @@ class TestSegmentation:
         )
         assert seg.q[0] == 0.0 and seg.q[2] == 0.0
         assert seg.q[1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "filters, empty",
+        [
+            (lambda ax_s, ax_i: (
+                FilterProfile.gauss(ax_s, 0.1, 0.7),
+                FilterProfile.gauss(ax_i, -0.1, 0.5),
+            ), []),
+            (lambda ax_s, ax_i: (
+                FilterProfile.all_pass(ax_s),
+                FilterProfile.rect(ax_i, 0.0, 0.8),
+            ), [1, 3]),
+            (lambda ax_s, ax_i: (
+                FilterProfile.rect(ax_s, 0.0, 0.8),
+                FilterProfile.blocking(ax_i),
+            ), [1, 2]),
+        ],
+        ids=["gauss", "rect-allpass-signal", "rect-blocking-idler"],
+    )
+    def test_shared_gram_quantities_match_oracles(self, filters, empty):
+        jsd = gaussian_jsd(0.3, 0.9, math.pi / 5, n_s=20, n_i=28, span=4.0, chirp=3.0)
+        assert np.abs(jsd.values.imag).max() > 0.1
+        seg = segment(jsd, *filters(jsd.axis_s, jsd.axis_i))
+        p = seg.parts
+        assert [j for j in range(4) if p[j] is None] == empty
+        for j in range(4):
+            if p[j] is None:
+                assert seg.q[j] == 0.0 and seg.kappa[j] == 1.0
+            else:
+                assert seg.kappa[j] == pytest.approx(
+                    schmidt_number_analytic(p[j]), rel=1e-12
+                )
+        brute = {
+            "ox13": pair_overlap(p[0], p[2], "x", method="brute"),
+            "ox24": pair_overlap(p[1], p[3], "x", method="brute"),
+            "oy14": pair_overlap(p[0], p[3], "y", method="brute"),
+            "oy23": pair_overlap(p[1], p[2], "y", method="brute"),
+            "oc": complex_overlap(*p, method="brute"),
+        }
+        pairs = {"ox13": (0, 2), "ox24": (1, 3), "oy14": (0, 3), "oy23": (1, 2),
+                 "oc": (0, 1, 2, 3)}
+        for name, oracle in brute.items():
+            value = getattr(seg, name)
+            if any(p[j] is None for j in pairs[name]):
+                assert value == 0.0
+            else:
+                assert abs(value - oracle) <= 1e-12
+        if not empty:
+            assert abs(seg.oc.imag) > 1e-3
 
     def test_axis_mismatch_rejected(self):
         jsd = separable_rect_jsd(16, 16)
@@ -316,6 +391,18 @@ class TestSynthesize:
         mask = np.ones((3, 3), dtype=bool)
         mask[0, 0] = False
         np.testing.assert_allclose(P.p[mask], expected[mask], atol=1e-10)
+
+    def test_synthesis_equals_pnd_from_segmentation(self):
+        jsd = gaussian_jsd(0.3, 0.8, n_s=64, n_i=48, chirp=1.0)
+        filt_s = FilterProfile.gauss(jsd.axis_s, 0.1, 0.7)
+        filt_i = FilterProfile.gauss(jsd.axis_i, -0.1, 0.3)
+        gain = PumpGain(0.02)
+        for n_max in (2, 4):
+            P = synthesize_pnd(jsd, filt_s, filt_i, gain, n_max)
+            Q = pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain, n_max)
+            assert P.p.tobytes() == Q.p.tobytes()
+        with pytest.raises(InvalidInputError):
+            pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain, n_max=1)
 
     def test_gain_validation(self):
         with pytest.raises(InvalidInputError):
