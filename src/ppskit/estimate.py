@@ -2,15 +2,16 @@
 
 The full-information estimator maximizes the ordinary multinomial
 log-likelihood over all click outcomes (including the all-click events,
-which carry the only direct evidence about two-photon cells).  The matrix
-is parametrized by normalized exponentials of unconstrained coordinates,
-which keeps every cell strictly positive during the ascent so the
-log-likelihood never diverges.
+which carry the only direct evidence about two-photon cells).  Outcome
+probabilities are linear in the cells, so that log-likelihood is concave
+and one projected Fisher-scoring ascent in softmax coordinates, with every
+cell floored relative to the vacuum cell, reaches its maximum.
 
 A baseline estimator replicating the older extended-maximum-likelihood
 scheme is included for comparison: it discards outcomes in which all
 detectors of a mode clicked and fits setting-renormalized probabilities,
-so it needs at least two attenuator settings.
+so it needs at least two attenuator settings.  Its objective is not
+concave, so it runs multi-start L-BFGS on the same likelihood terms.
 
 Count-ratio estimators of g2 / heralded g2 / pair probability are provided
 for comparison with the reconstructed values; they accept raw or
@@ -42,7 +43,12 @@ from .errors import (
 from .pnd import CharacteristicSet, PndMatrix, characteristics
 from .rng import substream
 
-_FLOOR = 1e-15
+_FLOOR = 1e-15  # smallest cell, relative to cell 0
+_KKT_TOL = 1e-9  # ML: largest per-count gain of growing any cell
+_GAIN_TOL = 1e-14  # ML: largest relative log-likelihood gain left at convergence
+_GTOL = 1e-11  # EML's L-BFGS per-count gradient tolerance
+_FTOL = 1e-14  # EML's L-BFGS relative objective tolerance
+_MAX_STEP = 2.0  # ML: max-norm cap of one Newton step in z
 
 
 @dataclass(frozen=True)
@@ -151,14 +157,17 @@ class SingleModeModel:
 
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Optimizer knobs: multi-start count, iteration budget, tolerances."""
+    """Fit budget.
+
+    ``max_iter`` caps the Newton steps of an ML fit and the L-BFGS
+    iterations of each EML start.  ``n_starts`` and ``seed`` only steer
+    EML's jittered restarts: the ML log-likelihood is concave, so ML
+    ascends once from the moment start.
+    """
 
     n_starts: int = 5
     max_iter: int = 10000
-    ftol: float = 1e-14
-    gtol: float = 1e-11
     seed: int = 0
-    jitter_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -181,47 +190,16 @@ class EstimateResult:
 
 # ---------------------------------------------------------------------------
 # likelihood machinery
-
-
-def _softmax_cells(z: np.ndarray) -> np.ndarray:
-    """Probabilities over n cells from n-1 free coordinates (cell 0 pinned)."""
-    full = np.concatenate([[0.0], z])
-    full -= full.max()
-    e = np.exp(full)
-    return e / e.sum()
-
-
-def _ll_terms(f: np.ndarray, W: np.ndarray) -> float:
-    mask = f > 0
-    if np.any(W[mask] <= 0.0):
-        return -np.inf
-    return float(np.sum(f[mask] * np.log(W[mask])))
-
-
-def log_likelihood(P, records, model) -> float:
-    """Total multinomial log-likelihood of count records under P.
-
-    ``P`` may be a PndMatrix with a bipartite model or a probability
-    vector with a single-mode model.  Outcomes with zero probability but
-    nonzero counts make the result -inf, the typed infeasible value.
-    """
-    if isinstance(model, LikelihoodModel):
-        p = P.p if isinstance(P, PndMatrix) else np.asarray(P, dtype=float)
-        total = 0.0
-        for rec in records:
-            W = model.outcome_probs(p, rec.nu)
-            total += _ll_terms(rec.f, W)
-        return total
-    if isinstance(model, SingleModeModel):
-        pv = np.asarray(P, dtype=float)
-        total = 0.0
-        for rec in records:
-            total += _ll_terms(rec.f, model.forward_probs(pv, rec.nu))
-        return total
-    raise InvalidInputError(f"unknown model type {type(model)!r}")
+#
+# Every model is a kernel stack K (records x outcomes x cells) with counts
+# F (records x outcomes): record v has outcome probabilities W_v = K_v p
+# in the row-major cells p.  One loglik, score and expected Fisher matrix
+# serve every estimator; EML adds its per-outcome renormalization term.
 
 
 def _check_records(records, model) -> None:
+    if not isinstance(model, (LikelihoodModel, SingleModeModel)):
+        raise InvalidInputError(f"unknown model type {type(model)!r}")
     if not records:
         raise InvalidInputError("at least one count record is required")
     n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
@@ -236,95 +214,156 @@ def _check_records(records, model) -> None:
             )
 
 
-def _optimize(neg_obj, z0_list, options: EstimateOptions):
-    best = None
-    starts = []
-    for z0 in z0_list:
-        res = minimize(
-            neg_obj,
-            z0,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": options.max_iter,
-                "ftol": options.ftol,
-                "gtol": options.gtol,
-                "maxls": 60,
-            },
-        )
-        starts.append(StartResult(loglik=-res.fun, iterations=res.nit, converged=bool(res.success)))
-        if best is None or -res.fun > -best.fun:
-            best = res
-    return best, tuple(starts)
+def _kernels(records, model) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel stack K and count stack F; a bipartite kernel is kron(A, B)."""
+    bipartite = isinstance(model, LikelihoodModel)
+    K = [np.kron(*model.maps(rec.nu)) if bipartite else model.map(rec.nu) for rec in records]
+    return np.stack(K), np.stack([rec.f.reshape(-1) for rec in records])
 
 
-def _jitter_starts(z0: np.ndarray, options: EstimateOptions) -> list[np.ndarray]:
-    rng = substream(options.seed, "estimate-starts")
-    starts = [z0]
-    for _ in range(max(0, options.n_starts - 1)):
-        starts.append(z0 + options.jitter_scale * rng.standard_normal(z0.size))
-    return starts
+def _loglik(K, F, p, used=None) -> float:
+    """Log-likelihood sum F log W; -inf where counts meet W = 0.
 
-
-def _fisher_polish(z, loglik_fn, score_fisher_fn, max_steps: int = 60):
-    """Newton refinement with the expected information matrix.
-
-    Quasi-Newton ascent stalls in the nearly flat directions of the small
-    cells; a few scoring steps drive the gradient to machine precision.
-    Steps that would lower the log-likelihood are halved away, so the
-    polish can only improve on its starting point.
+    A ``used`` outcome mask gives EML's objective instead: only the used
+    outcomes count, each renormalized over the records (settings).
     """
-    z = np.array(z, dtype=float)
-    ll = loglik_fn(z)
-    for _ in range(max_steps):
-        score, fisher = score_fisher_fn(z)
-        ridge = 1e-12 * max(np.trace(fisher) / max(z.size, 1), 1e-300)
-        try:
-            step = np.linalg.solve(fisher + ridge * np.eye(z.size), score)
-        except np.linalg.LinAlgError:
-            break
-        norm = np.max(np.abs(step))
-        if not np.isfinite(norm) or norm == 0.0:
-            break
-        if norm > 2.0:
-            step *= 2.0 / norm
-        improved = False
-        for _ in range(30):
-            candidate = z + step
-            ll_new = loglik_fn(candidate)
-            if ll_new >= ll - 1e-12 * max(abs(ll), 1.0):
-                z, ll = candidate, ll_new
-                improved = True
-                break
-            step *= 0.5
-        if not improved or np.max(np.abs(step)) < 1e-13:
-            break
-    return z
+    W = K @ p
+    seen = F > 0 if used is None else (F > 0) & used
+    if np.any(W[seen] <= 0.0):
+        return -np.inf
+    # Per-record sums first, so that swapping two records keeps every bit.
+    ll = np.where(seen, F * np.log(np.where(seen, W, 1.0)), 0.0).sum(axis=1).sum()
+    if used is not None:
+        S = W.sum(axis=0)[used]
+        if np.any(S <= 0.0):
+            return -np.inf
+        ll -= np.sum(F.sum(axis=0)[used] * np.log(S))
+    return float(ll)
+
+
+def _score(K, F, p, used=None) -> np.ndarray:
+    """Gradient of ``_loglik`` in the cells p."""
+    W = K @ p
+    seen = F > 0 if used is None else (F > 0) & used
+    ratio = np.where(seen, F / np.where(seen, W, 1.0), 0.0)
+    if used is not None:
+        ratio -= np.where(used, F.sum(axis=0) / np.where(used, W.sum(axis=0), 1.0), 0.0)
+    return np.einsum("vo,voc->c", ratio, K)
+
+
+def _fisher(K, F, p) -> np.ndarray:
+    """Expected information in the cells p, sum_v n_v K_v^T diag(1/W_v) K_v."""
+    W = K @ p
+    weight = F.sum(axis=1)[:, None] / np.where(W > 0.0, W, np.inf)
+    return np.einsum("voc,vo,vod->cd", K, weight, K)
+
+
+def _softmax_cells(z: np.ndarray) -> np.ndarray:
+    """Probabilities over n cells from n-1 free coordinates (cell 0 pinned)."""
+    e = np.exp(np.concatenate([[0.0], z]) - np.max(z, initial=0.0))
+    return e / e.sum()
 
 
 def _softmax_jacobian(p: np.ndarray) -> np.ndarray:
     """d p_j / d z_c for the free coordinates c = 1..n-1; shape (n-1, n)."""
-    J = -np.outer(p[1:], p)
-    J[np.arange(p.size - 1), np.arange(1, p.size)] += p[1:]
-    return J
+    return (np.diag(p) - np.outer(p, p))[1:]
 
 
-# ---------------------------------------------------------------------------
-# bipartite fits
+def log_likelihood(P, records, model) -> float:
+    """Total multinomial log-likelihood of count records under P.
+
+    ``P`` may be a PndMatrix with a bipartite model or a probability
+    vector with a single-mode model.  Outcomes with zero probability but
+    nonzero counts make the result -inf, the typed infeasible value.
+    """
+    _check_records(records, model)
+    p = P.p if isinstance(P, PndMatrix) else np.asarray(P, dtype=float)
+    return _loglik(*_kernels(records, model), p.reshape(-1))
 
 
-def _stack_maps(model: LikelihoodModel, records):
-    A = np.stack([model.maps(rec.nu)[0] for rec in records])
-    B = np.stack([model.maps(rec.nu)[1] for rec in records])
-    F = np.stack([rec.f for rec in records])
-    return A, B, F
+def _scoring_step(J, fisher, score, free) -> np.ndarray:
+    """Fisher-scoring step in z over the ``free`` coordinates.
+
+    The information is scaled to unit diagonal before the ridge goes on,
+    so the ridge cannot swamp a small cell, whose entry scales as its
+    square.
+    """
+    info = J[free] @ fisher @ J[free].T
+    d = 1.0 / np.sqrt(np.diag(info))
+    step = np.zeros(score.size)
+    step[free] = d * np.linalg.solve(
+        d[:, None] * info * d + 1e-12 * np.eye(d.size), d * score[free]
+    )
+    return step
+
+
+def _fisher_scoring(K, F, z, max_iter: int):
+    """Projected Fisher-scoring ascent of the concave ML log-likelihood.
+
+    Cells stay at or above ``_FLOOR`` relative to cell 0.  A cell on the
+    floor with an outward score is held there; one whose step crosses the
+    floor with an outward score is sent there, and the rest are solved
+    again without it.  The other moves are capped at ``_MAX_STEP``, and
+    the projected step is halved until the log-likelihood does not fall.
+    Converged means the KKT conditions hold in p (no cell gains more than
+    ``_KKT_TOL`` per count from growing) and a full step would gain at
+    most ``_GAIN_TOL`` of the log-likelihood.  Returns (z, steps, converged).
+    """
+    n = max(float(F.sum()), 1.0)
+    z_floor = np.log(_FLOOR)
+    z = np.maximum(z, z_floor)
+    ll = _loglik(K, F, _softmax_cells(z))
+    steps = 0
+    while np.isfinite(ll):
+        p = _softmax_cells(z)
+        score_p = _score(K, F, p) / n
+        J = _softmax_jacobian(p)
+        score, fisher = J @ score_p, _fisher(K, F, p) / n
+        free = (z > z_floor) | (score > 0.0)
+        step = _scoring_step(J, fisher, score, free)
+        gain = 0.5 * n * float(score @ step)
+        if np.max(score_p) - 1.0 <= _KKT_TOL and gain <= _GAIN_TOL * max(abs(ll), 1.0):
+            return z, steps, True
+        if steps >= max_iter or not np.all(np.isfinite(step)):
+            break
+        lands = free & (z + step <= z_floor) & (score < 0.0)
+        if np.any(lands):
+            step[~lands] = _scoring_step(J, fisher, score, free & ~lands)[~lands]
+        norm = np.max(np.abs(np.maximum(z + step, z_floor) - z)[~lands], initial=0.0)
+        if norm > _MAX_STEP:
+            step *= _MAX_STEP / norm
+        for _ in range(30):
+            trial = np.maximum(z + step, z_floor)
+            ll_trial = _loglik(K, F, _softmax_cells(trial))
+            if ll_trial >= ll - 1e-12 * max(abs(ll), 1.0):
+                break
+            step *= 0.5
+        else:
+            break
+        if np.array_equal(trial, z):
+            break
+        z, ll = trial, ll_trial
+        steps += 1
+    return z, steps, False
+
+
+def _start(records, model, n_cells: int) -> np.ndarray:
+    """Moment start in the free coordinates.  Cells without signal, and
+    cells past the one- and two-photon cells, start at ``_FLOOR``."""
+    init = _init_bipartite if isinstance(model, LikelihoodModel) else _init_single
+    moments = init(records, model)
+    cells = np.full(n_cells - 1, _FLOOR)
+    cells[: moments.size] = np.maximum(moments, _FLOOR)
+    if cells.sum() >= 1.0:
+        cells *= 0.5 / cells.sum()
+    return np.log(cells / (1.0 - cells.sum()))
 
 
 def _init_bipartite(records, model: LikelihoodModel) -> np.ndarray:
     """Moment inversion of (noise-corrected) counts for the starting point.
 
     Singles and pair coincidences give the one-photon cells; double-click
-    rates give the two-photon cells.  Cells without signal floor at 1e-15.
+    rates give the two-photon cells.
     """
     best_nu = max(
         range(len(model.settings)),
@@ -366,152 +405,7 @@ def _init_bipartite(records, model: LikelihoodModel) -> np.ndarray:
     p20 = f[3, 0] / (n * den_s2) if den_s2 > 0 else 0.0
     p02 = f[0, 3] / (n * den_i2) if den_i2 > 0 else 0.0
 
-    cells = np.array(
-        [p01, p02, p10, p11, p12, p20, p21, p22]  # row-major order minus (0, 0)
-    )
-    cells = np.maximum(cells, _FLOOR)
-    total = cells.sum()
-    if total >= 1.0:
-        cells *= 0.5 / total
-    p00 = 1.0 - cells.sum()
-    return np.log(cells / p00)
-
-
-def ml_estimate(records, model, options: EstimateOptions | None = None) -> EstimateResult:
-    """Full-information maximum likelihood over all click outcomes.
-
-    Multi-start local ascent in the unconstrained coordinates: one start
-    from moment inversion of the counts plus jittered restarts; the best
-    final log-likelihood wins.
-    """
-    options = options or EstimateOptions()
-    _check_records(records, model)
-    if isinstance(model, SingleModeModel):
-        return _fit_single(records, model, options, objective="ml")
-    if not isinstance(model, LikelihoodModel):
-        raise InvalidInputError(f"unknown model type {type(model)!r}")
-
-    A, B, F = _stack_maps(model, records)
-    scale = max(float(F.sum()), 1.0)
-    shape = (model.n_max + 1, model.n_max + 1)
-    n_cells = shape[0] * shape[1]
-
-    def neg_obj(z):
-        p9 = _softmax_cells(z)
-        P = p9.reshape(shape)
-        W = np.einsum("vab,bc,vdc->vad", A, P, B)
-        mask = F > 0
-        if np.any(W[mask] <= 0.0):
-            return np.inf, np.zeros_like(z)
-        ll = float(np.sum(F[mask] * np.log(W[mask])))
-        ratio = np.where(mask, F / np.where(W > 0, W, 1.0), 0.0)
-        g_P = np.einsum("vab,vad,vdc->bc", A, ratio, B)
-        g9 = g_P.reshape(-1)
-        g_z = p9 * (g9 - float(g9 @ p9))
-        return -ll / scale, -g_z[1:] / scale
-
-    n_v = F.reshape(F.shape[0], -1).sum(axis=1)
-
-    def score_fisher(z):
-        p9 = _softmax_cells(z)
-        P = p9.reshape(shape)
-        W = np.einsum("vab,bc,vdc->vad", A, P, B)
-        mask = F > 0
-        ratio = np.where(mask, F / np.where(W > 0, W, 1.0), 0.0)
-        dP = _softmax_jacobian(p9).reshape(-1, *shape)
-        dW = np.einsum("vam,cmn,vbn->cvab", A, dP, B)
-        score = np.einsum("vab,cvab->c", ratio, dW) / scale
-        inv = np.where(W > 0, 1.0 / np.where(W > 0, W, 1.0), 0.0) * n_v[:, None, None]
-        fisher = np.einsum("cvab,vab,dvab->cd", dW, inv, dW) / scale
-        return score, fisher
-
-    z0 = _init_bipartite(records, model)
-    if z0.size != n_cells - 1:  # generalize moment init beyond 3x3 by padding
-        padded = np.full(n_cells - 1, np.log(_FLOOR))
-        padded[: z0.size] = z0
-        z0 = padded
-    best, starts = _optimize(neg_obj, _jitter_starts(z0, options), options)
-    z_hat = _fisher_polish(best.x, lambda z: -neg_obj(z)[0], score_fisher)
-    p_hat = _softmax_cells(z_hat).reshape(shape)
-    pnd = PndMatrix(p_hat)
-    return EstimateResult(
-        p_hat=pnd,
-        loglik=log_likelihood(pnd, records, model),
-        iterations=int(best.nit),
-        converged=bool(best.success),
-        starts=starts,
-    )
-
-
-def _eml_used_mask(model) -> np.ndarray:
-    """Outcome mask used by the baseline: drop any status in which both
-    detectors of a mode clicked."""
-    if isinstance(model, LikelihoodModel):
-        mask = np.ones((4, 4), dtype=bool)
-        mask[3, :] = False
-        mask[:, 3] = False
-        return mask
-    mask = np.ones(model.n_outcomes, dtype=bool)
-    mask[-1] = False
-    return mask
-
-
-def eml_estimate(records, model, options: EstimateOptions | None = None) -> EstimateResult:
-    """Baseline fit on setting-renormalized probabilities.
-
-    For every used outcome o the probabilities across settings are
-    renormalized to W_o(nu) / sum_lambda W_o(lambda) and the counts fitted
-    against that distribution, so the absolute click fraction carries no
-    weight.  All-click outcomes are excluded.  Needs >= 2 settings.
-    """
-    options = options or EstimateOptions()
-    _check_records(records, model)
-    n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
-    if n_settings < 2:
-        raise InvalidInputError("the baseline needs at least two attenuator settings")
-    if isinstance(model, SingleModeModel):
-        return _fit_single(records, model, options, objective="eml")
-
-    A, B, F = _stack_maps(model, records)
-    used = _eml_used_mask(model)
-    scale = max(float(F[:, used].sum()), 1.0)
-    shape = (model.n_max + 1, model.n_max + 1)
-
-    def neg_obj(z):
-        p9 = _softmax_cells(z)
-        P = p9.reshape(shape)
-        W = np.einsum("vab,bc,vdc->vad", A, P, B)
-        S = W.sum(axis=0)  # per-outcome total over settings
-        mask = (F > 0) & used[None, :, :]
-        if np.any(W[mask] <= 0.0) or np.any(S[used] <= 0.0):
-            return np.inf, np.zeros_like(z)
-        F_o = F.sum(axis=0)
-        ll = float(np.sum(F[mask] * np.log(W[mask])))
-        ll -= float(np.sum(F_o[used] * np.log(S[used])))
-        ratio = np.where(mask, F / np.where(W > 0, W, 1.0), 0.0)
-        ratio -= np.where(
-            used[None, :, :], (F_o / np.where(S > 0, S, 1.0))[None, :, :], 0.0
-        )
-        g_P = np.einsum("vab,vad,vdc->bc", A, ratio, B)
-        g9 = g_P.reshape(-1)
-        g_z = p9 * (g9 - float(g9 @ p9))
-        return -ll / scale, -g_z[1:] / scale
-
-    z0 = _init_bipartite(records, model)
-    best, starts = _optimize(neg_obj, _jitter_starts(z0, options), options)
-    p_hat = _softmax_cells(best.x).reshape(shape)
-    pnd = PndMatrix(p_hat)
-    return EstimateResult(
-        p_hat=pnd,
-        loglik=-best.fun * scale,
-        iterations=int(best.nit),
-        converged=bool(best.success),
-        starts=starts,
-    )
-
-
-# ---------------------------------------------------------------------------
-# single-mode fits
+    return np.array([p01, p02, p10, p11, p12, p20, p21, p22])  # row-major minus (0, 0)
 
 
 def _init_single(records, model: SingleModeModel) -> np.ndarray:
@@ -542,67 +436,93 @@ def _init_single(records, model: SingleModeModel) -> np.ndarray:
         two = 2.0 * model.T * (1 - model.T) * e_t * e_r
         p1 = (f[1] + f[2]) / (n * one) if one > 0 else 0.0
         p2 = f[3] / (n * two) if two > 0 else 0.0
-    cells = np.maximum(np.array([p1, p2]), _FLOOR)
-    if cells.sum() >= 1.0:
-        cells *= 0.5 / cells.sum()
-    return np.log(cells / (1.0 - cells.sum()))
+    return np.array([p1, p2])
 
 
-def _fit_single(records, model: SingleModeModel, options: EstimateOptions, objective: str):
-    C = np.stack([model.map(rec.nu) for rec in records])  # (v, outcomes, cells)
-    F = np.stack([rec.f for rec in records])
-    used = _eml_used_mask(model) if objective == "eml" else np.ones(model.n_outcomes, bool)
-    scale = max(float(F[:, used].sum()), 1.0)
+# ---------------------------------------------------------------------------
+# fits
 
-    def neg_obj(z):
-        p = _softmax_cells(z)
-        W = np.einsum("voc,c->vo", C, p)
-        mask = (F > 0) & used[None, :]
-        if np.any(W[mask] <= 0.0):
-            return np.inf, np.zeros_like(z)
-        ll = float(np.sum(F[mask] * np.log(W[mask])))
-        ratio = np.where(mask, F / np.where(W > 0, W, 1.0), 0.0)
-        if objective == "eml":
-            S = W.sum(axis=0)
-            if np.any(S[used] <= 0.0):
-                return np.inf, np.zeros_like(z)
-            F_o = F.sum(axis=0)
-            ll -= float(np.sum(F_o[used] * np.log(S[used])))
-            ratio -= np.where(used[None, :], (F_o / np.where(S > 0, S, 1.0))[None, :], 0.0)
-        g_p = np.einsum("voc,vo->c", C, ratio)
-        g_z = p * (g_p - float(g_p @ p))
-        return -ll / scale, -g_z[1:] / scale
 
-    z0 = _init_single(records, model)
-    best, starts = _optimize(neg_obj, _jitter_starts(z0, options), options)
-    z_hat = best.x
-    if objective == "ml":
-        n_v = F.sum(axis=1)
+def _fitted(p: np.ndarray, model):
+    return PndMatrix(p.reshape(model.n_max + 1, -1)) if isinstance(model, LikelihoodModel) else p
 
-        def score_fisher(z):
-            p = _softmax_cells(z)
-            W = np.einsum("voc,c->vo", C, p)
-            mask = F > 0
-            ratio = np.where(mask, F / np.where(W > 0, W, 1.0), 0.0)
-            dW = np.einsum("vom,cm->cvo", C, _softmax_jacobian(p))
-            score = np.einsum("vo,cvo->c", ratio, dW) / scale
-            inv = np.where(W > 0, 1.0 / np.where(W > 0, W, 1.0), 0.0) * n_v[:, None]
-            fisher = np.einsum("cvo,vo,dvo->cd", dW, inv, dW) / scale
-            return score, fisher
 
-        z_hat = _fisher_polish(z_hat, lambda z: -neg_obj(z)[0], score_fisher)
-    p_hat = _softmax_cells(z_hat)
-    loglik = (
-        log_likelihood(p_hat, records, model)
-        if objective == "ml"
-        else -best.fun * scale
-    )
+def ml_estimate(records, model, options: EstimateOptions | None = None) -> EstimateResult:
+    """Full-information maximum likelihood over all click outcomes.
+
+    The log-likelihood is concave in the cells, so one projected
+    Fisher-scoring ascent from the moment start reaches the maximum; its
+    Newton steps are the fit's iterations.
+    """
+    options = options or EstimateOptions()
+    _check_records(records, model)
+    K, F = _kernels(records, model)
+    z0 = _start(records, model, K.shape[2])
+    z, steps, converged = _fisher_scoring(K, F, z0, options.max_iter)
+    p = _softmax_cells(z)
+    loglik = _loglik(K, F, p)
     return EstimateResult(
-        p_hat=p_hat,
+        p_hat=_fitted(p, model),
         loglik=loglik,
+        iterations=steps,
+        converged=converged,
+        starts=(StartResult(loglik=loglik, iterations=steps, converged=converged),),
+    )
+
+
+def _eml_used_mask(model) -> np.ndarray:
+    """Outcome mask used by the baseline: drop any status in which both
+    detectors of a mode clicked."""
+    if isinstance(model, LikelihoodModel):
+        keep = np.arange(4) < 3
+        return np.outer(keep, keep).reshape(-1)
+    return np.arange(model.n_outcomes) < model.n_outcomes - 1
+
+
+def _neg_eml(z, K, F, used, scale):
+    """Negated EML objective over ``scale`` and its z-gradient."""
+    p = _softmax_cells(z)
+    ll = _loglik(K, F, p, used)
+    if not np.isfinite(ll):
+        return np.inf, np.zeros_like(z)
+    return -ll / scale, -(_softmax_jacobian(p) @ _score(K, F, p, used)) / scale
+
+
+def eml_estimate(records, model, options: EstimateOptions | None = None) -> EstimateResult:
+    """Baseline fit on setting-renormalized probabilities.
+
+    For every used outcome o the probabilities across settings are
+    renormalized to W_o(nu) / sum_lambda W_o(lambda) and the counts fitted
+    against that distribution, so the absolute click fraction carries no
+    weight.  All-click outcomes are excluded.  Needs >= 2 settings.  The
+    objective is not concave, so L-BFGS runs from the moment start and
+    from ``n_starts - 1`` jittered restarts; the best final value wins.
+    """
+    options = options or EstimateOptions()
+    _check_records(records, model)
+    n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
+    if n_settings < 2:
+        raise InvalidInputError("the baseline needs at least two attenuator settings")
+    K, F = _kernels(records, model)
+    used = _eml_used_mask(model)
+    scale = max(float(F[:, used].sum()), 1.0)
+    z0 = _start(records, model, K.shape[2])
+    rng = substream(options.seed, "estimate-starts")
+    best, starts = None, []
+    for z in [z0] + [z0 + rng.standard_normal(z0.size) for _ in range(options.n_starts - 1)]:
+        res = minimize(
+            _neg_eml, z, args=(K, F, used, scale), jac=True, method="L-BFGS-B",
+            options={"maxiter": options.max_iter, "ftol": _FTOL, "gtol": _GTOL, "maxls": 60},
+        )
+        starts.append(StartResult(loglik=-res.fun, iterations=res.nit, converged=bool(res.success)))
+        if best is None or -res.fun > -best.fun:
+            best = res
+    return EstimateResult(
+        p_hat=_fitted(_softmax_cells(best.x), model),
+        loglik=-best.fun * scale,
         iterations=int(best.nit),
         converged=bool(best.success),
-        starts=starts,
+        starts=tuple(starts),
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import estimate as est
 from .detection import CountRecord, DetectorPair, OutcomeProbs, SingleCountRecord, bipartite_probs
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PpskitError
 from .metrics import rmsle
 from .pnd import PndMatrix, g2_marginal
 from .rng import multinomial_counts, substream
@@ -183,6 +183,8 @@ def _bipartite_settings(design: str) -> tuple:
     return ((1.0, 1.0),)
 
 
+_FIT_FAILURES = (PpskitError, ArithmeticError, np.linalg.LinAlgError)
+
 _NAN_CHARS = {name: float("nan") for name in
               ("pg_hat", "etaHs_hat", "etaHi_hat", "g2s_hat", "g2i_hat",
                "gh2s_hat", "gh2i_hat")}
@@ -227,7 +229,7 @@ def _bipartite_cell(spec, method, p_g, n_m, eta, d, seed, cell_id, rows):
                 gh2s_hat=chars.gh2_s, gh2i_hat=chars.gh2_i,
             )
             row["converged"] = fit.converged
-        except Exception:  # failures are data, not fatal
+        except _FIT_FAILURES:  # failures are data, not fatal; coding bugs still raise
             row.update(rmsle=float("nan"), converged=False, **_NAN_CHARS)
         rows.append(row)
 
@@ -266,7 +268,7 @@ def _single_cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
             row["pg_hat"] = float(fit.p_hat[1])
             row["g2s_hat"] = g2_marginal(fit.p_hat, truncated=True)
             row["converged"] = fit.converged
-        except Exception:
+        except _FIT_FAILURES:
             row.update(rmsle=float("nan"), converged=False, **_NAN_CHARS)
         rows.append(row)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ppskit.estimate
 from ppskit.detection import CountRecord, DetectorPair, SingleCountRecord, bipartite_probs, noise_correct
 from ppskit.errors import (
     DataModelMismatchError,
@@ -22,7 +23,14 @@ from ppskit.estimate import (
 from ppskit.metrics import rmsle
 from ppskit.pnd import PndMatrix, characteristics, gh2, tmsv_pnd
 from ppskit.presets import wide_narrow_study
-from ppskit.simulate import random_pps_pnd, sample_counts
+from ppskit.rng import substream
+from ppskit.simulate import (
+    DEFAULT_SINGLE_GAMMAS,
+    random_pps_pnd,
+    random_single_pnd,
+    sample_counts,
+    sample_single_counts,
+)
 
 
 def diag_source(mu, g2_factor=2.0):
@@ -205,6 +213,79 @@ class TestMlEstimate:
             ]
             fit = ml_estimate(records, model, EstimateOptions(n_starts=1))
             assert rmsle(fit.p_hat, truth) < 1e-6
+
+
+def kkt_excess(fit, records, model):
+    """Largest per-count gain of growing one cell, max_j score_j / N - 1.
+
+    The ML fit maximizes a concave function over the simplex, so at the
+    maximum no cell gains from growing: every value is <= 0 up to roundoff.
+    """
+    n = sum(rec.f.sum() for rec in records)
+    if isinstance(model, SingleModeModel):
+        score = sum(
+            model.map(rec.nu).T @ (rec.f / model.forward_probs(fit.p_hat, rec.nu))
+            for rec in records
+        )
+    else:
+        score = 0.0
+        for rec in records:
+            A, B = model.maps(rec.nu)
+            score = score + A.T @ (rec.f / (A @ fit.p_hat.p @ B.T)) @ B
+    return float(np.max(score / n - 1.0))
+
+
+def single_records(model, p_g, n_m, rep):
+    truth = random_single_pnd(p_g, substream(11, "pnd", rep))
+    return [
+        sample_single_counts(
+            model.forward_probs(truth, nu), int(n_m), substream(11, "c", rep, nu),
+            gamma=g, nu=nu,
+        )
+        for nu, g in enumerate(DEFAULT_SINGLE_GAMMAS)
+    ]
+
+
+def kkt_case(case):
+    """Count records and model of one ML fit checked against the KKT
+    conditions; the single-mode records come from ``single_records``."""
+    if case == "1d-floor-cell":
+        # Once reported converged with p2 = 1e-15, where growing p2 still
+        # gained 1.5e-4 per count.
+        model = SingleModeModel.one_detector(1.0, 0.0, DEFAULT_SINGLE_GAMMAS)
+        return single_records(model, 1e-3, 1e8, 3), model
+    if case == "1d-boundary":
+        # p2 falls to the floor while p1 must still shrink.
+        model = SingleModeModel.one_detector(0.5, 0.0, DEFAULT_SINGLE_GAMMAS)
+        return single_records(model, 1e-4, 1e6, 2), model
+    if case == "2d":
+        model = SingleModeModel.two_detector(0.5, 1.0, 0.0, DEFAULT_SINGLE_GAMMAS)
+        return single_records(model, 1e-3, 1e6, 3), model
+    det = DetectorPair(T=0.5, eta_t=1.0, eta_r=1.0)
+    truth = random_pps_pnd(1e-4, substream(11, "pnd", 0))
+    rec = sample_counts(bipartite_probs(truth, det, det), 10**8, substream(11, "c", 0))
+    return [rec], LikelihoodModel(det_s=det, det_i=det)
+
+
+class TestMlReachesMaximum:
+    @pytest.mark.parametrize("case", ["1d-floor-cell", "1d-boundary", "2d", "2x2d"])
+    def test_kkt_conditions_hold(self, case):
+        records, model = kkt_case(case)
+        fit = ml_estimate(records, model)
+        assert fit.converged
+        assert kkt_excess(fit, records, model) <= 1e-9
+
+    def test_ml_fits_run_without_quasi_newton(self, monkeypatch):
+        def no_lbfgs(*args, **kwargs):
+            raise AssertionError("ML fit called scipy.optimize.minimize")
+
+        monkeypatch.setattr(ppskit.estimate, "minimize", no_lbfgs)
+        for case in ("2d", "2x2d"):
+            records, model = kkt_case(case)
+            fit = ml_estimate(records, model)
+            assert fit.converged
+            assert len(fit.starts) == 1
+            assert fit.starts[0].iterations == fit.iterations
 
 
 class TestEmlEstimate:

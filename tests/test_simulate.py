@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import ppskit.simulate
 from ppskit.detection import OutcomeProbs
 from ppskit.errors import InvalidInputError
 from ppskit.rng import multinomial_counts, substream
@@ -179,3 +180,23 @@ class TestRunSweep:
 
     def test_default_attenuator_ladder(self):
         assert DEFAULT_SINGLE_GAMMAS == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+
+    def test_single_mode_cell_converges_at_1e8(self):
+        # One rep of this cell used to end without converging under the
+        # multi-start quasi-Newton fit.
+        spec = SweepSpec(
+            p_g_grid=(1e-2,), n_m_grid=(1e8,), eta_grid=(0.5,), d_grid=(1e-6,), reps=16
+        )
+        rows = run_sweep(spec, "ml-2d", seed=531394969)
+        assert [row["rep"] for row in rows] == list(range(16))
+        assert all(row["converged"] for row in rows)
+
+    @pytest.mark.parametrize("method", ["ml-2x2d", "ml-2d"])
+    def test_coding_errors_are_not_swallowed(self, monkeypatch, method):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the estimator")
+
+        monkeypatch.setattr(ppskit.simulate.est, "ml_estimate", broken)
+        spec = SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e6,), reps=1)
+        with pytest.raises(TypeError, match="bug in the estimator"):
+            run_sweep(spec, method)
