@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
@@ -24,7 +23,6 @@ import sys
 
 from . import presets
 from .detection import (
-    CountRecord,
     DetectorPair,
     noise_correct,
     read_counts_csv,
@@ -68,6 +66,7 @@ from .pnd import (
     write_pnd_csv,
 )
 from .simulate import ExperimentConfig, SweepSpec, random_pps_pnd, run_sweep, simulate_records, write_sweep_csv
+from .tables import parse_int, write_table
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -136,7 +135,7 @@ class RunConfig:
         if value is None or isinstance(value, int):
             return value
         try:
-            return int(float(value))
+            return parse_int(value)
         except ValueError:
             raise ConfigError(f"key '{key}' in [{section}] must be an integer, got {value!r}")
 
@@ -289,11 +288,7 @@ def _source_pnd(cfg: RunConfig, seed: int) -> PndMatrix:
 
 
 def _write_report(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in rows:
-            writer.writerow([name, f"{value:.12g}" if isinstance(value, float) else value])
+    write_table(path, ["metric", "value"], rows, float_format=".12g")
 
 
 def _outdir(args) -> str:
@@ -409,9 +404,10 @@ def _count_threshold_warnings(records, model, p_hat) -> list[str]:
     return warnings
 
 
-def cmd_estimate(cfg: RunConfig, args) -> int:
+def _counts_and_model(cfg: RunConfig, args):
+    """Counts file, fitted model and [estimate] method of estimate/bootstrap."""
     if not args.counts:
-        raise ConfigError("estimate requires --counts <file>")
+        raise ConfigError(f"{args.command} requires --counts <file>")
     if not os.path.exists(args.counts):
         raise ConfigError(f"counts file not found: {args.counts}")
     records, info = read_counts_csv(args.counts)
@@ -423,16 +419,25 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
             f"but the config defines {len(settings)} settings"
         )
     model = LikelihoodModel(det_s=det_s, det_i=det_i, settings=settings)
+    method = cfg.get_str("estimate", "method", "ml")
+    if method not in ("ml", "eml"):
+        raise ConfigError(f"key 'method' in [estimate] must be ml|eml, got {method!r}")
+    return records, info, model, method, rep_rate
+
+
+_ESTIMATORS = {"ml": ml_estimate, "eml": eml_estimate}
+
+
+def cmd_estimate(cfg: RunConfig, args) -> int:
+    records, info, model, method, rep_rate = _counts_and_model(cfg, args)
+    det_s, det_i = model.det_s, model.det_i
     seed = args.seed if args.seed is not None else cfg.get_int("estimate", "seed", 0)
     options = EstimateOptions(
         n_starts=cfg.get_int("estimate", "n_starts", 5),
         max_iter=cfg.get_int("estimate", "max_iter", 10000),
         seed=seed,
     )
-    method = cfg.get_str("estimate", "method", "ml")
-    if method not in ("ml", "eml"):
-        raise ConfigError(f"key 'method' in [estimate] must be ml|eml, got {method!r}")
-    fit = (ml_estimate if method == "ml" else eml_estimate)(records, model, options)
+    fit = _ESTIMATORS[method](records, model, options)
 
     out = _outdir(args)
     metadata = {
@@ -476,7 +481,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
     for warning in _count_threshold_warnings(records, model, fit.p_hat):
         print(f"warning: {warning}", file=sys.stderr)
     if args.bootstrap or cfg.has("bootstrap"):
-        _run_bootstrap(cfg, args, records[0], model, options, out)
+        _run_bootstrap(cfg, args, records, model, method, options, out)
     if not fit.converged:
         print("warning: estimator did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -484,35 +489,34 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _run_bootstrap(cfg, args, record, model, options, out) -> None:
+def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
+    """Resample every setting's record and refit each draw's records jointly.
+
+    Each record is resampled at every ``sample_sizes`` entry, or by default
+    at its own ``n_m``.
+    """
     seed = args.seed if args.seed is not None else cfg.get_int("bootstrap", "seed", 0)
     n_boot = cfg.get_int("bootstrap", "n_boot", 100)
-    sizes = cfg.get_floats("bootstrap", "sample_sizes", None) or (float(record.n_m),)
+    sizes = cfg.get_floats("bootstrap", "sample_sizes", None) or (None,)
 
-    def pipeline(sample: CountRecord):
-        fit = ml_estimate([sample], model, options)
-        return characterize(fit).as_dict()
+    def pipeline(draw):
+        return characterize(_ESTIMATORS[method](list(draw), model, options)).as_dict()
 
     rows = []
     for size in sizes:
-        samples = bootstrap(record, n_boot, int(size), seed=seed)
-        rows.extend(bootstrap_stats(samples, pipeline))
+        per_setting = [
+            bootstrap(rec, n_boot, rec.n_m if size is None else int(size), seed=seed)
+            for rec in records
+        ]
+        rows.extend(bootstrap_stats(list(zip(*per_setting)), pipeline))
     write_bootstrap_csv(os.path.join(out, "bootstrap_summary.csv"), rows)
     print(f"wrote {out}/bootstrap_summary.csv")
 
 
 def cmd_bootstrap(cfg: RunConfig, args) -> int:
-    if not args.counts:
-        raise ConfigError("bootstrap requires --counts <file>")
-    if not os.path.exists(args.counts):
-        raise ConfigError(f"counts file not found: {args.counts}")
-    records, _ = read_counts_csv(args.counts)
-    det_s, det_i, _ = _build_detectors(cfg)
-    settings = _build_settings(cfg)
-    model = LikelihoodModel(det_s=det_s, det_i=det_i, settings=settings)
+    records, _, model, method, _ = _counts_and_model(cfg, args)
     seed = args.seed if args.seed is not None else cfg.get_int("bootstrap", "seed", 0)
-    options = EstimateOptions(seed=seed)
-    _run_bootstrap(cfg, args, records[0], model, options, _outdir(args))
+    _run_bootstrap(cfg, args, records, model, method, EstimateOptions(seed=seed), _outdir(args))
     return EXIT_OK
 
 

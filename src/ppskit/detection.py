@@ -14,13 +14,13 @@ the detector efficiencies.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataModelMismatchError, InvalidInputError
 from .pnd import PndMatrix
+from .tables import parse_int, read_table, write_table
 
 STATUS_LABELS = ("XX", "XO", "OX", "OO")
 
@@ -64,6 +64,17 @@ class DetectorPair:
         return replace(self, gamma=gamma)
 
 
+def _check_counts(f: np.ndarray, n_m, raw: bool = True) -> None:
+    if not np.all(np.isfinite(f)):
+        raise InvalidInputError("counts must be finite")
+    if not 0 <= n_m < np.inf:
+        raise InvalidInputError(f"n_m must be finite and nonnegative, got {n_m}")
+    if raw and np.any(f < 0):
+        raise InvalidInputError("raw counts must be nonnegative")
+    if raw and abs(f.sum() - n_m) > max(0.5, 2e-12 * n_m):
+        raise DataModelMismatchError(f"counts sum to {f.sum()} but n_m={n_m}")
+
+
 @dataclass(frozen=True)
 class OutcomeProbs:
     """Outcome probabilities of one trial: 4-vector or 4 x 4 table."""
@@ -74,6 +85,8 @@ class OutcomeProbs:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape not in ((4,), (4, 4)):
             raise InvalidInputError(f"outcome array must be (4,) or (4,4), got {probs.shape}")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidInputError("outcome probabilities must be finite")
         if np.any(probs < -1e-12):
             raise InvalidInputError("negative outcome probability")
         probs = np.where(probs < 0.0, 0.0, probs)
@@ -88,8 +101,10 @@ class CountRecord:
     """Observed frequencies of the 16 outcomes for one setting.
 
     ``f[a, b]`` counts trials with signal-pair outcome a and idler-pair
-    outcome b in the status order above.  Raw records must have integer
-    counts summing to ``n_m``; noise-corrected records hold real values
+    outcome b in the status order above.  Every cell is finite.  Raw
+    records hold nonnegative counts summing to ``n_m``: exact integers
+    when read by :func:`read_counts_csv`, real-valued expectations in
+    ``exact_counts`` sweeps.  Noise-corrected records hold real values
     whose total may deviate after clamping.
     """
 
@@ -102,16 +117,7 @@ class CountRecord:
         f = np.asarray(self.f, dtype=float)
         if f.shape != (4, 4):
             raise InvalidInputError(f"count table must be 4x4, got {f.shape}")
-        if self.n_m < 0:
-            raise InvalidInputError("n_m must be nonnegative")
-        if not self.noise_corrected:
-            if np.any(f < 0):
-                raise InvalidInputError("raw counts must be nonnegative")
-            total = f.sum()
-            if abs(total - self.n_m) > max(0.5, 2e-12 * self.n_m):
-                raise DataModelMismatchError(
-                    f"counts sum to {total} but n_m={self.n_m}"
-                )
+        _check_counts(f, self.n_m, raw=not self.noise_corrected)
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
 
@@ -133,10 +139,7 @@ class SingleCountRecord:
         f = np.asarray(self.f, dtype=float)
         if f.shape not in ((4,), (2,)):
             raise InvalidInputError(f"single-mode counts must be (4,) or (2,), got {f.shape}")
-        if np.any(f < 0):
-            raise InvalidInputError("counts must be nonnegative")
-        if abs(f.sum() - self.n_m) > max(0.5, 2e-12 * self.n_m):
-            raise DataModelMismatchError(f"counts sum to {f.sum()} but n_m={self.n_m}")
+        _check_counts(f, self.n_m)
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
 
@@ -277,40 +280,30 @@ _COUNT_HEADER = ["nu", "n_m"] + [f"f{a + 1}{b + 1}" for a in range(4) for b in r
 
 def write_counts_csv(path, records) -> None:
     """Write count records in the 16-column status order, one row per record."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COUNT_HEADER)
-        for rec in records:
-            row = [rec.nu, rec.n_m] + [f"{v:.17g}" for v in rec.f.reshape(-1)]
-            writer.writerow(row)
+    write_table(path, _COUNT_HEADER, ([rec.nu, rec.n_m, *rec.f.reshape(-1)] for rec in records))
 
 
 def read_counts_csv(path) -> tuple[list[CountRecord], dict]:
     """Read count records, summing rows that share a setting id.
 
     Data acquired as many short rows per setting (e.g. per-second dumps)
-    aggregates to one record per ``nu``.  Returns the records ordered by
-    setting id plus a small info dict recording how many rows each setting
-    contributed.
+    aggregates to one record per ``nu``.  Every cell must be an exact
+    integer (see :func:`ppskit.tables.parse_int`), and rows are summed
+    exactly.  Returns the records ordered by setting id plus a small info
+    dict recording how many rows each setting contributed.
     """
-    sums: dict[int, np.ndarray] = {}
-    totals: dict[int, int] = {}
+    rows, _ = read_table(
+        path, _COUNT_HEADER, "count",
+        lambda row: (parse_int(row["nu"]), [parse_int(row[name]) for name in _COUNT_HEADER[1:]]),
+        ordered=True,
+    )
+    sums: dict[int, list[int]] = {}  # n_m, then the 16 cells
     rows_per_nu: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or list(reader.fieldnames) != _COUNT_HEADER:
-            raise InvalidInputError(
-                f"count CSV header must be {','.join(_COUNT_HEADER)}"
-            )
-        for row in reader:
-            nu = int(row["nu"])
-            f = np.array(
-                [float(row[f"f{a + 1}{b + 1}"]) for a in range(4) for b in range(4)]
-            ).reshape(4, 4)
-            sums[nu] = sums.get(nu, np.zeros((4, 4))) + f
-            totals[nu] = totals.get(nu, 0) + int(float(row["n_m"]))
-            rows_per_nu[nu] = rows_per_nu.get(nu, 0) + 1
-    if not sums:
-        raise InvalidInputError("count CSV is empty")
-    records = [CountRecord(sums[nu], totals[nu], nu=nu) for nu in sorted(sums)]
+    for nu, values in rows:
+        sums[nu] = [a + b for a, b in zip(sums.get(nu, [0] * 17), values)]
+        rows_per_nu[nu] = rows_per_nu.get(nu, 0) + 1
+    records = [
+        CountRecord(np.array(sums[nu][1:], dtype=float).reshape(4, 4), sums[nu][0], nu=nu)
+        for nu in sorted(sums)
+    ]
     return records, {"rows_per_setting": rows_per_nu}

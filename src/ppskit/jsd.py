@@ -15,7 +15,6 @@ grid resolution rather than only in the continuum limit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pnd import PndMatrix
+from .tables import read_table, write_table
 
 # Branch weights below this value are treated as exactly zero and the
 # corresponding normalized branch is flagged empty (avoids 0/0).
@@ -519,33 +519,17 @@ def gaussian_jsd(
     return JsdGrid(amp, axis_s, axis_i)
 
 
+_JSD_HEADER = ["omega_s", "omega_i", "re", "im"]
+
+
 def read_jsd_csv(path) -> JsdGrid:
     """Load a JSD from CSV with columns omega_s, omega_i, re, im.
 
     The rows must cover a complete rectangular lattice (any order).
     """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"omega_s", "omega_i", "re", "im"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise InvalidInputError(
-                f"JSD CSV must have header omega_s,omega_i,re,im, got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    (
-                        float(row["omega_s"]),
-                        float(row["omega_i"]),
-                        float(row["re"]),
-                        float(row["im"]),
-                    )
-                )
-            except (TypeError, ValueError):
-                raise InvalidInputError(f"malformed JSD CSV row at line {line_no}")
-    if not rows:
-        raise InvalidInputError("JSD CSV is empty")
+    rows, _ = read_table(
+        path, _JSD_HEADER, "JSD", lambda row: tuple(float(row[name]) for name in _JSD_HEADER)
+    )
     ws = np.array(sorted({r[0] for r in rows}))
     wi = np.array(sorted({r[1] for r in rows}))
     if len(rows) != ws.size * wi.size:
@@ -563,15 +547,11 @@ def read_jsd_csv(path) -> JsdGrid:
 
 
 def write_jsd_csv(path, jsd: JsdGrid) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_s", "omega_i", "re", "im"])
-        for a, w_s in enumerate(jsd.axis_s):
-            for b, w_i in enumerate(jsd.axis_i):
-                val = jsd.values[a, b]
-                writer.writerow(
-                    [f"{w_s:.17g}", f"{w_i:.17g}", f"{val.real:.17g}", f"{val.imag:.17g}"]
-                )
+    write_table(path, _JSD_HEADER, (
+        [w_s, w_i, val.real, val.imag]
+        for w_s, row in zip(jsd.axis_s, jsd.values)
+        for w_i, val in zip(jsd.axis_i, row)
+    ))
 
 
 def read_filter_csv(path, kind: str = "amplitude") -> FilterProfile:
@@ -582,24 +562,10 @@ def read_filter_csv(path, kind: str = "amplitude") -> FilterProfile:
     """
     if kind not in ("amplitude", "intensity"):
         raise InvalidInputError(f"filter kind must be amplitude|intensity, got {kind!r}")
-    omegas, ts = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"omega", "t"}:
-            raise InvalidInputError(
-                f"filter CSV must have header omega,t, got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                omegas.append(float(row["omega"]))
-                ts.append(float(row["t"]))
-            except (TypeError, ValueError):
-                raise InvalidInputError(f"malformed filter CSV row at line {line_no}")
-    if not omegas:
-        raise InvalidInputError("filter CSV is empty")
-    order = np.argsort(omegas)
-    omega = np.asarray(omegas)[order]
-    t = np.asarray(ts)[order]
+    rows, _ = read_table(
+        path, ["omega", "t"], "filter", lambda row: (float(row["omega"]), float(row["t"]))
+    )
+    omega, t = np.array(sorted(rows)).T
     if kind == "intensity":
         return FilterProfile.from_intensity(omega, t)
     return FilterProfile(omega, t)

@@ -19,6 +19,7 @@ from .detection import CountRecord
 from .errors import InvalidInputError, PpskitError
 from .pnd import PndMatrix
 from .rng import multinomial_counts, substream
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,9 @@ def bootstrap(record: CountRecord, n_boot: int, sample_size: int, seed: int = 0)
 def bootstrap_stats(samples, pipeline, characteristics=None) -> list[dict]:
     """Summary statistics of a pipeline over bootstrap samples.
 
-    ``pipeline`` maps one CountRecord to a mapping of characteristic name
+    A sample is one CountRecord, or a tuple of records (one per setting)
+    resampled together, whose ``sample_size`` is then their total trials.
+    ``pipeline`` maps one sample to a mapping of characteristic name
     to value; samples on which it raises a package error (or returns
     non-finite values) are tallied in ``n_fail`` instead of aborting the
     aggregation.  Returns one row per characteristic with mean, std and
@@ -108,7 +111,8 @@ def bootstrap_stats(samples, pipeline, characteristics=None) -> list[dict]:
         raise InvalidInputError("no bootstrap samples given")
     values: dict[str, list[float]] = {}
     n_fail = 0
-    sample_size = samples[0].n_m
+    first = samples[0]
+    sample_size = sum(r.n_m for r in first) if isinstance(first, tuple) else first.n_m
     for sample in samples:
         try:
             result = pipeline(sample)
@@ -163,14 +167,4 @@ BOOTSTRAP_COLUMNS = (
 
 
 def write_bootstrap_csv(path, rows) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOOTSTRAP_COLUMNS)
-        for row in rows:
-            out = []
-            for col in BOOTSTRAP_COLUMNS:
-                value = row[col]
-                out.append(f"{value:.17g}" if isinstance(value, float) else str(value))
-            writer.writerow(out)
+    write_table(path, BOOTSTRAP_COLUMNS, ([row[col] for col in BOOTSTRAP_COLUMNS] for row in rows))

@@ -9,13 +9,13 @@ second-order correlations) are plain functions of the matrix.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import comb
 
 from .errors import InvalidInputError, UndefinedCharacteristicError
+from .tables import parse_int, read_table, write_table
 
 _SUM_TOL = 1e-10
 
@@ -37,6 +37,8 @@ class PndMatrix:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
             raise InvalidInputError(f"PND matrix must be square and >= 2x2, got {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise InvalidInputError("PND matrix has non-finite entries")
         if np.any(p < -1e-12):
             raise InvalidInputError("PND matrix has negative entries")
         p = np.where(p < 0.0, 0.0, p)
@@ -244,43 +246,22 @@ def write_pnd_csv(path, P: PndMatrix, metadata: dict | None = None) -> None:
 
     ``metadata`` entries are emitted as leading ``# key=value`` lines.
     """
-    with open(path, "w", newline="") as fh:
-        if metadata:
-            for key, value in metadata.items():
-                fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "p"])
-        for j in range(P.p.shape[0]):
-            for k in range(P.p.shape[1]):
-                writer.writerow([j, k, f"{P.p[j, k]:.17g}"])
+    cells = ([j, k, p] for j, row in enumerate(P.p) for k, p in enumerate(row))
+    write_table(path, ["j", "k", "p"], cells, metadata)
+
+
+def _parse_pnd_row(row: dict) -> tuple[int, int, float]:
+    j, k = parse_int(row["j"]), parse_int(row["k"])
+    if j < 0 or k < 0:
+        raise ValueError(f"negative photon number in cell ({j}, {k})")
+    return j, k, float(row["p"])
 
 
 def read_pnd_csv(path) -> tuple[PndMatrix, dict]:
-    """Read a PND matrix written by :func:`write_pnd_csv`."""
-    metadata: dict = {}
-    cells: dict = {}
-    with open(path, newline="") as fh:
-        rows = []
-        for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            rows.append(line)
-        reader = csv.DictReader(rows)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"j", "k", "p"}:
-            raise InvalidInputError(
-                f"PND CSV must have header j,k,p, got {reader.fieldnames}"
-            )
-        for row in reader:
-            cells[(int(row["j"]), int(row["k"]))] = float(row["p"])
-    if not cells:
-        raise InvalidInputError("PND CSV is empty")
-    n = max(max(j, k) for j, k in cells)
+    """Read a PND matrix written by :func:`write_pnd_csv`, with its metadata."""
+    rows, metadata = read_table(path, ["j", "k", "p"], "PND", _parse_pnd_row)
+    n = max(max(j, k) for j, k, _ in rows)
     p = np.zeros((n + 1, n + 1))
-    for (j, k), value in cells.items():
+    for j, k, value in rows:
         p[j, k] = value
-    total = p.sum()
-    return PndMatrix(p, subnormalized=total < 1.0 - _SUM_TOL), metadata
+    return PndMatrix(p, subnormalized=p.sum() < 1.0 - _SUM_TOL), metadata

@@ -19,6 +19,7 @@ from .errors import InvalidInputError, PpskitError
 from .metrics import rmsle
 from .pnd import PndMatrix, g2_marginal
 from .rng import multinomial_counts, substream
+from .tables import write_table
 
 DEFAULT_SINGLE_GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
@@ -118,31 +119,27 @@ class ExperimentConfig:
             raise InvalidInputError("at least one attenuator setting is required")
 
 
+def _setting_record(model, truth, nu: int, n_m: int, rng):
+    """Record of setting ``nu``: expected counts if ``rng`` is None, else sampled."""
+    if isinstance(model, est.LikelihoodModel):
+        gamma_s, gamma_i = model.settings[nu]
+        W = bipartite_probs(truth, model.det_s.with_gamma(gamma_s), model.det_i.with_gamma(gamma_i))
+        if rng is None:
+            return CountRecord(n_m * W.probs, n_m, nu=nu)
+        return sample_counts(W, n_m, rng, nu=nu)
+    probs = model.forward_probs(truth, nu)
+    if rng is None:
+        return SingleCountRecord(n_m * probs, n_m, gamma=model.gammas[nu], nu=nu)
+    return sample_single_counts(probs, n_m, rng, gamma=model.gammas[nu], nu=nu)
+
+
 def simulate_records(config: ExperimentConfig, rep: int = 0) -> list[CountRecord]:
     """Sampled count records for every attenuator setting of one repetition."""
-    records = []
-    for nu, (gamma_s, gamma_i) in enumerate(config.settings):
-        W = bipartite_probs(
-            config.pnd,
-            config.det_s.with_gamma(gamma_s),
-            config.det_i.with_gamma(gamma_i),
-        )
-        rng = substream(config.seed, "experiment", rep, nu)
-        records.append(sample_counts(W, config.n_m, rng, nu=nu))
-    return records
-
-
-def expected_records(config: ExperimentConfig) -> list[CountRecord]:
-    """Noise-free expected counts n_m * W per setting (real-valued)."""
-    records = []
-    for nu, (gamma_s, gamma_i) in enumerate(config.settings):
-        W = bipartite_probs(
-            config.pnd,
-            config.det_s.with_gamma(gamma_s),
-            config.det_i.with_gamma(gamma_i),
-        )
-        records.append(CountRecord(config.n_m * W.probs, config.n_m, nu=nu))
-    return records
+    model = est.LikelihoodModel(det_s=config.det_s, det_i=config.det_i, settings=config.settings)
+    return [
+        _setting_record(model, config.pnd, nu, config.n_m, substream(config.seed, "experiment", rep, nu))
+        for nu in range(len(config.settings))
+    ]
 
 
 @dataclass(frozen=True)
@@ -175,6 +172,8 @@ class SweepSpec:
             raise InvalidInputError(f"unknown gamma design {self.gamma_design!r}")
         if self.reps < 1:
             raise InvalidInputError("reps must be >= 1")
+        if min(self.n_m_grid) < 1:
+            raise InvalidInputError("n_m_grid entries must be >= 1")
 
 
 def _bipartite_settings(design: str) -> tuple:
@@ -190,85 +189,50 @@ _NAN_CHARS = {name: float("nan") for name in
                "gh2s_hat", "gh2i_hat")}
 
 
-def _bipartite_cell(spec, method, p_g, n_m, eta, d, seed, cell_id, rows):
-    settings = _bipartite_settings(spec.gamma_design)
+def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
+    if layout == "2x2d":
+        det = DetectorPair(T=spec.bs_T, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
+        settings = _bipartite_settings(spec.gamma_design)
+        model = est.LikelihoodModel(det_s=det, det_i=det, settings=settings)
+        random_truth, gamma_label = random_pps_pnd, spec.gamma_design
+    else:
+        settings = spec.single_gammas
+        if layout == "2d":
+            model = est.SingleModeModel.two_detector(T=spec.bs_T, eta=eta, d=d, gammas=settings)
+        else:
+            model = est.SingleModeModel.one_detector(eta=eta, d=d, gammas=settings)
+        random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
+    fit_method = est.ml_estimate if method == "ml" else est.eml_estimate
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
     for rep in range(spec.reps):
-        truth = random_pps_pnd(p_g, substream(seed, "pnd", cell_id, rep))
-        det = DetectorPair(T=spec.bs_T, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
-        config = ExperimentConfig(
-            pnd=truth, det_s=det, det_i=det, settings=settings, n_m=int(n_m),
-            seed=seed, reps=1,
-        )
-        if spec.exact_counts:
-            records = expected_records(config)
-        else:
-            records = [
-                sample_counts(
-                    bipartite_probs(truth, det.with_gamma(gs), det.with_gamma(gi)),
-                    int(n_m),
-                    substream(seed, "counts", cell_id, rep, nu),
-                    nu=nu,
-                )
-                for nu, (gs, gi) in enumerate(settings)
-            ]
-        model = est.LikelihoodModel(det_s=det, det_i=det, settings=settings)
+        truth = random_truth(p_g, substream(seed, "pnd", cell_id, rep))
+        records = [
+            _setting_record(
+                model, truth, nu, int(n_m),
+                None if spec.exact_counts else substream(seed, "counts", cell_id, rep, nu),
+            )
+            for nu in range(len(settings))
+        ]
         row = {
             "cell_id": cell_id, "p_g": p_g, "n_m": n_m, "eta": eta, "d": d,
-            "gamma": spec.gamma_design, "rep": rep,
+            "gamma": gamma_label, "rep": rep, **_NAN_CHARS,
         }
         try:
-            fit = (est.ml_estimate if method == "ml" else est.eml_estimate)(
-                records, model, options
-            )
+            fit = fit_method(records, model, options)
             row["rmsle"] = rmsle(fit.p_hat, truth)
-            chars = est.characterize(fit)
-            row.update(
-                pg_hat=chars.p_g, etaHs_hat=chars.eta_H_s, etaHi_hat=chars.eta_H_i,
-                g2s_hat=chars.g2_s, g2i_hat=chars.g2_i,
-                gh2s_hat=chars.gh2_s, gh2i_hat=chars.gh2_i,
-            )
+            if layout == "2x2d":
+                chars = est.characterize(fit)
+                row.update(
+                    pg_hat=chars.p_g, etaHs_hat=chars.eta_H_s, etaHi_hat=chars.eta_H_i,
+                    g2s_hat=chars.g2_s, g2i_hat=chars.g2_i,
+                    gh2s_hat=chars.gh2_s, gh2i_hat=chars.gh2_i,
+                )
+            else:
+                row.update(
+                    pg_hat=float(fit.p_hat[1]), g2s_hat=g2_marginal(fit.p_hat, truncated=True)
+                )
             row["converged"] = fit.converged
         except _FIT_FAILURES:  # failures are data, not fatal; coding bugs still raise
-            row.update(rmsle=float("nan"), converged=False, **_NAN_CHARS)
-        rows.append(row)
-
-
-def _single_cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
-    gammas = spec.single_gammas
-    model = est.SingleModeModel.two_detector(
-        T=spec.bs_T, eta=eta, d=d, gammas=gammas
-    ) if layout == "2d" else est.SingleModeModel.one_detector(
-        eta=eta, d=d, gammas=gammas
-    )
-    options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
-    for rep in range(spec.reps):
-        truth = random_single_pnd(p_g, substream(seed, "pnd", cell_id, rep))
-        records = []
-        for nu, gamma in enumerate(gammas):
-            probs = model.forward_probs(truth, nu)
-            if spec.exact_counts:
-                rec = SingleCountRecord(int(n_m) * probs, int(n_m), gamma=gamma, nu=nu)
-            else:
-                rec = sample_single_counts(
-                    probs, int(n_m), substream(seed, "counts", cell_id, rep, nu),
-                    gamma=gamma, nu=nu,
-                )
-            records.append(rec)
-        row = {
-            "cell_id": cell_id, "p_g": p_g, "n_m": n_m, "eta": eta, "d": d,
-            "gamma": f"va{len(gammas)}", "rep": rep,
-        }
-        try:
-            fit = (est.ml_estimate if method == "ml" else est.eml_estimate)(
-                records, model, options
-            )
-            row["rmsle"] = rmsle(fit.p_hat, truth)
-            row.update(_NAN_CHARS)
-            row["pg_hat"] = float(fit.p_hat[1])
-            row["g2s_hat"] = g2_marginal(fit.p_hat, truncated=True)
-            row["converged"] = fit.converged
-        except _FIT_FAILURES:
             row.update(rmsle=float("nan"), converged=False, **_NAN_CHARS)
         rows.append(row)
 
@@ -293,32 +257,10 @@ def run_sweep(spec: SweepSpec, method: str = "ml-2x2d", seed: int = 0) -> list[d
         for n_m in spec.n_m_grid:
             for eta in spec.eta_grid:
                 for d in spec.d_grid:
-                    if layout == "2x2d":
-                        _bipartite_cell(
-                            spec, kind, p_g, n_m, eta, d, seed, cell_id, rows
-                        )
-                    else:
-                        _single_cell(
-                            spec, kind, layout, p_g, n_m, eta, d, seed, cell_id, rows
-                        )
+                    _cell(spec, kind, layout, p_g, n_m, eta, d, seed, cell_id, rows)
                     cell_id += 1
     return rows
 
 
 def write_sweep_csv(path, rows) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            out = []
-            for col in SWEEP_COLUMNS:
-                value = row.get(col)
-                if isinstance(value, bool):
-                    out.append("true" if value else "false")
-                elif isinstance(value, float):
-                    out.append(f"{value:.17g}")
-                else:
-                    out.append(str(value))
-            writer.writerow(out)
+    write_table(path, SWEEP_COLUMNS, ([row.get(col) for col in SWEEP_COLUMNS] for row in rows))

@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 from ppskit.detection import (
     CountRecord,
     DetectorPair,
+    OutcomeProbs,
+    SingleCountRecord,
     bipartite_probs,
     conversion_matrix,
     counts_with_clicks,
@@ -239,7 +241,33 @@ class TestNoiseCorrect:
             noise_correct(rec, 1.0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_outcome_probs_reject_non_finite(bad):
+    probs = np.full(4, 0.25)
+    probs[1] = bad
+    with pytest.raises(InvalidInputError):
+        OutcomeProbs(probs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_single_count_record_rejects_non_finite(bad):
+    with pytest.raises(InvalidInputError):
+        SingleCountRecord(np.array([5.0, bad]), 5)
+    with pytest.raises(InvalidInputError):
+        SingleCountRecord(np.array([5.0, 0.0]), bad)
+
+
 class TestCountRecord:
+    @pytest.mark.parametrize("noise_corrected", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, noise_corrected):
+        f = np.zeros((4, 4))
+        f[0, 0] = 5.0
+        with pytest.raises(InvalidInputError):
+            CountRecord(np.where(np.eye(4, dtype=bool), bad, f), 5, noise_corrected=noise_corrected)
+        with pytest.raises(InvalidInputError):
+            CountRecord(f, bad, noise_corrected=noise_corrected)
+
     def test_total_mismatch_rejected(self):
         f = np.zeros((4, 4))
         f[0, 0] = 5

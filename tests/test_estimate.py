@@ -191,6 +191,15 @@ class TestMlEstimate:
         with pytest.raises(InvalidInputError):
             ml_estimate([], model)
 
+    def test_record_with_nan_cell_never_reaches_the_fit(self):
+        det = DetectorPair(T=0.5, eta_t=0.5, eta_r=0.5)
+        model = LikelihoodModel(det_s=det, det_i=det)
+        f = np.zeros((4, 4))
+        f[0, 0] = 10
+        f[3, 3] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            ml_estimate([CountRecord(f, 10)], model)
+
     def test_rejects_setting_out_of_range(self):
         det = DetectorPair(T=0.5, eta_t=0.5, eta_r=0.5)
         model = LikelihoodModel(det_s=det, det_i=det)

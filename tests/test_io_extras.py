@@ -8,7 +8,7 @@ import pytest
 
 from ppskit.detection import DetectorPair, bipartite_probs, write_counts_csv
 from ppskit.errors import InvalidInputError
-from ppskit.estimate import EstimateOptions, LikelihoodModel, ml_estimate
+from ppskit.estimate import EstimateOptions, LikelihoodModel, eml_estimate, ml_estimate
 from ppskit.jsd import (
     FilterProfile,
     PumpGain,
@@ -19,7 +19,7 @@ from ppskit.jsd import (
     synthesize_pnd,
     write_jsd_csv,
 )
-from ppskit.metrics import rmsle
+from ppskit.metrics import bootstrap, rmsle
 from ppskit.pnd import apply_loss_bipartite, loss_matrix, tmsv_pnd
 from ppskit.simulate import random_pps_pnd, sample_counts
 
@@ -214,6 +214,57 @@ class TestMultiSettingEstimation:
 
         fit, _ = read_pnd_csv(out / "pnd_hat.csv")
         assert rmsle(fit, truth) < 0.3
+
+    def test_cli_bootstrap_resamples_every_setting_with_the_estimate_method(
+        self, tmp_path, monkeypatch
+    ):
+        truth = random_pps_pnd(5e-2, 25)
+        det = DetectorPair(T=0.5, eta_t=0.6, eta_r=0.6)
+        settings = ((1.0, 1.0), (0.6, 0.6))
+        records = [
+            sample_counts(
+                bipartite_probs(truth, det.with_gamma(gs), det.with_gamma(gi)),
+                10**8 + nu,
+                seed=400 + nu,
+                nu=nu,
+            )
+            for nu, (gs, gi) in enumerate(settings)
+        ]
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts, records)
+        config = tmp_path / "est.cfg"
+        config.write_text(
+            "[detectors]\nT_s = 0.5\nT_i = 0.5\n"
+            "eta1 = 0.6\neta2 = 0.6\neta3 = 0.6\neta4 = 0.6\n"
+            "d1 = 0\nd2 = 0\nd3 = 0\nd4 = 0\n\n"
+            "[settings]\ngammas_s = 1.0, 0.6\ngammas_i = 1.0, 0.6\n\n"
+            "[estimate]\nmethod = eml\nn_starts = 1\n\n[bootstrap]\nn_boot = 3\n"
+        )
+        from ppskit import cli
+
+        resampled, fitted = [], []
+
+        def spy_bootstrap(record, n_boot, sample_size, seed=0):
+            resampled.append((record.nu, sample_size))
+            return bootstrap(record, n_boot, sample_size, seed=seed)
+
+        def spy_eml(recs, model, options):
+            fitted.append([rec.nu for rec in recs])
+            return eml_estimate(recs, model, options)
+
+        monkeypatch.setattr(cli, "bootstrap", spy_bootstrap)
+        monkeypatch.setitem(cli._ESTIMATORS, "eml", spy_eml)
+        monkeypatch.setitem(cli._ESTIMATORS, "ml", None)
+        out = tmp_path / "fit"
+        assert cli.main(
+            ["estimate", "--config", str(config), "--counts", str(counts), "--out", str(out)]
+        ) == 0
+        assert resampled == [(0, 10**8), (1, 10**8 + 1)]
+        assert fitted == [[0, 1]] * 4  # the estimate, then one joint fit per draw
+        with open(out / "bootstrap_summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["sample_size"] for row in rows} == {str(2 * 10**8 + 1)}
+        assert {row["n_fail"] for row in rows} == {"0"}
 
     def test_cli_rejects_counts_beyond_declared_settings(self, tmp_path):
         truth = random_pps_pnd(5e-3, 23)

@@ -298,6 +298,16 @@ class TestCharacteristics:
         assert chars.g2_i == g2_marginal(marginal(P, "i"), truncated=True)
 
 
+@pytest.mark.parametrize("subnormalized", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pnd_matrix_rejects_non_finite(bad, subnormalized):
+    p = np.zeros((3, 3))
+    p[0, 0] = 1.0
+    p[2, 1] = bad
+    with pytest.raises(InvalidInputError):
+        PndMatrix(p, subnormalized=subnormalized)
+
+
 class TestCsvRoundtrip:
     def test_write_read_roundtrip(self, tmp_path):
         P = tmsv_pnd(0.07)
