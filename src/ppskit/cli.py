@@ -151,13 +151,19 @@ class RunConfig:
         raise ConfigError(f"key '{key}' in [{section}] must be a boolean, got {value!r}")
 
     def get_floats(self, section, key, default=None):
+        return self._get_list(section, key, default, float, "numbers")
+
+    def get_ints(self, section, key, default=None):
+        return self._get_list(section, key, default, parse_int, "integers")
+
+    def _get_list(self, section, key, default, parse, what):
         value = self._raw(section, key, default)
         if value is None or isinstance(value, tuple):
             return value
         try:
-            return tuple(float(tok) for tok in str(value).split(",") if tok.strip())
+            return tuple(parse(tok) for tok in str(value).split(",") if tok.strip())
         except ValueError:
-            raise ConfigError(f"key '{key}' in [{section}] must be a comma list of numbers")
+            raise ConfigError(f"key '{key}' in [{section}] must be a comma list of {what}")
 
 
 class _RequiredType:
@@ -312,8 +318,11 @@ def cmd_jsd(cfg: RunConfig, args) -> int:
     pnd = pnd_from_segmentation(seg, gain)
     chars = characteristics(pnd)
 
+    # The factored route already holds the singular values of the scaled
+    # grid; k_analytic stays the independent O(n^3) Gram trace.
+    s = seg.singular_values
     rows = [
-        ("k_svd", schmidt_number_svd(jsd)),
+        ("k_svd", schmidt_number_svd(jsd) if s is None else 1.0 / float((s**4).sum())),
         ("k_analytic", schmidt_number_analytic(jsd)),
     ]
     rows += [(f"q{j + 1}", float(seg.q[j])) for j in range(4)]
@@ -428,15 +437,19 @@ def _counts_and_model(cfg: RunConfig, args):
 _ESTIMATORS = {"ml": ml_estimate, "eml": eml_estimate}
 
 
+def _estimate_options(cfg: RunConfig, args) -> EstimateOptions:
+    """[estimate] fit options, shared by the estimate and every bootstrap refit."""
+    return EstimateOptions(
+        n_starts=cfg.get_int("estimate", "n_starts", 5),
+        max_iter=cfg.get_int("estimate", "max_iter", 10000),
+        seed=args.seed if args.seed is not None else cfg.get_int("estimate", "seed", 0),
+    )
+
+
 def cmd_estimate(cfg: RunConfig, args) -> int:
     records, info, model, method, rep_rate = _counts_and_model(cfg, args)
     det_s, det_i = model.det_s, model.det_i
-    seed = args.seed if args.seed is not None else cfg.get_int("estimate", "seed", 0)
-    options = EstimateOptions(
-        n_starts=cfg.get_int("estimate", "n_starts", 5),
-        max_iter=cfg.get_int("estimate", "max_iter", 10000),
-        seed=seed,
-    )
+    options = _estimate_options(cfg, args)
     fit = _ESTIMATORS[method](records, model, options)
 
     out = _outdir(args)
@@ -444,7 +457,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         "loglik": f"{fit.loglik:.17g}",
         "iterations": fit.iterations,
         "converged": fit.converged,
-        "seed": seed,
+        "seed": options.seed,
         "model_hash": model.hash(),
         "method": method,
         "rows_per_setting": info["rows_per_setting"],
@@ -497,7 +510,7 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
     """
     seed = args.seed if args.seed is not None else cfg.get_int("bootstrap", "seed", 0)
     n_boot = cfg.get_int("bootstrap", "n_boot", 100)
-    sizes = cfg.get_floats("bootstrap", "sample_sizes", None) or (None,)
+    sizes = cfg.get_ints("bootstrap", "sample_sizes", None) or (None,)
 
     def pipeline(draw):
         return characterize(_ESTIMATORS[method](list(draw), model, options)).as_dict()
@@ -505,7 +518,7 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
     rows = []
     for size in sizes:
         per_setting = [
-            bootstrap(rec, n_boot, rec.n_m if size is None else int(size), seed=seed)
+            bootstrap(rec, n_boot, rec.n_m if size is None else size, seed=seed)
             for rec in records
         ]
         rows.extend(bootstrap_stats(list(zip(*per_setting)), pipeline))
@@ -515,8 +528,8 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
 
 def cmd_bootstrap(cfg: RunConfig, args) -> int:
     records, _, model, method, _ = _counts_and_model(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.get_int("bootstrap", "seed", 0)
-    _run_bootstrap(cfg, args, records, model, method, EstimateOptions(seed=seed), _outdir(args))
+    options = _estimate_options(cfg, args)
+    _run_bootstrap(cfg, args, records, model, method, options, _outdir(args))
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,19 @@ EMPTY_SEGMENT_THRESHOLD = 1e-15
 
 _UNIFORM_RTOL = 1e-12
 _NORM_TOL = 1e-12
+
+# Factored route of :func:`segment`.  The sketch is drawn from a fixed
+# seed so that segmentation is deterministic.  It grows by blocks of
+# columns until the residual of the unit-norm scaled grid falls to
+# roundoff, and gives up once it would need more than the rank fraction
+# of min(n_s, n_i) columns.  A live branch whose measured relative error
+# exceeds the branch error bound sends the whole segmentation to the
+# direct Gram route.
+_SKETCH_SEED = 5304
+_SKETCH_BLOCK = 32
+_SKETCH_RANK_FRACTION = 0.25
+_SKETCH_RESIDUAL_TOL = 1e-14
+_BRANCH_ERROR_BOUND = 1e-13
 
 
 def _uniform_step(axis: np.ndarray, name: str) -> float:
@@ -193,28 +207,46 @@ class Segmentation:
     3     r_s * r_i * f  (weight q4)   nothing detected
     ===== ===========================  =====================
 
-    ``parts`` holds the renormalized branch amplitudes (``None`` when the
-    weight fell below :data:`EMPTY_SEGMENT_THRESHOLD`), ``kappa`` their
-    effective mode numbers (1 for empty branches), and the remaining fields
-    the pairwise exchange overlaps entering two-pair probabilities.
+    ``kappa`` holds the branch effective mode numbers (1 for branches whose
+    weight fell below :data:`EMPTY_SEGMENT_THRESHOLD`), and the remaining
+    fields the pairwise exchange overlaps entering two-pair probabilities.
+    ``singular_values`` are those of the low-rank factor of the scaled grid
+    when :func:`segment` took the factored route, else ``None``.
+
+    ``parts`` holds the renormalized branch amplitudes (``None`` for empty
+    branches).  It is built from the JSD and filter amplitudes on first
+    read, since nothing in the synthesis needs the four full grids.
     """
 
     q: np.ndarray
-    parts: tuple
     kappa: np.ndarray
     ox13: float
     ox24: float
     oy14: float
     oy23: float
     oc: complex
+    singular_values: np.ndarray | None = None
+    _jsd: JsdGrid | None = field(default=None, repr=False, compare=False)
+    _branches: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        q.setflags(write=False)
-        kappa = np.asarray(self.kappa, dtype=float)
-        kappa.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "kappa", kappa)
+        for name in ("q", "kappa", "singular_values"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=float)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+
+    @cached_property
+    def parts(self) -> tuple:
+        if self._jsd is None:
+            raise InvalidInputError("segmentation holds no JSD to build its branches from")
+        return tuple(
+            JsdGrid(wx[:, None] * wy[None, :] * self._jsd.values,
+                    self._jsd.axis_s, self._jsd.axis_i)  # renormalizes
+            if qj > 0.0 else None
+            for qj, (wx, wy) in zip(self.q, self._branches)
+        )
 
 
 def _require_normalized(jsd: JsdGrid) -> None:
@@ -335,45 +367,90 @@ def _weighted_square_sum(gram: np.ndarray, u: np.ndarray, v: np.ndarray) -> floa
     return float(u @ (gram.real**2 + gram.imag**2) @ v)
 
 
-def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segmentation:
-    """Split a JSD into its four filter branches with weights and overlaps.
+def _low_rank_factor(f: np.ndarray):
+    """U S, S and V of F = U S V† + R with the residual R at roundoff.
 
-    The branch weights always sum to 1 because |t|^2 + |r|^2 = 1 pointwise
-    on both axes.  Empty branches get kappa = 1 and overlaps 0.
-
-    Every branch amplitude is D_wx F D_wy for the scaled grid F and the
-    filter amplitudes w, so each branch mode number and every exchange
-    overlap is an O(n^2) weighted contraction of one or two of four Gram
-    products: H_t = F† D_tx² F and H_r = F† D_rx² F (mode numbers, the x
-    overlaps and O_c), G_t = F D_ty² F† and G_r = F D_ry² F† (the y
-    overlaps).  Each Gram is formed directly from its own weights, never
-    as a difference such as F F† - G_t, which would cost small branches
-    their relative accuracy; and only when a non-empty branch needs it.
+    A blocked randomized range finder with one power iteration per block
+    (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)) that works on
+    the running residual, so each block costs O(n_s n_i b) and growing the
+    rank repeats no work.  Returns ``(us, s, v, r)``, or ``None`` as soon
+    as the residual, shrinking at its rate so far, would not reach roundoff
+    within the rank cap.
     """
-    _require_filter_axis(filt_s, jsd.axis_s, jsd.step_s, "signal")
-    _require_filter_axis(filt_i, jsd.axis_i, jsd.step_i, "idler")
+    n_s, n_i = f.shape
+    cap = _SKETCH_RANK_FRACTION * min(n_s, n_i)
+    rng = np.random.default_rng(_SKETCH_SEED)
+    r = f
+    qs, bs = [], []
+    rank, residual = 0, float(np.linalg.norm(f))
+    while residual > _SKETCH_RESIDUAL_TOL:
+        if rank + _SKETCH_BLOCK > cap:
+            return None
+        y = np.linalg.qr(r @ rng.standard_normal((n_i, _SKETCH_BLOCK)))[0]
+        y = r @ (y.conj().T @ r).conj().T  # power iteration: R R† Y
+        for q_prev in qs:  # reorthogonalize against the earlier blocks
+            y -= q_prev @ (q_prev.conj().T @ y)
+        q = np.linalg.qr(y)[0]
+        b = q.conj().T @ r
+        r = r - q @ b
+        qs.append(q)
+        bs.append(b)
+        rank += _SKETCH_BLOCK
+        previous, residual = residual, float(np.linalg.norm(r))
+        if residual >= previous or (
+            residual > _SKETCH_RESIDUAL_TOL
+            and rank + _SKETCH_BLOCK * math.log(residual / _SKETCH_RESIDUAL_TOL)
+            / math.log(previous / residual) > cap
+        ):
+            return None
+    # B = [b_1; b_2; ...] = R_b† Q_b† with B† = Q_b R_b, and R_b† = U_r S W_r
+    q_b, r_b = np.linalg.qr(np.vstack(bs).conj().T)
+    u_r, sv, w_r = np.linalg.svd(r_b.conj().T)
+    return (np.hstack(qs) @ u_r) * sv, sv, q_b @ w_r.conj().T, r
 
-    tx, rx = filt_s.t, filt_s.r
-    ty, ry = filt_i.t, filt_i.r
-    branches = ((tx, ry), (rx, ty), (tx, ty), (rx, ry))
 
-    measure = jsd.step_s * jsd.step_i
-    q = np.zeros(4)
-    parts = []
-    for j, (wx, wy) in enumerate(branches):
-        g = wx[:, None] * wy[None, :] * jsd.values
-        qj = float(np.sum(np.abs(g) ** 2)) * measure
-        if qj < EMPTY_SEGMENT_THRESHOLD:
-            q[j] = 0.0
-            parts.append(None)
-        else:
-            q[j] = qj
-            parts.append(JsdGrid(g, jsd.axis_s, jsd.axis_i))  # renormalizes
-    if abs(q.sum() - 1.0) > 1e-10:
-        raise InvalidInputError("filter branches do not preserve the JSD norm")
+def _small_gram(m: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """M† D_w² M for a factor M with rank-r columns: an r×r Gram."""
+    return (m.conj().T * w2) @ m
 
-    live = [p is not None for p in parts]
-    f = jsd.scaled()
+
+def _factored_quantities(us, v, weights, q, live):
+    """Branch mode numbers and overlaps as traces of r×r products.
+
+    With F = U S V†, the branch Gram P_j† P_j is D_wy V A_x V† D_wy / q_j
+    with A_x = S U† D_wx² U S, so with B_y = V† D_wy² V and M_j = A_x B_y
+    every quantity is tr(M_i M_j): 1/kappa_j from tr(M_j²), ox13 from
+    tr(M_3 M_1), ox24 from tr(M_4 M_2), oy14 from tr(M_1 M_4), oy23 from
+    tr(M_2 M_3) and O_c from tr(M_3 M_4) (branches numbered from 1).
+    """
+    tx2, rx2, ty2, ry2 = (w**2 for w in weights)
+    a_t, a_r = _small_gram(us, tx2), _small_gram(us, rx2)
+    b_t, b_r = _small_gram(v, ty2), _small_gram(v, ry2)
+    m = (a_t @ b_r, a_r @ b_t, a_t @ b_t, a_r @ b_r)
+
+    def trace(i, j):
+        return complex(np.sum(m[i] * m[j].T))
+
+    def overlap(i, j):
+        return trace(i, j).real / (q[i] * q[j]) if live[i] and live[j] else 0.0
+
+    kappa = np.array([q[j] ** 2 / trace(j, j).real if live[j] else 1.0 for j in range(4)])
+    oc = trace(2, 3) / math.sqrt(q.prod()) if all(live) else 0.0 + 0.0j
+    return kappa, overlap(0, 2), overlap(1, 3), overlap(0, 3), overlap(1, 2), oc
+
+
+def _direct_quantities(f, weights, q, live):
+    """Branch mode numbers and overlaps from up to four n×n Gram products.
+
+    Every branch amplitude is D_wx F D_wy, so each quantity is an O(n^2)
+    weighted contraction of one or two of H_t = F† D_tx² F and
+    H_r = F† D_rx² F (mode numbers, the x overlaps and O_c), G_t =
+    F D_ty² F† and G_r = F D_ry² F† (the y overlaps).  Each Gram is formed
+    directly from its own weights, never as a difference such as
+    F F† - G_t, which would cost small branches their relative accuracy;
+    and only when a live branch needs it.
+    """
+    tx, rx, ty, ry = weights
     tx2, rx2, ty2, ry2 = tx**2, rx**2, ty**2, ry**2
     kappa = np.ones(4)
     ox13 = ox24 = oy14 = oy23 = 0.0
@@ -397,16 +474,66 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
         oy14 = _weighted_square_sum(_idler_weighted_gram(f, ry), tx2, rx2) / (q[0] * q[3])
     if live[1] and live[2]:
         oy23 = _weighted_square_sum(_idler_weighted_gram(f, ty), rx2, tx2) / (q[1] * q[2])
+    return kappa, ox13, ox24, oy14, oy23, oc
+
+
+def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segmentation:
+    """Split a JSD into its four filter branches with weights and overlaps.
+
+    The branch weights always sum to 1 because |t|^2 + |r|^2 = 1 pointwise
+    on both axes.  Empty branches get kappa = 1 and overlaps 0.
+
+    Every branch amplitude is D_wx F D_wy for the scaled grid F and the
+    filter amplitudes w, so q_j = wx²·|F|²·wy² and every mode number and
+    overlap is a trace of weighted Gram products.  A downconversion JSD
+    has a small Schmidt number, so F is first factored as U S V† + R with
+    the residual R at roundoff, and the traces run on r×r matrices in
+    O(n r² + r³).  The factor is accurate in absolute terms, not entry by
+    entry, so a branch of tiny weight can lose its relative accuracy: the
+    direct n×n Gram route runs instead when the factor would need too many
+    columns, or when a live branch's error sqrt(wx²·|R|²·wy² / q_j)
+    exceeds the branch error bound.
+    """
+    _require_filter_axis(filt_s, jsd.axis_s, jsd.step_s, "signal")
+    _require_filter_axis(filt_i, jsd.axis_i, jsd.step_i, "idler")
+
+    tx, rx, ty, ry = weights = (filt_s.t, filt_s.r, filt_i.t, filt_i.r)
+    branches = ((tx, ry), (rx, ty), (tx, ty), (rx, ry))
+
+    def branch_sums(a2):
+        """sum_ab wx_a² a2_ab wy_b² of each branch."""
+        return np.array([float(wx**2 @ a2 @ wy**2) for wx, wy in branches])
+
+    f = jsd.scaled()
+    q = branch_sums(f.real**2 + f.imag**2)
+    q[q < EMPTY_SEGMENT_THRESHOLD] = 0.0
+    if abs(q.sum() - 1.0) > 1e-10:
+        raise InvalidInputError("filter branches do not preserve the JSD norm")
+    live = q > 0.0
+
+    factor = _low_rank_factor(f)
+    if factor is not None:
+        us, sv, v, r = factor
+        error2 = branch_sums(r.real**2 + r.imag**2)
+        if np.any(live & (error2 > _BRANCH_ERROR_BOUND**2 * q)):
+            factor = None
+    if factor is None:
+        sv = None
+        kappa, ox13, ox24, oy14, oy23, oc = _direct_quantities(f, weights, q, live)
+    else:
+        kappa, ox13, ox24, oy14, oy23, oc = _factored_quantities(us, v, weights, q, live)
 
     return Segmentation(
         q=q,
-        parts=tuple(parts),
         kappa=kappa,
         ox13=ox13,
         ox24=ox24,
         oy14=oy14,
         oy23=oy23,
         oc=oc,
+        singular_values=sv,
+        _jsd=jsd,
+        _branches=branches,
     )
 
 

@@ -9,6 +9,7 @@ second-order correlations) are plain functions of the matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,10 +259,20 @@ def _parse_pnd_row(row: dict) -> tuple[int, int, float]:
 
 
 def read_pnd_csv(path) -> tuple[PndMatrix, dict]:
-    """Read a PND matrix written by :func:`write_pnd_csv`, with its metadata."""
+    """Read a PND matrix written by :func:`write_pnd_csv`, with its metadata.
+
+    The rows must list every cell of an (n+1) x (n+1) matrix exactly once,
+    zeros included; the row count fixes n before anything is allocated.
+    """
     rows, metadata = read_table(path, ["j", "k", "p"], "PND", _parse_pnd_row)
-    n = max(max(j, k) for j, k, _ in rows)
-    p = np.zeros((n + 1, n + 1))
+    side = math.isqrt(len(rows))
+    cells = {(j, k) for j, k, _ in rows}
+    if side * side != len(rows) or len(cells) != len(rows) or max(map(max, cells)) >= side:
+        raise InvalidInputError(
+            f"PND CSV has {len(rows)} rows; it must list every cell of an "
+            "(n+1) x (n+1) matrix exactly once, zeros included"
+        )
+    p = np.zeros((side, side))
     for j, k, value in rows:
         p[j, k] = value
     return PndMatrix(p, subnormalized=p.sum() < 1.0 - _SUM_TOL), metadata

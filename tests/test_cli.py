@@ -117,6 +117,25 @@ class TestJsdCommand:
         assert cli.main(["jsd", "--config", config, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
 
+    def test_factored_route_gives_k_svd_without_a_grid_svd(self, tmp_path, monkeypatch):
+        def no_svd(jsd):
+            raise AssertionError("schmidt_number_svd called on the factored route")
+
+        monkeypatch.setattr(cli, "schmidt_number_svd", no_svd)
+        monkeypatch.setattr(jsd_module, "schmidt_number_svd", no_svd)
+        text = (
+            JSD_SECTIONS.replace("n_s = 96", "n_s = 512").replace("n_i = 96", "n_i = 512")
+            .replace("span = 10", "span = 10\nchirp = 80")
+            .replace("kind = rect\nwidth = 2.0", "kind = gauss\ncenter = 0.02\nfwhm = 0.3")
+            .replace("kind = rect\nwidth = 0.2", "kind = gauss\ncenter = -0.01\nfwhm = 0.15")
+        )
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["jsd", "--config", config, "--out", str(out)]) == 0
+        report = read_report(out / "report.csv")
+        assert float(report["k_svd"]) == pytest.approx(float(report["k_analytic"]), rel=1e-12)
+        assert all(float(report[f"q{j}"]) > 1e-2 for j in range(1, 5))
+
     def test_unknown_key_rejected_with_name(self, tmp_path, capsys):
         config = write_config(tmp_path, "[jsd]\nsource = gaussian\nwobble = 3\n")
         assert cli.main(["jsd", "--config", config]) == 2
@@ -293,3 +312,45 @@ class TestBootstrapCommand:
         assert {"p_g", "eta_H_s", "eta_H_i"} <= names
         for row in rows:
             assert float(row["q05"]) <= float(row["q50"]) <= float(row["q95"])
+
+    def _counts(self, tmp_path, settings=""):
+        sim_cfg = write_config(tmp_path, SIMULATE_CONFIG + settings, name="sim.cfg")
+        data = tmp_path / "data"
+        assert cli.main(["simulate", "--config", sim_cfg, "--out", str(data)]) == 0
+        return str(data / "counts.csv")
+
+    @pytest.mark.parametrize(
+        "estimate",
+        ["max_iter = 1\n", "method = eml\nn_starts = 2\nseed = 11\n"],
+        ids=["ml-max-iter-1", "eml"],
+    )
+    def test_estimate_and_bootstrap_commands_refit_alike(self, tmp_path, estimate):
+        settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n"  # EML needs two
+        counts = self._counts(tmp_path, settings)
+        config = write_config(
+            tmp_path,
+            DETECTOR_SECTION + settings + "\n[estimate]\n" + estimate
+            + "\n[bootstrap]\nn_boot = 3\nseed = 2\n",
+            name="boot.cfg",
+        )
+        summaries = []
+        for argv in (["estimate", "--bootstrap"], ["bootstrap"]):
+            out = tmp_path / argv[0]
+            cli.main(argv + ["--config", config, "--counts", counts, "--out", str(out)])
+            summaries.append((out / "bootstrap_summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
+    def test_sample_sizes_are_exact_integers(self, tmp_path, capsys):
+        counts = self._counts(tmp_path)
+        for sizes, code in (("1e6, 2.5", 2), ("1e9", 0)):
+            config = write_config(
+                tmp_path,
+                DETECTOR_SECTION + f"\n[bootstrap]\nn_boot = 2\nsample_sizes = {sizes}\n",
+                name="boot.cfg",
+            )
+            out = tmp_path / "boot"
+            argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
+            assert cli.main(argv) == code
+        assert "sample_sizes" in capsys.readouterr().err
+        with open(out / "bootstrap_summary.csv", newline="") as fh:
+            assert {row["sample_size"] for row in csv.DictReader(fh)} == {"1000000000"}

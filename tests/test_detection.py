@@ -25,7 +25,7 @@ from ppskit.errors import DataModelMismatchError, InvalidInputError
 from ppskit.pnd import PndMatrix, tmsv_pnd
 from ppskit.presets import wide_narrow_study
 from ppskit.rng import substream
-from ppskit.simulate import sample_counts
+from ppskit.simulate import random_pps_pnd, sample_counts
 
 
 def enumerate_mode_outcomes(n, det):
@@ -305,3 +305,26 @@ class TestCountRecord:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidInputError):
             read_counts_csv(path)
+
+
+@given(
+    p_g=st.floats(1e-4, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.floats(0.1, 0.9),
+    etas=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    ds=st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4),
+    n_m=st.integers(1, 10**12),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_noise_correct_undoes_the_noise_map(p_g, seed, T, etas, ds, n_m):
+    P = random_pps_pnd(p_g, seed)
+
+    def expected_counts(d):
+        det_s = DetectorPair(T=T, eta_t=etas[0], eta_r=etas[1], d_t=d[0], d_r=d[1])
+        det_i = DetectorPair(T=T, eta_t=etas[2], eta_r=etas[3], d_t=d[2], d_r=d[3])
+        return n_m * bipartite_probs(P, det_s, det_i).probs
+
+    noisy = CountRecord(expected_counts(ds), n_m)
+    corrected = noise_correct(noisy, *ds)
+    assert corrected.noise_corrected
+    np.testing.assert_allclose(corrected.f, expected_counts((0.0,) * 4), rtol=0, atol=1e-12 * n_m)

@@ -249,6 +249,100 @@ class TestSegmentation:
         assert np.all(seg.kappa >= 1.0 - 1e-9)
 
 
+def _assert_matches_contract_oracles(seg):
+    """Every kappa and overlap against the oracles on the branch grids, at 1e-12."""
+    p = seg.parts
+    for j in range(4):
+        if p[j] is not None:
+            assert seg.kappa[j] == pytest.approx(schmidt_number_analytic(p[j]), rel=1e-12)
+    oracles = {
+        "ox13": pair_overlap(p[0], p[2], "x"),
+        "ox24": pair_overlap(p[1], p[3], "x"),
+        "oy14": pair_overlap(p[0], p[3], "y"),
+        "oy23": pair_overlap(p[1], p[2], "y"),
+        "oc": complex_overlap(*p),
+    }
+    for name, oracle in oracles.items():
+        assert abs(getattr(seg, name) - oracle) <= 1e-12 * abs(oracle), name
+
+
+@pytest.fixture(scope="module")
+def chirped_jsd_512():
+    """The synthesis benchmark's chirped Gaussian JSD, at n = 512."""
+    return gaussian_jsd(0.05, 0.24, math.pi / 4, n_s=512, n_i=512, span=10.0, chirp=80.0)
+
+
+class TestFactoredSegmentation:
+    def test_low_rank_jsd_takes_factored_route(self, chirped_jsd_512):
+        jsd = chirped_jsd_512
+        seg = segment(
+            jsd,
+            FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
+            FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
+        )
+        assert seg.singular_values is not None
+        assert seg.singular_values.size < 512 // 4
+        assert np.all(seg.q > 1e-2)
+        _assert_matches_contract_oracles(seg)
+        assert 1.0 / np.sum(seg.singular_values**4) == pytest.approx(
+            schmidt_number_svd(jsd), rel=1e-12
+        )
+
+    def test_tail_branch_falls_back_to_direct_route(self, chirped_jsd_512):
+        # The signal filter sits far in the JSD's tail, so the pair branch
+        # carries a weight near 1e-11.  The factor's absolute error is far
+        # too large relative to that.
+        jsd = chirped_jsd_512
+        seg = segment(
+            jsd,
+            FilterProfile.gauss(jsd.axis_s, 0.5, 0.05),
+            FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
+        )
+        assert 1e-11 < seg.q[2] < 1e-10
+        assert seg.singular_values is None
+        _assert_matches_contract_oracles(seg)
+
+    def test_full_rank_jsd_takes_direct_route(self, rng):
+        jsd = random_jsd(rng, 256, 256)
+        seg = segment(
+            jsd,
+            FilterProfile.gauss(jsd.axis_s, 0.1, 0.7),
+            FilterProfile.gauss(jsd.axis_i, -0.1, 1.5),
+        )
+        assert seg.singular_values is None
+        assert np.all(seg.q > 1e-2)
+
+    def test_segmentation_is_deterministic(self, chirped_jsd_512):
+        jsd = chirped_jsd_512
+        filters = (
+            FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
+            FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
+        )
+        a, b = segment(jsd, *filters), segment(jsd, *filters)
+        assert a.singular_values is not None
+        for name in ("q", "kappa", "singular_values"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("ox13", "ox24", "oy14", "oy23", "oc"):
+            assert getattr(a, name) == getattr(b, name)
+
+    def test_branch_grids_are_built_on_first_read(self, monkeypatch):
+        jsd = gaussian_jsd(0.3, 0.9, n_s=20, n_i=28)
+        filters = (FilterProfile.rect(jsd.axis_s, 0.0, 0.8), FilterProfile.blocking(jsd.axis_i))
+        built = []
+        post_init = JsdGrid.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(JsdGrid, "__post_init__", counting_post_init)
+        seg = segment(jsd, *filters)
+        assert built == []
+        parts = seg.parts
+        assert [p is None for p in parts] == [False, True, True, False]
+        assert len(built) == 2 and seg.parts is parts
+
+
 class TestOverlaps:
     def test_identical_separable_single_mode_overlaps_are_unity(self):
         jsd = separable_rect_jsd(24, 24)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,27 @@ class TestCsvRoundtrip:
         np.testing.assert_allclose(Q.p, P.p, atol=1e-15)
         assert meta["seed"] == "42"
         assert Q.subnormalized
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,0,1.0\n3000,0,0\n",
+            "0,0,1.0\n0,1,0\n1,0,0\n3000,0,0\n",
+            "0,0,1.0\n0,1,0\n1,0,0\n1,0,0\n",
+        ],
+        ids=["two-rows", "square-count-far-cell", "duplicate-cell"],
+    )
+    def test_incomplete_lattice_rejected_before_allocating(self, tmp_path, body):
+        path = tmp_path / "pnd.csv"
+        path.write_text("j,k,p\n" + body)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="PND CSV"):
+                read_pnd_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_writer_emits_all_cells(self, tmp_path):
         path = tmp_path / "pnd.csv"

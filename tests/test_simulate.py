@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import ppskit.simulate
@@ -44,6 +46,20 @@ class TestSampleCounts:
     def test_total_is_exact_even_for_huge_budgets(self):
         rec = sample_counts(generic_outcome_table(), 10**12, seed=3)
         assert rec.f.sum() == 10**12
+
+    @given(
+        n_m=st.integers(0, 10**12),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(any),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_total_is_exact(self, n_m, weights, seed):
+        w = np.array(weights).reshape(4, 4)
+        rec = sample_counts(OutcomeProbs(w / w.sum()), n_m, seed=seed)
+        assert rec.n_m == n_m
+        assert np.all(rec.f >= 0) and np.all(rec.f == np.floor(rec.f))
+        assert sum(int(c) for c in rec.f.flat) == n_m
+        assert np.all(rec.f[w == 0.0] == 0)
 
     def test_cells_within_5_sigma_and_chisquare_sane(self):
         W = generic_outcome_table()

@@ -205,6 +205,16 @@ class TestMalformedRows:
         assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "malformed PND CSV row at line 5" in capsys.readouterr().err
 
+    def test_pnd_file_with_missing_cells_exits_2(self, tmp_path, capsys):
+        pnd = tmp_path / "pnd.csv"
+        pnd.write_text("j,k,p\n0,0,1.0\n3000,0,0\n")
+        config = tmp_path / "sim.cfg"
+        config.write_text(
+            f"[pnd]\nsource = csv\nfile = {pnd}\n\n{DETECTORS}\n[simulate]\nn_m = 1000\n"
+        )
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "2 rows" in capsys.readouterr().err
+
     def test_jsd_and_filter_rows_name_the_line(self, tmp_path):
         jsd = tmp_path / "jsd.csv"
         jsd.write_text("omega_s,omega_i,re,im\n0,0,1,0\n# c\n0,1,one,0\n")
