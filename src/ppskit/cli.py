@@ -44,6 +44,7 @@ from .estimate import (
     count_based_pg_eta,
     eml_estimate,
     ml_estimate,
+    ml_estimate_many,
 )
 from .jsd import (
     FilterProfile,
@@ -506,14 +507,24 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
     """Resample every setting's record and refit each draw's records jointly.
 
     Each record is resampled at every ``sample_sizes`` entry, or by default
-    at its own ``n_m``.
+    at its own ``n_m``.  ML refits every draw of one size in one batched
+    solve; EML refits each draw on its own.
     """
     seed = args.seed if args.seed is not None else cfg.get_int("bootstrap", "seed", 0)
     n_boot = cfg.get_int("bootstrap", "n_boot", 100)
     sizes = cfg.get_ints("bootstrap", "sample_sizes", None) or (None,)
 
-    def pipeline(draw):
-        return characterize(_ESTIMATORS[method](list(draw), model, options)).as_dict()
+    if method == "ml":
+        def refit_all(draws):
+            return ml_estimate_many(draws, model, options)
+
+        def pipeline(fit):
+            return characterize(fit).as_dict()
+    else:
+        refit_all = None
+
+        def pipeline(draw):
+            return characterize(_ESTIMATORS[method](list(draw), model, options)).as_dict()
 
     rows = []
     for size in sizes:
@@ -521,7 +532,7 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
             bootstrap(rec, n_boot, rec.n_m if size is None else size, seed=seed)
             for rec in records
         ]
-        rows.extend(bootstrap_stats(list(zip(*per_setting)), pipeline))
+        rows.extend(bootstrap_stats(list(zip(*per_setting)), pipeline, batch=refit_all))
     write_bootstrap_csv(os.path.join(out, "bootstrap_summary.csv"), rows)
     print(f"wrote {out}/bootstrap_summary.csv")
 

@@ -75,7 +75,7 @@ def _check_counts(f: np.ndarray, n_m, raw: bool = True) -> None:
         raise DataModelMismatchError(f"counts sum to {f.sum()} but n_m={n_m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeProbs:
     """Outcome probabilities of one trial: 4-vector or 4 x 4 table."""
 
@@ -96,7 +96,7 @@ class OutcomeProbs:
         object.__setattr__(self, "probs", probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountRecord:
     """Observed frequencies of the 16 outcomes for one setting.
 
@@ -122,7 +122,7 @@ class CountRecord:
         object.__setattr__(self, "f", f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleCountRecord:
     """Outcome counts of a single-mode measurement under one attenuator.
 
@@ -212,6 +212,19 @@ def bipartite_probs(P: PndMatrix, det_s: DetectorPair, det_i: DetectorPair) -> O
     return OutcomeProbs(A @ P.p @ B.T)
 
 
+def noise_correct_counts(f, d1: float, d2: float, d3: float, d4: float) -> np.ndarray:
+    """Raw 4 x 4 count tables, or a stack of them (..., 4, 4), with the
+    expected noise-click increments removed and negative cells clamped at
+    zero."""
+    for d in (d1, d2, d3, d4):
+        if not (0.0 <= d < 1.0):
+            raise InvalidInputError("noise probabilities must lie in [0, 1)")
+    inv_s = np.linalg.inv(noise_matrix(d1, d2))
+    inv_i = np.linalg.inv(noise_matrix(d3, d4))
+    corrected = inv_s @ f @ inv_i.T
+    return np.where(corrected < 0.0, 0.0, corrected)
+
+
 def noise_correct(
     rec: CountRecord, d1: float, d2: float, d3: float, d4: float
 ) -> CountRecord:
@@ -221,23 +234,23 @@ def noise_correct(
     cells at zero.  The result is real-valued and flagged noise_corrected;
     its total may differ from n_m after clamping.
     """
-    for d in (d1, d2, d3, d4):
-        if not (0.0 <= d < 1.0):
-            raise InvalidInputError("noise probabilities must lie in [0, 1)")
-    inv_s = np.linalg.inv(noise_matrix(d1, d2))
-    inv_i = np.linalg.inv(noise_matrix(d3, d4))
-    corrected = inv_s @ rec.f @ inv_i.T
-    corrected = np.where(corrected < 0.0, 0.0, corrected)
-    return CountRecord(corrected, rec.n_m, nu=rec.nu, noise_corrected=True)
+    return CountRecord(
+        noise_correct_counts(rec.f, d1, d2, d3, d4), rec.n_m, nu=rec.nu, noise_corrected=True
+    )
 
 
-def noise_correct_single(rec: SingleCountRecord, d_t: float, d_r: float = 0.0) -> np.ndarray:
-    """Noise-corrected single-mode counts (returned as a bare array)."""
-    if rec.f.shape == (2,):
+def noise_correct_single(counts, d_t: float, d_r: float = 0.0) -> np.ndarray:
+    """Noise-corrected single-mode counts (returned as a bare array).
+
+    ``counts`` is a SingleCountRecord or an array whose last axis holds
+    the 2 or 4 outcomes of one or more records.
+    """
+    f = counts.f if isinstance(counts, SingleCountRecord) else np.asarray(counts, dtype=float)
+    if f.shape[-1] == 2:
         inv = np.linalg.inv(np.array([[1 - d_t, 0.0], [d_t, 1.0]]))
     else:
         inv = np.linalg.inv(noise_matrix(d_t, d_r))
-    corrected = inv @ rec.f
+    corrected = (inv @ f[..., None])[..., 0]
     return np.where(corrected < 0.0, 0.0, corrected)
 
 
@@ -256,15 +269,20 @@ def detector_clicked_mask(detector: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ones(4, dtype=bool), click
 
 
-def counts_with_clicks(f: np.ndarray, detectors) -> float:
-    """Total counts in which every listed detector clicked."""
+def counts_with_clicks(f: np.ndarray, detectors):
+    """Total counts in which every listed detector clicked.
+
+    A float for one 4 x 4 table, an array for a stack (..., 4, 4).
+    """
     rows = np.ones(4, dtype=bool)
     cols = np.ones(4, dtype=bool)
     for det in detectors:
         r, c = detector_clicked_mask(det)
         rows &= r
         cols &= c
-    return float(f[np.ix_(rows, cols)].sum())
+    block = f[..., rows, :][..., cols]
+    total = block.reshape(block.shape[:-2] + (-1,)).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def singles(rec: CountRecord) -> np.ndarray:

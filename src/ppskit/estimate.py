@@ -30,7 +30,7 @@ from .detection import (
     CountRecord,
     DetectorPair,
     counts_with_clicks,
-    noise_correct,
+    noise_correct_counts,
     noise_correct_single,
     outcome_map,
     singles,
@@ -169,6 +169,12 @@ class EstimateOptions:
     max_iter: int = 10000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_starts < 1:
+            raise InvalidInputError(f"n_starts must be >= 1, got {self.n_starts}")
+        if self.max_iter < 0:
+            raise InvalidInputError(f"max_iter must be >= 0, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class StartResult:
@@ -177,7 +183,7 @@ class StartResult:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateResult:
     """Best reconstruction over all starts plus per-start diagnostics."""
 
@@ -195,6 +201,9 @@ class EstimateResult:
 # F (records x outcomes): record v has outcome probabilities W_v = K_v p
 # in the row-major cells p.  One loglik, score and expected Fisher matrix
 # serve every estimator; EML adds its per-outcome renormalization term.
+# F and p may carry a leading problem axis over one shared K (problems x
+# records x outcomes, problems x cells).  Every reduction then runs per
+# problem exactly as for a lone problem, so no value depends on its batch.
 
 
 def _check_records(records, model) -> None:
@@ -214,59 +223,69 @@ def _check_records(records, model) -> None:
             )
 
 
-def _kernels(records, model) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel stack K and count stack F; a bipartite kernel is kron(A, B)."""
+def _kernels(records, model) -> np.ndarray:
+    """Kernel stack K of the records' settings; a bipartite kernel is kron(A, B)."""
     bipartite = isinstance(model, LikelihoodModel)
-    K = [np.kron(*model.maps(rec.nu)) if bipartite else model.map(rec.nu) for rec in records]
-    return np.stack(K), np.stack([rec.f.reshape(-1) for rec in records])
+    return np.stack([np.kron(*model.maps(rec.nu)) if bipartite else model.map(rec.nu) for rec in records])
 
 
-def _loglik(K, F, p, used=None) -> float:
-    """Log-likelihood sum F log W; -inf where counts meet W = 0.
+def _counts(records) -> np.ndarray:
+    """Count stack F (records x outcomes)."""
+    return np.stack([rec.f.reshape(-1) for rec in records])
+
+
+def _probs(K, p) -> np.ndarray:
+    """Outcome probabilities W = K p of every record (and problem)."""
+    return (K @ p[..., None, :, None])[..., 0]
+
+
+def _loglik(K, F, p, used=None) -> np.ndarray:
+    """Log-likelihood sum F log W per problem; -inf where counts meet W = 0.
 
     A ``used`` outcome mask gives EML's objective instead: only the used
     outcomes count, each renormalized over the records (settings).
     """
-    W = K @ p
+    W = _probs(K, p)
     seen = F > 0 if used is None else (F > 0) & used
-    if np.any(W[seen] <= 0.0):
-        return -np.inf
+    infeasible = np.any(seen & (W <= 0.0), axis=(-2, -1))
+    seen &= W > 0.0
     # Per-record sums first, so that swapping two records keeps every bit.
-    ll = np.where(seen, F * np.log(np.where(seen, W, 1.0)), 0.0).sum(axis=1).sum()
+    ll = np.where(seen, F * np.log(np.where(seen, W, 1.0)), 0.0).sum(axis=-1).sum(axis=-1)
     if used is not None:
-        S = W.sum(axis=0)[used]
-        if np.any(S <= 0.0):
-            return -np.inf
-        ll -= np.sum(F.sum(axis=0)[used] * np.log(S))
-    return float(ll)
+        S = W.sum(axis=-2)[..., used]
+        infeasible |= np.any(S <= 0.0, axis=-1)
+        ll = ll - (F.sum(axis=-2)[..., used] * np.log(np.where(S > 0.0, S, 1.0))).sum(axis=-1)
+    return np.where(infeasible, -np.inf, ll)
 
 
 def _score(K, F, p, used=None) -> np.ndarray:
     """Gradient of ``_loglik`` in the cells p."""
-    W = K @ p
+    W = _probs(K, p)
     seen = F > 0 if used is None else (F > 0) & used
     ratio = np.where(seen, F / np.where(seen, W, 1.0), 0.0)
     if used is not None:
-        ratio -= np.where(used, F.sum(axis=0) / np.where(used, W.sum(axis=0), 1.0), 0.0)
-    return np.einsum("vo,voc->c", ratio, K)
+        totals = F.sum(axis=-2, keepdims=True) / np.where(used, W.sum(axis=-2, keepdims=True), 1.0)
+        ratio -= np.where(used, totals, 0.0)
+    return np.einsum("...vo,voc->...c", ratio, K)
 
 
 def _fisher(K, F, p) -> np.ndarray:
     """Expected information in the cells p, sum_v n_v K_v^T diag(1/W_v) K_v."""
-    W = K @ p
-    weight = F.sum(axis=1)[:, None] / np.where(W > 0.0, W, np.inf)
-    return np.einsum("voc,vo,vod->cd", K, weight, K)
+    W = _probs(K, p)
+    weight = F.sum(axis=-1)[..., None] / np.where(W > 0.0, W, np.inf)
+    return np.einsum("voc,...vo,vod->...cd", K, weight, K)
 
 
 def _softmax_cells(z: np.ndarray) -> np.ndarray:
     """Probabilities over n cells from n-1 free coordinates (cell 0 pinned)."""
-    e = np.exp(np.concatenate([[0.0], z]) - np.max(z, initial=0.0))
-    return e / e.sum()
+    pinned = np.zeros(z.shape[:-1] + (1,))
+    e = np.exp(np.concatenate([pinned, z], axis=-1) - np.max(z, axis=-1, initial=0.0, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_jacobian(p: np.ndarray) -> np.ndarray:
     """d p_j / d z_c for the free coordinates c = 1..n-1; shape (n-1, n)."""
-    return (np.diag(p) - np.outer(p, p))[1:]
+    return (np.eye(p.shape[-1]) * p[..., None, :] - p[..., :, None] * p[..., None, :])[..., 1:, :]
 
 
 def log_likelihood(P, records, model) -> float:
@@ -278,120 +297,170 @@ def log_likelihood(P, records, model) -> float:
     """
     _check_records(records, model)
     p = P.p if isinstance(P, PndMatrix) else np.asarray(P, dtype=float)
-    return _loglik(*_kernels(records, model), p.reshape(-1))
+    return float(_loglik(_kernels(records, model), _counts(records), p.reshape(-1)))
 
 
-def _scoring_step(J, fisher, score, free) -> np.ndarray:
-    """Fisher-scoring step in z over the ``free`` coordinates.
+def _solve_each(a, b) -> np.ndarray:
+    """Solutions of a stack of systems; NaN for a singular one."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_solve_each(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
+
+
+def _scoring_steps(J, fisher, score, free) -> np.ndarray:
+    """Fisher-scoring steps in z over each problem's ``free`` coordinates.
 
     The information is scaled to unit diagonal before the ridge goes on,
     so the ridge cannot swamp a small cell, whose entry scales as its
-    square.
+    square.  Problems with the same free set are solved as one stack.
     """
-    info = J[free] @ fisher @ J[free].T
-    d = 1.0 / np.sqrt(np.diag(info))
-    step = np.zeros(score.size)
-    step[free] = d * np.linalg.solve(
-        d[:, None] * info * d + 1e-12 * np.eye(d.size), d * score[free]
-    )
+    step = np.zeros(score.shape)
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(free):
+        groups.setdefault(row.tobytes(), []).append(i)
+    for rows in groups.values():
+        mask = free[rows[0]]
+        if not mask.any():
+            continue
+        if len(rows) < len(free):
+            Jf, info, rhs = J[rows][:, mask], fisher[rows], score[rows][:, mask]
+        else:
+            Jf, info, rhs = J[:, mask], fisher, score[:, mask]
+        info = Jf @ info @ Jf.transpose(0, 2, 1)
+        d = 1.0 / np.sqrt(np.diagonal(info, axis1=1, axis2=2))
+        scaled = d[:, :, None] * info * d[:, None, :] + 1e-12 * np.eye(d.shape[1])
+        sub = np.zeros((len(rows), score.shape[1]))
+        sub[:, mask] = d * _solve_each(scaled, d * rhs)
+        step[rows] = sub
     return step
 
 
-def _fisher_scoring(K, F, z, max_iter: int):
+def _fisher_scoring(K, F, Z, max_iter: int):
     """Projected Fisher-scoring ascent of the concave ML log-likelihood.
 
-    Cells stay at or above ``_FLOOR`` relative to cell 0.  A cell on the
-    floor with an outward score is held there; one whose step crosses the
-    floor with an outward score is sent there, and the rest are solved
-    again without it.  The other moves are capped at ``_MAX_STEP``, and
-    the projected step is halved until the log-likelihood does not fall.
-    Converged means the KKT conditions hold in p (no cell gains more than
-    ``_KKT_TOL`` per count from growing) and a full step would gain at
-    most ``_GAIN_TOL`` of the log-likelihood.  Returns (z, steps, converged).
+    Fits every problem of the count stack F (problems x records x outcomes)
+    from its start in Z (problems x cells-1).  Cells stay at or above
+    ``_FLOOR`` relative to cell 0.  A cell on the floor with an outward
+    score is held there; one whose step crosses the floor with an outward
+    score is sent there, and the rest are solved again without it.  The
+    other moves are capped at ``_MAX_STEP``, and the projected step is
+    halved until the log-likelihood does not fall.  Converged means the
+    KKT conditions hold in p (no cell gains more than ``_KKT_TOL`` per
+    count from growing) and a full step would gain at most ``_GAIN_TOL``
+    of the log-likelihood.  A problem leaves the active set once it
+    converges or fails; each takes exactly the steps it would take alone.
+    Returns (Z, steps, converged), one entry per problem.
     """
-    n = max(float(F.sum()), 1.0)
+    n = np.maximum(F.reshape(len(F), -1).sum(axis=1), 1.0)
     z_floor = np.log(_FLOOR)
-    z = np.maximum(z, z_floor)
-    ll = _loglik(K, F, _softmax_cells(z))
-    steps = 0
-    while np.isfinite(ll):
+    Z = np.maximum(Z, z_floor)
+    ll = _loglik(K, F, _softmax_cells(Z))
+    steps = np.zeros(len(F), dtype=int)
+    converged = np.zeros(len(F), dtype=bool)
+    active = np.flatnonzero(np.isfinite(ll))
+    while active.size:
+        z, f, n_a, ll_a = Z[active], F[active], n[active], ll[active]
         p = _softmax_cells(z)
-        score_p = _score(K, F, p) / n
+        score_p = _score(K, f, p) / n_a[:, None]
         J = _softmax_jacobian(p)
-        score, fisher = J @ score_p, _fisher(K, F, p) / n
+        score, fisher = (J @ score_p[..., None])[..., 0], _fisher(K, f, p) / n_a[:, None, None]
         free = (z > z_floor) | (score > 0.0)
-        step = _scoring_step(J, fisher, score, free)
-        gain = 0.5 * n * float(score @ step)
-        if np.max(score_p) - 1.0 <= _KKT_TOL and gain <= _GAIN_TOL * max(abs(ll), 1.0):
-            return z, steps, True
-        if steps >= max_iter or not np.all(np.isfinite(step)):
-            break
+        step = _scoring_steps(J, fisher, score, free)
+        gain = 0.5 * n_a * (score[:, None, :] @ step[..., None])[:, 0, 0]
+        done = (score_p.max(axis=1) - 1.0 <= _KKT_TOL) & (
+            gain <= _GAIN_TOL * np.maximum(np.abs(ll_a), 1.0)
+        )
+        converged[active[done]] = True
+        go = ~done & (steps[active] < max_iter) & np.all(np.isfinite(step), axis=1)
+        if not go.all():
+            active, z, f, ll_a, step = active[go], z[go], f[go], ll_a[go], step[go]
+            J, fisher, score, free = J[go], fisher[go], score[go], free[go]
         lands = free & (z + step <= z_floor) & (score < 0.0)
-        if np.any(lands):
-            step[~lands] = _scoring_step(J, fisher, score, free & ~lands)[~lands]
-        norm = np.max(np.abs(np.maximum(z + step, z_floor) - z)[~lands], initial=0.0)
-        if norm > _MAX_STEP:
-            step *= _MAX_STEP / norm
-        for _ in range(30):
-            trial = np.maximum(z + step, z_floor)
-            ll_trial = _loglik(K, F, _softmax_cells(trial))
-            if ll_trial >= ll - 1e-12 * max(abs(ll), 1.0):
+        again = np.flatnonzero(lands.any(axis=1))
+        if again.size:
+            resolved = _scoring_steps(J[again], fisher[again], score[again], (free & ~lands)[again])
+            step[again] = np.where(lands[again], step[again], resolved)
+        moves = np.where(lands, 0.0, np.abs(np.maximum(z + step, z_floor) - z))
+        norm = np.max(moves, axis=1, initial=0.0)
+        capped = norm > _MAX_STEP
+        if capped.any():
+            step[capped] *= (_MAX_STEP / norm[capped])[:, None]
+        # Backtracking: up to 30 tries, the step halved after each miss.
+        floor_ll = ll_a - 1e-12 * np.maximum(np.abs(ll_a), 1.0)
+        trial = np.maximum(z + step, z_floor)
+        ll_trial = _loglik(K, f, _softmax_cells(trial))
+        short = np.flatnonzero(~(ll_trial >= floor_ll))
+        for _ in range(29):
+            if not short.size:
                 break
-            step *= 0.5
-        else:
-            break
-        if np.array_equal(trial, z):
-            break
-        z, ll = trial, ll_trial
-        steps += 1
-    return z, steps, False
+            step[short] *= 0.5
+            trial[short] = np.maximum(z[short] + step[short], z_floor)
+            ll_trial[short] = _loglik(K, f[short], _softmax_cells(trial[short]))
+            short = short[~(ll_trial[short] >= floor_ll[short])]
+        moved = ~np.all(trial == z, axis=1)
+        moved[short] = False
+        active = active[moved]
+        Z[active], ll[active] = trial[moved], ll_trial[moved]
+        steps[active] += 1
+    return Z, steps, converged
 
 
-def _start(records, model, n_cells: int) -> np.ndarray:
-    """Moment start in the free coordinates.  Cells without signal, and
-    cells past the one- and two-photon cells, start at ``_FLOOR``."""
+def _starts(record_sets, model, n_cells: int) -> np.ndarray:
+    """Moment start of every record set in the free coordinates.  Cells
+    without signal, and cells past the one- and two-photon cells, start at
+    ``_FLOOR``."""
     init = _init_bipartite if isinstance(model, LikelihoodModel) else _init_single
-    moments = init(records, model)
-    cells = np.full(n_cells - 1, _FLOOR)
-    cells[: moments.size] = np.maximum(moments, _FLOOR)
-    if cells.sum() >= 1.0:
-        cells *= 0.5 / cells.sum()
-    return np.log(cells / (1.0 - cells.sum()))
+    moments = init(record_sets, model)
+    cells = np.full((len(moments), n_cells - 1), _FLOOR)
+    cells[:, : moments.shape[1]] = np.maximum(moments, _FLOOR)
+    total = cells.sum(axis=1, keepdims=True)
+    cells = np.where(total >= 1.0, cells * (0.5 / total), cells)
+    return np.log(cells / (1.0 - cells.sum(axis=1, keepdims=True)))
 
 
-def _init_bipartite(records, model: LikelihoodModel) -> np.ndarray:
+def _start_record(record_sets, settings_key) -> tuple[int, int]:
+    """Index and setting of the record the moment start reads: the first
+    one taken at the setting that passes the most light."""
+    nus = [rec.nu for rec in record_sets[0]]
+    best_nu = max(range(len(settings_key)), key=lambda nu: settings_key[nu])
+    idx = nus.index(best_nu) if best_nu in nus else 0
+    return idx, nus[idx]
+
+
+def _init_bipartite(record_sets, model: LikelihoodModel) -> np.ndarray:
     """Moment inversion of (noise-corrected) counts for the starting point.
 
     Singles and pair coincidences give the one-photon cells; double-click
-    rates give the two-photon cells.
+    rates give the two-photon cells.  One row per record set.
     """
-    best_nu = max(
-        range(len(model.settings)),
-        key=lambda nu: model.settings[nu][0] * model.settings[nu][1],
-    )
-    candidates = [rec for rec in records if rec.nu == best_nu] or list(records)
-    rec = candidates[0]
-    gamma_s, gamma_i = model.settings[rec.nu]
+    idx, nu = _start_record(record_sets, [g_s * g_i for g_s, g_i in model.settings])
+    recs = [records[idx] for records in record_sets]
+    gamma_s, gamma_i = model.settings[nu]
     det_s, det_i = model.det_s, model.det_i
-    corr = noise_correct(rec, det_s.d_t, det_s.d_r, det_i.d_t, det_i.d_r)
-    f = corr.f
-    n = max(rec.n_m, 1)
+    f = noise_correct_counts(
+        np.stack([rec.f for rec in recs]), det_s.d_t, det_s.d_r, det_i.d_t, det_i.d_r
+    )
+    n = np.array([max(rec.n_m, 1) for rec in recs], dtype=float)
+    zero = np.zeros(len(recs))
     e = (
         gamma_s * det_s.eta_t,
         gamma_s * det_s.eta_r,
         gamma_i * det_i.eta_t,
         gamma_i * det_i.eta_r,
     )
-    pair = 0.0
+    pair = zero
     for j in (1, 2):
         for k in (3, 4):
             if e[j - 1] > 0 and e[k - 1] > 0:
-                pair += counts_with_clicks(f, [j, k]) / (e[j - 1] * e[k - 1])
+                pair = pair + counts_with_clicks(f, [j, k]) / (e[j - 1] * e[k - 1])
     p11 = pair / n
 
     S = [counts_with_clicks(f, [j]) for j in (1, 2, 3, 4)]
-    s_mean = sum(S[j] / e[j] for j in (0, 1) if e[j] > 0) / n
-    i_mean = sum(S[j] / e[j] for j in (2, 3) if e[j] > 0) / n
+    s_mean = sum((S[j] / e[j] for j in (0, 1) if e[j] > 0), zero) / n
+    i_mean = sum((S[j] / e[j] for j in (2, 3) if e[j] > 0), zero) / n
     p10 = s_mean - p11
     p01 = i_mean - p11
 
@@ -399,44 +468,46 @@ def _init_bipartite(records, model: LikelihoodModel) -> np.ndarray:
     den_i2 = 2.0 * det_i.T * det_i.R * e[2] * e[3]
     one_i = det_i.T * e[2] + det_i.R * e[3]
     one_s = det_s.T * e[0] + det_s.R * e[1]
-    p22 = f[3, 3] / (n * den_s2 * den_i2) if den_s2 > 0 and den_i2 > 0 else 0.0
-    p21 = f[3, 1:3].sum() / (n * den_s2 * one_i) if den_s2 > 0 and one_i > 0 else 0.0
-    p12 = f[1:3, 3].sum() / (n * den_i2 * one_s) if den_i2 > 0 and one_s > 0 else 0.0
-    p20 = f[3, 0] / (n * den_s2) if den_s2 > 0 else 0.0
-    p02 = f[0, 3] / (n * den_i2) if den_i2 > 0 else 0.0
+    p22 = f[:, 3, 3] / (n * den_s2 * den_i2) if den_s2 > 0 and den_i2 > 0 else zero
+    p21 = f[:, 3, 1:3].sum(axis=1) / (n * den_s2 * one_i) if den_s2 > 0 and one_i > 0 else zero
+    p12 = f[:, 1:3, 3].sum(axis=1) / (n * den_i2 * one_s) if den_i2 > 0 and one_s > 0 else zero
+    p20 = f[:, 3, 0] / (n * den_s2) if den_s2 > 0 else zero
+    p02 = f[:, 0, 3] / (n * den_i2) if den_i2 > 0 else zero
 
-    return np.array([p01, p02, p10, p11, p12, p20, p21, p22])  # row-major minus (0, 0)
+    return np.stack([p01, p02, p10, p11, p12, p20, p21, p22], axis=1)  # row-major minus (0, 0)
 
 
-def _init_single(records, model: SingleModeModel) -> np.ndarray:
-    best_nu = max(range(len(model.gammas)), key=lambda nu: model.gammas[nu])
-    candidates = [rec for rec in records if rec.nu == best_nu] or list(records)
-    rec = candidates[0]
-    gamma = model.gammas[rec.nu]
-    f = noise_correct_single(rec, model.d_t, model.d_r)
-    n = max(rec.n_m, 1)
+def _init_single(record_sets, model: SingleModeModel) -> np.ndarray:
+    idx, nu = _start_record(record_sets, model.gammas)
+    gamma = model.gammas[nu]
+    F = noise_correct_single(
+        np.stack([[rec.f for rec in records] for records in record_sets]), model.d_t, model.d_r
+    )
+    N = np.array([[max(rec.n_m, 1) for rec in records] for records in record_sets], dtype=float)
+    f, n = F[:, idx], N[:, idx]
+    p1 = p2 = np.zeros(len(F))
     if model.layout == "1d":
         # No double-click observable here; the no-click probability is the
         # exact polynomial sum_n P_n x^n with x = 1 - gamma * eta, so the
-        # attenuation curve across settings is the moment inversion.
-        xs, ys = [], []
-        for r in records:
-            fr = noise_correct_single(r, model.d_t, model.d_r)
-            xs.append(1.0 - model.gammas[r.nu] * model.eta_t)
-            ys.append(fr[0] / max(r.n_m, 1))
-        p1 = p2 = 0.0
+        # attenuation curve across settings is the moment inversion.  The
+        # fit runs per set: one multi-column least-squares solve would
+        # round each set's coefficients differently from a lone fit.
+        xs = [1.0 - model.gammas[rec.nu] * model.eta_t for rec in record_sets[0]]
         if len(set(xs)) >= 3:
-            coeffs = np.polynomial.polynomial.polyfit(xs, ys, 2)
-            p1, p2 = float(coeffs[1]), float(coeffs[2])
+            ys = F[:, :, 0] / N
+            coeffs = np.array([np.polynomial.polynomial.polyfit(xs, y, 2) for y in ys])
+            p1, p2 = coeffs[:, 1], coeffs[:, 2]
         elif model.eta_t > 0:
-            p1 = f[1] / (n * gamma * model.eta_t)
+            p1 = f[:, 1] / (n * gamma * model.eta_t)
     else:
         e_t, e_r = gamma * model.eta_t, gamma * model.eta_r
         one = model.T * e_t + (1 - model.T) * e_r
         two = 2.0 * model.T * (1 - model.T) * e_t * e_r
-        p1 = (f[1] + f[2]) / (n * one) if one > 0 else 0.0
-        p2 = f[3] / (n * two) if two > 0 else 0.0
-    return np.array([p1, p2])
+        if one > 0:
+            p1 = (f[:, 1] + f[:, 2]) / (n * one)
+        if two > 0:
+            p2 = f[:, 3] / (n * two)
+    return np.stack([p1, p2], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +523,54 @@ def ml_estimate(records, model, options: EstimateOptions | None = None) -> Estim
 
     The log-likelihood is concave in the cells, so one projected
     Fisher-scoring ascent from the moment start reaches the maximum; its
-    Newton steps are the fit's iterations.
+    Newton steps are the fit's iterations.  This is the one-set call of
+    :func:`ml_estimate_many`.
+    """
+    return ml_estimate_many([records], model, options)[0]
+
+
+def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None) -> list:
+    """:func:`ml_estimate` of every record set, fitted in one batched ascent.
+
+    Every set must hold the same settings in the same order, as the
+    bootstrap draws of one acquisition or the reps of one sweep cell do,
+    so that all share one kernel stack; otherwise DataModelMismatchError.
+    Each set's result is bit-identical to its lone ``ml_estimate`` fit.  A
+    set whose fit fails, such as one with counts on an outcome the model
+    cannot produce, comes back with ``converged=False``; the others are
+    not disturbed.
     """
     options = options or EstimateOptions()
-    _check_records(records, model)
-    K, F = _kernels(records, model)
-    z0 = _start(records, model, K.shape[2])
-    z, steps, converged = _fisher_scoring(K, F, z0, options.max_iter)
-    p = _softmax_cells(z)
-    loglik = _loglik(K, F, p)
-    return EstimateResult(
-        p_hat=_fitted(p, model),
-        loglik=loglik,
-        iterations=steps,
-        converged=converged,
-        starts=(StartResult(loglik=loglik, iterations=steps, converged=converged),),
+    record_sets = [list(records) for records in record_sets]
+    if not record_sets:
+        raise InvalidInputError("at least one record set is required")
+    nus = [rec.nu for rec in record_sets[0]]
+    for i, records in enumerate(record_sets):
+        _check_records(records, model)
+        if [rec.nu for rec in records] != nus:
+            raise DataModelMismatchError(
+                f"record set {i} has settings {[rec.nu for rec in records]}, "
+                f"the first set {nus}"
+            )
+    K = _kernels(record_sets[0], model)
+    F = np.stack([_counts(records) for records in record_sets])
+    Z, steps, converged = _fisher_scoring(
+        K, F, _starts(record_sets, model, K.shape[2]), options.max_iter
     )
+    P = _softmax_cells(Z)
+    results = []
+    for p, loglik, n_steps, ok in zip(P, _loglik(K, F, P), steps.tolist(), converged.tolist()):
+        loglik = float(loglik)
+        results.append(
+            EstimateResult(
+                p_hat=_fitted(p, model),
+                loglik=loglik,
+                iterations=n_steps,
+                converged=ok,
+                starts=(StartResult(loglik=loglik, iterations=n_steps, converged=ok),),
+            )
+        )
+    return results
 
 
 def _eml_used_mask(model) -> np.ndarray:
@@ -482,7 +585,7 @@ def _eml_used_mask(model) -> np.ndarray:
 def _neg_eml(z, K, F, used, scale):
     """Negated EML objective over ``scale`` and its z-gradient."""
     p = _softmax_cells(z)
-    ll = _loglik(K, F, p, used)
+    ll = float(_loglik(K, F, p, used))
     if not np.isfinite(ll):
         return np.inf, np.zeros_like(z)
     return -ll / scale, -(_softmax_jacobian(p) @ _score(K, F, p, used)) / scale
@@ -503,10 +606,10 @@ def eml_estimate(records, model, options: EstimateOptions | None = None) -> Esti
     n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
     if n_settings < 2:
         raise InvalidInputError("the baseline needs at least two attenuator settings")
-    K, F = _kernels(records, model)
+    K, F = _kernels(records, model), _counts(records)
     used = _eml_used_mask(model)
     scale = max(float(F[:, used].sum()), 1.0)
-    z0 = _start(records, model, K.shape[2])
+    z0 = _starts([records], model, K.shape[2])[0]
     rng = substream(options.seed, "estimate-starts")
     best, starts = None, []
     for z in [z0] + [z0 + rng.standard_normal(z0.size) for _ in range(options.n_starts - 1)]:

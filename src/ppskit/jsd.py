@@ -61,7 +61,7 @@ def _uniform_step(axis: np.ndarray, name: str) -> float:
     return step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JsdGrid:
     """Discretized complex joint spectral amplitude on a uniform grid.
 
@@ -107,7 +107,7 @@ class JsdGrid:
         return float(np.sum(np.abs(self.values) ** 2)) * self.step_s * self.step_i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterProfile:
     """Amplitude transmittance t(omega) of a spectral (or spatial) filter.
 
@@ -191,7 +191,7 @@ class PumpGain:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segmentation:
     """Four-branch split of a JSD by the signal and idler filters.
 
@@ -226,8 +226,8 @@ class Segmentation:
     oy23: float
     oc: complex
     singular_values: np.ndarray | None = None
-    _jsd: JsdGrid | None = field(default=None, repr=False, compare=False)
-    _branches: tuple = field(default=(), repr=False, compare=False)
+    _jsd: JsdGrid | None = field(default=None, repr=False)
+    _branches: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         for name in ("q", "kappa", "singular_values"):

@@ -96,7 +96,7 @@ def bootstrap(record: CountRecord, n_boot: int, sample_size: int, seed: int = 0)
     return samples
 
 
-def bootstrap_stats(samples, pipeline, characteristics=None) -> list[dict]:
+def bootstrap_stats(samples, pipeline, characteristics=None, batch=None) -> list[dict]:
     """Summary statistics of a pipeline over bootstrap samples.
 
     A sample is one CountRecord, or a tuple of records (one per setting)
@@ -104,8 +104,11 @@ def bootstrap_stats(samples, pipeline, characteristics=None) -> list[dict]:
     ``pipeline`` maps one sample to a mapping of characteristic name
     to value; samples on which it raises a package error (or returns
     non-finite values) are tallied in ``n_fail`` instead of aborting the
-    aggregation.  Returns one row per characteristic with mean, std and
-    the 5 / 50 / 95 percent quantiles.
+    aggregation.  ``batch``, if given, maps the whole sample list to one
+    value per sample (say, every refit from one batched solve), and
+    ``pipeline`` then receives those values instead of the samples.
+    Returns one row per characteristic with mean, std and the 5 / 50 / 95
+    percent quantiles.
     """
     if not samples:
         raise InvalidInputError("no bootstrap samples given")
@@ -113,7 +116,7 @@ def bootstrap_stats(samples, pipeline, characteristics=None) -> list[dict]:
     n_fail = 0
     first = samples[0]
     sample_size = sum(r.n_m for r in first) if isinstance(first, tuple) else first.n_m
-    for sample in samples:
+    for sample in samples if batch is None else batch(samples):
         try:
             result = pipeline(sample)
         except (PpskitError, ArithmeticError):

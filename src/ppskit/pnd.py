@@ -21,7 +21,7 @@ from .tables import parse_int, read_table, write_table
 _SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PndMatrix:
     """(n_max+1) x (n_max+1) photon-number probability matrix.
 

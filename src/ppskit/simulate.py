@@ -174,6 +174,7 @@ class SweepSpec:
             raise InvalidInputError("reps must be >= 1")
         if min(self.n_m_grid) < 1:
             raise InvalidInputError("n_m_grid entries must be >= 1")
+        est.EstimateOptions(n_starts=self.n_starts, max_iter=self.max_iter)  # validates both
 
 
 def _bipartite_settings(design: str) -> tuple:
@@ -202,23 +203,27 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
         else:
             model = est.SingleModeModel.one_detector(eta=eta, d=d, gammas=settings)
         random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
-    fit_method = est.ml_estimate if method == "ml" else est.eml_estimate
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
+    truths, record_sets = [], []
     for rep in range(spec.reps):
         truth = random_truth(p_g, substream(seed, "pnd", cell_id, rep))
-        records = [
+        truths.append(truth)
+        record_sets.append([
             _setting_record(
                 model, truth, nu, int(n_m),
                 None if spec.exact_counts else substream(seed, "counts", cell_id, rep, nu),
             )
             for nu in range(len(settings))
-        ]
+        ])
+    # Every rep shares the model, so one batched solve fits all ML reps.
+    ml_fits = est.ml_estimate_many(record_sets, model, options) if method == "ml" else None
+    for rep, (truth, records) in enumerate(zip(truths, record_sets)):
         row = {
             "cell_id": cell_id, "p_g": p_g, "n_m": n_m, "eta": eta, "d": d,
             "gamma": gamma_label, "rep": rep, **_NAN_CHARS,
         }
         try:
-            fit = fit_method(records, model, options)
+            fit = ml_fits[rep] if ml_fits else est.eml_estimate(records, model, options)
             row["rmsle"] = rmsle(fit.p_hat, truth)
             if layout == "2x2d":
                 chars = est.characterize(fit)

@@ -205,6 +205,14 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert {row["converged"] for row in rows} == {"true"}
 
+    @pytest.mark.parametrize("budget", ["n_starts = 0", "max_iter = -1"], ids=["starts", "iters"])
+    def test_empty_fit_budget_exits_2(self, tmp_path, capsys, budget):
+        text = SWEEP_CONFIG.replace("n_starts = 1", budget)
+        config = write_config(tmp_path, text)
+        assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert budget.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
 
 class TestEstimateCommand:
     def _simulate(self, tmp_path):
@@ -281,6 +289,18 @@ class TestEstimateCommand:
         assert code == 4
         assert (tmp_path / "fit" / "pnd_hat.csv").exists()
 
+    @pytest.mark.parametrize("budget", ["n_starts = 0", "max_iter = -1"], ids=["starts", "iters"])
+    def test_empty_fit_budget_exits_2(self, tmp_path, capsys, budget):
+        counts = self._simulate(tmp_path)
+        config = write_config(
+            tmp_path, DETECTOR_SECTION + f"\n[estimate]\n{budget}\n", name="est.cfg"
+        )
+        out = tmp_path / "fit"
+        argv = ["estimate", "--config", config, "--counts", str(counts), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert budget.split()[0] in capsys.readouterr().err
+        assert not (out / "pnd_hat.csv").exists()
+
     def test_missing_counts_flag_exits_2(self, tmp_path):
         config = write_config(tmp_path, DETECTOR_SECTION, name="est.cfg")
         assert cli.main(["estimate", "--config", config]) == 2
@@ -339,6 +359,28 @@ class TestBootstrapCommand:
             cli.main(argv + ["--config", config, "--counts", counts, "--out", str(out)])
             summaries.append((out / "bootstrap_summary.csv").read_bytes())
         assert summaries[0] == summaries[1]
+
+    def test_ml_refits_every_draw_in_one_batched_solve(self, tmp_path, monkeypatch):
+        counts = self._counts(tmp_path)
+        config = write_config(
+            tmp_path,
+            DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 4\nsample_sizes = 1e6, 1e7\n",
+            name="boot.cfg",
+        )
+        batches, fit_many = [], cli.ml_estimate_many
+
+        def spy_many(record_sets, model, options):
+            batches.append([len(records) for records in record_sets])
+            return fit_many(record_sets, model, options)
+
+        monkeypatch.setattr(cli, "ml_estimate_many", spy_many)
+        monkeypatch.setitem(cli._ESTIMATORS, "ml", None)  # no per-draw fit
+        out = tmp_path / "boot"
+        argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert batches == [[1] * 4, [1] * 4]  # one solve per sample size
+        with open(out / "bootstrap_summary.csv", newline="") as fh:
+            assert {row["n_fail"] for row in csv.DictReader(fh)} == {"0"}
 
     def test_sample_sizes_are_exact_integers(self, tmp_path, capsys):
         counts = self._counts(tmp_path)

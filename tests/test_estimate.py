@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppskit.estimate
 from ppskit.detection import CountRecord, DetectorPair, SingleCountRecord, bipartite_probs, noise_correct
@@ -19,6 +21,7 @@ from ppskit.estimate import (
     eml_estimate,
     log_likelihood,
     ml_estimate,
+    ml_estimate_many,
 )
 from ppskit.metrics import rmsle
 from ppskit.pnd import PndMatrix, characteristics, gh2, tmsv_pnd
@@ -26,6 +29,7 @@ from ppskit.presets import wide_narrow_study
 from ppskit.rng import substream
 from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
+    _setting_record,
     random_pps_pnd,
     random_single_pnd,
     sample_counts,
@@ -295,6 +299,126 @@ class TestMlReachesMaximum:
             assert fit.converged
             assert len(fit.starts) == 1
             assert fit.starts[0].iterations == fit.iterations
+
+
+def same_fit(a, b) -> bool:
+    """Bit-identical results, -inf logliks included."""
+    p_a = a.p_hat.p if isinstance(a.p_hat, PndMatrix) else a.p_hat
+    p_b = b.p_hat.p if isinstance(b.p_hat, PndMatrix) else b.p_hat
+    return (
+        np.array_equal(p_a, p_b)
+        and a.loglik == b.loglik
+        and (a.iterations, a.converged, a.starts) == (b.iterations, b.converged, b.starts)
+    )
+
+
+def sweep_model(layout, eta, d, n_settings):
+    """Bipartite (one setting or the va4 plan) or single-mode model."""
+    if layout == "2x2d":
+        det = DetectorPair(T=0.5, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
+        plan = ((1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.5, 0.5))
+        return LikelihoodModel(det_s=det, det_i=det, settings=plan[: 1 if n_settings < 4 else 4])
+    gammas = DEFAULT_SINGLE_GAMMAS[-n_settings:]
+    if layout == "2d":
+        return SingleModeModel.two_detector(T=0.5, eta=eta, d=d, gammas=gammas)
+    return SingleModeModel.one_detector(eta=eta, d=d, gammas=gammas)
+
+
+def sampled_sets(model, p_g, n_m, seed, count):
+    """``count`` record sets, each from its own random truth."""
+    random_truth = random_pps_pnd if isinstance(model, LikelihoodModel) else random_single_pnd
+    n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
+    sets = []
+    for rep in range(count):
+        truth = random_truth(p_g, substream(seed, "pnd", rep))
+        sets.append([
+            _setting_record(model, truth, nu, n_m, substream(seed, "counts", rep, nu))
+            for nu in range(n_settings)
+        ])
+    return sets
+
+
+class TestMlEstimateMany:
+    @given(
+        layout=st.sampled_from(["2x2d", "2d", "1d"]),
+        n_settings=st.sampled_from([2, 4, 10]),
+        p_g=st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1]),
+        log_n_m=st.integers(4, 11),
+        eta=st.sampled_from([0.5, 1.0]),
+        d=st.sampled_from([0.0, 1e-6]),
+        seed=st.integers(0, 2**31 - 1),
+        order=st.integers(1, 25).flatmap(lambda n: st.permutations(range(n))),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_problem_matches_its_lone_fit(
+        self, layout, n_settings, p_g, log_n_m, eta, d, seed, order
+    ):
+        model = sweep_model(layout, eta, d, n_settings)
+        sets = sampled_sets(model, p_g, 10**log_n_m, seed, len(order))
+        batch = [sets[i] for i in order]
+        options = EstimateOptions(max_iter=40)
+        for records, fit in zip(batch, ml_estimate_many(batch, model, options)):
+            assert same_fit(fit, ml_estimate(records, model, options))
+
+    @given(
+        layout=st.sampled_from(["2x2d", "2d"]),
+        size=st.integers(1, 8),
+        where=st.integers(0, 7),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_infeasible_start_fails_alone(self, layout, size, where, seed):
+        # Reflected detectors that never click: their outcomes have zero
+        # probability under every cell, so counts there make loglik -inf.
+        if layout == "2x2d":
+            det = DetectorPair(T=0.5, eta_t=0.6, eta_r=0.0)
+            model = LikelihoodModel(det_s=det, det_i=det)
+        else:
+            model = SingleModeModel(T=0.5, eta_t=0.6, eta_r=0.0, d_t=0.0, d_r=0.0, gammas=(1.0,))
+        sets = sampled_sets(model, 1e-2, 10**6, seed, size)
+        where = min(where, size - 1)
+        (rec,) = sets[where]
+        f = rec.f.copy()
+        f.reshape(-1)[0] -= 1.0
+        f.reshape(-1)[1] += 1.0  # a reflected-only click
+        bad = CountRecord(f, rec.n_m) if layout == "2x2d" else SingleCountRecord(f, rec.n_m)
+        sets[where] = [bad]
+        fits = ml_estimate_many(sets, model)
+        assert not fits[where].converged
+        assert fits[where].loglik == -np.inf
+        assert fits[where].iterations == 0
+        assert same_fit(fits[where], ml_estimate([bad], model))
+        for i, records in enumerate(sets):
+            if i != where:
+                assert fits[i].converged
+                assert same_fit(fits[i], ml_estimate(records, model))
+
+    def test_set_with_other_settings_is_rejected(self):
+        model = sweep_model("2x2d", 0.5, 0.0, 4)
+        sets = sampled_sets(model, 1e-2, 10**6, 3, 3)
+        with pytest.raises(DataModelMismatchError, match="record set 1"):
+            ml_estimate_many([sets[0], sets[1][::-1], sets[2]], model)
+        with pytest.raises(DataModelMismatchError, match="record set 2"):
+            ml_estimate_many([sets[0], sets[1], sets[2][:3]], model)
+
+    def test_requires_record_sets(self):
+        with pytest.raises(InvalidInputError):
+            ml_estimate_many([], sweep_model("2d", 0.5, 0.0, 10))
+
+
+class TestEstimateOptions:
+    @pytest.mark.parametrize(
+        "kwargs", [{"n_starts": 0}, {"n_starts": -2}, {"max_iter": -1}],
+    )
+    def test_rejects_empty_budgets(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            EstimateOptions(**kwargs)
+
+    def test_zero_newton_steps_allowed(self):
+        records, model = kkt_case("2x2d")
+        fit = ml_estimate(records, model, EstimateOptions(max_iter=0))
+        assert fit.iterations == 0
+        assert not fit.converged
 
 
 class TestEmlEstimate:

@@ -189,6 +189,27 @@ class TestBootstrapStats:
         rows = bootstrap_stats(samples, flaky)
         assert rows[0]["n_fail"] == 3
 
+    def test_batch_values_replace_samples(self):
+        _, _, rec = study_record()
+        samples = bootstrap(rec, 4, 1000, seed=5)
+        batches = []
+
+        def batch(given):
+            batches.append(list(given))
+            return [float(s.f[0, 0]) for s in given]
+
+        def pipeline(value):
+            if value == samples[1].f[0, 0]:
+                raise PpskitError("refit failed")
+            return {"c": value}
+
+        rows = bootstrap_stats(samples, pipeline, batch=batch)
+        assert batches == [samples]
+        assert rows[0]["n_fail"] == 1
+        assert rows[0]["sample_size"] == 1000
+        kept = [samples[i].f[0, 0] for i in (0, 2, 3)]
+        assert rows[0]["mean"] == pytest.approx(np.mean(kept), rel=1e-15)
+
     def test_all_failures_raise(self):
         _, _, rec = study_record()
         samples = bootstrap(rec, 3, 1000, seed=6)

@@ -207,12 +207,28 @@ class TestRunSweep:
         assert [row["rep"] for row in rows] == list(range(16))
         assert all(row["converged"] for row in rows)
 
+    @pytest.mark.parametrize("method", ["ml-2x2d", "ml-1d"])
+    def test_ml_cell_fits_its_reps_in_one_call(self, monkeypatch, method):
+        batches, fit_many = [], ppskit.simulate.est.ml_estimate_many
+
+        def spy_many(record_sets, model, options):
+            batches.append(len(record_sets))
+            return fit_many(record_sets, model, options)
+
+        monkeypatch.setattr(ppskit.simulate.est, "ml_estimate_many", spy_many)
+        spec = SweepSpec(p_g_grid=(1e-2, 1e-3), n_m_grid=(1e8,), reps=3)
+        rows = run_sweep(spec, method, seed=4)
+        assert batches == [3, 3]
+        assert [row["rep"] for row in rows] == [0, 1, 2] * 2
+        assert all(row["converged"] for row in rows)
+
     @pytest.mark.parametrize("method", ["ml-2x2d", "ml-2d"])
     def test_coding_errors_are_not_swallowed(self, monkeypatch, method):
         def broken(*args, **kwargs):
             raise TypeError("bug in the estimator")
 
-        monkeypatch.setattr(ppskit.simulate.est, "ml_estimate", broken)
+        # ML sweep cells fit all their reps in one ml_estimate_many call.
+        monkeypatch.setattr(ppskit.simulate.est, "ml_estimate_many", broken)
         spec = SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e6,), reps=1)
         with pytest.raises(TypeError, match="bug in the estimator"):
             run_sweep(spec, method)
