@@ -226,7 +226,9 @@ def _check_records(records, model) -> None:
 def _kernels(records, model) -> np.ndarray:
     """Kernel stack K of the records' settings; a bipartite kernel is kron(A, B)."""
     bipartite = isinstance(model, LikelihoodModel)
-    return np.stack([np.kron(*model.maps(rec.nu)) if bipartite else model.map(rec.nu) for rec in records])
+    return np.stack(
+        [np.kron(*model.maps(rec.nu)) if bipartite else model.map(rec.nu) for rec in records]
+    )
 
 
 def _counts(records) -> np.ndarray:
@@ -284,8 +286,9 @@ def _softmax_cells(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax_jacobian(p: np.ndarray) -> np.ndarray:
-    """d p_j / d z_c for the free coordinates c = 1..n-1; shape (n-1, n)."""
-    return (np.eye(p.shape[-1]) * p[..., None, :] - p[..., :, None] * p[..., None, :])[..., 1:, :]
+    """d p_j / d z_c for the free coordinates c = 1..n-1; shape (..., n-1, n)."""
+    outer = p[..., :, None] * p[..., None, :]
+    return (np.eye(p.shape[-1]) * p[..., None, :] - outer)[..., 1:, :]
 
 
 def log_likelihood(P, records, model) -> float:
@@ -325,15 +328,12 @@ def _scoring_steps(J, fisher, score, free) -> np.ndarray:
         mask = free[rows[0]]
         if not mask.any():
             continue
-        if len(rows) < len(free):
-            Jf, info, rhs = J[rows][:, mask], fisher[rows], score[rows][:, mask]
-        else:
-            Jf, info, rhs = J[:, mask], fisher, score[:, mask]
-        info = Jf @ info @ Jf.transpose(0, 2, 1)
+        Jf = J[rows][:, mask]
+        info = Jf @ fisher[rows] @ Jf.transpose(0, 2, 1)
         d = 1.0 / np.sqrt(np.diagonal(info, axis1=1, axis2=2))
         scaled = d[:, :, None] * info * d[:, None, :] + 1e-12 * np.eye(d.shape[1])
         sub = np.zeros((len(rows), score.shape[1]))
-        sub[:, mask] = d * _solve_each(scaled, d * rhs)
+        sub[:, mask] = d * _solve_each(scaled, d * score[rows][:, mask])
         step[rows] = sub
     return step
 

@@ -401,6 +401,14 @@ class TestMlEstimateMany:
         with pytest.raises(DataModelMismatchError, match="record set 2"):
             ml_estimate_many([sets[0], sets[1], sets[2][:3]], model)
 
+    def test_singular_system_fails_only_its_problem(self):
+        a = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+        b = np.ones((3, 3))
+        x = ppskit.estimate._solve_each(a, b)
+        assert np.array_equal(x[0], np.full(3, 0.5))
+        assert np.all(np.isnan(x[1]))
+        assert np.array_equal(x[2], np.ones(3))
+
     def test_requires_record_sets(self):
         with pytest.raises(InvalidInputError):
             ml_estimate_many([], sweep_model("2d", 0.5, 0.0, 10))
