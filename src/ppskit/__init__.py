@@ -68,6 +68,7 @@ from .estimate import (
     eml_estimate,
     log_likelihood,
     ml_estimate,
+    ml_estimate_many,
 )
 from .metrics import MetricConfig, bootstrap, bootstrap_stats, fidelity, rmsle
 from .simulate import (

@@ -49,6 +49,7 @@ _GAIN_TOL = 1e-14  # ML: largest relative log-likelihood gain left at convergenc
 _GTOL = 1e-11  # EML's L-BFGS per-count gradient tolerance
 _FTOL = 1e-14  # EML's L-BFGS relative objective tolerance
 _MAX_STEP = 2.0  # ML: max-norm cap of one Newton step in z
+_TINY = np.finfo(float).smallest_subnormal  # below every positive probability
 
 
 @dataclass(frozen=True)
@@ -200,9 +201,11 @@ class EstimateResult:
 # Every model is a kernel stack K (records x outcomes x cells) with counts
 # F (records x outcomes): record v has outcome probabilities W_v = K_v p
 # in the row-major cells p.  One loglik, score and expected Fisher matrix
-# serve every estimator; EML adds its per-outcome renormalization term.
-# F and p may carry a leading problem axis over one shared K (problems x
-# records x outcomes, problems x cells).  Every reduction then runs per
+# of W serve every estimator; EML adds its per-outcome renormalization
+# term.
+#
+# F, W and p may carry a leading problem axis over one shared K (problems
+# x records x outcomes, problems x cells).  Every reduction then runs per
 # problem exactly as for a lone problem, so no value depends on its batch.
 
 
@@ -241,28 +244,27 @@ def _probs(K, p) -> np.ndarray:
     return (K @ p[..., None, :, None])[..., 0]
 
 
-def _loglik(K, F, p, used=None) -> np.ndarray:
+def _loglik(W, F, used=None) -> np.ndarray:
     """Log-likelihood sum F log W per problem; -inf where counts meet W = 0.
 
     A ``used`` outcome mask gives EML's objective instead: only the used
     outcomes count, each renormalized over the records (settings).
     """
-    W = _probs(K, p)
     seen = F > 0 if used is None else (F > 0) & used
-    infeasible = np.any(seen & (W <= 0.0), axis=(-2, -1))
-    seen &= W > 0.0
+    W_seen = np.where(seen, W, 1.0)
+    infeasible = (W_seen <= 0.0).any(axis=-1).any(axis=-1)
     # Per-record sums first, so that swapping two records keeps every bit.
-    ll = np.where(seen, F * np.log(np.where(seen, W, 1.0)), 0.0).sum(axis=-1).sum(axis=-1)
+    # _TINY only keeps the logs of infeasible problems finite.
+    ll = np.where(seen, F * np.log(np.maximum(W_seen, _TINY)), 0.0).sum(axis=-1).sum(axis=-1)
     if used is not None:
         S = W.sum(axis=-2)[..., used]
-        infeasible |= np.any(S <= 0.0, axis=-1)
-        ll = ll - (F.sum(axis=-2)[..., used] * np.log(np.where(S > 0.0, S, 1.0))).sum(axis=-1)
+        infeasible |= (S <= 0.0).any(axis=-1)
+        ll = ll - (F.sum(axis=-2)[..., used] * np.log(np.maximum(S, _TINY))).sum(axis=-1)
     return np.where(infeasible, -np.inf, ll)
 
 
-def _score(K, F, p, used=None) -> np.ndarray:
-    """Gradient of ``_loglik`` in the cells p."""
-    W = _probs(K, p)
+def _score(K, W, F, used=None) -> np.ndarray:
+    """Gradient of ``_loglik`` in the cells p, where W = K p."""
     seen = F > 0 if used is None else (F > 0) & used
     ratio = np.where(seen, F / np.where(seen, W, 1.0), 0.0)
     if used is not None:
@@ -271,9 +273,8 @@ def _score(K, F, p, used=None) -> np.ndarray:
     return np.einsum("...vo,voc->...c", ratio, K)
 
 
-def _fisher(K, F, p) -> np.ndarray:
+def _fisher(K, W, F) -> np.ndarray:
     """Expected information in the cells p, sum_v n_v K_v^T diag(1/W_v) K_v."""
-    W = _probs(K, p)
     weight = F.sum(axis=-1)[..., None] / np.where(W > 0.0, W, np.inf)
     return np.einsum("voc,...vo,vod->...cd", K, weight, K)
 
@@ -281,14 +282,16 @@ def _fisher(K, F, p) -> np.ndarray:
 def _softmax_cells(z: np.ndarray) -> np.ndarray:
     """Probabilities over n cells from n-1 free coordinates (cell 0 pinned)."""
     pinned = np.zeros(z.shape[:-1] + (1,))
-    e = np.exp(np.concatenate([pinned, z], axis=-1) - np.max(z, axis=-1, initial=0.0, keepdims=True))
+    e = np.exp(np.concatenate([pinned, z], axis=-1) - z.max(axis=-1, initial=0.0, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_jacobian(p: np.ndarray) -> np.ndarray:
     """d p_j / d z_c for the free coordinates c = 1..n-1; shape (..., n-1, n)."""
-    outer = p[..., :, None] * p[..., None, :]
-    return (np.eye(p.shape[-1]) * p[..., None, :] - outer)[..., 1:, :]
+    n = p.shape[-1]
+    J = -(p[..., :, None] * p[..., None, :])
+    J.reshape(J.shape[:-2] + (n * n,))[..., :: n + 1] += p  # the diagonal: p - p**2
+    return J[..., 1:, :]
 
 
 def log_likelihood(P, records, model) -> float:
@@ -300,7 +303,7 @@ def log_likelihood(P, records, model) -> float:
     """
     _check_records(records, model)
     p = P.p if isinstance(P, PndMatrix) else np.asarray(P, dtype=float)
-    return float(_loglik(_kernels(records, model), _counts(records), p.reshape(-1)))
+    return float(_loglik(_probs(_kernels(records, model), p.reshape(-1)), _counts(records)))
 
 
 def _solve_each(a, b) -> np.ndarray:
@@ -321,20 +324,23 @@ def _scoring_steps(J, fisher, score, free) -> np.ndarray:
     square.  Problems with the same free set are solved as one stack.
     """
     step = np.zeros(score.shape)
-    groups: dict[bytes, list[int]] = {}
-    for i, row in enumerate(free):
-        groups.setdefault(row.tobytes(), []).append(i)
-    for rows in groups.values():
-        mask = free[rows[0]]
+    if len(free) == 1 or (free == free[0]).all():
+        groups = [slice(None)]
+    else:
+        by_mask: dict[bytes, list[int]] = {}
+        for i, row in enumerate(free):
+            by_mask.setdefault(row.tobytes(), []).append(i)
+        groups = list(by_mask.values())
+    for rows in groups:
+        mask = free[rows][0]
         if not mask.any():
             continue
         Jf = J[rows][:, mask]
         info = Jf @ fisher[rows] @ Jf.transpose(0, 2, 1)
-        d = 1.0 / np.sqrt(np.diagonal(info, axis1=1, axis2=2))
+        d = 1.0 / np.sqrt(info.diagonal(axis1=1, axis2=2))
         scaled = d[:, :, None] * info * d[:, None, :] + 1e-12 * np.eye(d.shape[1])
-        sub = np.zeros((len(rows), score.shape[1]))
-        sub[:, mask] = d * _solve_each(scaled, d * score[rows][:, mask])
-        step[rows] = sub
+        x = d * _solve_each(scaled, d * score[rows][:, mask])
+        step[(rows, mask) if isinstance(rows, slice) else np.ix_(rows, mask)] = x
     return step
 
 
@@ -357,54 +363,62 @@ def _fisher_scoring(K, F, Z, max_iter: int):
     n = np.maximum(F.reshape(len(F), -1).sum(axis=1), 1.0)
     z_floor = np.log(_FLOOR)
     Z = np.maximum(Z, z_floor)
-    ll = _loglik(K, F, _softmax_cells(Z))
     steps = np.zeros(len(F), dtype=int)
     converged = np.zeros(len(F), dtype=bool)
-    active = np.flatnonzero(np.isfinite(ll))
-    while active.size:
-        z, f, n_a, ll_a = Z[active], F[active], n[active], ll[active]
+    ll = _loglik(_probs(K, _softmax_cells(Z)), F)
+    # The live problems, each k steps in; one leaves by writing back its z.
+    live = np.flatnonzero(np.isfinite(ll))
+    z, f, n, ll = Z[live], F[live], n[live], ll[live]
+    k = 0
+    while live.size:
         p = _softmax_cells(z)
-        score_p = _score(K, f, p) / n_a[:, None]
+        W = _probs(K, p)
+        score_p = _score(K, W, f) / n[:, None]
         J = _softmax_jacobian(p)
-        score, fisher = (J @ score_p[..., None])[..., 0], _fisher(K, f, p) / n_a[:, None, None]
+        score, fisher = (J @ score_p[..., None])[..., 0], _fisher(K, W, f) / n[:, None, None]
         free = (z > z_floor) | (score > 0.0)
         step = _scoring_steps(J, fisher, score, free)
-        gain = 0.5 * n_a * (score[:, None, :] @ step[..., None])[:, 0, 0]
+        gain = 0.5 * n * (score[:, None, :] @ step[..., None])[:, 0, 0]
         done = (score_p.max(axis=1) - 1.0 <= _KKT_TOL) & (
-            gain <= _GAIN_TOL * np.maximum(np.abs(ll_a), 1.0)
+            gain <= _GAIN_TOL * np.maximum(np.abs(ll), 1.0)
         )
-        converged[active[done]] = True
-        go = ~done & (steps[active] < max_iter) & np.all(np.isfinite(step), axis=1)
-        if not go.all():
-            active, z, f, ll_a, step = active[go], z[go], f[go], ll_a[go], step[go]
-            J, fisher, score, free = J[go], fisher[go], score[go], free[go]
+        stay = ~done & np.isfinite(step).all(axis=1) & (k < max_iter)
+        if not stay.all():
+            converged[live[done]] = True
+            Z[live[~stay]], steps[live[~stay]] = z[~stay], k
+            live, z, f, n, ll, step = live[stay], z[stay], f[stay], n[stay], ll[stay], step[stay]
+            J, fisher, score, free = J[stay], fisher[stay], score[stay], free[stay]
+            if not live.size:
+                break
         lands = free & (z + step <= z_floor) & (score < 0.0)
         again = np.flatnonzero(lands.any(axis=1))
         if again.size:
             resolved = _scoring_steps(J[again], fisher[again], score[again], (free & ~lands)[again])
             step[again] = np.where(lands[again], step[again], resolved)
         moves = np.where(lands, 0.0, np.abs(np.maximum(z + step, z_floor) - z))
-        norm = np.max(moves, axis=1, initial=0.0)
+        norm = moves.max(axis=1, initial=0.0)
         capped = norm > _MAX_STEP
         if capped.any():
             step[capped] *= (_MAX_STEP / norm[capped])[:, None]
         # Backtracking: up to 30 tries, the step halved after each miss.
-        floor_ll = ll_a - 1e-12 * np.maximum(np.abs(ll_a), 1.0)
+        floor_ll = ll - 1e-12 * np.maximum(np.abs(ll), 1.0)
         trial = np.maximum(z + step, z_floor)
-        ll_trial = _loglik(K, f, _softmax_cells(trial))
+        ll_trial = _loglik(_probs(K, _softmax_cells(trial)), f)
         short = np.flatnonzero(~(ll_trial >= floor_ll))
         for _ in range(29):
             if not short.size:
                 break
             step[short] *= 0.5
             trial[short] = np.maximum(z[short] + step[short], z_floor)
-            ll_trial[short] = _loglik(K, f[short], _softmax_cells(trial[short]))
+            ll_trial[short] = _loglik(_probs(K, _softmax_cells(trial[short])), f[short])
             short = short[~(ll_trial[short] >= floor_ll[short])]
-        moved = ~np.all(trial == z, axis=1)
+        moved = ~(trial == z).all(axis=1)
         moved[short] = False
-        active = active[moved]
-        Z[active], ll[active] = trial[moved], ll_trial[moved]
-        steps[active] += 1
+        if not moved.all():
+            Z[live[~moved]], steps[live[~moved]] = z[~moved], k
+            live, f, n, trial, ll_trial = live[moved], f[moved], n[moved], trial[moved], ll_trial[moved]
+        z, ll = trial, ll_trial
+        k += 1
     return Z, steps, converged
 
 
@@ -559,7 +573,7 @@ def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None)
     )
     P = _softmax_cells(Z)
     results = []
-    for p, loglik, n_steps, ok in zip(P, _loglik(K, F, P), steps.tolist(), converged.tolist()):
+    for p, loglik, n_steps, ok in zip(P, _loglik(_probs(K, P), F), steps.tolist(), converged.tolist()):
         loglik = float(loglik)
         results.append(
             EstimateResult(
@@ -585,10 +599,11 @@ def _eml_used_mask(model) -> np.ndarray:
 def _neg_eml(z, K, F, used, scale):
     """Negated EML objective over ``scale`` and its z-gradient."""
     p = _softmax_cells(z)
-    ll = float(_loglik(K, F, p, used))
+    W = _probs(K, p)
+    ll = float(_loglik(W, F, used))
     if not np.isfinite(ll):
         return np.inf, np.zeros_like(z)
-    return -ll / scale, -(_softmax_jacobian(p) @ _score(K, F, p, used)) / scale
+    return -ll / scale, -(_softmax_jacobian(p) @ _score(K, W, F, used)) / scale
 
 
 def eml_estimate(records, model, options: EstimateOptions | None = None) -> EstimateResult:

@@ -390,7 +390,7 @@ class TestMlEstimateMany:
         assert same_fit(fits[where], ml_estimate([bad], model))
         for i, records in enumerate(sets):
             if i != where:
-                assert fits[i].converged
+                assert np.isfinite(fits[i].loglik)
                 assert same_fit(fits[i], ml_estimate(records, model))
 
     def test_set_with_other_settings_is_rejected(self):
