@@ -5,7 +5,9 @@ log-likelihood over all click outcomes (including the all-click events,
 which carry the only direct evidence about two-photon cells).  Outcome
 probabilities are linear in the cells, so that log-likelihood is concave
 and one projected Fisher-scoring ascent in softmax coordinates, with every
-cell floored relative to the vacuum cell, reaches its maximum.
+cell floored relative to the vacuum cell, reaches its maximum.  Record
+sets that share a model (bootstrap draws, the reps of a sweep cell) run
+that ascent together, vectorized over the sets (:func:`ml_estimate_many`).
 
 A baseline estimator replicating the older extended-maximum-likelihood
 scheme is included for comparison: it discards outcomes in which all
@@ -356,7 +358,7 @@ def _fisher_scoring(K, F, Z, max_iter: int):
     halved until the log-likelihood does not fall.  Converged means the
     KKT conditions hold in p (no cell gains more than ``_KKT_TOL`` per
     count from growing) and a full step would gain at most ``_GAIN_TOL``
-    of the log-likelihood.  A problem leaves the active set once it
+    of the log-likelihood.  A problem leaves the live set once it
     converges or fails; each takes exactly the steps it would take alone.
     Returns (Z, steps, converged), one entry per problem.
     """
