@@ -18,7 +18,7 @@ import numpy as np
 from ppskit.simulate import SweepSpec, run_sweep, write_sweep_csv
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--method", default="ml-2x2d",
                         choices=["ml-1d", "ml-2d", "ml-2x2d", "eml-1d", "eml-2d", "eml-2x2d"])
@@ -28,7 +28,7 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="accuracy_map.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     spec = SweepSpec(
         p_g_grid=tuple(args.p_g),

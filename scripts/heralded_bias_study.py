@@ -13,7 +13,6 @@ Example:
 """
 
 import argparse
-import csv
 
 import numpy as np
 
@@ -24,17 +23,18 @@ from ppskit.estimate import (
     characterize,
     count_based_g2,
     count_based_gh2,
-    ml_estimate,
+    ml_estimate_many,
 )
 from ppskit.pnd import g2_marginal, gh2, marginal
 from ppskit.presets import wide_narrow_study
 from ppskit.rng import substream
 from ppskit.simulate import sample_counts
+from ppskit.tables import write_table
 
 COLUMNS = ("d", "rep", "estimator", "g2_s", "g2_i", "gh2_s", "gh2_i")
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--noise", type=float, nargs="+",
                         default=[1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
@@ -42,7 +42,7 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="heralded_bias.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     study = wide_narrow_study()
     P = study.source_pnd()
@@ -60,10 +60,14 @@ def main() -> None:
         W = bipartite_probs(P, det_s, det_i)
         model = LikelihoodModel(det_s=det_s, det_i=det_i)
         options = EstimateOptions(n_starts=3)
-        for rep in range(args.reps):
-            rec = sample_counts(W, int(args.n_m), substream(args.seed, "bias", d, rep))
+        recs = [
+            sample_counts(W, int(args.n_m), substream(args.seed, "bias", d, rep))
+            for rep in range(args.reps)
+        ]
+        fits = ml_estimate_many([[rec] for rec in recs], model, options)
+        for rep, (rec, fit) in enumerate(zip(recs, fits)):
             corrected = noise_correct(rec, d, d, d, d)
-            chars = characterize(ml_estimate([rec], model, options))
+            chars = characterize(fit)
             for label, source in (
                 ("raw", rec),
                 ("corrected", corrected),
@@ -90,10 +94,9 @@ def main() -> None:
             print(f"d={d:g} {label:>13}: gh2_i {mean_gh2i:.4g} "
                   f"(ratio to true {mean_gh2i / true_values['gh2_i']:.3f})")
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    # An empty float format writes the shortest repr, as the csv module does.
+    table = ([row[col] for col in COLUMNS] for row in rows)
+    write_table(args.out, COLUMNS, table, float_format="")
     print(f"wrote {args.out}")
 
 

@@ -66,6 +66,7 @@ from .estimate import (
     count_based_gh2,
     count_based_pg_eta,
     eml_estimate,
+    eml_estimate_many,
     log_likelihood,
     ml_estimate,
     ml_estimate_many,

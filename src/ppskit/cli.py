@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
-
 
 from . import presets
 from .detection import (
@@ -42,8 +42,7 @@ from .estimate import (
     count_based_g2,
     count_based_gh2,
     count_based_pg_eta,
-    eml_estimate,
-    ml_estimate,
+    eml_estimate_many,
     ml_estimate_many,
 )
 from .jsd import (
@@ -435,7 +434,7 @@ def _counts_and_model(cfg: RunConfig, args):
     return records, info, model, method, rep_rate
 
 
-_ESTIMATORS = {"ml": ml_estimate, "eml": eml_estimate}
+_ESTIMATORS = {"ml": ml_estimate_many, "eml": eml_estimate_many}
 
 
 def _estimate_options(cfg: RunConfig, args) -> EstimateOptions:
@@ -451,7 +450,7 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
     records, info, model, method, rep_rate = _counts_and_model(cfg, args)
     det_s, det_i = model.det_s, model.det_i
     options = _estimate_options(cfg, args)
-    fit = _ESTIMATORS[method](records, model, options)
+    fit = _ESTIMATORS[method]([records], model, options)[0]
 
     out = _outdir(args)
     metadata = {
@@ -507,24 +506,16 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
     """Resample every setting's record and refit each draw's records jointly.
 
     Each record is resampled at every ``sample_sizes`` entry, or by default
-    at its own ``n_m``.  ML refits every draw of one size in one batched
-    solve; EML refits each draw on its own.
+    at its own ``n_m``.  Every draw of one size is refitted in one call of
+    the method's ``*_many`` estimator.
     """
     seed = args.seed if args.seed is not None else cfg.get_int("bootstrap", "seed", 0)
     n_boot = cfg.get_int("bootstrap", "n_boot", 100)
     sizes = cfg.get_ints("bootstrap", "sample_sizes", None) or (None,)
+    refit_all = functools.partial(_ESTIMATORS[method], model=model, options=options)
 
-    if method == "ml":
-        def refit_all(draws):
-            return ml_estimate_many(draws, model, options)
-
-        def pipeline(fit):
-            return characterize(fit).as_dict()
-    else:
-        refit_all = None
-
-        def pipeline(draw):
-            return characterize(_ESTIMATORS[method](list(draw), model, options)).as_dict()
+    def pipeline(fit):
+        return characterize(fit).as_dict()
 
     rows = []
     for size in sizes:
@@ -544,29 +535,37 @@ def cmd_bootstrap(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+_FLAGS = {
+    "--seed": dict(type=int, default=None, help="override config seeds"),
+    "--reps": dict(type=int, default=None, help="override repetitions"),
+    "--counts": dict(default=None, help="counts CSV file"),
+    "--bootstrap": dict(action="store_true", help="also bootstrap after estimating"),
+}
+
+# Beyond --config and --out, each command takes only the flags it reads.
+_SUBCOMMANDS = (
+    ("jsd", "mode numbers, segmentation and synthesized PND of a filtered JSD", ()),
+    ("simulate", "generate synthetic count records", ("--seed", "--reps")),
+    ("sweep", "estimator accuracy over a parameter grid", ("--seed", "--reps")),
+    ("estimate", "reconstruct a PND from a counts file", ("--seed", "--counts", "--bootstrap")),
+    ("bootstrap", "bootstrap uncertainties of the estimates", ("--seed", "--counts")),
+)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="ppskit",
         description="simulate and estimate photon-pair-source photon number distributions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("jsd", "mode numbers, segmentation and synthesized PND of a filtered JSD"),
-        ("simulate", "generate synthetic count records"),
-        ("sweep", "estimator accuracy over a parameter grid"),
-        ("estimate", "reconstruct a PND from a counts file"),
-        ("bootstrap", "bootstrap uncertainties of the estimates"),
-    ):
+    for name, help_text, flags in _SUBCOMMANDS:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the run config file")
         cmd.add_argument("--out", default=".", help="output directory (default: .)")
-        cmd.add_argument("--seed", type=int, default=None, help="override config seeds")
-        cmd.add_argument("--reps", type=int, default=None, help="override repetitions")
-        cmd.add_argument("--counts", default=None, help="counts CSV (estimate/bootstrap)")
-        cmd.add_argument(
-            "--bootstrap", action="store_true",
-            help="also bootstrap after estimating (estimate command)",
-        )
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -127,12 +127,12 @@ class SingleCountRecord:
     """Outcome counts of a single-mode measurement under one attenuator.
 
     ``f`` has length 4 for the two-detector layout or length 2 (no click,
-    click) when only the transmitted detector exists.
+    click) when only the transmitted detector exists.  ``nu`` indexes the
+    attenuator in the model's ``gammas``.
     """
 
     f: np.ndarray
     n_m: int
-    gamma: float = 1.0
     nu: int = 0
 
     def __post_init__(self):

@@ -5,15 +5,17 @@ log-likelihood over all click outcomes (including the all-click events,
 which carry the only direct evidence about two-photon cells).  Outcome
 probabilities are linear in the cells, so that log-likelihood is concave
 and one projected Fisher-scoring ascent in softmax coordinates, with every
-cell floored relative to the vacuum cell, reaches its maximum.  Record
-sets that share a model (bootstrap draws, the reps of a sweep cell) run
-that ascent together, vectorized over the sets (:func:`ml_estimate_many`).
+cell floored relative to the vacuum cell, reaches its maximum.
 
 A baseline estimator replicating the older extended-maximum-likelihood
 scheme is included for comparison: it discards outcomes in which all
 detectors of a mode clicked and fits setting-renormalized probabilities,
 so it needs at least two attenuator settings.  Its objective is not
 concave, so it runs multi-start L-BFGS on the same likelihood terms.
+
+Record sets that share a model (bootstrap draws, the reps of a sweep
+cell) go through one call of either estimator's ``*_many`` form: ML runs
+one ascent vectorized over the sets, EML fits them one after another.
 
 Count-ratio estimators of g2 / heralded g2 / pair probability are provided
 for comparison with the reconstructed values; they accept raw or
@@ -644,6 +646,17 @@ def eml_estimate(records, model, options: EstimateOptions | None = None) -> Esti
         converged=bool(best.success),
         starts=tuple(starts),
     )
+
+
+def eml_estimate_many(record_sets, model, options: EstimateOptions | None = None) -> list:
+    """:func:`eml_estimate` of every record set, one fit per set in order.
+
+    Takes the arguments of :func:`ml_estimate_many`, so callers fit many
+    record sets the same way with either estimator.
+    """
+    if not record_sets:
+        raise InvalidInputError("at least one record set is required")
+    return [eml_estimate(list(records), model, options) for records in record_sets]
 
 
 # ---------------------------------------------------------------------------

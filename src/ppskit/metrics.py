@@ -96,7 +96,7 @@ def bootstrap(record: CountRecord, n_boot: int, sample_size: int, seed: int = 0)
     return samples
 
 
-def bootstrap_stats(samples, pipeline, characteristics=None, batch=None) -> list[dict]:
+def bootstrap_stats(samples, pipeline, batch=None) -> list[dict]:
     """Summary statistics of a pipeline over bootstrap samples.
 
     A sample is one CountRecord, or a tuple of records (one per setting)
@@ -107,8 +107,8 @@ def bootstrap_stats(samples, pipeline, characteristics=None, batch=None) -> list
     aggregation.  ``batch``, if given, maps the whole sample list to one
     value per sample (say, every refit from one batched solve), and
     ``pipeline`` then receives those values instead of the samples.
-    Returns one row per characteristic with mean, std and the 5 / 50 / 95
-    percent quantiles.
+    Returns one row per characteristic, sorted by name, with mean, std and
+    the 5 / 50 / 95 percent quantiles.
     """
     if not samples:
         raise InvalidInputError("no bootstrap samples given")
@@ -122,11 +122,7 @@ def bootstrap_stats(samples, pipeline, characteristics=None, batch=None) -> list
         except (PpskitError, ArithmeticError):
             n_fail += 1
             continue
-        bad = False
-        for name, value in result.items():
-            if not math.isfinite(value):
-                bad = True
-        if bad:
+        if not all(math.isfinite(value) for value in result.values()):
             n_fail += 1
             continue
         for name, value in result.items():
@@ -135,12 +131,9 @@ def bootstrap_stats(samples, pipeline, characteristics=None, batch=None) -> list
         raise PpskitError(
             f"bootstrap pipeline failed on all {len(samples)} samples"
         )
-    names = characteristics or sorted(values)
     rows = []
-    for name in names:
-        vals = np.asarray(values.get(name, []), dtype=float)
-        if vals.size == 0:
-            continue
+    for name in sorted(values):
+        vals = np.asarray(values[name], dtype=float)
         q05, q50, q95 = np.quantile(vals, [0.05, 0.5, 0.95])
         rows.append(
             {

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .errors import InvalidInputError, UndefinedCharacteristicError
 from .tables import parse_int, read_table, write_table
@@ -130,14 +129,8 @@ def loss_matrix(T, n_max: int = 2) -> np.ndarray:
     L = np.zeros((size, size))
     for m in range(size):
         for n in range(m + 1):
-            L[n, m] = comb(m, n, exact=True) * T**n * (1.0 - T) ** (m - n)
+            L[n, m] = math.comb(m, n) * T**n * (1.0 - T) ** (m - n)
     return L
-
-
-def apply_loss_single(pv, T: float) -> np.ndarray:
-    """Apply a loss channel to a single-mode photon-number vector."""
-    pv = np.asarray(pv, dtype=float)
-    return loss_matrix(T, pv.size - 1) @ pv
 
 
 def apply_loss_bipartite(P: PndMatrix, T_s: float, T_i: float) -> PndMatrix:

@@ -60,13 +60,11 @@ def sample_counts(W: OutcomeProbs, n_m: int, seed, nu: int = 0) -> CountRecord:
     return CountRecord(counts.astype(float), int(n_m), nu=nu)
 
 
-def sample_single_counts(
-    probs: np.ndarray, n_m: int, seed, gamma: float = 1.0, nu: int = 0
-) -> SingleCountRecord:
+def sample_single_counts(probs: np.ndarray, n_m: int, seed, nu: int = 0) -> SingleCountRecord:
     """Multinomial draw over single-mode outcomes (length 2 or 4)."""
     rng = _as_rng(seed)
     counts = multinomial_counts(n_m, np.asarray(probs, dtype=float), rng)
-    return SingleCountRecord(counts.astype(float), int(n_m), gamma=gamma, nu=nu)
+    return SingleCountRecord(counts.astype(float), int(n_m), nu=nu)
 
 
 def random_pps_pnd(p_g: float, seed) -> PndMatrix:
@@ -129,8 +127,8 @@ def _setting_record(model, truth, nu: int, n_m: int, rng):
         return sample_counts(W, n_m, rng, nu=nu)
     probs = model.forward_probs(truth, nu)
     if rng is None:
-        return SingleCountRecord(n_m * probs, n_m, gamma=model.gammas[nu], nu=nu)
-    return sample_single_counts(probs, n_m, rng, gamma=model.gammas[nu], nu=nu)
+        return SingleCountRecord(n_m * probs, n_m, nu=nu)
+    return sample_single_counts(probs, n_m, rng, nu=nu)
 
 
 def simulate_records(config: ExperimentConfig, rep: int = 0) -> list[CountRecord]:
@@ -215,15 +213,15 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
             )
             for nu in range(len(settings))
         ])
-    # Every rep shares the model, so one batched solve fits all ML reps.
-    ml_fits = est.ml_estimate_many(record_sets, model, options) if method == "ml" else None
-    for rep, (truth, records) in enumerate(zip(truths, record_sets)):
+    # Every rep shares the model, so one call fits them all.
+    fit_many = est.ml_estimate_many if method == "ml" else est.eml_estimate_many
+    fits = fit_many(record_sets, model, options)
+    for rep, (truth, fit) in enumerate(zip(truths, fits)):
         row = {
             "cell_id": cell_id, "p_g": p_g, "n_m": n_m, "eta": eta, "d": d,
             "gamma": gamma_label, "rep": rep, **_NAN_CHARS,
         }
         try:
-            fit = ml_fits[rep] if ml_fits else est.eml_estimate(records, model, options)
             row["rmsle"] = rmsle(fit.p_hat, truth)
             if layout == "2x2d":
                 chars = est.characterize(fit)

@@ -25,6 +25,7 @@ from ppskit.estimate import (
     count_based_g2,
     count_based_gh2,
     ml_estimate,
+    ml_estimate_many,
 )
 from ppskit.jsd import (
     FilterProfile,
@@ -356,8 +357,11 @@ def test_bootstrap_uncertainty_scaling():
     model = LikelihoodModel(det_s=det_s, det_i=det_i)
     options = EstimateOptions(n_starts=2)
 
-    def pipeline(sample):
-        return characterize(ml_estimate([sample], model, options)).as_dict()
+    def refit_all(samples):  # each sample is one record, fitted as a one-record set
+        return ml_estimate_many([[sample] for sample in samples], model, options)
+
+    def pipeline(fit):
+        return characterize(fit).as_dict()
 
     # coincidences with at least one click on each mode, per trial
     pair_rate = record.f[1:, 1:].sum() / record.n_m
@@ -365,7 +369,7 @@ def test_bootstrap_uncertainty_scaling():
     table: dict = {}
     for size in sizes:
         samples = bootstrap(record, 100, int(size), seed=SEED)
-        for row in bootstrap_stats(samples, pipeline):
+        for row in bootstrap_stats(samples, pipeline, batch=refit_all):
             table.setdefault(row["characteristic"], []).append(row)
 
     ok = True

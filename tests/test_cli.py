@@ -360,25 +360,27 @@ class TestBootstrapCommand:
             summaries.append((out / "bootstrap_summary.csv").read_bytes())
         assert summaries[0] == summaries[1]
 
-    def test_ml_refits_every_draw_in_one_batched_solve(self, tmp_path, monkeypatch):
-        counts = self._counts(tmp_path)
+    @pytest.mark.parametrize("method", ["ml", "eml"])
+    def test_ml_refits_every_draw_in_one_batched_solve(self, tmp_path, monkeypatch, method):
+        settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n"  # EML needs two
+        counts = self._counts(tmp_path, settings)
         config = write_config(
             tmp_path,
-            DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 4\nsample_sizes = 1e6, 1e7\n",
+            DETECTOR_SECTION + settings + f"\n[estimate]\nmethod = {method}\nn_starts = 1\n"
+            + "\n[bootstrap]\nn_boot = 4\nsample_sizes = 1e6, 1e7\n",
             name="boot.cfg",
         )
-        batches, fit_many = [], cli.ml_estimate_many
+        batches, fit_many = [], cli._ESTIMATORS[method]
 
         def spy_many(record_sets, model, options):
             batches.append([len(records) for records in record_sets])
             return fit_many(record_sets, model, options)
 
-        monkeypatch.setattr(cli, "ml_estimate_many", spy_many)
-        monkeypatch.setitem(cli._ESTIMATORS, "ml", None)  # no per-draw fit
+        monkeypatch.setitem(cli._ESTIMATORS, method, spy_many)
         out = tmp_path / "boot"
         argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
         assert cli.main(argv) == 0
-        assert batches == [[1] * 4, [1] * 4]  # one solve per sample size
+        assert batches == [[2] * 4, [2] * 4]  # one call per sample size
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {"0"}
 
@@ -396,3 +398,47 @@ class TestBootstrapCommand:
         assert "sample_sizes" in capsys.readouterr().err
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["sample_size"] for row in csv.DictReader(fh)} == {"1000000000"}
+
+
+# Beyond --config and --out, the flags each command declares (README, "CLI").
+COMMAND_FLAGS = {
+    "jsd": {},
+    "simulate": {"--seed": "3", "--reps": "2"},
+    "sweep": {"--seed": "3", "--reps": "2"},
+    "estimate": {"--seed": "3", "--counts": "c.csv", "--bootstrap": None},
+    "bootstrap": {"--seed": "3", "--counts": "c.csv"},
+}
+ALL_FLAGS = {"--seed": "3", "--reps": "2", "--counts": "c.csv", "--bootstrap": None}
+
+
+def flag_argv(flags):
+    argv = []
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_every_documented_flag_parses(self, command):
+        argv = [command, "--config", "x.cfg", "--out", "o"] + flag_argv(COMMAND_FLAGS[command])
+        args = cli.build_parser().parse_args(argv)
+        assert (args.command, args.config, args.out) == (command, "x.cfg", "o")
+        for flag, value in COMMAND_FLAGS[command].items():
+            got = getattr(args, flag[2:])
+            assert got is True if value is None else str(got) == value
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in sorted(COMMAND_FLAGS) for f in sorted(ALL_FLAGS)
+         if f not in COMMAND_FLAGS[c]],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        config = write_config(tmp_path, DETECTOR_SECTION)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", config] + flag_argv({flag: ALL_FLAGS[flag]}))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()

@@ -221,8 +221,8 @@ class TestMlEstimate:
         ):
             n_m = 10**9
             records = [
-                SingleCountRecord(n_m * model.forward_probs(truth, nu), n_m, gamma=g, nu=nu)
-                for nu, g in enumerate(gammas)
+                SingleCountRecord(n_m * model.forward_probs(truth, nu), n_m, nu=nu)
+                for nu in range(len(gammas))
             ]
             fit = ml_estimate(records, model, EstimateOptions(n_starts=1))
             assert rmsle(fit.p_hat, truth) < 1e-6
@@ -252,10 +252,9 @@ def single_records(model, p_g, n_m, rep):
     truth = random_single_pnd(p_g, substream(11, "pnd", rep))
     return [
         sample_single_counts(
-            model.forward_probs(truth, nu), int(n_m), substream(11, "c", rep, nu),
-            gamma=g, nu=nu,
+            model.forward_probs(truth, nu), int(n_m), substream(11, "c", rep, nu), nu=nu
         )
-        for nu, g in enumerate(DEFAULT_SINGLE_GAMMAS)
+        for nu in range(len(DEFAULT_SINGLE_GAMMAS))
     ]
 
 
@@ -459,8 +458,8 @@ class TestEmlEstimate:
         model = SingleModeModel.one_detector(eta=0.5, d=0.0, gammas=gammas)
         n_m = 10**8
         records = [
-            SingleCountRecord(n_m * model.forward_probs(truth, nu), n_m, gamma=g, nu=nu)
-            for nu, g in enumerate(gammas)
+            SingleCountRecord(n_m * model.forward_probs(truth, nu), n_m, nu=nu)
+            for nu in range(len(gammas))
         ]
         fit = eml_estimate(records, model, EstimateOptions(n_starts=2))
         assert rmsle(fit.p_hat, truth) < 1e-3
@@ -611,8 +610,8 @@ class TestCharacterize:
         model = SingleModeModel.two_detector(T=0.5, eta=0.5, d=0.0, gammas=gammas)
         truth = np.array([0.989, 1e-2, 1e-3])
         records = [
-            SingleCountRecord(10**6 * model.forward_probs(truth, nu), 10**6, gamma=g, nu=nu)
-            for nu, g in enumerate(gammas)
+            SingleCountRecord(10**6 * model.forward_probs(truth, nu), 10**6, nu=nu)
+            for nu in range(len(gammas))
         ]
         fit = ml_estimate(records, model, EstimateOptions(n_starts=1))
         with pytest.raises(InvalidInputError):

@@ -8,7 +8,7 @@ import pytest
 
 from ppskit.detection import DetectorPair, bipartite_probs, write_counts_csv
 from ppskit.errors import InvalidInputError
-from ppskit.estimate import EstimateOptions, LikelihoodModel, eml_estimate, ml_estimate
+from ppskit.estimate import EstimateOptions, LikelihoodModel, eml_estimate_many, ml_estimate
 from ppskit.jsd import (
     FilterProfile,
     PumpGain,
@@ -248,9 +248,9 @@ class TestMultiSettingEstimation:
             resampled.append((record.nu, sample_size))
             return bootstrap(record, n_boot, sample_size, seed=seed)
 
-        def spy_eml(recs, model, options):
-            fitted.append([rec.nu for rec in recs])
-            return eml_estimate(recs, model, options)
+        def spy_eml(record_sets, model, options):
+            fitted.append([[rec.nu for rec in recs] for recs in record_sets])
+            return eml_estimate_many(record_sets, model, options)
 
         monkeypatch.setattr(cli, "bootstrap", spy_bootstrap)
         monkeypatch.setitem(cli._ESTIMATORS, "eml", spy_eml)
@@ -260,7 +260,7 @@ class TestMultiSettingEstimation:
             ["estimate", "--config", str(config), "--counts", str(counts), "--out", str(out)]
         ) == 0
         assert resampled == [(0, 10**8), (1, 10**8 + 1)]
-        assert fitted == [[0, 1]] * 4  # the estimate, then one joint fit per draw
+        assert fitted == [[[0, 1]], [[0, 1]] * 3]  # the estimate, then every draw in one call
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {row["sample_size"] for row in rows} == {str(2 * 10**8 + 1)}

@@ -1,0 +1,48 @@
+"""Smoke runs of the study scripts at a tiny size."""
+
+import csv
+import pathlib
+import runpy
+
+import pytest
+
+from ppskit.simulate import SWEEP_COLUMNS
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, argv):
+    runpy.run_path(str(SCRIPTS / name))["main"](argv)
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return next(reader), list(reader)
+
+
+@pytest.mark.parametrize("method", ["ml-2x2d", "eml-1d"])
+def test_accuracy_map_writes_one_cell(tmp_path, method):
+    out = tmp_path / "map.csv"
+    run_script(
+        "accuracy_map.py",
+        ["--method", method, "--reps", "2", "--p-g", "1e-2", "--n-m", "1e8", "--out", str(out)],
+    )
+    header, rows = read_rows(out)
+    assert tuple(header) == SWEEP_COLUMNS
+    assert [row[header.index("rep")] for row in rows] == ["0", "1"]
+
+
+def test_heralded_bias_study_writes_one_noise_level(tmp_path):
+    out = tmp_path / "bias.csv"
+    run_script(
+        "heralded_bias_study.py",
+        ["--noise", "1e-6", "--reps", "2", "--n-m", "1e9", "--out", str(out)],
+    )
+    header, rows = read_rows(out)
+    assert header == ["d", "rep", "estimator", "g2_s", "g2_i", "gh2_s", "gh2_i"]
+    assert [(row[1], row[2]) for row in rows] == [
+        (rep, estimator)
+        for rep in ("0", "1")
+        for estimator in ("raw", "corrected", "reconstructed")
+    ]

@@ -207,15 +207,16 @@ class TestRunSweep:
         assert [row["rep"] for row in rows] == list(range(16))
         assert all(row["converged"] for row in rows)
 
-    @pytest.mark.parametrize("method", ["ml-2x2d", "ml-1d"])
+    @pytest.mark.parametrize("method", ["ml-2x2d", "ml-1d", "eml-1d"])
     def test_ml_cell_fits_its_reps_in_one_call(self, monkeypatch, method):
-        batches, fit_many = [], ppskit.simulate.est.ml_estimate_many
+        name = method.split("-")[0] + "_estimate_many"
+        batches, fit_many = [], getattr(ppskit.simulate.est, name)
 
         def spy_many(record_sets, model, options):
             batches.append(len(record_sets))
             return fit_many(record_sets, model, options)
 
-        monkeypatch.setattr(ppskit.simulate.est, "ml_estimate_many", spy_many)
+        monkeypatch.setattr(ppskit.simulate.est, name, spy_many)
         spec = SweepSpec(p_g_grid=(1e-2, 1e-3), n_m_grid=(1e8,), reps=3)
         rows = run_sweep(spec, method, seed=4)
         assert batches == [3, 3]
