@@ -18,7 +18,6 @@ import numpy as np
 
 from ppskit.detection import bipartite_probs, noise_correct
 from ppskit.estimate import (
-    EstimateOptions,
     LikelihoodModel,
     characterize,
     count_based_g2,
@@ -59,12 +58,11 @@ def main(argv=None) -> None:
         det_s, det_i = study.detectors(d)
         W = bipartite_probs(P, det_s, det_i)
         model = LikelihoodModel(det_s=det_s, det_i=det_i)
-        options = EstimateOptions(n_starts=3)
         recs = [
             sample_counts(W, int(args.n_m), substream(args.seed, "bias", d, rep))
             for rep in range(args.reps)
         ]
-        fits = ml_estimate_many([[rec] for rec in recs], model, options)
+        fits = ml_estimate_many([[rec] for rec in recs], model)
         for rep, (rec, fit) in enumerate(zip(recs, fits)):
             corrected = noise_correct(rec, d, d, d, d)
             chars = characterize(fit)

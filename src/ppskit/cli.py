@@ -81,7 +81,7 @@ _KNOWN_KEYS = {
     "gain": {"xi_sq"},
     "pnd": {"source", "file", "p_g", "seed", "loss_T_s", "loss_T_i"},
     "detectors": {"T_s", "T_i", "eta1", "eta2", "eta3", "eta4",
-                  "d1", "d2", "d3", "d4", "gamma_s", "gamma_i", "rep_rate_hz"},
+                  "d1", "d2", "d3", "d4", "rep_rate_hz"},
     "settings": {"gammas_s", "gammas_i"},
     "simulate": {"n_m", "seed", "reps"},
     "sweep": {"method", "p_g_grid", "n_m_grid", "eta_grid", "d_grid",
@@ -240,7 +240,6 @@ def _build_detectors(cfg: RunConfig) -> tuple[DetectorPair, DetectorPair, float]
         eta_r=cfg.get_float("detectors", "eta2", det_s_ref.eta_r),
         d_t=cfg.get_float("detectors", "d1", det_s_ref.d_t),
         d_r=cfg.get_float("detectors", "d2", det_s_ref.d_r),
-        gamma=cfg.get_float("detectors", "gamma_s", 1.0),
     )
     det_i = DetectorPair(
         T=cfg.get_float("detectors", "T_i", det_i_ref.T),
@@ -248,7 +247,6 @@ def _build_detectors(cfg: RunConfig) -> tuple[DetectorPair, DetectorPair, float]
         eta_r=cfg.get_float("detectors", "eta4", det_i_ref.eta_r),
         d_t=cfg.get_float("detectors", "d3", det_i_ref.d_t),
         d_r=cfg.get_float("detectors", "d4", det_i_ref.d_r),
-        gamma=cfg.get_float("detectors", "gamma_i", 1.0),
     )
     rep_rate = cfg.get_float("detectors", "rep_rate_hz", presets.REFERENCE_REP_RATE_HZ)
     return det_s, det_i, rep_rate

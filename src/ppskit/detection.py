@@ -239,21 +239,6 @@ def noise_correct(
     )
 
 
-def noise_correct_single(counts, d_t: float, d_r: float = 0.0) -> np.ndarray:
-    """Noise-corrected single-mode counts (returned as a bare array).
-
-    ``counts`` is a SingleCountRecord or an array whose last axis holds
-    the 2 or 4 outcomes of one or more records.
-    """
-    f = counts.f if isinstance(counts, SingleCountRecord) else np.asarray(counts, dtype=float)
-    if f.shape[-1] == 2:
-        inv = np.linalg.inv(np.array([[1 - d_t, 0.0], [d_t, 1.0]]))
-    else:
-        inv = np.linalg.inv(noise_matrix(d_t, d_r))
-    corrected = (inv @ f[..., None])[..., 0]
-    return np.where(corrected < 0.0, 0.0, corrected)
-
-
 # ---------------------------------------------------------------------------
 # count marginals
 

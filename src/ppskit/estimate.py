@@ -7,6 +7,10 @@ probabilities are linear in the cells, so that log-likelihood is concave
 and one projected Fisher-scoring ascent in softmax coordinates, with every
 cell floored relative to the vacuum cell, reaches its maximum.
 
+Both estimators start from Neyman's minimum chi-square inversion of that
+linear model, with no formula per detector layout; a cell the counts do
+not resolve above one standard error starts on the floor.
+
 A baseline estimator replicating the older extended-maximum-likelihood
 scheme is included for comparison: it discards outcomes in which all
 detectors of a mode clicked and fits setting-renormalized probabilities,
@@ -34,8 +38,6 @@ from .detection import (
     CountRecord,
     DetectorPair,
     counts_with_clicks,
-    noise_correct_counts,
-    noise_correct_single,
     outcome_map,
     singles,
 )
@@ -43,6 +45,7 @@ from .errors import (
     DataModelMismatchError,
     InvalidInputError,
     UndefinedCharacteristicError,
+    check_count,
 )
 from .pnd import CharacteristicSet, PndMatrix, characteristics
 from .rng import substream
@@ -62,7 +65,8 @@ class LikelihoodModel:
 
     Detector efficiencies, splitter ratios and noise probabilities are
     assumed calibrated beforehand; ``settings`` lists the attenuator pair
-    (gamma_s, gamma_i) of each setting index nu.
+    (gamma_s, gamma_i) of each setting index nu, so both detector pairs
+    keep ``gamma = 1``.
     """
 
     det_s: DetectorPair
@@ -75,12 +79,21 @@ class LikelihoodModel:
             raise InvalidInputError("model needs at least one setting")
         if self.n_max < 1:
             raise InvalidInputError("n_max must be >= 1")
+        if self.det_s.gamma != 1.0 or self.det_i.gamma != 1.0:
+            raise InvalidInputError(
+                "detector pairs of a model must have gamma = 1; put attenuators in settings"
+            )
+        for nu in range(len(self.settings)):
+            self.detectors(nu)  # checks the setting's gammas
+
+    def detectors(self, nu: int) -> tuple[DetectorPair, DetectorPair]:
+        """Signal and idler detector pairs behind setting ``nu``'s attenuators."""
+        gamma_s, gamma_i = self.settings[nu]
+        return self.det_s.with_gamma(gamma_s), self.det_i.with_gamma(gamma_i)
 
     def maps(self, nu: int) -> tuple[np.ndarray, np.ndarray]:
-        gamma_s, gamma_i = self.settings[nu]
-        A = outcome_map(self.det_s.with_gamma(gamma_s), self.n_max)
-        B = outcome_map(self.det_i.with_gamma(gamma_i), self.n_max)
-        return A, B
+        det_s, det_i = self.detectors(nu)
+        return outcome_map(det_s, self.n_max), outcome_map(det_i, self.n_max)
 
     def outcome_probs(self, P: np.ndarray, nu: int) -> np.ndarray:
         A, B = self.maps(nu)
@@ -121,6 +134,8 @@ class SingleModeModel:
             raise InvalidInputError("model needs at least one attenuator setting")
         if self.layout not in ("1d", "2d"):
             raise InvalidInputError(f"layout must be '1d' or '2d', got {self.layout!r}")
+        for nu in range(len(self.gammas)):
+            self.detector(nu)  # checks the detector parameters and the setting's gamma
 
     @classmethod
     def two_detector(cls, T, eta, d, gammas, n_max: int = 2) -> "SingleModeModel":
@@ -137,27 +152,21 @@ class SingleModeModel:
     def n_outcomes(self) -> int:
         return 2 if self.layout == "1d" else 4
 
-    def map(self, nu: int) -> np.ndarray:
-        det = DetectorPair(
+    def detector(self, nu: int) -> DetectorPair:
+        """The detector pair behind setting ``nu``'s attenuator."""
+        return DetectorPair(
             T=self.T, eta_t=self.eta_t, eta_r=self.eta_r,
             d_t=self.d_t, d_r=self.d_r, gamma=self.gammas[nu],
         )
-        C = outcome_map(det, self.n_max)
+
+    def map(self, nu: int) -> np.ndarray:
+        C = outcome_map(self.detector(nu), self.n_max)
         if self.layout == "1d":
             C = np.vstack([C[0] + C[1], C[2] + C[3]])
         return C
 
     def forward_probs(self, pv, nu: int) -> np.ndarray:
         return self.map(nu) @ np.asarray(pv, dtype=float)
-
-    def hash(self) -> str:
-        text = repr(
-            (
-                self.T, self.eta_t, self.eta_r, self.d_t, self.d_r,
-                tuple(float(g) for g in self.gammas), self.layout, self.n_max,
-            )
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -175,10 +184,8 @@ class EstimateOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise InvalidInputError(f"n_starts must be >= 1, got {self.n_starts}")
-        if self.max_iter < 0:
-            raise InvalidInputError(f"max_iter must be >= 0, got {self.max_iter}")
+        check_count("n_starts", self.n_starts, 1)
+        check_count("max_iter", self.max_iter, 0)
 
 
 @dataclass(frozen=True)
@@ -320,12 +327,21 @@ def _solve_each(a, b) -> np.ndarray:
         return np.concatenate([_solve_each(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
 
 
+def _scaled_solve(info, rhs):
+    """Solutions of a stack of systems info x = rhs, and the scales
+    1 / sqrt(diag info), each coordinate's standard error with the others
+    held.  The 1e-12 ridge goes on after scaling to unit diagonal, so it
+    cannot swamp a small cell, whose entry scales as its square.
+    """
+    d = 1.0 / np.sqrt(info.diagonal(axis1=-2, axis2=-1))
+    scaled = d[..., :, None] * info * d[..., None, :] + 1e-12 * np.eye(d.shape[-1])
+    return d * _solve_each(scaled, d * rhs), d
+
+
 def _scoring_steps(J, fisher, score, free) -> np.ndarray:
     """Fisher-scoring steps in z over each problem's ``free`` coordinates.
 
-    The information is scaled to unit diagonal before the ridge goes on,
-    so the ridge cannot swamp a small cell, whose entry scales as its
-    square.  Problems with the same free set are solved as one stack.
+    Problems with the same free set are solved as one stack.
     """
     step = np.zeros(score.shape)
     if len(free) == 1 or (free == free[0]).all():
@@ -340,10 +356,7 @@ def _scoring_steps(J, fisher, score, free) -> np.ndarray:
         if not mask.any():
             continue
         Jf = J[rows][:, mask]
-        info = Jf @ fisher[rows] @ Jf.transpose(0, 2, 1)
-        d = 1.0 / np.sqrt(info.diagonal(axis1=1, axis2=2))
-        scaled = d[:, :, None] * info * d[:, None, :] + 1e-12 * np.eye(d.shape[1])
-        x = d * _solve_each(scaled, d * score[rows][:, mask])
+        x, _ = _scaled_solve(Jf @ fisher[rows] @ Jf.transpose(0, 2, 1), score[rows][:, mask])
         step[(rows, mask) if isinstance(rows, slice) else np.ix_(rows, mask)] = x
     return step
 
@@ -426,106 +439,24 @@ def _fisher_scoring(K, F, Z, max_iter: int):
     return Z, steps, converged
 
 
-def _starts(record_sets, model, n_cells: int) -> np.ndarray:
-    """Moment start of every record set in the free coordinates.  Cells
-    without signal, and cells past the one- and two-photon cells, start at
-    ``_FLOOR``."""
-    init = _init_bipartite if isinstance(model, LikelihoodModel) else _init_single
-    moments = init(record_sets, model)
-    cells = np.full((len(moments), n_cells - 1), _FLOOR)
-    cells[:, : moments.shape[1]] = np.maximum(moments, _FLOOR)
-    total = cells.sum(axis=1, keepdims=True)
-    cells = np.where(total >= 1.0, cells * (0.5 / total), cells)
-    return np.log(cells / (1.0 - cells.sum(axis=1, keepdims=True)))
+def _starts(K, F) -> np.ndarray:
+    """Moment start of every problem in the free coordinates z.
 
-
-def _start_record(record_sets, settings_key) -> tuple[int, int]:
-    """Index and setting of the record the moment start reads: the first
-    one taken at the setting that passes the most light."""
-    nus = [rec.nu for rec in record_sets[0]]
-    best_nu = max(range(len(settings_key)), key=lambda nu: settings_key[nu])
-    idx = nus.index(best_nu) if best_nu in nus else 0
-    return idx, nus[idx]
-
-
-def _init_bipartite(record_sets, model: LikelihoodModel) -> np.ndarray:
-    """Moment inversion of (noise-corrected) counts for the starting point.
-
-    Singles and pair coincidences give the one-photon cells; double-click
-    rates give the two-photon cells.  One row per record set.
+    Neyman's minimum chi-square: the least-squares inversion of W = K p
+    against the observed frequencies y_vo = F_vo / n_v, each outcome
+    weighted by n_v^2 / max(F_vo, 1), so one never seen pins its prediction
+    near 0.  Its normal equations are the information and score of
+    ``_fisher`` and ``_score`` taken at those frequencies, with an unseen
+    outcome counted once.  A cell whose solution is not above its standard
+    error with the other cells held (NaN included) starts on ``_FLOOR``.
     """
-    idx, nu = _start_record(record_sets, [g_s * g_i for g_s, g_i in model.settings])
-    recs = [records[idx] for records in record_sets]
-    gamma_s, gamma_i = model.settings[nu]
-    det_s, det_i = model.det_s, model.det_i
-    f = noise_correct_counts(
-        np.stack([rec.f for rec in recs]), det_s.d_t, det_s.d_r, det_i.d_t, det_i.d_r
-    )
-    n = np.array([max(rec.n_m, 1) for rec in recs], dtype=float)
-    zero = np.zeros(len(recs))
-    e = (
-        gamma_s * det_s.eta_t,
-        gamma_s * det_s.eta_r,
-        gamma_i * det_i.eta_t,
-        gamma_i * det_i.eta_r,
-    )
-    pair = zero
-    for j in (1, 2):
-        for k in (3, 4):
-            if e[j - 1] > 0 and e[k - 1] > 0:
-                pair = pair + counts_with_clicks(f, [j, k]) / (e[j - 1] * e[k - 1])
-    p11 = pair / n
-
-    S = [counts_with_clicks(f, [j]) for j in (1, 2, 3, 4)]
-    s_mean = sum((S[j] / e[j] for j in (0, 1) if e[j] > 0), zero) / n
-    i_mean = sum((S[j] / e[j] for j in (2, 3) if e[j] > 0), zero) / n
-    p10 = s_mean - p11
-    p01 = i_mean - p11
-
-    den_s2 = 2.0 * det_s.T * det_s.R * e[0] * e[1]
-    den_i2 = 2.0 * det_i.T * det_i.R * e[2] * e[3]
-    one_i = det_i.T * e[2] + det_i.R * e[3]
-    one_s = det_s.T * e[0] + det_s.R * e[1]
-    p22 = f[:, 3, 3] / (n * den_s2 * den_i2) if den_s2 > 0 and den_i2 > 0 else zero
-    p21 = f[:, 3, 1:3].sum(axis=1) / (n * den_s2 * one_i) if den_s2 > 0 and one_i > 0 else zero
-    p12 = f[:, 1:3, 3].sum(axis=1) / (n * den_i2 * one_s) if den_i2 > 0 and one_s > 0 else zero
-    p20 = f[:, 3, 0] / (n * den_s2) if den_s2 > 0 else zero
-    p02 = f[:, 0, 3] / (n * den_i2) if den_i2 > 0 else zero
-
-    return np.stack([p01, p02, p10, p11, p12, p20, p21, p22], axis=1)  # row-major minus (0, 0)
-
-
-def _init_single(record_sets, model: SingleModeModel) -> np.ndarray:
-    idx, nu = _start_record(record_sets, model.gammas)
-    gamma = model.gammas[nu]
-    F = noise_correct_single(
-        np.stack([[rec.f for rec in records] for records in record_sets]), model.d_t, model.d_r
-    )
-    N = np.array([[max(rec.n_m, 1) for rec in records] for records in record_sets], dtype=float)
-    f, n = F[:, idx], N[:, idx]
-    p1 = p2 = np.zeros(len(F))
-    if model.layout == "1d":
-        # No double-click observable here; the no-click probability is the
-        # exact polynomial sum_n P_n x^n with x = 1 - gamma * eta, so the
-        # attenuation curve across settings is the moment inversion.  The
-        # fit runs per set: one multi-column least-squares solve would
-        # round each set's coefficients differently from a lone fit.
-        xs = [1.0 - model.gammas[rec.nu] * model.eta_t for rec in record_sets[0]]
-        if len(set(xs)) >= 3:
-            ys = F[:, :, 0] / N
-            coeffs = np.array([np.polynomial.polynomial.polyfit(xs, y, 2) for y in ys])
-            p1, p2 = coeffs[:, 1], coeffs[:, 2]
-        elif model.eta_t > 0:
-            p1 = f[:, 1] / (n * gamma * model.eta_t)
-    else:
-        e_t, e_r = gamma * model.eta_t, gamma * model.eta_r
-        one = model.T * e_t + (1 - model.T) * e_r
-        two = 2.0 * model.T * (1 - model.T) * e_t * e_r
-        if one > 0:
-            p1 = (f[:, 1] + f[:, 2]) / (n * one)
-        if two > 0:
-            p2 = f[:, 3] / (n * two)
-    return np.stack([p1, p2], axis=1)
+    n = np.maximum(F.sum(axis=-1, keepdims=True), 1.0)
+    seen = np.maximum(F, 1.0) / n
+    p, se = _scaled_solve(_fisher(K, seen, F), _score(K, seen, F))
+    resolved = p > se
+    # An unresolved vacuum cell leaves no scale; the others then count from 1.
+    vacuum = np.where(resolved[..., :1], p[..., :1], 1.0)
+    return np.log(np.where(resolved[..., 1:], p[..., 1:] / vacuum, _FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +503,7 @@ def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None)
             )
     K = _kernels(record_sets[0], model)
     F = np.stack([_counts(records) for records in record_sets])
-    Z, steps, converged = _fisher_scoring(
-        K, F, _starts(record_sets, model, K.shape[2]), options.max_iter
-    )
+    Z, steps, converged = _fisher_scoring(K, F, _starts(K, F), options.max_iter)
     P = _softmax_cells(Z)
     results = []
     for p, loglik, n_steps, ok in zip(P, _loglik(_probs(K, P), F), steps.tolist(), converged.tolist()):
@@ -628,10 +557,10 @@ def eml_estimate(records, model, options: EstimateOptions | None = None) -> Esti
     K, F = _kernels(records, model), _counts(records)
     used = _eml_used_mask(model)
     scale = max(float(F[:, used].sum()), 1.0)
-    z0 = _starts([records], model, K.shape[2])[0]
+    z0 = _starts(K, F[None])[0]
     rng = substream(options.seed, "estimate-starts")
     best, starts = None, []
-    for z in [z0] + [z0 + rng.standard_normal(z0.size) for _ in range(options.n_starts - 1)]:
+    for z in [z0] + [z0 + rng.standard_normal(z0.size) for _ in range(int(options.n_starts) - 1)]:
         res = minimize(
             _neg_eml, z, args=(K, F, used, scale), jac=True, method="L-BFGS-B",
             options={"maxiter": options.max_iter, "ftol": _FTOL, "gtol": _GTOL, "maxls": 60},

@@ -151,6 +151,10 @@ class FilterProfile:
     @classmethod
     def rect(cls, axis, center: float, width: float) -> "FilterProfile":
         """Ideal bandpass: t = 1 for |omega - center| <= width / 2, else 0."""
+        if not (math.isfinite(center) and width >= 0):
+            raise InvalidInputError(
+                f"rect filter needs a finite center and width >= 0, got {center}, {width}"
+            )
         axis = np.asarray(axis, dtype=float)
         t = (np.abs(axis - center) <= width / 2.0).astype(float)
         return cls(axis, t)
@@ -158,6 +162,8 @@ class FilterProfile:
     @classmethod
     def gauss(cls, axis, center: float, fwhm: float) -> "FilterProfile":
         """Gaussian bandpass with the given intensity FWHM."""
+        if not fwhm > 0:
+            raise InvalidInputError(f"fwhm must be positive, got {fwhm}")
         axis = np.asarray(axis, dtype=float)
         T = np.exp(-4.0 * math.log(2.0) * (axis - center) ** 2 / fwhm**2)
         return cls.from_intensity(axis, T)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import CountRecord
-from .errors import InvalidInputError, PpskitError
+from .errors import InvalidInputError, PpskitError, check_count
 from .pnd import PndMatrix
 from .rng import multinomial_counts, substream
 from .tables import write_table
@@ -34,8 +34,8 @@ class MetricConfig:
     alpha: float = 1e-15
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidInputError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise InvalidInputError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def _cells(P) -> np.ndarray:
@@ -78,16 +78,14 @@ def bootstrap(record: CountRecord, n_boot: int, sample_size: int, seed: int = 0)
     Each sample is a multinomial draw of ``sample_size`` trials from the
     empirical outcome distribution f / n_m.  Deterministic under the seed.
     """
-    if sample_size <= 0:
-        raise InvalidInputError("sample_size must be positive")
-    if n_boot < 0:
-        raise InvalidInputError("n_boot must be nonnegative")
+    check_count("sample_size", sample_size, 1)
+    check_count("n_boot", n_boot, 0)
     total = float(record.f.sum())
     if total <= 0:
         raise InvalidInputError("cannot bootstrap an empty record")
     probs = (record.f / total).reshape(-1)
     samples = []
-    for b in range(n_boot):
+    for b in range(int(n_boot)):
         rng = substream(seed, "bootstrap", record.nu, b)
         counts = multinomial_counts(int(sample_size), probs, rng).reshape(4, 4)
         samples.append(

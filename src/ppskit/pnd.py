@@ -86,18 +86,10 @@ class CharacteristicSet:
     gh2_s: float
     gh2_i: float
 
-    def as_dict(self) -> dict:
-        return {
-            "p_g": self.p_g,
-            "eta_H_s": self.eta_H_s,
-            "eta_H_i": self.eta_H_i,
-            "g2_s": self.g2_s,
-            "g2_i": self.g2_i,
-            "gh2_s": self.gh2_s,
-            "gh2_i": self.gh2_i,
-        }
-
     FIELDS = ("p_g", "eta_H_s", "eta_H_i", "g2_s", "g2_i", "gh2_s", "gh2_i")
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 def tmsv_pnd(mu: float, n_max: int = 2) -> PndMatrix:

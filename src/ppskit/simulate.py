@@ -15,7 +15,7 @@ import numpy as np
 
 from . import estimate as est
 from .detection import CountRecord, DetectorPair, OutcomeProbs, SingleCountRecord, bipartite_probs
-from .errors import InvalidInputError, PpskitError
+from .errors import InvalidInputError, PpskitError, check_count
 from .metrics import rmsle
 from .pnd import PndMatrix, g2_marginal
 from .rng import multinomial_counts, substream
@@ -111,8 +111,7 @@ class ExperimentConfig:
     reps: int = 1
 
     def __post_init__(self):
-        if self.n_m < 1:
-            raise InvalidInputError("n_m must be >= 1")
+        check_count("n_m", self.n_m, 1)
         if not self.settings:
             raise InvalidInputError("at least one attenuator setting is required")
 
@@ -120,8 +119,7 @@ class ExperimentConfig:
 def _setting_record(model, truth, nu: int, n_m: int, rng):
     """Record of setting ``nu``: expected counts if ``rng`` is None, else sampled."""
     if isinstance(model, est.LikelihoodModel):
-        gamma_s, gamma_i = model.settings[nu]
-        W = bipartite_probs(truth, model.det_s.with_gamma(gamma_s), model.det_i.with_gamma(gamma_i))
+        W = bipartite_probs(truth, *model.detectors(nu))
         if rng is None:
             return CountRecord(n_m * W.probs, n_m, nu=nu)
         return sample_counts(W, n_m, rng, nu=nu)
@@ -168,10 +166,9 @@ class SweepSpec:
                 raise InvalidInputError(f"{name} must be nonempty")
         if self.gamma_design not in ("none", "va4"):
             raise InvalidInputError(f"unknown gamma design {self.gamma_design!r}")
-        if self.reps < 1:
-            raise InvalidInputError("reps must be >= 1")
-        if min(self.n_m_grid) < 1:
-            raise InvalidInputError("n_m_grid entries must be >= 1")
+        check_count("reps", self.reps, 1)
+        for n_m in self.n_m_grid:
+            check_count("n_m_grid entry", n_m, 1)
         est.EstimateOptions(n_starts=self.n_starts, max_iter=self.max_iter)  # validates both
 
 
@@ -203,7 +200,7 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
         random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
     truths, record_sets = [], []
-    for rep in range(spec.reps):
+    for rep in range(int(spec.reps)):
         truth = random_truth(p_g, substream(seed, "pnd", cell_id, rep))
         truths.append(truth)
         record_sets.append([

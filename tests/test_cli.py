@@ -179,6 +179,14 @@ class TestSimulateCommand:
         cli.main(["simulate", "--config", config, "--out", str(out_b), "--seed", "4"])
         assert (out_a / "counts.csv").read_bytes() != (out_b / "counts.csv").read_bytes()
 
+    @pytest.mark.parametrize("key", ["gamma_s", "gamma_i"])
+    def test_detector_attenuator_key_exits_2(self, tmp_path, capsys, key):
+        # Attenuators belong to [settings]; a detector-level gamma was never read.
+        text = SIMULATE_CONFIG.replace("[detectors]\n", f"[detectors]\n{key} = 0.5\n")
+        config = write_config(tmp_path, text)
+        assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
 
 SWEEP_CONFIG = """\
 [sweep]

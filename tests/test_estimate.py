@@ -25,15 +25,17 @@ from ppskit.estimate import (
 )
 from ppskit.metrics import rmsle
 from ppskit.pnd import PndMatrix, characteristics, gh2, tmsv_pnd
-from ppskit.presets import wide_narrow_study
+from ppskit.presets import reference_detectors, wide_narrow_study
 from ppskit.rng import substream
 from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
+    ExperimentConfig,
     _setting_record,
     random_pps_pnd,
     random_single_pnd,
     sample_counts,
     sample_single_counts,
+    simulate_records,
 )
 
 
@@ -411,6 +413,53 @@ class TestMlEstimateMany:
     def test_requires_record_sets(self):
         with pytest.raises(InvalidInputError):
             ml_estimate_many([], sweep_model("2d", 0.5, 0.0, 10))
+
+
+class TestMomentStart:
+    @pytest.mark.parametrize(
+        "layout, n_settings", [("2x2d", 1), ("2x2d", 4), ("2d", 10), ("1d", 10)]
+    )
+    def test_exact_counts_in_region_start_at_truth(self, layout, n_settings):
+        model = sweep_model(layout, 0.5, 1e-6, n_settings)
+        random_truth = random_pps_pnd if layout == "2x2d" else random_single_pnd
+        truth = random_truth(1e-2, substream(5, "pnd", 0))
+        records = [_setting_record(model, truth, nu, 10**12, None) for nu in range(n_settings)]
+        K, F = ppskit.estimate._kernels(records, model), ppskit.estimate._counts(records)
+        start = ppskit.estimate._softmax_cells(ppskit.estimate._starts(K, F[None]))[0]
+        cells = truth.p.reshape(-1) if layout == "2x2d" else truth
+        np.testing.assert_allclose(start, cells, rtol=1e-6, atol=0.0)
+        assert ml_estimate(records, model).iterations == 0
+
+    def test_unseen_all_click_leaves_two_photon_cells_on_the_floor(self):
+        # The acquisition regime: at 1e8 trials the all-click outcome is not seen.
+        truth = wide_narrow_study(1e-4).source_pnd()
+        det_s, det_i = reference_detectors()
+        config = ExperimentConfig(pnd=truth, det_s=det_s, det_i=det_i, n_m=10**8, seed=0)
+        records = simulate_records(config)
+        assert records[0].f[3, 3] == 0
+        model = LikelihoodModel(det_s=det_s, det_i=det_i)
+        K, F = ppskit.estimate._kernels(records, model), ppskit.estimate._counts(records)
+        z = ppskit.estimate._starts(K, F[None])[0].reshape(-1)
+        two_photon = np.maximum.outer(np.arange(3), np.arange(3)).reshape(-1)[1:] == 2
+        assert np.all(z[two_photon] == np.log(ppskit.estimate._FLOOR))
+        assert np.all(z[~two_photon] > np.log(ppskit.estimate._FLOOR))
+
+
+class TestModels:
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: LikelihoodModel(det_s=IDEAL.with_gamma(0.5), det_i=IDEAL), "settings"),
+            (lambda: LikelihoodModel(det_s=IDEAL, det_i=IDEAL, settings=((np.nan, 1.0),)), "gamma"),
+            (lambda: LikelihoodModel(det_s=IDEAL, det_i=IDEAL, settings=((1.0, 1.5),)), "gamma"),
+            (lambda: SingleModeModel.two_detector(np.nan, 0.5, 0.0, DEFAULT_SINGLE_GAMMAS), "T"),
+            (lambda: SingleModeModel.one_detector(0.5, 0.0, (1.0, -0.5)), "gamma"),
+        ],
+        ids=["detector-gamma", "nan-setting", "setting-above-1", "nan-T", "negative-gamma"],
+    )
+    def test_bad_detection_parameters_fail_at_build(self, build, match):
+        with pytest.raises(InvalidInputError, match=match):
+            build()
 
 
 class TestEstimateOptions:

@@ -1,12 +1,19 @@
-"""Value types holding arrays compare by identity and hash."""
+"""Value types holding arrays compare by identity and hash; sizes and
+metric guards passed from Python reject what no run can use."""
+
+import math
 
 import numpy as np
 import pytest
 
 from ppskit.detection import CountRecord, OutcomeProbs, SingleCountRecord
-from ppskit.estimate import EstimateResult
+from ppskit.errors import InvalidInputError
+from ppskit.estimate import EstimateOptions, EstimateResult
 from ppskit.jsd import FilterProfile, JsdGrid, gaussian_jsd, segment
+from ppskit.metrics import MetricConfig, bootstrap
 from ppskit.pnd import PndMatrix
+from ppskit.presets import reference_detectors
+from ppskit.simulate import ExperimentConfig, SweepSpec, run_sweep
 
 
 def _jsd():
@@ -42,3 +49,37 @@ def test_equality_is_a_bool_and_hash_works(name):
     assert (a != b) is True
     assert isinstance(hash(a), int)
     assert len({a, a, b}) == 2
+
+
+AXIS = np.linspace(-1.0, 1.0, 8)
+
+BAD_VALUES = {
+    "n_starts-fraction": lambda: EstimateOptions(n_starts=2.5),
+    "max_iter-nan": lambda: EstimateOptions(max_iter=math.nan),
+    "reps-fraction": lambda: SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e6,), reps=2.5),
+    "n_m_grid-fraction": lambda: SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1.5,)),
+    "n_m_grid-inf": lambda: SweepSpec(p_g_grid=(1e-2,), n_m_grid=(math.inf,)),
+    "experiment-n_m-fraction": lambda: ExperimentConfig(_pnd(), *reference_detectors(), n_m=2.5),
+    "bootstrap-sample_size-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2, 2.5),
+    "bootstrap-n_boot-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2.5, 10),
+    "alpha-nan": lambda: MetricConfig(alpha=math.nan),
+    "rect-width-nan": lambda: FilterProfile.rect(AXIS, 0.0, math.nan),
+    "rect-width-negative": lambda: FilterProfile.rect(AXIS, 0.0, -0.5),
+    "rect-center-nan": lambda: FilterProfile.rect(AXIS, math.nan, 0.5),
+    "gauss-fwhm-negative": lambda: FilterProfile.gauss(AXIS, 0.0, -0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_unusable_size_or_guard_is_rejected(case):
+    with pytest.raises(InvalidInputError):
+        BAD_VALUES[case]()
+
+
+def test_integral_floats_stay_accepted():
+    spec = SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e6,), reps=2.0, n_starts=2.0, max_iter=1e4)
+    rows = run_sweep(spec, "eml-2d")
+    assert [row["rep"] for row in rows] == [0, 1]
+    assert all(row["n_m"] == 1e6 and row["converged"] for row in rows)
+    samples = bootstrap(FACTORIES["CountRecord"](), 2.0, 1e3)
+    assert [sample.n_m for sample in samples] == [1000, 1000]
