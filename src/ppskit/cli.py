@@ -357,11 +357,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     )
     out = _outdir(args)
     write_pnd_csv(os.path.join(out, "pnd_true.csv"), pnd, {"seed": seed})
-    for rep in range(reps):
+    for rep in range(int(config.reps)):
         records = simulate_records(config, rep)
         name = "counts.csv" if rep == 0 else f"counts_rep{rep}.csv"
         write_counts_csv(os.path.join(out, name), records)
-    print(f"wrote {out}/counts.csv (+{max(reps - 1, 0)} repetition files)")
+    print(f"wrote {out}/counts.csv (+{int(config.reps) - 1} repetition files)")
     return EXIT_OK
 
 

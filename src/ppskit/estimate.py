@@ -15,11 +15,13 @@ A baseline estimator replicating the older extended-maximum-likelihood
 scheme is included for comparison: it discards outcomes in which all
 detectors of a mode clicked and fits setting-renormalized probabilities,
 so it needs at least two attenuator settings.  Its objective is not
-concave, so it runs multi-start L-BFGS on the same likelihood terms.
+concave, so the same ascent, fed EML's score and expected information,
+runs from the moment start of the used outcomes and from jittered
+restarts, and the best start wins.
 
 Record sets that share a model (bootstrap draws, the reps of a sweep
-cell) go through one call of either estimator's ``*_many`` form: ML runs
-one ascent vectorized over the sets, EML fits them one after another.
+cell) go through one call of either estimator's ``*_many`` form, which
+runs one ascent vectorized over the sets (and, for EML, their starts).
 
 Count-ratio estimators of g2 / heralded g2 / pair probability are provided
 for comparison with the reconstructed values; they accept raw or
@@ -32,7 +34,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detection import (
     CountRecord,
@@ -51,11 +52,10 @@ from .pnd import CharacteristicSet, PndMatrix, characteristics
 from .rng import substream
 
 _FLOOR = 1e-15  # smallest cell, relative to cell 0
-_KKT_TOL = 1e-9  # ML: largest per-count gain of growing any cell
+_KKT_TOL = 1e-9  # largest per-count gain over the KKT multiplier of growing a cell
 _GAIN_TOL = 1e-14  # ML: largest relative log-likelihood gain left at convergence
-_GTOL = 1e-11  # EML's L-BFGS per-count gradient tolerance
-_FTOL = 1e-14  # EML's L-BFGS relative objective tolerance
-_MAX_STEP = 2.0  # ML: max-norm cap of one Newton step in z
+_EML_GAIN_TOL = 1e-6  # EML: largest objective gain left at convergence, in nats
+_MAX_STEP = 2.0  # max-norm cap of one Newton step in z
 _TINY = np.finfo(float).smallest_subnormal  # below every positive probability
 
 
@@ -173,10 +173,10 @@ class SingleModeModel:
 class EstimateOptions:
     """Fit budget.
 
-    ``max_iter`` caps the Newton steps of an ML fit and the L-BFGS
-    iterations of each EML start.  ``n_starts`` and ``seed`` only steer
-    EML's jittered restarts: the ML log-likelihood is concave, so ML
-    ascends once from the moment start.
+    ``max_iter`` caps the Newton steps of an ML fit and of each EML
+    start.  ``n_starts`` and ``seed`` only steer EML's jittered restarts:
+    the ML log-likelihood is concave, so ML ascends once from the moment
+    start.
     """
 
     n_starts: int = 5
@@ -284,10 +284,25 @@ def _score(K, W, F, used=None) -> np.ndarray:
     return np.einsum("...vo,voc->...c", ratio, K)
 
 
-def _fisher(K, W, F) -> np.ndarray:
-    """Expected information in the cells p, sum_v n_v K_v^T diag(1/W_v) K_v."""
-    weight = F.sum(axis=-1)[..., None] / np.where(W > 0.0, W, np.inf)
-    return np.einsum("voc,...vo,vod->...cd", K, weight, K)
+def _fisher(K, W, F, used=None) -> np.ndarray:
+    """Expected information of ``_loglik`` in the cells p, where W = K p.
+
+    ML: sum_v n_v K_v^T diag(1/W_v) K_v.  EML, with N_o = sum_v F_vo,
+    S_o = sum_v W_vo and k_o = sum_v K_vo over the used outcomes:
+    sum_o N_o [sum_v K_vo K_vo^T / (S_o W_vo) - k_o k_o^T / S_o^2].  It is
+    summed as sum_vo N_o / (S_o W_vo) R_vo R_vo^T with the centred rows
+    R_vo = K_vo - (W_vo / S_o) k_o, so that no difference of large terms
+    can leave it indefinite; R_vo . p = 0, so EML's information is
+    singular along p itself.
+    """
+    if used is None:
+        weight = F.sum(axis=-1)[..., None] / np.where(W > 0.0, W, np.inf)
+        return np.einsum("voc,...vo,vod->...cd", K, weight, K)
+    K, W = K[:, used], W[..., used]
+    S = W.sum(axis=-2, keepdims=True)
+    R = K - (W / S)[..., None] * K.sum(axis=0)
+    weight = F[..., used].sum(axis=-2, keepdims=True) / (S * np.where(W > 0.0, W, np.inf))
+    return np.einsum("...voc,...vo,...vod->...cd", R, weight, R)
 
 
 def _softmax_cells(z: np.ndarray) -> np.ndarray:
@@ -331,17 +346,28 @@ def _scaled_solve(info, rhs):
     """Solutions of a stack of systems info x = rhs, and the scales
     1 / sqrt(diag info), each coordinate's standard error with the others
     held.  The 1e-12 ridge goes on after scaling to unit diagonal, so it
-    cannot swamp a small cell, whose entry scales as its square.
+    cannot swamp a small cell, whose entry scales as its square.  A
+    coordinate with a zero diagonal entry, which no count informs (a set
+    with no trials), solves to 0 with an infinite scale.
     """
-    d = 1.0 / np.sqrt(info.diagonal(axis1=-2, axis2=-1))
+    diag = info.diagonal(axis1=-2, axis2=-1)
+    empty = diag == 0.0
+    d = np.where(empty, 0.0, 1.0 / np.sqrt(np.where(empty, 1.0, diag)))
     scaled = d[..., :, None] * info * d[..., None, :] + 1e-12 * np.eye(d.shape[-1])
-    return d * _solve_each(scaled, d * rhs), d
+    return d * _solve_each(scaled, d * rhs), np.where(empty, np.inf, d)
 
 
-def _scoring_steps(J, fisher, score, free) -> np.ndarray:
+def _scoring_steps(J, fisher, score, free, exp_curvature=None) -> np.ndarray:
     """Fisher-scoring steps in z over each problem's ``free`` coordinates.
 
-    Problems with the same free set are solved as one stack.
+    ``exp_curvature`` (problems x cells-1, optional) marks coordinates
+    whose score, where negative, is added with its magnitude to their
+    diagonal.  A cell too small to matter enters the objective as about
+    c + t e^z, whose curvature in z equals its score in z; the
+    information in p leaves that term out, so without it a shrinking
+    cell's step can run orders of magnitude past where the objective
+    stops rising.  Problems with the same free set are solved as one
+    stack.
     """
     step = np.zeros(score.shape)
     if len(free) == 1 or (free == free[0]).all():
@@ -355,14 +381,19 @@ def _scoring_steps(J, fisher, score, free) -> np.ndarray:
         mask = free[rows][0]
         if not mask.any():
             continue
-        Jf = J[rows][:, mask]
-        x, _ = _scaled_solve(Jf @ fisher[rows] @ Jf.transpose(0, 2, 1), score[rows][:, mask])
+        Jf, rhs = J[rows][:, mask], score[rows][:, mask]
+        info = Jf @ fisher[rows] @ Jf.transpose(0, 2, 1)
+        if exp_curvature is not None:
+            bend = np.where(exp_curvature[rows][:, mask], np.maximum(-rhs, 0.0), 0.0)
+            info = info + bend[..., None] * np.eye(rhs.shape[-1])
+        x, _ = _scaled_solve(info, rhs)
         step[(rows, mask) if isinstance(rows, slice) else np.ix_(rows, mask)] = x
     return step
 
 
-def _fisher_scoring(K, F, Z, max_iter: int):
-    """Projected Fisher-scoring ascent of the concave ML log-likelihood.
+def _fisher_scoring(K, F, Z, max_iter: int, used=None):
+    """Projected Fisher-scoring ascent of the ML log-likelihood, or of
+    EML's objective when an outcome mask ``used`` is given.
 
     Fits every problem of the count stack F (problems x records x outcomes)
     from its start in Z (problems x cells-1).  Cells stay at or above
@@ -370,19 +401,33 @@ def _fisher_scoring(K, F, Z, max_iter: int):
     score is held there; one whose step crosses the floor with an outward
     score is sent there, and the rest are solved again without it.  The
     other moves are capped at ``_MAX_STEP``, and the projected step is
-    halved until the log-likelihood does not fall.  Converged means the
-    KKT conditions hold in p (no cell gains more than ``_KKT_TOL`` per
-    count from growing) and a full step would gain at most ``_GAIN_TOL``
-    of the log-likelihood.  A problem leaves the live set once it
-    converges or fails; each takes exactly the steps it would take alone.
-    Returns (Z, steps, converged), one entry per problem.
+    halved until the objective does not fall by more than roundoff.
+    Converged means the KKT conditions hold in p (no cell gains more than
+    ``_KKT_TOL`` per count over the multiplier from growing) and a full
+    step would gain at most ``_GAIN_TOL`` of the log-likelihood.  ML's
+    multiplier is 1 (p . score = N).
+
+    EML's objective is homogeneous of degree 0 in p, so its multiplier is
+    0.  It is not concave, and it is nearly flat along cells that only set
+    the ratio of tiny outcome probabilities across settings, so three
+    things differ.  Its steps take the exp curvature of ``_scoring_steps``
+    on cells expected to give less than one used count.  Its KKT test
+    looks only at the cells on the floor and leaves the others to the
+    gain test, which allows ``_EML_GAIN_TOL`` nats.  Its roundoff slack
+    is 1e-14 per used count, because its gains near the maximum are far
+    below ML's slack of 1e-12 |loglik|.
+
+    A problem leaves the live set once it converges or fails; each takes
+    exactly the steps it would take alone.  Returns (Z, steps, converged),
+    one entry per problem.
     """
-    n = np.maximum(F.reshape(len(F), -1).sum(axis=1), 1.0)
+    ml = used is None
+    n = np.maximum((F if ml else F[..., used]).reshape(len(F), -1).sum(axis=1), 1.0)
     z_floor = np.log(_FLOOR)
     Z = np.maximum(Z, z_floor)
     steps = np.zeros(len(F), dtype=int)
     converged = np.zeros(len(F), dtype=bool)
-    ll = _loglik(_probs(K, _softmax_cells(Z)), F)
+    ll = _loglik(_probs(K, _softmax_cells(Z)), F, used)
     # The live problems, each k steps in; one leaves by writing back its z.
     live = np.flatnonzero(np.isfinite(ll))
     z, f, n, ll = Z[live], F[live], n[live], ll[live]
@@ -390,27 +435,36 @@ def _fisher_scoring(K, F, Z, max_iter: int):
     while live.size:
         p = _softmax_cells(z)
         W = _probs(K, p)
-        score_p = _score(K, W, f) / n[:, None]
+        score_p = _score(K, W, f, used) / n[:, None]
         J = _softmax_jacobian(p)
-        score, fisher = (J @ score_p[..., None])[..., 0], _fisher(K, W, f) / n[:, None, None]
+        score, fisher = (J @ score_p[..., None])[..., 0], _fisher(K, W, f, used) / n[:, None, None]
         free = (z > z_floor) | (score > 0.0)
-        step = _scoring_steps(J, fisher, score, free)
+        tiny = None if ml else n[:, None] * p[:, 1:] < 1.0  # cells worth < 1 count
+        step = _scoring_steps(J, fisher, score, free, tiny)
         gain = 0.5 * n * (score[:, None, :] @ step[..., None])[:, 0, 0]
-        done = (score_p.max(axis=1) - 1.0 <= _KKT_TOL) & (
-            gain <= _GAIN_TOL * np.maximum(np.abs(ll), 1.0)
-        )
+        if ml:
+            done = (score_p.max(axis=1) - 1.0 <= _KKT_TOL) & (
+                gain <= _GAIN_TOL * np.maximum(np.abs(ll), 1.0)
+            )
+        else:
+            excess = np.where(z <= z_floor, score_p[:, 1:], -np.inf)
+            done = (excess.max(axis=1) <= _KKT_TOL) & (gain <= _EML_GAIN_TOL)
         stay = ~done & np.isfinite(step).all(axis=1) & (k < max_iter)
         if not stay.all():
             converged[live[done]] = True
             Z[live[~stay]], steps[live[~stay]] = z[~stay], k
             live, z, f, n, ll, step = live[stay], z[stay], f[stay], n[stay], ll[stay], step[stay]
             J, fisher, score, free = J[stay], fisher[stay], score[stay], free[stay]
+            tiny = None if ml else tiny[stay]
             if not live.size:
                 break
         lands = free & (z + step <= z_floor) & (score < 0.0)
         again = np.flatnonzero(lands.any(axis=1))
         if again.size:
-            resolved = _scoring_steps(J[again], fisher[again], score[again], (free & ~lands)[again])
+            resolved = _scoring_steps(
+                J[again], fisher[again], score[again], (free & ~lands)[again],
+                None if ml else tiny[again],
+            )
             step[again] = np.where(lands[again], step[again], resolved)
         moves = np.where(lands, 0.0, np.abs(np.maximum(z + step, z_floor) - z))
         norm = moves.max(axis=1, initial=0.0)
@@ -418,16 +472,16 @@ def _fisher_scoring(K, F, Z, max_iter: int):
         if capped.any():
             step[capped] *= (_MAX_STEP / norm[capped])[:, None]
         # Backtracking: up to 30 tries, the step halved after each miss.
-        floor_ll = ll - 1e-12 * np.maximum(np.abs(ll), 1.0)
+        floor_ll = ll - (1e-12 * np.maximum(np.abs(ll), 1.0) if ml else 1e-14 * n)
         trial = np.maximum(z + step, z_floor)
-        ll_trial = _loglik(_probs(K, _softmax_cells(trial)), f)
+        ll_trial = _loglik(_probs(K, _softmax_cells(trial)), f, used)
         short = np.flatnonzero(~(ll_trial >= floor_ll))
         for _ in range(29):
             if not short.size:
                 break
             step[short] *= 0.5
             trial[short] = np.maximum(z[short] + step[short], z_floor)
-            ll_trial[short] = _loglik(_probs(K, _softmax_cells(trial[short])), f[short])
+            ll_trial[short] = _loglik(_probs(K, _softmax_cells(trial[short])), f[short], used)
             short = short[~(ll_trial[short] >= floor_ll[short])]
         moved = ~(trial == z).all(axis=1)
         moved[short] = False
@@ -478,6 +532,26 @@ def ml_estimate(records, model, options: EstimateOptions | None = None) -> Estim
     return ml_estimate_many([records], model, options)[0]
 
 
+def _stack(record_sets, model):
+    """Shared kernel stack K and counts F (sets x records x outcomes).
+
+    Every set must hold the same settings in the same order; otherwise
+    DataModelMismatchError.
+    """
+    record_sets = [list(records) for records in record_sets]
+    if not record_sets:
+        raise InvalidInputError("at least one record set is required")
+    nus = [rec.nu for rec in record_sets[0]]
+    for i, records in enumerate(record_sets):
+        _check_records(records, model)
+        if [rec.nu for rec in records] != nus:
+            raise DataModelMismatchError(
+                f"record set {i} has settings {[rec.nu for rec in records]}, "
+                f"the first set {nus}"
+            )
+    return _kernels(record_sets[0], model), np.stack([_counts(records) for records in record_sets])
+
+
 def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None) -> list:
     """:func:`ml_estimate` of every record set, fitted in one batched ascent.
 
@@ -490,19 +564,7 @@ def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None)
     not disturbed.
     """
     options = options or EstimateOptions()
-    record_sets = [list(records) for records in record_sets]
-    if not record_sets:
-        raise InvalidInputError("at least one record set is required")
-    nus = [rec.nu for rec in record_sets[0]]
-    for i, records in enumerate(record_sets):
-        _check_records(records, model)
-        if [rec.nu for rec in records] != nus:
-            raise DataModelMismatchError(
-                f"record set {i} has settings {[rec.nu for rec in records]}, "
-                f"the first set {nus}"
-            )
-    K = _kernels(record_sets[0], model)
-    F = np.stack([_counts(records) for records in record_sets])
+    K, F = _stack(record_sets, model)
     Z, steps, converged = _fisher_scoring(K, F, _starts(K, F), options.max_iter)
     P = _softmax_cells(Z)
     results = []
@@ -529,14 +591,18 @@ def _eml_used_mask(model) -> np.ndarray:
     return np.arange(model.n_outcomes) < model.n_outcomes - 1
 
 
-def _neg_eml(z, K, F, used, scale):
-    """Negated EML objective over ``scale`` and its z-gradient."""
-    p = _softmax_cells(z)
-    W = _probs(K, p)
-    ll = float(_loglik(W, F, used))
-    if not np.isfinite(ll):
-        return np.inf, np.zeros_like(z)
-    return -ll / scale, -(_softmax_jacobian(p) @ _score(K, W, F, used)) / scale
+def _eml_starts(K, F, used, options: EstimateOptions) -> np.ndarray:
+    """EML starts of every set (sets x n_starts x cells-1).
+
+    The first is the moment start of the used outcomes alone, each record
+    keeping its trial count; the others add the same ``n_starts - 1``
+    standard-normal jitters, drawn from ``options.seed``, to it.
+    """
+    z0 = _starts(np.where(used[:, None], K, 0.0), F)
+    jitter = substream(options.seed, "estimate-starts").standard_normal(
+        (int(options.n_starts) - 1, z0.shape[-1])
+    )
+    return np.concatenate([z0[:, None], z0[:, None] + jitter], axis=1)
 
 
 def eml_estimate(records, model, options: EstimateOptions | None = None) -> EstimateResult:
@@ -546,46 +612,54 @@ def eml_estimate(records, model, options: EstimateOptions | None = None) -> Esti
     renormalized to W_o(nu) / sum_lambda W_o(lambda) and the counts fitted
     against that distribution, so the absolute click fraction carries no
     weight.  All-click outcomes are excluded.  Needs >= 2 settings.  The
-    objective is not concave, so L-BFGS runs from the moment start and
-    from ``n_starts - 1`` jittered restarts; the best final value wins.
+    objective is not concave, so the projected Fisher-scoring ascent, with
+    EML's score and expected information, runs from the moment start of
+    the used outcomes and from ``n_starts - 1`` jittered restarts; the
+    start with the highest objective wins, the first among equals.  This
+    is the one-set call of :func:`eml_estimate_many`.
     """
-    options = options or EstimateOptions()
-    _check_records(records, model)
-    n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
-    if n_settings < 2:
-        raise InvalidInputError("the baseline needs at least two attenuator settings")
-    K, F = _kernels(records, model), _counts(records)
-    used = _eml_used_mask(model)
-    scale = max(float(F[:, used].sum()), 1.0)
-    z0 = _starts(K, F[None])[0]
-    rng = substream(options.seed, "estimate-starts")
-    best, starts = None, []
-    for z in [z0] + [z0 + rng.standard_normal(z0.size) for _ in range(int(options.n_starts) - 1)]:
-        res = minimize(
-            _neg_eml, z, args=(K, F, used, scale), jac=True, method="L-BFGS-B",
-            options={"maxiter": options.max_iter, "ftol": _FTOL, "gtol": _GTOL, "maxls": 60},
-        )
-        starts.append(StartResult(loglik=-res.fun, iterations=res.nit, converged=bool(res.success)))
-        if best is None or -res.fun > -best.fun:
-            best = res
-    return EstimateResult(
-        p_hat=_fitted(_softmax_cells(best.x), model),
-        loglik=-best.fun * scale,
-        iterations=int(best.nit),
-        converged=bool(best.success),
-        starts=tuple(starts),
-    )
+    return eml_estimate_many([records], model, options)[0]
 
 
 def eml_estimate_many(record_sets, model, options: EstimateOptions | None = None) -> list:
-    """:func:`eml_estimate` of every record set, one fit per set in order.
+    """:func:`eml_estimate` of every record set, fitted in one batched ascent.
 
     Takes the arguments of :func:`ml_estimate_many`, so callers fit many
-    record sets the same way with either estimator.
+    record sets the same way with either estimator.  Every start of every
+    set is one problem of the batch; each set's result is bit-identical to
+    its lone ``eml_estimate`` fit.
     """
-    if not record_sets:
-        raise InvalidInputError("at least one record set is required")
-    return [eml_estimate(list(records), model, options) for records in record_sets]
+    options = options or EstimateOptions()
+    K, F = _stack(record_sets, model)
+    n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
+    if n_settings < 2:
+        raise InvalidInputError("the baseline needs at least two attenuator settings")
+    used = _eml_used_mask(model)
+    Z0 = _eml_starts(K, F, used, options)
+    n_sets, n_starts = Z0.shape[:2]
+    F = np.repeat(F, n_starts, axis=0)
+    Z, steps, converged = _fisher_scoring(
+        K, F, Z0.reshape(n_sets * n_starts, -1), options.max_iter, used
+    )
+    P = _softmax_cells(Z)
+    logliks = _loglik(_probs(K, P), F, used).reshape(n_sets, n_starts)
+    steps, converged = steps.reshape(n_sets, n_starts), converged.reshape(n_sets, n_starts)
+    results = []
+    for i, best in enumerate(np.argmax(logliks, axis=1).tolist()):
+        starts = tuple(
+            StartResult(loglik=float(ll), iterations=k, converged=ok)
+            for ll, k, ok in zip(logliks[i], steps[i].tolist(), converged[i].tolist())
+        )
+        results.append(
+            EstimateResult(
+                p_hat=_fitted(P[i * n_starts + best], model),
+                loglik=starts[best].loglik,
+                iterations=starts[best].iterations,
+                converged=starts[best].converged,
+                starts=starts,
+            )
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +740,15 @@ def characterize(result: EstimateResult) -> CharacteristicSet:
     if not isinstance(result.p_hat, PndMatrix):
         raise InvalidInputError("characterize needs a bipartite estimate")
     return characteristics(result.p_hat)
+
+
+def __getattr__(name: str):
+    # No fit calls scipy.  This lazy alias exists only for the
+    # ("ppskit.estimate", "minimize", ...) entry of TRACED in
+    # perfbench/layers.py, whose tracer looks the name up with getattr;
+    # importing this module loads no scipy.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

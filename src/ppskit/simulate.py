@@ -112,6 +112,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_count("n_m", self.n_m, 1)
+        check_count("reps", self.reps, 1)
         if not self.settings:
             raise InvalidInputError("at least one attenuator setting is required")
 

@@ -187,6 +187,24 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_zero_reps_exits_2(self, tmp_path, capsys, where):
+        text = SIMULATE_CONFIG + ("reps = 0\n" if where == "config" else "")
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", config, "--out", str(out)]
+        assert cli.main(argv + (["--reps", "0"] if where == "flag" else [])) == 2
+        assert "reps" in capsys.readouterr().err
+        assert not (out / "counts.csv").exists()
+
+    def test_every_rep_gets_a_counts_file(self, tmp_path):
+        config = write_config(tmp_path, SIMULATE_CONFIG)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", config, "--out", str(out), "--reps", "3"]) == 0
+        assert sorted(p.name for p in out.glob("counts*.csv")) == [
+            "counts.csv", "counts_rep1.csv", "counts_rep2.csv",
+        ]
+
 
 SWEEP_CONFIG = """\
 [sweep]

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import ppskit.estimate
 from ppskit.detection import CountRecord, DetectorPair, SingleCountRecord, bipartite_probs, noise_correct
@@ -19,6 +26,7 @@ from ppskit.estimate import (
     count_based_gh2,
     count_based_pg_eta,
     eml_estimate,
+    eml_estimate_many,
     log_likelihood,
     ml_estimate,
     ml_estimate_many,
@@ -30,9 +38,11 @@ from ppskit.rng import substream
 from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
     ExperimentConfig,
+    SweepSpec,
     _setting_record,
     random_pps_pnd,
     random_single_pnd,
+    run_sweep,
     sample_counts,
     sample_single_counts,
     simulate_records,
@@ -214,6 +224,17 @@ class TestMlEstimate:
         with pytest.raises(DataModelMismatchError):
             ml_estimate([CountRecord(f, 10, nu=3)], model)
 
+    def test_record_without_counts_fits_without_warnings(self):
+        # No count informs any cell: the fit stays on its all-floor start.
+        det = DetectorPair(T=0.5, eta_t=0.5, eta_r=0.5)
+        model = LikelihoodModel(det_s=det, det_i=det)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = ml_estimate([CountRecord(np.zeros((4, 4)), 0)], model)
+        on_floor = ppskit.estimate._softmax_cells(np.full(8, np.log(ppskit.estimate._FLOOR)))
+        assert np.array_equal(fit.p_hat.p.reshape(-1), on_floor)
+        assert (fit.loglik, fit.iterations, fit.converged) == (0.0, 0, True)
+
     def test_single_mode_exact_counts_both_layouts(self):
         truth = np.array([1 - 1e-2 - 7.5e-5, 1e-2, 7.5e-5])
         gammas = tuple(0.1 * k for k in range(1, 11))
@@ -228,6 +249,16 @@ class TestMlEstimate:
             ]
             fit = ml_estimate(records, model, EstimateOptions(n_starts=1))
             assert rmsle(fit.p_hat, truth) < 1e-6
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(ppskit.estimate.__file__).parents[1])
+    code = "import sys, ppskit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def kkt_excess(fit, records, model):
@@ -512,6 +543,115 @@ class TestEmlEstimate:
         ]
         fit = eml_estimate(records, model, EstimateOptions(n_starts=2))
         assert rmsle(fit.p_hat, truth) < 1e-3
+
+
+def eml_fit_inputs(records, model):
+    """Kernel stack, counts (one set) and used-outcome mask of an EML fit."""
+    K, F = ppskit.estimate._stack([records], model)
+    return K, F, ppskit.estimate._eml_used_mask(model)
+
+
+def eml_kkt_excess(fit, records, model):
+    """Largest per-used-count gain of growing a cell on the floor.
+
+    The EML objective is homogeneous of degree 0 in p, so its KKT
+    multiplier is 0: at a maximum no floor cell gains from growing, and
+    every value is <= 0 up to roundoff.
+    """
+    K, F, used = eml_fit_inputs(records, model)
+    p = fit.p_hat.p.reshape(-1) if isinstance(fit.p_hat, PndMatrix) else fit.p_hat
+    W = np.einsum("voc,c->vo", K, p)[:, used]
+    N, S, Ku = F[0][:, used], W.sum(axis=0), K[:, used]
+    score = np.einsum("vo,voc->c", N / W, Ku) - np.einsum("o,voc->c", N.sum(axis=0) / S, Ku)
+    on_floor = p <= p[0] * ppskit.estimate._FLOOR * (1.0 + 1e-9)
+    return float(np.max(score[on_floor] / N.sum(), initial=-np.inf))
+
+
+def lbfgs_eml_loglik(records, model, options):
+    """Best EML objective that scipy's L-BFGS-B reaches from the fit's own
+    starts, with every cell bounded below by the same floor."""
+    K, F, used = eml_fit_inputs(records, model)
+    scale = max(float(F[..., used].sum()), 1.0)
+    z_floor = np.log(ppskit.estimate._FLOOR)
+
+    def negated(z):
+        p = ppskit.estimate._softmax_cells(z[None])
+        W = ppskit.estimate._probs(K, p)
+        score = ppskit.estimate._score(K, W, F, used)
+        grad = (ppskit.estimate._softmax_jacobian(p) @ score[..., None])[0, :, 0]
+        return -float(ppskit.estimate._loglik(W, F, used)[0]) / scale, -grad / scale
+
+    best = -np.inf
+    for z in ppskit.estimate._eml_starts(K, F, used, options)[0]:
+        res = minimize(
+            negated, np.maximum(z, z_floor), jac=True, method="L-BFGS-B",
+            bounds=[(z_floor, None)] * z.size,
+            options={"maxiter": 10000, "ftol": 1e-14, "gtol": 1e-11, "maxls": 60},
+        )
+        best = max(best, -res.fun * scale)
+    return best
+
+
+class TestEmlEstimateMany:
+    @given(
+        layout=st.sampled_from(["2x2d", "2d", "1d"]),
+        n_settings=st.sampled_from([4, 10]),
+        p_g=st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1]),
+        log_n_m=st.integers(4, 11),
+        eta=st.sampled_from([0.5, 1.0]),
+        d=st.sampled_from([0.0, 1e-6]),
+        seed=st.integers(0, 2**31 - 1),
+        order=st.integers(1, 25).flatmap(lambda n: st.permutations(range(n))),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_each_set_matches_its_lone_fit(
+        self, layout, n_settings, p_g, log_n_m, eta, d, seed, order
+    ):
+        model = sweep_model(layout, eta, d, n_settings)
+        sets = sampled_sets(model, p_g, 10**log_n_m, seed, len(order))
+        batch = [sets[i] for i in order]
+        options = EstimateOptions(n_starts=3, max_iter=40)
+        for records, fit in zip(batch, eml_estimate_many(batch, model, options)):
+            assert same_fit(fit, eml_estimate(records, model, options))
+
+    @pytest.mark.parametrize("layout", ["2x2d", "2d", "1d"])
+    def test_converged_fits_pass_the_kkt_test(self, layout):
+        model = sweep_model(layout, 0.5, 1e-6, 4 if layout == "2x2d" else 10)
+        for p_g in (1e-4, 1e-2):
+            sets = sampled_sets(model, p_g, 10**6, 17, 6)
+            for records, fit in zip(sets, eml_estimate_many(sets, model)):
+                assert fit.converged
+                assert eml_kkt_excess(fit, records, model) <= 1e-9
+
+    @pytest.mark.parametrize("layout", ["2x2d", "1d"])
+    def test_lbfgs_from_the_same_starts_never_does_better(self, layout):
+        model_at = lambda eta, d: sweep_model(layout, eta, d, 4 if layout == "2x2d" else 10)
+        options = EstimateOptions()
+        for p_g in (1e-4, 1e-2):
+            for n_m in (10**6, 10**10):
+                for d in (0.0, 1e-6):
+                    model = model_at(0.5, d)
+                    sets = sampled_sets(model, p_g, n_m, 9, 2)
+                    for records, fit in zip(sets, eml_estimate_many(sets, model, options)):
+                        oracle = lbfgs_eml_loglik(records, model, options)
+                        assert fit.loglik >= oracle - 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize("seed", [5, 48])
+    def test_hard_cell_converges_on_every_rep(self, seed):
+        # A port with ML's stopping rule cycled to max_iter on rep 12 of
+        # seed 5 and rep 2 of seed 48 of this cell.
+        spec = SweepSpec(
+            p_g_grid=(1e-3,), n_m_grid=(1e6,), eta_grid=(0.5,), d_grid=(1e-6,),
+            gamma_design="va4", reps=20,
+        )
+        rows = run_sweep(spec, "eml-2x2d", seed=seed)
+        assert [row["converged"] for row in rows] == [True] * 20
+
+    def test_set_with_other_settings_is_rejected(self):
+        model = sweep_model("2x2d", 0.5, 0.0, 4)
+        sets = sampled_sets(model, 1e-2, 10**6, 3, 2)
+        with pytest.raises(DataModelMismatchError, match="record set 1"):
+            eml_estimate_many([sets[0], sets[1][::-1]], model)
 
 
 class TestCountBasedG2:
