@@ -351,10 +351,14 @@ def _scaled_solve(info, rhs):
     with no trials), solves to 0 with an infinite scale.
     """
     diag = info.diagonal(axis1=-2, axis2=-1)
-    empty = diag == 0.0
-    d = np.where(empty, 0.0, 1.0 / np.sqrt(np.where(empty, 1.0, diag)))
+    if diag.all():
+        d = scale = 1.0 / np.sqrt(diag)
+    else:
+        empty = diag == 0.0
+        d = 1.0 / np.sqrt(np.where(empty, np.inf, diag))
+        scale = np.where(empty, np.inf, d)
     scaled = d[..., :, None] * info * d[..., None, :] + 1e-12 * np.eye(d.shape[-1])
-    return d * _solve_each(scaled, d * rhs), np.where(empty, np.inf, d)
+    return d * _solve_each(scaled, d * rhs), scale
 
 
 def _scoring_steps(J, fisher, score, free, exp_curvature=None) -> np.ndarray:
