@@ -268,9 +268,11 @@ def _loglik(W, F, used=None) -> np.ndarray:
     # _TINY only keeps the logs of infeasible problems finite.
     ll = np.where(seen, F * np.log(np.maximum(W_seen, _TINY)), 0.0).sum(axis=-1).sum(axis=-1)
     if used is not None:
-        S = W.sum(axis=-2)[..., used]
-        infeasible |= (S <= 0.0).any(axis=-1)
-        ll = ll - (F.sum(axis=-2)[..., used] * np.log(np.maximum(S, _TINY))).sum(axis=-1)
+        # Masked, not indexed: a boolean index on the last axis can leave the
+        # rows strided, and numpy then sums them in another order.
+        S = W.sum(axis=-2)
+        infeasible |= ((S <= 0.0) & used).any(axis=-1)
+        ll = ll - np.where(used, F.sum(axis=-2) * np.log(np.maximum(S, _TINY)), 0.0).sum(axis=-1)
     return np.where(infeasible, -np.inf, ll)
 
 
@@ -298,10 +300,10 @@ def _fisher(K, W, F, used=None) -> np.ndarray:
     if used is None:
         weight = F.sum(axis=-1)[..., None] / np.where(W > 0.0, W, np.inf)
         return np.einsum("voc,...vo,vod->...cd", K, weight, K)
-    K, W = K[:, used], W[..., used]
+    K, W, F = K[:, used], W[..., used], F[..., used]
     S = W.sum(axis=-2, keepdims=True)
     R = K - (W / S)[..., None] * K.sum(axis=0)
-    weight = F[..., used].sum(axis=-2, keepdims=True) / (S * np.where(W > 0.0, W, np.inf))
+    weight = F.sum(axis=-2, keepdims=True) / (S * np.where(W > 0.0, W, np.inf))
     return np.einsum("...voc,...vo,...vod->...cd", R, weight, R)
 
 
@@ -426,7 +428,8 @@ def _fisher_scoring(K, F, Z, max_iter: int, used=None):
     one entry per problem.
     """
     ml = used is None
-    n = np.maximum((F if ml else F[..., used]).reshape(len(F), -1).sum(axis=1), 1.0)
+    n = F.reshape(len(F), -1).sum(axis=1) if ml else np.where(used, F.sum(axis=-2), 0.0).sum(axis=-1)
+    n = np.maximum(n, 1.0)
     z_floor = np.log(_FLOOR)
     Z = np.maximum(Z, z_floor)
     steps = np.zeros(len(F), dtype=int)
