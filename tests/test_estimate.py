@@ -602,15 +602,18 @@ class TestEmlEstimateMany:
         d=st.sampled_from([0.0, 1e-6]),
         seed=st.integers(0, 2**31 - 1),
         order=st.integers(1, 25).flatmap(lambda n: st.permutations(range(n))),
+        n_starts=st.sampled_from([1, 3]),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_each_set_matches_its_lone_fit(
-        self, layout, n_settings, p_g, log_n_m, eta, d, seed, order
+        self, layout, n_settings, p_g, log_n_m, eta, d, seed, order, n_starts
     ):
+        # With one start a lone set is a one-problem batch, whose arrays can
+        # lie in memory otherwise than a larger batch's.
         model = sweep_model(layout, eta, d, n_settings)
         sets = sampled_sets(model, p_g, 10**log_n_m, seed, len(order))
         batch = [sets[i] for i in order]
-        options = EstimateOptions(n_starts=3, max_iter=40)
+        options = EstimateOptions(n_starts=n_starts, max_iter=40)
         for records, fit in zip(batch, eml_estimate_many(batch, model, options)):
             assert same_fit(fit, eml_estimate(records, model, options))
 
