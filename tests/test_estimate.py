@@ -446,6 +446,42 @@ class TestMlEstimateMany:
             ml_estimate_many([], sweep_model("2d", 0.5, 0.0, 10))
 
 
+class TestScoringSteps:
+    # Free sets over 8 coordinates: two counts shared by different sets,
+    # one set repeated, every coordinate free, and nothing free.
+    FREE = [
+        "11111000", "01111100", "11111000", "10111011",
+        "11011111", "11111111", "00000000", "00101001",
+    ]
+
+    @pytest.mark.parametrize("curved", [False, True], ids=["ml", "exp-curvature"])
+    def test_grouped_solve_matches_each_problem_alone(self, curved):
+        rng = np.random.default_rng(41)
+        free = np.array([[c == "1" for c in row] for row in self.FREE])
+        m, n = free.shape[0], free.shape[1] + 1
+        J = ppskit.estimate._softmax_jacobian(rng.dirichlet(np.ones(n), size=m))
+        a = rng.standard_normal((m, n, n + 3))
+        fisher = a @ a.transpose(0, 2, 1)
+        score = rng.standard_normal((m, n - 1))
+        curvature = rng.random((m, n - 1)) < 0.5 if curved else None
+        step = ppskit.estimate._scoring_steps(J, fisher, score, free, curvature)
+        for i, mask in enumerate(free):
+            alone = ppskit.estimate._scoring_steps(
+                J[i : i + 1], fisher[i : i + 1], score[i : i + 1], free[i : i + 1],
+                None if curvature is None else curvature[i : i + 1],
+            )
+            assert step[i].tobytes() == alone[0].tobytes()
+            assert np.all(step[i][~mask] == 0.0)
+            if not mask.any():
+                continue
+            Jf, rhs = J[i][mask], score[i][mask]
+            info = Jf @ fisher[i] @ Jf.T
+            if curved:
+                info = info + np.diag(np.where(curvature[i][mask], np.maximum(-rhs, 0.0), 0.0))
+            x, _ = ppskit.estimate._scaled_solve(info[None], rhs[None])
+            assert step[i][mask].tobytes() == x[0].tobytes()
+
+
 class TestMomentStart:
     @pytest.mark.parametrize(
         "layout, n_settings", [("2x2d", 1), ("2x2d", 4), ("2d", 10), ("1d", 10)]

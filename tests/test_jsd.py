@@ -112,6 +112,44 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError, match="finite"):
             build()
 
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, part, bad):
+        values = np.ones((4, 4), dtype=complex)
+        getattr(values, part)[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            JsdGrid(values, np.arange(4.0), np.arange(4.0))
+
+
+def chirped_amplitude(n):
+    """The synthesis benchmark's chirped Gaussian amplitude, unnormalized,
+    on an n x n grid; its corners lie far below 1e-150 of its peak."""
+    sigma_plus, sigma_minus, chirp = 0.05, 0.24, 80.0
+    std = math.sqrt((sigma_plus**2 + sigma_minus**2) / 4.0)
+    axis = np.linspace(-10.0 * std, 10.0 * std, n)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    u, v = (x + y) / math.sqrt(2.0), (y - x) / math.sqrt(2.0)
+    amp = np.exp(-(u**2) / (2 * sigma_plus**2) - v**2 / (2 * sigma_minus**2) + 1j * chirp * u * v)
+    return amp, axis
+
+
+class TestTailFlush:
+    def test_no_component_survives_below_the_cut(self):
+        amp, axis = chirped_amplitude(96)
+        raw = np.abs(amp.view(float))
+        assert np.any((raw > 0.0) & (raw < 1e-150 * raw.max()))
+        parts = np.abs(JsdGrid(amp, axis, axis).values.view(float))
+        assert parts[parts > 0.0].min() >= 1e-150 * parts.max()
+
+    def test_tail_zeroed_by_hand_gives_the_same_grid(self):
+        amp, axis = chirped_amplitude(96)
+        zeroed = amp.copy()
+        parts = zeroed.view(float)
+        parts[np.abs(parts) < 1e-150 * np.abs(parts).max()] = 0.0
+        assert not np.array_equal(zeroed, amp)
+        flushed = JsdGrid(amp, axis, axis).values
+        assert flushed.tobytes() == JsdGrid(zeroed, axis, axis).values.tobytes()
+
 
 class TestFilterProfile:
     def test_amplitude_reflectance_complement(self):
