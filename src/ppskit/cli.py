@@ -391,7 +391,7 @@ def _count_threshold_warnings(records, model, p_hat) -> list[str]:
     warnings = []
     min_expected = math.inf
     for rec in records:
-        W = model.outcome_probs(p_hat.p, rec.nu)
+        W = model.kernel(rec.nu) @ p_hat.p.reshape(-1)
         min_expected = min(min_expected, float(W.min()) * rec.n_m)
         if rec.f[3, 3] == 0:
             warnings.append(

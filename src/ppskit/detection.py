@@ -212,19 +212,6 @@ def bipartite_probs(P: PndMatrix, det_s: DetectorPair, det_i: DetectorPair) -> O
     return OutcomeProbs(A @ P.p @ B.T)
 
 
-def noise_correct_counts(f, d1: float, d2: float, d3: float, d4: float) -> np.ndarray:
-    """Raw 4 x 4 count tables, or a stack of them (..., 4, 4), with the
-    expected noise-click increments removed and negative cells clamped at
-    zero."""
-    for d in (d1, d2, d3, d4):
-        if not (0.0 <= d < 1.0):
-            raise InvalidInputError("noise probabilities must lie in [0, 1)")
-    inv_s = np.linalg.inv(noise_matrix(d1, d2))
-    inv_i = np.linalg.inv(noise_matrix(d3, d4))
-    corrected = inv_s @ f @ inv_i.T
-    return np.where(corrected < 0.0, 0.0, corrected)
-
-
 def noise_correct(
     rec: CountRecord, d1: float, d2: float, d3: float, d4: float
 ) -> CountRecord:
@@ -234,8 +221,14 @@ def noise_correct(
     cells at zero.  The result is real-valued and flagged noise_corrected;
     its total may differ from n_m after clamping.
     """
+    for d in (d1, d2, d3, d4):
+        if not (0.0 <= d < 1.0):
+            raise InvalidInputError("noise probabilities must lie in [0, 1)")
+    inv_s = np.linalg.inv(noise_matrix(d1, d2))
+    inv_i = np.linalg.inv(noise_matrix(d3, d4))
+    corrected = inv_s @ rec.f @ inv_i.T
     return CountRecord(
-        noise_correct_counts(rec.f, d1, d2, d3, d4), rec.n_m, nu=rec.nu, noise_corrected=True
+        np.where(corrected < 0.0, 0.0, corrected), rec.n_m, nu=rec.nu, noise_corrected=True
     )
 
 

@@ -91,13 +91,24 @@ class LikelihoodModel:
         gamma_s, gamma_i = self.settings[nu]
         return self.det_s.with_gamma(gamma_s), self.det_i.with_gamma(gamma_i)
 
-    def maps(self, nu: int) -> tuple[np.ndarray, np.ndarray]:
-        det_s, det_i = self.detectors(nu)
-        return outcome_map(det_s, self.n_max), outcome_map(det_i, self.n_max)
+    @property
+    def n_settings(self) -> int:
+        return len(self.settings)
 
-    def outcome_probs(self, P: np.ndarray, nu: int) -> np.ndarray:
-        A, B = self.maps(nu)
-        return A @ P @ B.T
+    n_outcomes = 16  # signal outcome x idler outcome, row-major
+
+    def kernel(self, nu: int) -> np.ndarray:
+        """W = kernel(nu) @ P.reshape(-1): kron of the two modes' outcome maps."""
+        det_s, det_i = self.detectors(nu)
+        return np.kron(outcome_map(det_s, self.n_max), outcome_map(det_i, self.n_max))
+
+    def eml_used(self) -> np.ndarray:
+        """Outcomes the baseline keeps: none in which both detectors of a mode clicked."""
+        keep = np.arange(4) < 3
+        return np.outer(keep, keep).reshape(-1)
+
+    def fitted(self, p: np.ndarray) -> PndMatrix:
+        return PndMatrix(p.reshape(self.n_max + 1, -1))
 
     def hash(self) -> str:
         text = repr(
@@ -149,6 +160,10 @@ class SingleModeModel:
         )
 
     @property
+    def n_settings(self) -> int:
+        return len(self.gammas)
+
+    @property
     def n_outcomes(self) -> int:
         return 2 if self.layout == "1d" else 4
 
@@ -159,14 +174,19 @@ class SingleModeModel:
             d_t=self.d_t, d_r=self.d_r, gamma=self.gammas[nu],
         )
 
-    def map(self, nu: int) -> np.ndarray:
+    def kernel(self, nu: int) -> np.ndarray:
+        """W = kernel(nu) @ p: setting ``nu``'s outcome map, collapsed for "1d"."""
         C = outcome_map(self.detector(nu), self.n_max)
         if self.layout == "1d":
             C = np.vstack([C[0] + C[1], C[2] + C[3]])
         return C
 
-    def forward_probs(self, pv, nu: int) -> np.ndarray:
-        return self.map(nu) @ np.asarray(pv, dtype=float)
+    def eml_used(self) -> np.ndarray:
+        """Outcomes the baseline keeps: all but the one with every detector clicked."""
+        return np.arange(self.n_outcomes) < self.n_outcomes - 1
+
+    def fitted(self, p: np.ndarray) -> np.ndarray:
+        return p
 
 
 @dataclass(frozen=True)
@@ -209,45 +229,50 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 # likelihood machinery
 #
-# Every model is a kernel stack K (records x outcomes x cells) with counts
-# F (records x outcomes): record v has outcome probabilities W_v = K_v p
-# in the row-major cells p.  One loglik, score and expected Fisher matrix
-# of W serve every estimator; EML adds its per-outcome renormalization
-# term.
+# Every model gives the kernel K_nu (outcomes x cells) of each setting:
+# record v has outcome probabilities W_v = K_v p in the row-major cells p,
+# and records stack into K (records x outcomes x cells) with counts F
+# (records x outcomes).  One loglik, score and expected Fisher matrix of W
+# serve every estimator; EML adds its per-outcome renormalization term.
 #
 # F, W and p may carry a leading problem axis over one shared K (problems
 # x records x outcomes, problems x cells).  Every reduction then runs per
 # problem exactly as for a lone problem, so no value depends on its batch.
 
 
-def _check_records(records, model) -> None:
+def _stack(record_sets, model):
+    """Shared kernel stack K and counts F (sets x records x outcomes).
+
+    Every record must fit the model's settings and outcomes, and every
+    set must hold the same settings in the same order; otherwise
+    DataModelMismatchError.
+    """
     if not isinstance(model, (LikelihoodModel, SingleModeModel)):
         raise InvalidInputError(f"unknown model type {type(model)!r}")
-    if not records:
-        raise InvalidInputError("at least one count record is required")
-    n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
-    for rec in records:
-        if not (0 <= rec.nu < n_settings):
+    record_sets = [list(records) for records in record_sets]
+    if not record_sets:
+        raise InvalidInputError("at least one record set is required")
+    n_settings, n_outcomes = model.n_settings, model.n_outcomes
+    nus = [rec.nu for rec in record_sets[0]]
+    for i, records in enumerate(record_sets):
+        if not records:
+            raise InvalidInputError("at least one count record is required")
+        for rec in records:
+            if not (0 <= rec.nu < n_settings):
+                raise DataModelMismatchError(
+                    f"record setting nu={rec.nu} outside model settings (0..{n_settings - 1})"
+                )
+            if rec.f.size != n_outcomes:
+                raise DataModelMismatchError(
+                    f"record has {rec.f.size} outcomes, model expects {n_outcomes}"
+                )
+        if [rec.nu for rec in records] != nus:
             raise DataModelMismatchError(
-                f"record setting nu={rec.nu} outside model settings (0..{n_settings - 1})"
+                f"record set {i} has settings {[rec.nu for rec in records]}, "
+                f"the first set {nus}"
             )
-        if isinstance(model, SingleModeModel) and rec.f.shape != (model.n_outcomes,):
-            raise DataModelMismatchError(
-                f"record has {rec.f.shape[0]} outcomes, model expects {model.n_outcomes}"
-            )
-
-
-def _kernels(records, model) -> np.ndarray:
-    """Kernel stack K of the records' settings; a bipartite kernel is kron(A, B)."""
-    bipartite = isinstance(model, LikelihoodModel)
-    return np.stack(
-        [np.kron(*model.maps(rec.nu)) if bipartite else model.map(rec.nu) for rec in records]
-    )
-
-
-def _counts(records) -> np.ndarray:
-    """Count stack F (records x outcomes)."""
-    return np.stack([rec.f.reshape(-1) for rec in records])
+    F = np.array([[rec.f.reshape(-1) for rec in records] for records in record_sets])
+    return np.stack([model.kernel(nu) for nu in nus]), F
 
 
 def _probs(K, p) -> np.ndarray:
@@ -329,9 +354,9 @@ def log_likelihood(P, records, model) -> float:
     vector with a single-mode model.  Outcomes with zero probability but
     nonzero counts make the result -inf, the typed infeasible value.
     """
-    _check_records(records, model)
+    K, F = _stack([records], model)
     p = P.p if isinstance(P, PndMatrix) else np.asarray(P, dtype=float)
-    return float(_loglik(_probs(_kernels(records, model), p.reshape(-1)), _counts(records)))
+    return float(_loglik(_probs(K, p.reshape(-1)), F[0]))
 
 
 def _solve_each(a, b) -> np.ndarray:
@@ -529,10 +554,6 @@ def _starts(K, F) -> np.ndarray:
 # fits
 
 
-def _fitted(p: np.ndarray, model):
-    return PndMatrix(p.reshape(model.n_max + 1, -1)) if isinstance(model, LikelihoodModel) else p
-
-
 def ml_estimate(records, model, options: EstimateOptions | None = None) -> EstimateResult:
     """Full-information maximum likelihood over all click outcomes.
 
@@ -542,26 +563,6 @@ def ml_estimate(records, model, options: EstimateOptions | None = None) -> Estim
     :func:`ml_estimate_many`.
     """
     return ml_estimate_many([records], model, options)[0]
-
-
-def _stack(record_sets, model):
-    """Shared kernel stack K and counts F (sets x records x outcomes).
-
-    Every set must hold the same settings in the same order; otherwise
-    DataModelMismatchError.
-    """
-    record_sets = [list(records) for records in record_sets]
-    if not record_sets:
-        raise InvalidInputError("at least one record set is required")
-    nus = [rec.nu for rec in record_sets[0]]
-    for i, records in enumerate(record_sets):
-        _check_records(records, model)
-        if [rec.nu for rec in records] != nus:
-            raise DataModelMismatchError(
-                f"record set {i} has settings {[rec.nu for rec in records]}, "
-                f"the first set {nus}"
-            )
-    return _kernels(record_sets[0], model), np.stack([_counts(records) for records in record_sets])
 
 
 def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None) -> list:
@@ -575,32 +576,7 @@ def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None)
     cannot produce, comes back with ``converged=False``; the others are
     not disturbed.
     """
-    options = options or EstimateOptions()
-    K, F = _stack(record_sets, model)
-    Z, steps, converged = _fisher_scoring(K, F, _starts(K, F), options.max_iter)
-    P = _softmax_cells(Z)
-    results = []
-    for p, loglik, n_steps, ok in zip(P, _loglik(_probs(K, P), F), steps.tolist(), converged.tolist()):
-        loglik = float(loglik)
-        results.append(
-            EstimateResult(
-                p_hat=_fitted(p, model),
-                loglik=loglik,
-                iterations=n_steps,
-                converged=ok,
-                starts=(StartResult(loglik=loglik, iterations=n_steps, converged=ok),),
-            )
-        )
-    return results
-
-
-def _eml_used_mask(model) -> np.ndarray:
-    """Outcome mask used by the baseline: drop any status in which both
-    detectors of a mode clicked."""
-    if isinstance(model, LikelihoodModel):
-        keep = np.arange(4) < 3
-        return np.outer(keep, keep).reshape(-1)
-    return np.arange(model.n_outcomes) < model.n_outcomes - 1
+    return _fit_many(record_sets, model, options, eml=False)
 
 
 def _eml_starts(K, F, used, options: EstimateOptions) -> np.ndarray:
@@ -641,13 +617,24 @@ def eml_estimate_many(record_sets, model, options: EstimateOptions | None = None
     set is one problem of the batch; each set's result is bit-identical to
     its lone ``eml_estimate`` fit.
     """
+    return _fit_many(record_sets, model, options, eml=True)
+
+
+def _fit_many(record_sets, model, options: EstimateOptions | None, eml: bool) -> list:
+    """Fits of every record set in one batched ascent, each start of each
+    set one problem: ML runs the moment start alone, EML its
+    ``n_starts`` starts with the model's used outcomes.  The start with
+    the highest objective wins, the first among equals.
+    """
     options = options or EstimateOptions()
     K, F = _stack(record_sets, model)
-    n_settings = len(model.settings) if isinstance(model, LikelihoodModel) else len(model.gammas)
-    if n_settings < 2:
-        raise InvalidInputError("the baseline needs at least two attenuator settings")
-    used = _eml_used_mask(model)
-    Z0 = _eml_starts(K, F, used, options)
+    if eml:
+        if model.n_settings < 2:
+            raise InvalidInputError("the baseline needs at least two attenuator settings")
+        used = model.eml_used()
+        Z0 = _eml_starts(K, F, used, options)
+    else:
+        used, Z0 = None, _starts(K, F)[:, None]
     n_sets, n_starts = Z0.shape[:2]
     F = np.repeat(F, n_starts, axis=0)
     Z, steps, converged = _fisher_scoring(
@@ -664,7 +651,7 @@ def eml_estimate_many(record_sets, model, options: EstimateOptions | None = None
         )
         results.append(
             EstimateResult(
-                p_hat=_fitted(P[i * n_starts + best], model),
+                p_hat=model.fitted(P[i * n_starts + best]),
                 loglik=starts[best].loglik,
                 iterations=starts[best].iterations,
                 converged=starts[best].converged,

@@ -30,7 +30,6 @@ from .tables import read_table, write_table
 EMPTY_SEGMENT_THRESHOLD = 1e-15
 
 _UNIFORM_RTOL = 1e-12
-_NORM_TOL = 1e-12
 
 # Real and imaginary components below this fraction of a grid's largest
 # component magnitude are zeroed on construction.  Products of such tail
@@ -287,18 +286,12 @@ class Segmentation:
         )
 
 
-def _require_normalized(jsd: JsdGrid) -> None:
-    if abs(jsd.norm_squared() - 1.0) > 1e-10:
-        raise InvalidInputError("JSD grid is not normalized")
-
-
 def schmidt_number_svd(jsd: JsdGrid) -> float:
     """Effective mode number K from the singular values of the grid.
 
     With the grid scaled so its squared Frobenius norm is 1, the singular
     values c_k satisfy sum(c_k^2) = 1 and K = 1 / sum(c_k^4).
     """
-    _require_normalized(jsd)
     s = np.linalg.svd(jsd.scaled(), compute_uv=False)
     return 1.0 / float(np.sum(s**4))
 
@@ -311,7 +304,6 @@ def schmidt_number_analytic(jsd: JsdGrid) -> float:
     which contracts to trace((A A^dag)^2) for the scaled grid A.  The
     contraction costs O(n^3); it never forms the quadruple sum.
     """
-    _require_normalized(jsd)
     a = jsd.scaled()
     gram = a @ a.conj().T
     purity = float(np.einsum("ij,ji->", gram, gram).real)

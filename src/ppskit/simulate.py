@@ -124,7 +124,7 @@ def _setting_record(model, truth, nu: int, n_m: int, rng):
         if rng is None:
             return CountRecord(n_m * W.probs, n_m, nu=nu)
         return sample_counts(W, n_m, rng, nu=nu)
-    probs = model.forward_probs(truth, nu)
+    probs = model.kernel(nu) @ truth
     if rng is None:
         return SingleCountRecord(n_m * probs, n_m, nu=nu)
     return sample_single_counts(probs, n_m, rng, nu=nu)

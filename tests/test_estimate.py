@@ -244,7 +244,7 @@ class TestMlEstimate:
         ):
             n_m = 10**9
             records = [
-                SingleCountRecord(n_m * model.forward_probs(truth, nu), n_m, nu=nu)
+                SingleCountRecord(n_m * (model.kernel(nu) @ truth), n_m, nu=nu)
                 for nu in range(len(gammas))
             ]
             fit = ml_estimate(records, model, EstimateOptions(n_starts=1))
@@ -268,16 +268,11 @@ def kkt_excess(fit, records, model):
     maximum no cell gains from growing: every value is <= 0 up to roundoff.
     """
     n = sum(rec.f.sum() for rec in records)
-    if isinstance(model, SingleModeModel):
-        score = sum(
-            model.map(rec.nu).T @ (rec.f / model.forward_probs(fit.p_hat, rec.nu))
-            for rec in records
-        )
-    else:
-        score = 0.0
-        for rec in records:
-            A, B = model.maps(rec.nu)
-            score = score + A.T @ (rec.f / (A @ fit.p_hat.p @ B.T)) @ B
+    p = fit.p_hat.p.reshape(-1) if isinstance(model, LikelihoodModel) else fit.p_hat
+    score = sum(
+        model.kernel(rec.nu).T @ (rec.f.reshape(-1) / (model.kernel(rec.nu) @ p))
+        for rec in records
+    )
     return float(np.max(score / n - 1.0))
 
 
@@ -285,7 +280,7 @@ def single_records(model, p_g, n_m, rep):
     truth = random_single_pnd(p_g, substream(11, "pnd", rep))
     return [
         sample_single_counts(
-            model.forward_probs(truth, nu), int(n_m), substream(11, "c", rep, nu), nu=nu
+            model.kernel(nu) @ truth, int(n_m), substream(11, "c", rep, nu), nu=nu
         )
         for nu in range(len(DEFAULT_SINGLE_GAMMAS))
     ]
@@ -491,8 +486,8 @@ class TestMomentStart:
         random_truth = random_pps_pnd if layout == "2x2d" else random_single_pnd
         truth = random_truth(1e-2, substream(5, "pnd", 0))
         records = [_setting_record(model, truth, nu, 10**12, None) for nu in range(n_settings)]
-        K, F = ppskit.estimate._kernels(records, model), ppskit.estimate._counts(records)
-        start = ppskit.estimate._softmax_cells(ppskit.estimate._starts(K, F[None]))[0]
+        K, F = ppskit.estimate._stack([records], model)
+        start = ppskit.estimate._softmax_cells(ppskit.estimate._starts(K, F))[0]
         cells = truth.p.reshape(-1) if layout == "2x2d" else truth
         np.testing.assert_allclose(start, cells, rtol=1e-6, atol=0.0)
         assert ml_estimate(records, model).iterations == 0
@@ -505,8 +500,8 @@ class TestMomentStart:
         records = simulate_records(config)
         assert records[0].f[3, 3] == 0
         model = LikelihoodModel(det_s=det_s, det_i=det_i)
-        K, F = ppskit.estimate._kernels(records, model), ppskit.estimate._counts(records)
-        z = ppskit.estimate._starts(K, F[None])[0].reshape(-1)
+        K, F = ppskit.estimate._stack([records], model)
+        z = ppskit.estimate._starts(K, F)[0].reshape(-1)
         two_photon = np.maximum.outer(np.arange(3), np.arange(3)).reshape(-1)[1:] == 2
         assert np.all(z[two_photon] == np.log(ppskit.estimate._FLOOR))
         assert np.all(z[~two_photon] > np.log(ppskit.estimate._FLOOR))
@@ -527,6 +522,36 @@ class TestModels:
     def test_bad_detection_parameters_fail_at_build(self, build, match):
         with pytest.raises(InvalidInputError, match=match):
             build()
+
+    @pytest.mark.parametrize(
+        "layout, record_outcomes, model_outcomes",
+        [("2x2d", 4, 16), ("2d", 16, 4), ("1d", 4, 2)],
+        ids=["single-records-to-bipartite", "bipartite-records-to-2d", "2d-records-to-1d"],
+    )
+    @pytest.mark.parametrize("call", ["ml", "eml", "loglik"])
+    def test_records_of_another_layout_are_a_typed_mismatch(
+        self, layout, record_outcomes, model_outcomes, call
+    ):
+        model = sweep_model(layout, 0.5, 0.0, 4)
+        P = diag_source(1e-2) if layout == "2x2d" else np.array([0.9, 0.09, 0.01])
+        f = np.zeros(record_outcomes)
+        f[0] = 10
+        records = [
+            CountRecord(f.reshape(4, 4), 10, nu=nu)
+            if record_outcomes == 16
+            else SingleCountRecord(f, 10, nu=nu)
+            for nu in (0, 1)
+        ]
+        fit = {
+            "ml": lambda: ml_estimate(records, model),
+            "eml": lambda: eml_estimate(records, model),
+            "loglik": lambda: log_likelihood(P, records, model),
+        }[call]
+        with pytest.raises(
+            DataModelMismatchError,
+            match=f"record has {record_outcomes} outcomes, model expects {model_outcomes}",
+        ):
+            fit()
 
 
 class TestEstimateOptions:
@@ -574,7 +599,7 @@ class TestEmlEstimate:
         model = SingleModeModel.one_detector(eta=0.5, d=0.0, gammas=gammas)
         n_m = 10**8
         records = [
-            SingleCountRecord(n_m * model.forward_probs(truth, nu), n_m, nu=nu)
+            SingleCountRecord(n_m * (model.kernel(nu) @ truth), n_m, nu=nu)
             for nu in range(len(gammas))
         ]
         fit = eml_estimate(records, model, EstimateOptions(n_starts=2))
@@ -584,7 +609,7 @@ class TestEmlEstimate:
 def eml_fit_inputs(records, model):
     """Kernel stack, counts (one set) and used-outcome mask of an EML fit."""
     K, F = ppskit.estimate._stack([records], model)
-    return K, F, ppskit.estimate._eml_used_mask(model)
+    return K, F, model.eml_used()
 
 
 def eml_kkt_excess(fit, records, model):
@@ -838,7 +863,7 @@ class TestCharacterize:
         model = SingleModeModel.two_detector(T=0.5, eta=0.5, d=0.0, gammas=gammas)
         truth = np.array([0.989, 1e-2, 1e-3])
         records = [
-            SingleCountRecord(10**6 * model.forward_probs(truth, nu), 10**6, nu=nu)
+            SingleCountRecord(10**6 * (model.kernel(nu) @ truth), 10**6, nu=nu)
             for nu in range(len(gammas))
         ]
         fit = ml_estimate(records, model, EstimateOptions(n_starts=1))
