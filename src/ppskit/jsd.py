@@ -16,12 +16,13 @@ grid resolution rather than only in the continuum limit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .pnd import PndMatrix
 from .tables import read_table, write_table
 
@@ -83,18 +84,33 @@ def _flush_tail(values: np.ndarray) -> None:
         block += 0.0
 
 
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|² elementwise: x * x for a real array, re² + im² for a complex one."""
+    if np.iscomplexobj(x):
+        return x.real**2 + x.imag**2
+    return x * x
+
+
+def _grid_norm_squared(values: np.ndarray, step_s: float, step_i: float) -> float:
+    with np.errstate(over="ignore"):  # JsdGrid rescales a grid whose |f|^2 overflows
+        return float(np.sum(np.abs(values) ** 2)) * step_s * step_i
+
+
 @dataclass(frozen=True, eq=False)
 class JsdGrid:
-    """Discretized complex joint spectral amplitude on a uniform grid.
+    """Discretized joint spectral amplitude on a uniform grid.
 
-    ``values[a, b]`` holds f(axis_s[a], axis_i[b]).  The amplitude is
-    renormalized on construction so that sum(|f|^2) * step_s * step_i == 1,
-    and its underflowing tail is flushed: each real or imaginary component
+    ``values[a, b]`` holds f(axis_s[a], axis_i[b]).  Real input is stored
+    as float64 and complex input as complex128; every function on the grid
+    takes either.  The amplitude is renormalized on construction so that
+    sum(|f|^2) * step_s * step_i == 1 (a grid whose |f|^2 over- or
+    underflows is first divided by its largest component magnitude), and
+    its underflowing tail is flushed: each real or imaginary component
     whose magnitude is below 1e-150 of the largest component magnitude is
     set to exactly 0.  That changes no sum that holds the peak, and spares
     every product on the grid the subnormal arithmetic of the tail.
-    Non-finite values are rejected.  Instances are immutable; the arrays
-    are marked read-only.
+    Non-numeric and non-finite values are rejected.  Instances are
+    immutable; the arrays are marked read-only.
     """
 
     values: np.ndarray
@@ -108,19 +124,32 @@ class JsdGrid:
         axis_i = np.asarray(self.axis_i, dtype=float)
         step_s = _uniform_step(axis_s, "axis_s")
         step_i = _uniform_step(axis_i, "axis_i")
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "biufc":
+            raise InvalidInputError(f"JSD values must be numeric, got dtype {values.dtype}")
+        values = np.asarray(values, dtype=complex if values.dtype.kind == "c" else float)
         if values.shape != (axis_s.size, axis_i.size):
             raise InvalidInputError(
                 f"values shape {values.shape} does not match axes "
                 f"({axis_s.size}, {axis_i.size})"
             )
-        norm_sq = float(np.sum(np.abs(values) ** 2)) * step_s * step_i
-        if not math.isfinite(norm_sq) or norm_sq <= 0.0:
-            raise InvalidInputError("JSD has zero or non-finite norm")
+        norm_sq = _grid_norm_squared(values, step_s, step_i)
+        if not 0.0 < norm_sq < math.inf:
+            if not np.all(np.isfinite(values)):
+                raise InvalidInputError("JSD values must be finite")
+            # |f|^2 left the float range: rescale by the peak and retry.
+            peak = max(float(np.abs(part).max()) for part in (values.real, values.imag))
+            if peak > 0.0:
+                values = values / peak
+                norm_sq = _grid_norm_squared(values, step_s, step_i)
+            if not 0.0 < norm_sq < math.inf:
+                raise InvalidInputError("JSD has zero or non-finite norm")
         # The norm is taken before the private copy exists, so no
         # magnitude array sits next to the copy; the flushed components
         # add nothing to it.  The flush then runs on the copy in place.
-        values = np.divide(values, math.sqrt(norm_sq), order="C")
+        # Multiplying by the reciprocal is what numpy's complex-by-real
+        # division does, so a real grid holds its complex twin's real part.
+        values = np.multiply(values, 1.0 / math.sqrt(norm_sq), order="C")
         _flush_tail(values)
         for arr in (values, axis_s, axis_i):
             arr.setflags(write=False)
@@ -135,7 +164,7 @@ class JsdGrid:
         return self.values * math.sqrt(self.step_s * self.step_i)
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2)) * self.step_s * self.step_i
+        return _grid_norm_squared(self.values, self.step_s, self.step_i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +251,7 @@ class PumpGain:
     xi_sq: float
 
     def __post_init__(self):
-        if not (0.0 < self.xi_sq < 0.1):
+        if not (isinstance(self.xi_sq, numbers.Real) and 0.0 < self.xi_sq < 0.1):
             raise InvalidInputError(
                 f"xi_sq={self.xi_sq!r} outside (0, 0.1); two-pair truncation invalid"
             )
@@ -394,7 +423,7 @@ def _idler_weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _weighted_square_sum(gram: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """sum_bc u_b |gram_bc|² v_c."""
-    return float(u @ (gram.real**2 + gram.imag**2) @ v)
+    return float(u @ _abs2(gram) @ v)
 
 
 def _low_rank_factor(f: np.ndarray):
@@ -535,7 +564,7 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
         return np.array([float(wx**2 @ a2 @ wy**2) for wx, wy in branches])
 
     f = jsd.scaled()
-    q = branch_sums(f.real**2 + f.imag**2)
+    q = branch_sums(_abs2(f))
     q[q < EMPTY_SEGMENT_THRESHOLD] = 0.0
     if abs(q.sum() - 1.0) > 1e-10:
         raise InvalidInputError("filter branches do not preserve the JSD norm")
@@ -544,7 +573,7 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     factor = _low_rank_factor(f)
     if factor is not None:
         us, sv, v, r = factor
-        error2 = branch_sums(r.real**2 + r.imag**2)
+        error2 = branch_sums(_abs2(r))
         if np.any(live & (error2 > _BRANCH_ERROR_BOUND**2 * q)):
             factor = None
     if factor is None:
@@ -567,11 +596,6 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     )
 
 
-def _require_n_max(n_max: int) -> None:
-    if n_max < 2:
-        raise InvalidInputError("n_max must be at least 2")
-
-
 def synthesize_pnd(
     jsd: JsdGrid,
     filt_s: FilterProfile,
@@ -583,7 +607,7 @@ def synthesize_pnd(
 
     Segments the JSD and hands the result to :func:`pnd_from_segmentation`.
     """
-    _require_n_max(n_max)
+    check_count("n_max", n_max, 2)
     return pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain, n_max)
 
 
@@ -595,7 +619,7 @@ def pnd_from_segmentation(seg: Segmentation, gain: PumpGain, n_max: int = 2) -> 
     mode-number and exchange-overlap corrections.  The vacuum cell absorbs
     the remainder so the matrix is normalized.
     """
-    _require_n_max(n_max)
+    check_count("n_max", n_max, 2)
     mu = gain.xi_sq
     q1, q2, q3, q4 = seg.q
     k1, k2, k3, k4 = seg.kappa
@@ -631,6 +655,7 @@ def pnd_from_segmentation(seg: Segmentation, gain: PumpGain, n_max: int = 2) -> 
     p[0, 0] = 0.0
     p[0, 0] = 1.0 - p.sum()
     if n_max > 2:
+        n_max = int(n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:3, :3] = p
         p = padded
@@ -652,7 +677,8 @@ def gaussian_jsd(
     with u = cos(theta) x + sin(theta) y and v the orthogonal coordinate;
     theta = pi/4 with sigma_plus < sigma_minus gives the frequency
     anti-correlation typical of downconversion.  A nonzero ``chirp`` adds a
-    phase exp(i * chirp * u * v), making the amplitude genuinely complex.
+    phase exp(i * chirp * u * v), making the amplitude genuinely complex;
+    without it the grid is real and stored as float64.
     The grid spans ``span`` marginal standard deviations on each axis.
 
     For this family the continuum mode number is (r + 1/r) / 2 with
@@ -660,11 +686,13 @@ def gaussian_jsd(
     """
     if sigma_plus <= 0 or sigma_minus <= 0:
         raise InvalidInputError("sigmas must be positive")
+    check_count("n_s", n_s, 2)
+    check_count("n_i", n_i, 2)
     c, s = math.cos(theta), math.sin(theta)
     std_x = math.sqrt((c**2 * sigma_plus**2 + s**2 * sigma_minus**2) / 2.0)
     std_y = math.sqrt((s**2 * sigma_plus**2 + c**2 * sigma_minus**2) / 2.0)
-    axis_s = np.linspace(-span * std_x, span * std_x, n_s)
-    axis_i = np.linspace(-span * std_y, span * std_y, n_i)
+    axis_s = np.linspace(-span * std_x, span * std_x, int(n_s))
+    axis_i = np.linspace(-span * std_y, span * std_y, int(n_i))
     X, Y = np.meshgrid(axis_s, axis_i, indexing="ij")
     u = c * X + s * Y
     v = -s * X + c * Y
@@ -682,7 +710,8 @@ _JSD_HEADER = ["omega_s", "omega_i", "re", "im"]
 def read_jsd_csv(path) -> JsdGrid:
     """Load a JSD from CSV with columns omega_s, omega_i, re, im.
 
-    The rows must cover a complete rectangular lattice (any order).
+    The rows must cover a complete rectangular lattice (any order).  A file
+    whose every ``im`` is 0 gives a real (float64) grid.
     """
     rows, _ = read_table(
         path, _JSD_HEADER, "JSD", lambda row: tuple(float(row[name]) for name in _JSD_HEADER)
@@ -695,9 +724,10 @@ def read_jsd_csv(path) -> JsdGrid:
         )
     index_s = {w: a for a, w in enumerate(ws)}
     index_i = {w: b for b, w in enumerate(wi)}
-    values = np.full((ws.size, wi.size), np.nan, dtype=complex)
+    real = all(r[3] == 0.0 for r in rows)
+    values = np.full((ws.size, wi.size), np.nan, dtype=float if real else complex)
     for w_s, w_i, re, im in rows:
-        values[index_s[w_s], index_i[w_i]] = re + 1j * im
+        values[index_s[w_s], index_i[w_i]] = re if real else re + 1j * im
     if np.any(np.isnan(values)):
         raise InvalidInputError("JSD CSV has duplicate or missing lattice points")
     return JsdGrid(values, ws, wi)

@@ -1,4 +1,5 @@
 import csv
+import pathlib
 import time
 
 import pytest
@@ -468,3 +469,25 @@ class TestParser:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_shipped_configs_run_clean(tmp_path):
+    configs = {path.name: str(path) for path in CONFIG_DIR.glob("*.cfg")}
+    data = tmp_path / "data"
+    runs = {
+        "wide_narrow_jsd.cfg": ["jsd", "--out", str(tmp_path / "jsd")],
+        "simulate_demo.cfg": ["simulate", "--out", str(data)],
+        "estimate_reference.cfg": [
+            "estimate", "--counts", str(data / "counts.csv"), "--out", str(tmp_path / "fit")
+        ],
+        "smoke_sweep.cfg": ["sweep", "--out", str(tmp_path / "sweep")],
+    }
+    assert sorted(configs) == sorted(runs), "every shipped config needs a run here"
+    for name, argv in runs.items():  # simulate writes the counts estimate reads
+        assert cli.main(argv[:1] + ["--config", configs[name]] + argv[1:]) == 0, name
+    assert (tmp_path / "jsd" / "pnd.csv").exists()
+    assert (tmp_path / "fit" / "pnd_hat.csv").exists()
+    assert (tmp_path / "sweep" / "sweep.csv").exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppskit import jsd as jsd_module
 from ppskit.errors import InvalidInputError
 from ppskit.jsd import (
     FilterProfile,
@@ -14,10 +15,12 @@ from ppskit.jsd import (
     gaussian_jsd,
     pair_overlap,
     pnd_from_segmentation,
+    read_jsd_csv,
     schmidt_number_analytic,
     schmidt_number_svd,
     segment,
     synthesize_pnd,
+    write_jsd_csv,
 )
 from ppskit.pnd import apply_loss_bipartite
 
@@ -112,6 +115,14 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError, match="finite"):
             build()
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norm_out_of_float_range_is_rescaled(self, scale):
+        # |v|^2 over- or underflows, yet the grid is finite and non-zero.
+        axis = np.arange(4.0)
+        ones = JsdGrid(np.ones((4, 4)), axis, axis).values
+        extreme = JsdGrid(np.full((4, 4), scale), axis, axis).values
+        np.testing.assert_allclose(extreme, ones, rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_values_rejected(self, part, bad):
@@ -121,15 +132,17 @@ class TestGridValidation:
             JsdGrid(values, np.arange(4.0), np.arange(4.0))
 
 
-def chirped_amplitude(n):
+def chirped_amplitude(n, chirp=80.0, span=10.0):
     """The synthesis benchmark's chirped Gaussian amplitude, unnormalized,
-    on an n x n grid; its corners lie far below 1e-150 of its peak."""
-    sigma_plus, sigma_minus, chirp = 0.05, 0.24, 80.0
+    on an n x n grid; its corners lie far below 1e-150 of its peak.  With
+    ``chirp=0`` it is the rect kind's real amplitude."""
+    sigma_plus, sigma_minus = 0.05, 0.24
     std = math.sqrt((sigma_plus**2 + sigma_minus**2) / 4.0)
-    axis = np.linspace(-10.0 * std, 10.0 * std, n)
+    axis = np.linspace(-span * std, span * std, n)
     x, y = np.meshgrid(axis, axis, indexing="ij")
     u, v = (x + y) / math.sqrt(2.0), (y - x) / math.sqrt(2.0)
-    amp = np.exp(-(u**2) / (2 * sigma_plus**2) - v**2 / (2 * sigma_minus**2) + 1j * chirp * u * v)
+    phase = 1j * chirp * u * v if chirp else 0.0
+    amp = np.exp(-(u**2) / (2 * sigma_plus**2) - v**2 / (2 * sigma_minus**2) + phase)
     return amp, axis
 
 
@@ -149,6 +162,17 @@ class TestTailFlush:
         assert not np.array_equal(zeroed, amp)
         flushed = JsdGrid(amp, axis, axis).values
         assert flushed.tobytes() == JsdGrid(zeroed, axis, axis).values.tobytes()
+
+    def test_real_grid_is_flushed_like_its_complex_twin(self):
+        amp, axis = chirped_amplitude(96, chirp=0.0)
+        assert amp.dtype == np.float64
+        assert np.any((amp > 0.0) & (amp < 1e-150 * amp.max()))
+        flushed = JsdGrid(amp, axis, axis).values
+        assert flushed.dtype == np.float64
+        assert flushed[flushed > 0.0].min() >= 1e-150 * flushed.max()
+        twin = JsdGrid(amp.astype(complex), axis, axis).values
+        assert flushed.tobytes() == twin.real.copy().tobytes()
+        assert not np.any(twin.imag)
 
 
 class TestFilterProfile:
@@ -381,6 +405,93 @@ class TestFactoredSegmentation:
         assert len(built) == 2 and seg.parts is parts
 
 
+def _assert_relatively_close(real, twin, rtol=1e-14):
+    real, twin = np.asarray(real), np.asarray(twin)
+    assert real.shape == twin.shape
+    assert np.all(np.abs(real - twin) <= rtol * np.abs(twin))
+
+
+@pytest.fixture(scope="module")
+def real_and_twin():
+    """A chirp-free grid, stored as float64, and the same values as complex.
+
+    At span 6 the scaled grid has rank 64 of 96, so the factored route
+    has a genuine low-rank factor once the rank cap allows it."""
+    amp, axis = chirped_amplitude(96, chirp=0.0, span=6.0)
+    return JsdGrid(amp, axis, axis), JsdGrid(amp.astype(complex), axis, axis)
+
+
+REAL_GRID_FILTERS = {
+    "gauss": lambda ax: (
+        FilterProfile.gauss(ax, 0.02, 0.3),
+        FilterProfile.gauss(ax, -0.01, 0.15),
+    ),
+    # As in the benchmark's rect kind, the signal filter passes the whole
+    # axis, so both reflected-signal branches are empty.
+    "rect": lambda ax: (
+        FilterProfile.rect(ax, 0.0, 2.0),
+        FilterProfile.rect(ax, 0.0, 0.2),
+    ),
+}
+
+
+class TestRealGrids:
+    def test_dtype_follows_the_input(self, real_and_twin, tmp_path):
+        real, twin = real_and_twin
+        assert real.values.dtype == np.float64
+        assert twin.values.dtype == np.complex128
+        assert gaussian_jsd(0.3, 0.9, n_s=16, n_i=16).values.dtype == np.float64
+        assert gaussian_jsd(0.3, 0.9, n_s=16, n_i=16, chirp=1.0).values.dtype == np.complex128
+        for grid, dtype in ((real, np.float64), (twin, np.float64),
+                            (gaussian_jsd(0.3, 0.9, n_s=8, n_i=8, chirp=1.0), np.complex128)):
+            path = tmp_path / "jsd.csv"
+            write_jsd_csv(path, grid)
+            loaded = read_jsd_csv(path)
+            assert loaded.values.dtype == dtype
+            np.testing.assert_allclose(loaded.values, grid.values, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("route", ["factored", "direct"])
+    @pytest.mark.parametrize("filters", sorted(REAL_GRID_FILTERS))
+    def test_segmentation_matches_the_complex_twin(self, real_and_twin, filters, route, monkeypatch):
+        # A rank cap of the whole grid admits the factor; a cap of 0 forces
+        # the direct Gram route.
+        monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 1.0 if route == "factored" else 0.0)
+        real, twin = real_and_twin
+        a = segment(real, *REAL_GRID_FILTERS[filters](real.axis_s))
+        b = segment(twin, *REAL_GRID_FILTERS[filters](twin.axis_s))
+        assert (a.singular_values is None) == (route == "direct")
+        for name in ("q", "kappa", "ox13", "ox24", "oy14", "oy23", "oc"):
+            _assert_relatively_close(getattr(a, name), getattr(b, name))
+        assert isinstance(a.oc, complex) and a.oc.imag == 0.0
+        if route == "factored":
+            # The factor is accurate in absolute terms, so its singular
+            # values are compared relative to the largest.
+            s_a, s_b = a.singular_values, b.singular_values
+            assert s_a.size == s_b.size == 64
+            assert np.max(np.abs(s_a - s_b)) <= 1e-14 * s_b[0]
+        for part_a, part_b in zip(a.parts, b.parts):
+            assert (part_a is None) == (part_b is None)
+            if part_a is not None:
+                assert part_a.values.dtype == np.float64
+                _assert_relatively_close(part_a.values, part_b.values.real)
+                assert not np.any(part_b.values.imag)
+
+    def test_mode_numbers_and_overlaps_match_the_complex_twin(self, real_and_twin):
+        real, twin = real_and_twin
+        _assert_relatively_close(schmidt_number_svd(real), schmidt_number_svd(twin))
+        _assert_relatively_close(schmidt_number_analytic(real), schmidt_number_analytic(twin))
+        p_a = segment(real, *REAL_GRID_FILTERS["gauss"](real.axis_s)).parts
+        p_b = segment(twin, *REAL_GRID_FILTERS["gauss"](twin.axis_s)).parts
+        for i, j in ((0, 2), (1, 3), (0, 3), (1, 2)):
+            for axis in ("x", "y"):
+                _assert_relatively_close(
+                    pair_overlap(p_a[i], p_a[j], axis), pair_overlap(p_b[i], p_b[j], axis)
+                )
+        oc = complex_overlap(*p_a)
+        assert isinstance(oc, complex)
+        _assert_relatively_close(oc, complex_overlap(*p_b))
+
+
 class TestOverlaps:
     def test_identical_separable_single_mode_overlaps_are_unity(self):
         jsd = separable_rect_jsd(24, 24)
@@ -536,6 +647,15 @@ class TestSynthesize:
         with pytest.raises(InvalidInputError):
             pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain, n_max=1)
 
+    def test_integral_float_sizes_stay_accepted(self):
+        jsd = gaussian_jsd(0.3, 0.9, n_s=16.0, n_i=12.0)
+        assert jsd.values.shape == (16, 12)
+        P = synthesize_pnd(
+            jsd, FilterProfile.all_pass(jsd.axis_s), FilterProfile.all_pass(jsd.axis_i),
+            PumpGain(1e-3), n_max=4.0,
+        )
+        assert P.p.shape == (5, 5)
+
     def test_gain_validation(self):
         with pytest.raises(InvalidInputError):
             PumpGain(0.0)
@@ -555,3 +675,28 @@ def test_property_random_complex_grids_keep_oracles_equal(data, n):
     k_ana = schmidt_number_analytic(jsd)
     assert abs(k_ana - k_svd) / k_svd < 1e-6
     assert 1.0 - 1e-9 <= k_svd <= min(n, n + 2) + 1e-9
+
+
+def _all_pass_source():
+    jsd = gaussian_jsd(0.3, 0.9, n_s=16, n_i=16)
+    return jsd, FilterProfile.all_pass(jsd.axis_s), FilterProfile.all_pass(jsd.axis_i)
+
+
+BAD_ARGUMENTS = {
+    "gaussian-n_s-fraction": lambda: gaussian_jsd(0.3, 0.9, n_s=16.5, n_i=16),
+    "gaussian-n_i-fraction": lambda: gaussian_jsd(0.3, 0.9, n_s=16, n_i=16.5),
+    "synthesize-n_max-fraction": lambda: synthesize_pnd(
+        *_all_pass_source(), PumpGain(1e-3), n_max=2.5
+    ),
+    "segmentation-n_max-fraction": lambda: pnd_from_segmentation(
+        segment(*_all_pass_source()), PumpGain(1e-3), n_max=3.5
+    ),
+    "grid-string-values": lambda: JsdGrid(np.full((4, 4), "1.0"), np.arange(4.0), np.arange(4.0)),
+    "gain-string": lambda: PumpGain("0.01"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_unusable_argument_raises_invalid_input(case):
+    with pytest.raises(InvalidInputError):
+        BAD_ARGUMENTS[case]()
