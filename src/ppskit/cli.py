@@ -4,9 +4,10 @@ Commands: ``jsd`` (mode numbers, filter segmentation, synthesized PND),
 ``simulate`` (synthetic count records), ``sweep`` (estimator accuracy
 grids), ``estimate`` (reconstruction from a counts file), ``bootstrap``
 (resampled uncertainties).  All inputs come from a flat ``key = value``
-config file with sections; unknown sections or keys are rejected.  Every
-command is deterministic given (config, seed) and writes fixed-name CSV
-files into the output directory.
+config file with sections; unknown sections or keys and values of the
+wrong type are rejected when the file loads, and unset keys take the
+library's defaults.  Every command is deterministic given (config, seed)
+and writes fixed-name CSV files into the output directory.
 
 Exit codes: 0 success, 2 input/config error, 3 counts/model mismatch,
 4 non-convergence.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import math
 import os
@@ -29,12 +31,7 @@ from .detection import (
     singles,
     write_counts_csv,
 )
-from .errors import (
-    ConfigError,
-    DataModelMismatchError,
-    InvalidInputError,
-    PpskitError,
-)
+from .errors import ConfigError, DataModelMismatchError, PpskitError
 from .estimate import (
     EstimateOptions,
     LikelihoodModel,
@@ -73,219 +70,188 @@ EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_NO_CONVERGENCE = 4
 
-_KNOWN_KEYS = {
-    "jsd": {"source", "file", "sigma_plus", "sigma_minus", "theta_deg",
-            "n_s", "n_i", "span", "chirp"},
-    "filter_s": {"kind", "center", "width", "fwhm", "file", "csv_kind"},
-    "filter_i": {"kind", "center", "width", "fwhm", "file", "csv_kind"},
-    "gain": {"xi_sq"},
-    "pnd": {"source", "file", "p_g", "seed", "loss_T_s", "loss_T_i"},
-    "detectors": {"T_s", "T_i", "eta1", "eta2", "eta3", "eta4",
-                  "d1", "d2", "d3", "d4", "rep_rate_hz"},
-    "settings": {"gammas_s", "gammas_i"},
-    "simulate": {"n_m", "seed", "reps"},
-    "sweep": {"method", "p_g_grid", "n_m_grid", "eta_grid", "d_grid",
-              "gamma_design", "reps", "seed", "bs_T", "exact_counts",
-              "n_starts", "max_iter"},
-    "estimate": {"method", "n_starts", "max_iter", "seed"},
-    "bootstrap": {"n_boot", "sample_sizes", "seed"},
+
+def _flag(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _ints(text: str) -> tuple:
+    return tuple(parse_int(tok) for tok in text.split(",") if tok.strip())
+
+
+# What each value parser accepts, for the error on a value it rejects.
+_MUST_BE = {
+    float: "a number",
+    parse_int: "an integer",
+    _flag: "a boolean",
+    _floats: "a comma list of numbers",
+    _ints: "a comma list of integers",
 }
+_FILTER_KEYS = {"kind": str, "center": float, "width": float, "fwhm": float,
+                "file": str, "csv_kind": str}
+
+# Every section's keys and the parser of each key's value.
+_KEYS = {
+    "jsd": {"source": str, "file": str, "sigma_plus": float, "sigma_minus": float,
+            "theta_deg": float, "n_s": parse_int, "n_i": parse_int, "span": float,
+            "chirp": float},
+    "filter_s": _FILTER_KEYS,
+    "filter_i": _FILTER_KEYS,
+    "gain": {"xi_sq": float},
+    "pnd": {"source": str, "file": str, "p_g": float, "seed": parse_int,
+            "loss_T_s": float, "loss_T_i": float},
+    "detectors": dict.fromkeys(("T_s", "T_i", "eta1", "eta2", "eta3", "eta4",
+                                "d1", "d2", "d3", "d4", "rep_rate_hz"), float),
+    "settings": {"gammas_s": _floats, "gammas_i": _floats},
+    "simulate": {"n_m": parse_int, "seed": parse_int, "reps": parse_int},
+    "sweep": {"method": str, "p_g_grid": _floats, "n_m_grid": _floats,
+              "eta_grid": _floats, "d_grid": _floats, "gamma_design": str,
+              "reps": parse_int, "seed": parse_int, "bs_T": float,
+              "exact_counts": _flag, "n_starts": parse_int, "max_iter": parse_int},
+    "estimate": {"method": str, "n_starts": parse_int, "max_iter": parse_int,
+                 "seed": parse_int},
+    "bootstrap": {"n_boot": parse_int, "sample_sizes": _ints, "seed": parse_int},
+}
+_REQUIRED = object()
 
 
 class RunConfig:
-    """Validated view of a flat config file."""
+    """A flat config file with every value parsed by its key's type on load."""
 
     def __init__(self, parser: configparser.ConfigParser, path: str):
-        self.path = path
-        self._sections = {name: dict(parser[name]) for name in parser.sections()}
-        for name, keys in self._sections.items():
-            if name not in _KNOWN_KEYS:
+        self._sections = {}
+        for name in parser.sections():
+            if name not in _KEYS:
                 raise ConfigError(f"unknown config section [{name}] in {path}")
-            for key in keys:
-                if key not in _KNOWN_KEYS[name]:
+            values = self._sections[name] = {}
+            for key, text in parser[name].items():
+                if key not in _KEYS[name]:
                     raise ConfigError(f"unknown key '{key}' in section [{name}] of {path}")
+                parse = _KEYS[name][key]
+                try:
+                    values[key] = parse(text)
+                except ValueError:
+                    raise ConfigError(
+                        f"key '{key}' in [{name}] must be {_MUST_BE[parse]}, got {text!r}"
+                    ) from None
 
-    def has(self, section: str, key: str | None = None) -> bool:
-        if section not in self._sections:
-            return False
-        return key is None or key in self._sections[section]
+    def has(self, section: str) -> bool:
+        return section in self._sections
 
-    def _raw(self, section, key, default):
-        if not self.has(section, key):
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key '{key}' in section [{section}]")
-            return default
-        return self._sections[section][key]
+    def get(self, section: str, key: str, default=_REQUIRED):
+        """The key's parsed value, else ``default``; without one the key is required."""
+        value = self._sections.get(section, {}).get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}' in section [{section}]")
+        return value
 
-    def get_str(self, section, key, default=None):
-        value = self._raw(section, key, default)
-        return value if value is None else str(value)
-
-    def get_float(self, section, key, default=None):
-        value = self._raw(section, key, default)
-        if value is None or isinstance(value, float):
-            return value
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"key '{key}' in [{section}] must be a number, got {value!r}")
-
-    def get_int(self, section, key, default=None):
-        value = self._raw(section, key, default)
-        if value is None or isinstance(value, int):
-            return value
-        try:
-            return parse_int(value)
-        except ValueError:
-            raise ConfigError(f"key '{key}' in [{section}] must be an integer, got {value!r}")
-
-    def get_bool(self, section, key, default=None):
-        value = self._raw(section, key, default)
-        if value is None or isinstance(value, bool):
-            return value
-        low = str(value).strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"key '{key}' in [{section}] must be a boolean, got {value!r}")
-
-    def get_floats(self, section, key, default=None):
-        return self._get_list(section, key, default, float, "numbers")
-
-    def get_ints(self, section, key, default=None):
-        return self._get_list(section, key, default, parse_int, "integers")
-
-    def _get_list(self, section, key, default, parse, what):
-        value = self._raw(section, key, default)
-        if value is None or isinstance(value, tuple):
-            return value
-        try:
-            return tuple(parse(tok) for tok in str(value).split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"key '{key}' in [{section}] must be a comma list of {what}")
-
-
-class _RequiredType:
-    pass
-
-
-_REQUIRED = _RequiredType()
+    def given(self, section: str, *keys: str) -> dict:
+        """The keys among ``keys`` that the file sets, with their values."""
+        values = self._sections.get(section, {})
+        return {key: values[key] for key in keys if key in values}
 
 
 def load_config(path: str) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keys are case-sensitive (T_s vs t_s)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
     return RunConfig(parser, path)
 
 
+def _flagged(cfg: RunConfig, args, section: str, key: str, default):
+    """The ``--seed``/``--reps`` flag if given, else the config's key."""
+    value = getattr(args, key)
+    return value if value is not None else cfg.get(section, key, default)
+
+
 def _build_jsd(cfg: RunConfig):
-    source = cfg.get_str("jsd", "source", _REQUIRED)
+    source = cfg.get("jsd", "source")
     if source == "csv":
-        path = cfg.get_str("jsd", "file", _REQUIRED)
-        if not os.path.exists(path):
-            raise ConfigError(f"jsd file not found: {path}")
-        return read_jsd_csv(path)
+        return read_jsd_csv(cfg.get("jsd", "file"))
     if source == "gaussian":
         return gaussian_jsd(
-            sigma_plus=cfg.get_float("jsd", "sigma_plus", _REQUIRED),
-            sigma_minus=cfg.get_float("jsd", "sigma_minus", _REQUIRED),
-            theta=math.radians(cfg.get_float("jsd", "theta_deg", 45.0)),
-            n_s=cfg.get_int("jsd", "n_s", 256),
-            n_i=cfg.get_int("jsd", "n_i", 256),
-            span=cfg.get_float("jsd", "span", 5.0),
-            chirp=cfg.get_float("jsd", "chirp", 0.0),
+            sigma_plus=cfg.get("jsd", "sigma_plus"),
+            sigma_minus=cfg.get("jsd", "sigma_minus"),
+            theta=math.radians(cfg.get("jsd", "theta_deg", 45.0)),
+            **cfg.given("jsd", "n_s", "n_i", "span", "chirp"),
         )
     raise ConfigError(f"key 'source' in [jsd] must be gaussian|csv, got {source!r}")
 
 
 def _build_filter(cfg: RunConfig, section: str, axis) -> FilterProfile:
-    kind = cfg.get_str(section, "kind", "allpass")
+    kind = cfg.get(section, "kind", "allpass")
     if kind == "allpass":
         return FilterProfile.all_pass(axis)
     if kind == "rect":
-        return FilterProfile.rect(
-            axis,
-            cfg.get_float(section, "center", 0.0),
-            cfg.get_float(section, "width", _REQUIRED),
-        )
+        return FilterProfile.rect(axis, cfg.get(section, "center", 0.0), cfg.get(section, "width"))
     if kind == "gauss":
-        return FilterProfile.gauss(
-            axis,
-            cfg.get_float(section, "center", 0.0),
-            cfg.get_float(section, "fwhm", _REQUIRED),
-        )
+        return FilterProfile.gauss(axis, cfg.get(section, "center", 0.0), cfg.get(section, "fwhm"))
     if kind == "csv":
-        path = cfg.get_str(section, "file", _REQUIRED)
-        if not os.path.exists(path):
-            raise ConfigError(f"filter file not found: {path}")
-        return read_filter_csv(path, cfg.get_str(section, "csv_kind", "amplitude"))
+        return read_filter_csv(cfg.get(section, "file"), cfg.get(section, "csv_kind", "amplitude"))
     raise ConfigError(
         f"key 'kind' in [{section}] must be rect|gauss|allpass|csv, got {kind!r}"
     )
 
 
+# [detectors] keys over the DetectorPair fields of the signal and idler pairs.
+_DETECTOR_KEYS = (
+    {"T_s": "T", "eta1": "eta_t", "eta2": "eta_r", "d1": "d_t", "d2": "d_r"},
+    {"T_i": "T", "eta3": "eta_t", "eta4": "eta_r", "d3": "d_t", "d4": "d_r"},
+)
+
+
 def _build_detectors(cfg: RunConfig) -> tuple[DetectorPair, DetectorPair, float]:
-    det_s_ref, det_i_ref = presets.reference_detectors()
-    det_s = DetectorPair(
-        T=cfg.get_float("detectors", "T_s", det_s_ref.T),
-        eta_t=cfg.get_float("detectors", "eta1", det_s_ref.eta_t),
-        eta_r=cfg.get_float("detectors", "eta2", det_s_ref.eta_r),
-        d_t=cfg.get_float("detectors", "d1", det_s_ref.d_t),
-        d_r=cfg.get_float("detectors", "d2", det_s_ref.d_r),
+    """The reference detectors with the [detectors] keys the file sets put over them."""
+    det_s, det_i = (
+        dataclasses.replace(
+            ref, **{keys[key]: value for key, value in cfg.given("detectors", *keys).items()}
+        )
+        for ref, keys in zip(presets.reference_detectors(), _DETECTOR_KEYS)
     )
-    det_i = DetectorPair(
-        T=cfg.get_float("detectors", "T_i", det_i_ref.T),
-        eta_t=cfg.get_float("detectors", "eta3", det_i_ref.eta_t),
-        eta_r=cfg.get_float("detectors", "eta4", det_i_ref.eta_r),
-        d_t=cfg.get_float("detectors", "d3", det_i_ref.d_t),
-        d_r=cfg.get_float("detectors", "d4", det_i_ref.d_r),
-    )
-    rep_rate = cfg.get_float("detectors", "rep_rate_hz", presets.REFERENCE_REP_RATE_HZ)
-    return det_s, det_i, rep_rate
+    return det_s, det_i, cfg.get("detectors", "rep_rate_hz", presets.REFERENCE_REP_RATE_HZ)
 
 
 def _build_settings(cfg: RunConfig) -> tuple:
-    gs = cfg.get_floats("settings", "gammas_s", (1.0,))
-    gi = cfg.get_floats("settings", "gammas_i", (1.0,))
+    gs = cfg.get("settings", "gammas_s", (1.0,))
+    gi = cfg.get("settings", "gammas_i", (1.0,))
     if len(gs) != len(gi):
         raise ConfigError("gammas_s and gammas_i must have the same length")
     return tuple(zip(gs, gi))
 
 
 def _source_pnd(cfg: RunConfig, seed: int) -> PndMatrix:
-    source = cfg.get_str("pnd", "source", _REQUIRED)
+    source = cfg.get("pnd", "source")
     if source == "csv":
-        path = cfg.get_str("pnd", "file", _REQUIRED)
-        if not os.path.exists(path):
-            raise ConfigError(f"pnd file not found: {path}")
-        pnd, _ = read_pnd_csv(path)
+        pnd, _ = read_pnd_csv(cfg.get("pnd", "file"))
     elif source == "random":
-        pnd = random_pps_pnd(
-            cfg.get_float("pnd", "p_g", _REQUIRED),
-            cfg.get_int("pnd", "seed", seed),
-        )
+        pnd = random_pps_pnd(cfg.get("pnd", "p_g"), cfg.get("pnd", "seed", seed))
     elif source == "synthesize":
         jsd = _build_jsd(cfg)
         pnd = synthesize_pnd(
             jsd,
             _build_filter(cfg, "filter_s", jsd.axis_s),
             _build_filter(cfg, "filter_i", jsd.axis_i),
-            PumpGain(cfg.get_float("gain", "xi_sq", _REQUIRED)),
+            PumpGain(cfg.get("gain", "xi_sq")),
         )
     else:
         raise ConfigError(
             f"key 'source' in [pnd] must be synthesize|csv|random, got {source!r}"
         )
-    T_s = cfg.get_float("pnd", "loss_T_s", 1.0)
-    T_i = cfg.get_float("pnd", "loss_T_i", 1.0)
+    T_s = cfg.get("pnd", "loss_T_s", 1.0)
+    T_i = cfg.get("pnd", "loss_T_i", 1.0)
     if (T_s, T_i) != (1.0, 1.0):
         pnd = apply_loss_bipartite(pnd, T_s, T_i)
     return pnd
@@ -309,7 +275,7 @@ def cmd_jsd(cfg: RunConfig, args) -> int:
     jsd = _build_jsd(cfg)
     filt_s = _build_filter(cfg, "filter_s", jsd.axis_s)
     filt_i = _build_filter(cfg, "filter_i", jsd.axis_i)
-    gain = PumpGain(cfg.get_float("gain", "xi_sq", _REQUIRED))
+    gain = PumpGain(cfg.get("gain", "xi_sq"))
     out = _outdir(args)
 
     seg = segment(jsd, filt_s, filt_i)
@@ -342,8 +308,7 @@ def cmd_jsd(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get_int("simulate", "seed", 0)
-    reps = args.reps if args.reps is not None else cfg.get_int("simulate", "reps", 1)
+    seed = _flagged(cfg, args, "simulate", "seed", 0)
     det_s, det_i, _ = _build_detectors(cfg)
     pnd = _source_pnd(cfg, seed)
     config = ExperimentConfig(
@@ -351,9 +316,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         det_s=det_s,
         det_i=det_i,
         settings=_build_settings(cfg),
-        n_m=cfg.get_int("simulate", "n_m", _REQUIRED),
+        n_m=cfg.get("simulate", "n_m"),
         seed=seed,
-        reps=reps,
+        reps=_flagged(cfg, args, "simulate", "reps", 1),
     )
     out = _outdir(args)
     write_pnd_csv(os.path.join(out, "pnd_true.csv"), pnd, {"seed": seed})
@@ -366,21 +331,15 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get_int("sweep", "seed", 0)
-    reps = args.reps if args.reps is not None else cfg.get_int("sweep", "reps", 20)
     spec = SweepSpec(
-        p_g_grid=cfg.get_floats("sweep", "p_g_grid", _REQUIRED),
-        n_m_grid=cfg.get_floats("sweep", "n_m_grid", _REQUIRED),
-        eta_grid=cfg.get_floats("sweep", "eta_grid", (0.5,)),
-        d_grid=cfg.get_floats("sweep", "d_grid", (0.0,)),
-        gamma_design=cfg.get_str("sweep", "gamma_design", "none"),
-        reps=reps,
-        bs_T=cfg.get_float("sweep", "bs_T", 0.5),
-        exact_counts=cfg.get_bool("sweep", "exact_counts", False),
-        n_starts=cfg.get_int("sweep", "n_starts", 5),
-        max_iter=cfg.get_int("sweep", "max_iter", 10000),
+        p_g_grid=cfg.get("sweep", "p_g_grid"),
+        n_m_grid=cfg.get("sweep", "n_m_grid"),
+        reps=_flagged(cfg, args, "sweep", "reps", 20),
+        **cfg.given("sweep", "eta_grid", "d_grid", "gamma_design", "bs_T", "exact_counts",
+                    "n_starts", "max_iter"),
     )
-    rows = run_sweep(spec, cfg.get_str("sweep", "method", "ml-2x2d"), seed=seed)
+    seed = _flagged(cfg, args, "sweep", "seed", 0)
+    rows = run_sweep(spec, cfg.get("sweep", "method", "ml-2x2d"), seed=seed)
     out = _outdir(args)
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
     print(f"wrote {out}/sweep.csv ({len(rows)} rows)")
@@ -415,18 +374,10 @@ def _counts_and_model(cfg: RunConfig, args):
     """Counts file, fitted model and [estimate] method of estimate/bootstrap."""
     if not args.counts:
         raise ConfigError(f"{args.command} requires --counts <file>")
-    if not os.path.exists(args.counts):
-        raise ConfigError(f"counts file not found: {args.counts}")
     records, info = read_counts_csv(args.counts)
     det_s, det_i, rep_rate = _build_detectors(cfg)
-    settings = _build_settings(cfg)
-    if any(rec.nu >= len(settings) for rec in records):
-        raise DataModelMismatchError(
-            f"counts reference setting ids up to {max(r.nu for r in records)} "
-            f"but the config defines {len(settings)} settings"
-        )
-    model = LikelihoodModel(det_s=det_s, det_i=det_i, settings=settings)
-    method = cfg.get_str("estimate", "method", "ml")
+    model = LikelihoodModel(det_s=det_s, det_i=det_i, settings=_build_settings(cfg))
+    method = cfg.get("estimate", "method", "ml")
     if method not in ("ml", "eml"):
         raise ConfigError(f"key 'method' in [estimate] must be ml|eml, got {method!r}")
     return records, info, model, method, rep_rate
@@ -437,11 +388,10 @@ _ESTIMATORS = {"ml": ml_estimate_many, "eml": eml_estimate_many}
 
 def _estimate_options(cfg: RunConfig, args) -> EstimateOptions:
     """[estimate] fit options, shared by the estimate and every bootstrap refit."""
-    return EstimateOptions(
-        n_starts=cfg.get_int("estimate", "n_starts", 5),
-        max_iter=cfg.get_int("estimate", "max_iter", 10000),
-        seed=args.seed if args.seed is not None else cfg.get_int("estimate", "seed", 0),
-    )
+    fields = cfg.given("estimate", "n_starts", "max_iter", "seed")
+    if args.seed is not None:
+        fields["seed"] = args.seed
+    return EstimateOptions(**fields)
 
 
 def cmd_estimate(cfg: RunConfig, args) -> int:
@@ -507,9 +457,9 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
     at its own ``n_m``.  Every draw of one size is refitted in one call of
     the method's ``*_many`` estimator.
     """
-    seed = args.seed if args.seed is not None else cfg.get_int("bootstrap", "seed", 0)
-    n_boot = cfg.get_int("bootstrap", "n_boot", 100)
-    sizes = cfg.get_ints("bootstrap", "sample_sizes", None) or (None,)
+    seed = _flagged(cfg, args, "bootstrap", "seed", 0)
+    n_boot = cfg.get("bootstrap", "n_boot", 100)
+    sizes = cfg.get("bootstrap", "sample_sizes", None) or (None,)
     refit_all = functools.partial(_ESTIMATORS[method], model=model, options=options)
 
     def pipeline(fit):
@@ -581,15 +531,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, InvalidInputError) as exc:
+    except (PpskitError, OSError) as exc:  # an OSError names the path it failed on
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DataModelMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except PpskitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_MISMATCH if isinstance(exc, DataModelMismatchError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

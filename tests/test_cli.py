@@ -145,6 +145,12 @@ class TestJsdCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["jsd", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_bad_value_in_an_unread_section_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, JSD_SECTIONS + "\n[sweep]\nreps = x\n")
+        assert cli.main(["jsd", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert "'reps' in [sweep]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 SIMULATE_CONFIG = (
     JSD_SECTIONS
@@ -474,7 +480,7 @@ class TestParser:
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_shipped_configs_run_clean(tmp_path):
+def test_shipped_configs_run_clean(tmp_path, capsys):
     configs = {path.name: str(path) for path in CONFIG_DIR.glob("*.cfg")}
     data = tmp_path / "data"
     runs = {
@@ -488,6 +494,83 @@ def test_shipped_configs_run_clean(tmp_path):
     assert sorted(configs) == sorted(runs), "every shipped config needs a run here"
     for name, argv in runs.items():  # simulate writes the counts estimate reads
         assert cli.main(argv[:1] + ["--config", configs[name]] + argv[1:]) == 0, name
+    assert "warning:" not in capsys.readouterr().err
     assert (tmp_path / "jsd" / "pnd.csv").exists()
     assert (tmp_path / "fit" / "pnd_hat.csv").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+def _unreadable_path(tmp_path, case):
+    """argv of a run whose ``case`` path cannot be read or written, and that path."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = str(tmp_path / "out")
+    if case == "config-dir":
+        return ["jsd", "--config", str(folder), "--out", out], folder
+    if case == "jsd-file-dir":
+        config = write_config(tmp_path, f"[jsd]\nsource = csv\nfile = {folder}\n\n[gain]\nxi_sq = 1e-3\n")
+        return ["jsd", "--config", config, "--out", out], folder
+    if case == "counts-dir":
+        config = write_config(tmp_path, DETECTOR_SECTION)
+        return ["estimate", "--config", config, "--counts", str(folder), "--out", out], folder
+    if case == "config-not-utf8":
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"[jsd]\nsource = gaussian\n# caf\xe9\n")
+        return ["jsd", "--config", str(config), "--out", out], config
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return ["jsd", "--config", write_config(tmp_path, JSD_SECTIONS), "--out", str(taken)], taken
+
+
+@pytest.mark.parametrize(
+    "case", ["config-dir", "jsd-file-dir", "counts-dir", "config-not-utf8", "out-is-a-file"]
+)
+def test_unreadable_path_exits_2_naming_it(tmp_path, capsys, case):
+    argv, path = _unreadable_path(tmp_path, case)
+    assert cli.main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+# Per command: a config with only its required keys, and the text that goes
+# before and after it to spell out every default the command line once
+# hard-coded for the keys it leaves unset.
+REQUIRED_AND_DEFAULTS = {
+    "jsd": (
+        "[gain]\nxi_sq = 1e-3\n\n[jsd]\nsource = gaussian\nsigma_plus = 0.3\nsigma_minus = 0.8\n",
+        "",
+        "theta_deg = 45\nn_s = 256\nn_i = 256\nspan = 5.0\nchirp = 0.0\n",
+    ),
+    "sweep": (
+        "[sweep]\np_g_grid = 1e-2\nn_m_grid = 1e6\n",
+        "",
+        "method = ml-2x2d\neta_grid = 0.5\nd_grid = 0.0\ngamma_design = none\nreps = 20\n"
+        "seed = 0\nbs_T = 0.5\nexact_counts = false\nn_starts = 5\nmax_iter = 10000\n",
+    ),
+    "estimate": (
+        "[bootstrap]\nn_boot = 3\n",
+        "[detectors]\nT_s = 0.4952\nT_i = 0.4846\neta1 = 0.562\neta2 = 0.575\n"
+        "eta3 = 0.567\neta4 = 0.548\nd1 = 1.01e-7\nd2 = 2.11e-7\nd3 = 0.94e-7\n"
+        "d4 = 1.00e-7\nrep_rate_hz = 76e6\n\n[settings]\ngammas_s = 1.0\ngammas_i = 1.0\n\n"
+        "[estimate]\nmethod = ml\nn_starts = 5\nmax_iter = 10000\nseed = 0\n\n",
+        "seed = 0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_AND_DEFAULTS))
+def test_unset_keys_take_the_defaults_the_cli_once_spelled_out(tmp_path, command):
+    argv = [command]
+    if command == "estimate":
+        sim = write_config(
+            tmp_path, "[pnd]\nsource = random\np_g = 1e-2\n\n[simulate]\nn_m = 1e9\n", name="sim.cfg"
+        )
+        assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "data")]) == 0
+        argv += ["--counts", str(tmp_path / "data" / "counts.csv"), "--bootstrap"]
+    required, before, after = REQUIRED_AND_DEFAULTS[command]
+    outputs = []
+    for name, text in (("required", required), ("spelled", before + required + after)):
+        out = tmp_path / name
+        assert cli.main(argv + ["--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == {"jsd": 2, "sweep": 1, "estimate": 3}[command]
