@@ -283,7 +283,8 @@ def cmd_jsd(cfg: RunConfig, args) -> int:
     chars = characteristics(pnd)
 
     # The factored route already holds the singular values of the scaled
-    # grid; k_analytic stays the independent O(n^3) Gram trace.
+    # grid; k_analytic stays the independent O(n^3) Gram trace, which on a
+    # complex grid runs as two real products (Re and Im of A A^dag).
     s = seg.singular_values
     rows = [
         ("k_svd", schmidt_number_svd(jsd) if s is None else 1.0 / float((s**4).sum())),

@@ -330,13 +330,32 @@ def schmidt_number_analytic(jsd: JsdGrid) -> float:
 
     1/K equals the exchange integral
     ``∫∫∫∫ f*(x1,y1) f*(x2,y2) f(x1,y2) f(x2,y1) dx1 dx2 dy1 dy2``,
-    which contracts to trace((A A^dag)^2) for the scaled grid A.  The
-    contraction costs O(n^3); it never forms the quadruple sum.
+    which contracts to trace((A A^dag)^2) = ||A A^dag||_F^2 for the scaled
+    grid A.  The contraction costs O(n^3); it never forms the quadruple sum.
+
+    A complex grid A = X + iY runs in real arithmetic: Re(A A^dag) = C C^T
+    with C = [X | Y], one symmetric rank-k product, and Im(A A^dag) =
+    M - M^T with M = Y X^T, so the Gram costs half the multiplications
+    of a complex product and no conjugate copy.
     """
-    a = jsd.scaled()
-    gram = a @ a.conj().T
-    purity = float(np.einsum("ij,ji->", gram, gram).real)
-    return 1.0 / purity
+    values = jsd.values
+    if not np.iscomplexobj(values):
+        a = jsd.scaled()
+        gram = a @ a.T
+        return 1.0 / float(np.vdot(gram, gram))
+    scale = math.sqrt(jsd.step_s * jsd.step_i)
+    n_i = values.shape[1]
+    c = np.empty((values.shape[0], 2 * n_i))
+    np.multiply(values.real, scale, out=c[:, :n_i])
+    np.multiply(values.imag, scale, out=c[:, n_i:])
+    gram = c @ c.T  # Re(A A^dag)
+    purity = float(np.vdot(gram, gram))
+    del gram  # hold one n_s x n_s piece at a time, for peak memory
+    m = c[:, n_i:] @ c[:, :n_i].T
+    del c
+    gram = m - m.T  # Im(A A^dag)
+    del m
+    return 1.0 / (purity + float(np.vdot(gram, gram)))
 
 
 def _require_same_axes(fa: JsdGrid, fb: JsdGrid) -> None:
@@ -451,7 +470,10 @@ def _low_rank_factor(f: np.ndarray):
             y -= q_prev @ (q_prev.conj().T @ y)
         q = np.linalg.qr(y)[0]
         b = q.conj().T @ r
-        r = r - q @ b
+        if r is f:  # the first block keeps f, which the direct route may reuse
+            r = r - q @ b
+        else:
+            r -= q @ b
         qs.append(q)
         bs.append(b)
         rank += _SKETCH_BLOCK
@@ -693,15 +715,27 @@ def gaussian_jsd(
     std_y = math.sqrt((s**2 * sigma_plus**2 + c**2 * sigma_minus**2) / 2.0)
     axis_s = np.linspace(-span * std_x, span * std_x, int(n_s))
     axis_i = np.linspace(-span * std_y, span * std_y, int(n_i))
-    X, Y = np.meshgrid(axis_s, axis_i, indexing="ij")
-    u = c * X + s * Y
-    v = -s * X + c * Y
-    amp = np.exp(
-        -(u**2) / (2 * sigma_plus**2)
-        - v**2 / (2 * sigma_minus**2)
-        + (1j * chirp * u * v if chirp else 0.0)
-    )
-    return JsdGrid(amp, axis_s, axis_i)
+    x, y = axis_s[:, None], axis_i[None, :]
+    u = c * x + s * y
+    v = -s * x + c * y
+    # In place, with the float operations of the textbook formula on two
+    # meshgrids: u holds -u^2 / (2 sigma_plus^2) - v^2 / (2 sigma_minus^2),
+    # and a chirp's phase chirp u v goes into the imaginary half of amp.
+    if chirp:
+        amp = np.empty(u.shape, dtype=complex)
+        phase = amp.imag
+        np.multiply(u, chirp, out=phase)
+        phase *= v
+    np.square(u, out=u)
+    u /= -2 * sigma_plus**2  # (-a) / b and a / (-b) round alike
+    np.square(v, out=v)
+    v /= 2 * sigma_minus**2
+    if chirp:
+        np.subtract(u, v, out=amp.real)
+    else:
+        amp = np.subtract(u, v, out=u)
+    del u, v  # freed before JsdGrid makes its normalized copy
+    return JsdGrid(np.exp(amp, out=amp), axis_s, axis_i)
 
 
 _JSD_HEADER = ["omega_s", "omega_i", "re", "im"]

@@ -1,8 +1,8 @@
 """CSV tables: the one reader and writer behind every ppskit file.
 
 A table is optional ``# key=value`` metadata lines, a header row and one
-row per line.  Malformed rows raise :class:`InvalidInputError` naming
-their line in the file.
+row per line, in UTF-8.  Malformed rows raise :class:`InvalidInputError`
+naming the file and their line in it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ def read_table(path, header, what: str, parse, ordered: bool = False) -> tuple[l
     ``ordered``).  Blank lines are skipped and ``#`` lines are metadata.
     A row that ``parse`` rejects with ``TypeError`` or ``ValueError``, or
     that has the wrong number of cells, raises :class:`InvalidInputError`
-    with its line number in the file.
+    with its line number in the file.  Every such error starts with the
+    path (as the ``OSError`` of a file that cannot be opened names it),
+    since a run may read several tables.
     """
     metadata: dict = {}
     line_no = 0
@@ -65,22 +67,24 @@ def read_table(path, header, what: str, parse, ordered: bool = False) -> tuple[l
                 metadata[key.strip()] = value.strip()
 
     parsed = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = (row for row in csv.reader(body(fh)) if row)
             names = next(rows, [])
             if (names != list(header)) if ordered else (sorted(names) != sorted(header)):
                 raise InvalidInputError(
-                    f"{what} CSV header must be {','.join(header)}, got {names}"
+                    f"{path}: {what} CSV header must be {','.join(header)}, got {names}"
                 )
             for row in rows:
                 if len(row) != len(names):
                     raise ValueError(f"{len(row)} cells for {len(names)} columns")
                 parsed.append(parse(dict(zip(names, row))))
         except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{what} CSV is not UTF-8 text: {exc}") from None
+            raise InvalidInputError(f"{path}: {what} CSV is not UTF-8 text: {exc}") from None
         except (csv.Error, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed {what} CSV row at line {line_no}: {exc}") from None
+            raise InvalidInputError(
+                f"{path}: malformed {what} CSV row at line {line_no}: {exc}"
+            ) from None
     if not parsed:
-        raise InvalidInputError(f"{what} CSV is empty")
+        raise InvalidInputError(f"{path}: {what} CSV is empty")
     return parsed, metadata

@@ -76,6 +76,74 @@ class TestSchmidtNumber:
         assert jsd.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
 
+def complex_gram_mode_number(jsd):
+    """K from the complex Gram trace((A A^dag)^2), written out in full."""
+    a = jsd.scaled()
+    gram = a @ a.conj().T
+    return 1.0 / float(np.einsum("ij,ji->", gram, gram).real)
+
+
+class TestRealifiedGram:
+    """schmidt_number_analytic runs a complex grid's Gram in real arithmetic."""
+
+    @staticmethod
+    def _assert_mode_number(jsd, expected=None):
+        k = schmidt_number_analytic(jsd)
+        for oracle in (schmidt_number_svd(jsd), complex_gram_mode_number(jsd), expected):
+            if oracle is not None:
+                assert abs(k - oracle) <= 1e-13 * oracle
+
+    @pytest.mark.parametrize("shape", [(40, 56), (56, 40)])
+    def test_random_complex_grid(self, rng, shape):
+        jsd = random_jsd(rng, *shape)
+        assert jsd.values.dtype == np.complex128
+        self._assert_mode_number(jsd)
+
+    def test_chirped_gaussian_grid(self):
+        jsd = gaussian_jsd(0.05, 0.24, math.pi / 4, n_s=96, n_i=96, span=10.0, chirp=80.0)
+        self._assert_mode_number(jsd)
+
+    def test_rotated_real_grid_matches_the_real_grid(self):
+        # A global phase cancels in A A^dag, so its imaginary part is 0.
+        real = gaussian_jsd(0.3, 0.9, theta=0.3, n_s=48, n_i=64)
+        rotated = JsdGrid(real.values * np.exp(1j * math.pi / 3), real.axis_s, real.axis_i)
+        assert real.values.dtype == np.float64 and rotated.values.dtype == np.complex128
+        self._assert_mode_number(rotated, expected=schmidt_number_analytic(real))
+
+
+def meshgrid_gaussian_jsd(sigma_plus, sigma_minus, theta, n_s, n_i, span, chirp):
+    """gaussian_jsd's amplitude from the formula on two meshgrid arrays: the
+    reference that its in-place build must match byte for byte."""
+    c, s = math.cos(theta), math.sin(theta)
+    std_x = math.sqrt((c**2 * sigma_plus**2 + s**2 * sigma_minus**2) / 2.0)
+    std_y = math.sqrt((s**2 * sigma_plus**2 + c**2 * sigma_minus**2) / 2.0)
+    axis_s = np.linspace(-span * std_x, span * std_x, int(n_s))
+    axis_i = np.linspace(-span * std_y, span * std_y, int(n_i))
+    X, Y = np.meshgrid(axis_s, axis_i, indexing="ij")
+    u = c * X + s * Y
+    v = -s * X + c * Y
+    amp = np.exp(
+        -(u**2) / (2 * sigma_plus**2)
+        - v**2 / (2 * sigma_minus**2)
+        + (1j * chirp * u * v if chirp else 0.0)
+    )
+    return JsdGrid(amp, axis_s, axis_i)
+
+
+class TestGaussianJsdBytes:
+    @pytest.mark.parametrize("n_s, n_i", [(72, 48), (48, 72)])
+    @pytest.mark.parametrize("theta", [math.pi / 4, 0.3])
+    @pytest.mark.parametrize("chirp", [0.0, 80.0])
+    def test_grid_bytes_match_the_meshgrid_formula(self, chirp, theta, n_s, n_i):
+        args = (0.05, 0.24, theta, n_s, n_i, 10.0, chirp)
+        grid, reference = gaussian_jsd(*args), meshgrid_gaussian_jsd(*args)
+        assert grid.values.dtype == reference.values.dtype
+        assert grid.values.dtype == (np.complex128 if chirp else np.float64)
+        assert grid.values.tobytes() == reference.values.tobytes()
+        assert grid.axis_s.tobytes() == reference.axis_s.tobytes()
+        assert grid.axis_i.tobytes() == reference.axis_i.tobytes()
+
+
 class TestGridValidation:
     def test_nonuniform_axis_rejected(self):
         axis = np.array([0.0, 1.0, 2.5, 3.0])
@@ -363,6 +431,40 @@ class TestFactoredSegmentation:
         assert 1e-11 < seg.q[2] < 1e-10
         assert seg.singular_values is None
         _assert_matches_contract_oracles(seg)
+
+    def test_rejected_factor_leaves_the_grid_for_the_direct_route(
+        self, chirped_jsd_512, monkeypatch
+    ):
+        # The factor's residual is updated in place after its first block;
+        # that must never reach the scaled grid the direct route reuses.
+        jsd = chirped_jsd_512
+        filters = (
+            FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
+            FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
+        )
+        before = jsd.values.tobytes()
+        factors = []
+        low_rank_factor = jsd_module._low_rank_factor
+
+        def recording_factor(f):
+            factors.append(low_rank_factor(f))
+            return factors[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 0.0)
+            direct = segment(jsd, *filters)
+        with monkeypatch.context() as patch:
+            patch.setattr(jsd_module, "_BRANCH_ERROR_BOUND", 0.0)
+            patch.setattr(jsd_module, "_low_rank_factor", recording_factor)
+            fallback = segment(jsd, *filters)
+        (factor,) = factors
+        assert factor is not None and factor[1].size > jsd_module._SKETCH_BLOCK
+        assert direct.singular_values is None and fallback.singular_values is None
+        for name in ("q", "kappa"):
+            assert getattr(fallback, name).tobytes() == getattr(direct, name).tobytes()
+        for name in ("ox13", "ox24", "oy14", "oy23", "oc"):
+            assert getattr(fallback, name) == getattr(direct, name)
+        assert jsd.values.tobytes() == before
 
     def test_full_rank_jsd_takes_direct_route(self, rng):
         jsd = random_jsd(rng, 256, 256)

@@ -162,6 +162,41 @@ class TestMalformedRows:
         with pytest.raises(InvalidInputError, match="not UTF-8"):
             read_table(path, ["a", "b"], "table", dict)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"", "table CSV header must be a,b, got []"),
+            (b"a,b\n", "table CSV is empty"),
+            (b"a,c\n1,2\n", "table CSV header must be a,b"),
+            (b"a,b\n1\n", "malformed table CSV row at line 2"),
+            (b"\xff\xfea,b\n1,2\n", "table CSV is not UTF-8 text"),
+        ],
+    )
+    def test_every_error_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(InvalidInputError) as info:
+            read_table(path, ["a", "b"], "table", dict)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\xfe" + COUNT_HEADER.encode() + b"\n",
+            (COUNT_HEADER + "\n" + count_row(0, [10] + [0] * 15) + "\nabc,1\n").encode(),
+        ],
+        ids=["not-utf8", "malformed-row"],
+    )
+    def test_counts_error_names_the_counts_file(self, tmp_path, capsys, data):
+        counts = tmp_path / "bad_counts.csv"
+        counts.write_bytes(data)
+        config = tmp_path / "est.cfg"
+        config.write_text(DETECTORS)
+        code = cli.main(["estimate", "--config", str(config), "--counts", str(counts),
+                         "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert f"error: {counts}: " in capsys.readouterr().err
+
     def test_unordered_header_maps_columns_by_name(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("b,a\n1,2\n")
