@@ -33,7 +33,6 @@ from .jsd import (
 )
 from .pnd import (
     CharacteristicSet,
-    LossChannel,
     PndMatrix,
     apply_loss_bipartite,
     characteristics,

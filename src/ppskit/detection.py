@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataModelMismatchError, InvalidInputError
+from .errors import DataModelMismatchError, InvalidInputError, check_count
 from .pnd import PndMatrix
 from .tables import parse_int, read_table, write_table
 
@@ -155,6 +155,8 @@ def conversion_matrix(T: float, eta_t: float, eta_r: float, n_max: int = 2) -> n
     for name, value in (("T", T), ("eta_t", eta_t), ("eta_r", eta_r)):
         if not (0.0 <= value <= 1.0):
             raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
+    check_count("n_max", n_max, 0)
+    n_max = int(n_max)
     pt = T * eta_t          # per-photon click at the transmitted detector
     pr = (1.0 - T) * eta_r  # per-photon click at the reflected detector
     n = np.arange(n_max + 1)

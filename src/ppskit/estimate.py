@@ -77,8 +77,8 @@ class LikelihoodModel:
     def __post_init__(self):
         if not self.settings:
             raise InvalidInputError("model needs at least one setting")
-        if self.n_max < 1:
-            raise InvalidInputError("n_max must be >= 1")
+        check_count("n_max", self.n_max, 1)
+        object.__setattr__(self, "n_max", int(self.n_max))
         if self.det_s.gamma != 1.0 or self.det_i.gamma != 1.0:
             raise InvalidInputError(
                 "detector pairs of a model must have gamma = 1; put attenuators in settings"
@@ -145,6 +145,8 @@ class SingleModeModel:
             raise InvalidInputError("model needs at least one attenuator setting")
         if self.layout not in ("1d", "2d"):
             raise InvalidInputError(f"layout must be '1d' or '2d', got {self.layout!r}")
+        check_count("n_max", self.n_max, 1)
+        object.__setattr__(self, "n_max", int(self.n_max))
         for nu in range(len(self.gammas)):
             self.detector(nu)  # checks the detector parameters and the setting's gamma
 
@@ -397,34 +399,17 @@ def _scoring_steps(J, fisher, score, free, exp_curvature=None) -> np.ndarray:
     c + t e^z, whose curvature in z equals its score in z; the
     information in p leaves that term out, so without it a shrinking
     cell's step can run orders of magnitude past where the objective
-    stops rising.  Problems with the same number of free coordinates are
-    solved as one stack: each problem's free coordinates are taken in
-    their own order, so every system is exactly the one it has alone.
+    stops rising.  Every problem is solved in one stack: a held
+    coordinate's row and column become those of the identity and its
+    score 0, so it decouples and steps exactly 0.
     """
-    step = np.zeros(score.shape)
-    if len(free) == 1 or (free == free[0]).all():
-        groups = [(slice(None), free[0])]
-    else:
-        # A stable sort puts each problem's free coordinates first.
-        # (np.unique would import numpy.ma, about 1.7 MB, on first use.)
-        order = np.argsort(~free, axis=1, kind="stable")
-        counts = free.sum(axis=1)
-        groups = []
-        for k in np.flatnonzero(np.bincount(counts)):
-            rows = np.flatnonzero(counts == k)
-            groups.append((rows, order[rows, :k]))
-    for rows, cols in groups:
-        at = (rows, cols) if isinstance(rows, slice) else (rows[:, None], cols)
-        Jf, rhs = J[at], score[at]
-        if not rhs.size:
-            continue
-        info = Jf @ fisher[rows] @ Jf.transpose(0, 2, 1)
-        if exp_curvature is not None:
-            bend = np.where(exp_curvature[at], np.maximum(-rhs, 0.0), 0.0)
-            info = info + bend[..., None] * np.eye(rhs.shape[-1])
-        x, _ = _scaled_solve(info, rhs)
-        step[at] = x
-    return step
+    info = J @ fisher @ J.transpose(0, 2, 1)
+    eye = np.eye(score.shape[-1])
+    if exp_curvature is not None:
+        info = info + np.where(exp_curvature, np.maximum(-score, 0.0), 0.0)[..., None] * eye
+    info = np.where(free[:, :, None] & free[:, None, :], info, eye)
+    x, _ = _scaled_solve(info, np.where(free, score, 0.0))
+    return np.where(free, x, 0.0)
 
 
 def _fisher_scoring(K, F, Z, max_iter: int, used=None):
@@ -435,9 +420,11 @@ def _fisher_scoring(K, F, Z, max_iter: int, used=None):
     from its start in Z (problems x cells-1).  Cells stay at or above
     ``_FLOOR`` relative to cell 0.  A cell on the floor with an outward
     score is held there; one whose step crosses the floor with an outward
-    score is sent there, and the rest are solved again without it.  The
-    other moves are capped at ``_MAX_STEP``, and the projected step is
-    halved until the objective does not fall by more than roundoff.
+    score is sent there, and the rest are solved again without it.  Each
+    solve is one masked stack over every problem (``_scoring_steps``), in
+    which held cells step exactly 0 whatever mix of free sets the problems
+    hold.  The other moves are capped at ``_MAX_STEP``, and the projected
+    step is halved until the objective does not fall by more than roundoff.
     Converged means the KKT conditions hold in p (no cell gains more than
     ``_KKT_TOL`` per count over the multiplier from growing) and a full
     step would gain at most ``_GAIN_TOL`` of the log-likelihood.  ML's

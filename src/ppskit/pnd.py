@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedCharacteristicError
+from .errors import InvalidInputError, UndefinedCharacteristicError, check_count
 from .tables import parse_int, read_table, write_table
 
 _SUM_TOL = 1e-10
@@ -64,17 +64,6 @@ class PndMatrix:
 
 
 @dataclass(frozen=True)
-class LossChannel:
-    """Transmittance of one optical path (a loss element or attenuator)."""
-
-    T: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.T <= 1.0):
-            raise InvalidInputError(f"transmittance must lie in [0, 1], got {self.T}")
-
-
-@dataclass(frozen=True)
 class CharacteristicSet:
     """Source figures of merit computed from a PND matrix."""
 
@@ -100,6 +89,8 @@ def tmsv_pnd(mu: float, n_max: int = 2) -> PndMatrix:
     """
     if not (0.0 <= mu < 1.0):
         raise InvalidInputError(f"mu must lie in [0, 1), got {mu}")
+    check_count("n_max", n_max, 1)
+    n_max = int(n_max)
     p = np.zeros((n_max + 1, n_max + 1))
     for j in range(n_max + 1):
         p[j, j] = (1.0 - mu) * mu**j
@@ -110,14 +101,12 @@ def loss_matrix(T, n_max: int = 2) -> np.ndarray:
     """Binomial loss transfer matrix L[n, m] = C(m, n) T^n (1-T)^(m-n).
 
     Maps an input distribution over m photons to the output distribution
-    over n <= m survivors; columns sum to 1.  Accepts a bare transmittance
-    or a :class:`LossChannel`.
+    over n <= m survivors; columns sum to 1.
     """
-    if isinstance(T, LossChannel):
-        T = T.T
     if not (0.0 <= T <= 1.0):
         raise InvalidInputError(f"transmittance must lie in [0, 1], got {T}")
-    size = n_max + 1
+    check_count("n_max", n_max, 0)
+    size = int(n_max) + 1
     L = np.zeros((size, size))
     for m in range(size):
         for n in range(m + 1):

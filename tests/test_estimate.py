@@ -442,15 +442,15 @@ class TestMlEstimateMany:
 
 
 class TestScoringSteps:
-    # Free sets over 8 coordinates: two counts shared by different sets,
-    # one set repeated, every coordinate free, and nothing free.
+    # Free sets over 8 coordinates: different sets of one size, one set
+    # repeated, every coordinate free, and nothing free.
     FREE = [
         "11111000", "01111100", "11111000", "10111011",
         "11011111", "11111111", "00000000", "00101001",
     ]
 
     @pytest.mark.parametrize("curved", [False, True], ids=["ml", "exp-curvature"])
-    def test_grouped_solve_matches_each_problem_alone(self, curved):
+    def test_masked_stack_matches_each_problem_alone(self, curved):
         rng = np.random.default_rng(41)
         free = np.array([[c == "1" for c in row] for row in self.FREE])
         m, n = free.shape[0], free.shape[1] + 1
@@ -467,14 +467,25 @@ class TestScoringSteps:
             )
             assert step[i].tobytes() == alone[0].tobytes()
             assert np.all(step[i][~mask] == 0.0)
+            # The masked system: a held coordinate's row and column are the identity's.
+            info = J[i] @ fisher[i] @ J[i].T
+            if curved:
+                info = info + np.diag(np.where(curvature[i], np.maximum(-score[i], 0.0), 0.0))
+            held = np.flatnonzero(~mask)
+            info[held, :] = 0.0
+            info[:, held] = 0.0
+            info[held, held] = 1.0
+            x, _ = ppskit.estimate._scaled_solve(info[None], np.where(mask, score[i], 0.0)[None])
+            assert step[i].tobytes() == np.where(mask, x[0], 0.0).tobytes()
             if not mask.any():
                 continue
+            # It agrees with the k x k system over the free coordinates alone.
             Jf, rhs = J[i][mask], score[i][mask]
-            info = Jf @ fisher[i] @ Jf.T
+            reduced = Jf @ fisher[i] @ Jf.T
             if curved:
-                info = info + np.diag(np.where(curvature[i][mask], np.maximum(-rhs, 0.0), 0.0))
-            x, _ = ppskit.estimate._scaled_solve(info[None], rhs[None])
-            assert step[i][mask].tobytes() == x[0].tobytes()
+                reduced = reduced + np.diag(np.where(curvature[i][mask], np.maximum(-rhs, 0.0), 0.0))
+            x, _ = ppskit.estimate._scaled_solve(reduced[None], rhs[None])
+            np.testing.assert_allclose(step[i][mask], x[0], rtol=1e-13, atol=0.0)
 
 
 class TestMomentStart:

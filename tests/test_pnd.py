@@ -74,12 +74,9 @@ class TestLossMatrix:
         np.testing.assert_allclose(L[0], 1.0)
         np.testing.assert_allclose(L[1:], 0.0)
 
-    def test_accepts_loss_channel(self):
-        from ppskit.pnd import LossChannel
-
-        np.testing.assert_allclose(loss_matrix(LossChannel(0.5), 2), loss_matrix(0.5, 2))
+    def test_rejects_transmittance_above_one(self):
         with pytest.raises(InvalidInputError):
-            LossChannel(1.5)
+            loss_matrix(1.5, 2)
 
     @given(T=st.floats(0.0, 1.0), n_max=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)

@@ -6,12 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from ppskit.detection import CountRecord, OutcomeProbs, SingleCountRecord
+from ppskit.detection import CountRecord, OutcomeProbs, SingleCountRecord, conversion_matrix
 from ppskit.errors import InvalidInputError
-from ppskit.estimate import EstimateOptions, EstimateResult
+from ppskit.estimate import (
+    EstimateOptions,
+    EstimateResult,
+    LikelihoodModel,
+    SingleModeModel,
+    ml_estimate,
+)
 from ppskit.jsd import FilterProfile, JsdGrid, gaussian_jsd, segment
 from ppskit.metrics import MetricConfig, bootstrap
-from ppskit.pnd import PndMatrix
+from ppskit.pnd import PndMatrix, loss_matrix, tmsv_pnd
 from ppskit.presets import reference_detectors
 from ppskit.simulate import ExperimentConfig, SweepSpec, run_sweep
 
@@ -67,6 +73,13 @@ BAD_VALUES = {
     "rect-width-negative": lambda: FilterProfile.rect(AXIS, 0.0, -0.5),
     "rect-center-nan": lambda: FilterProfile.rect(AXIS, math.nan, 0.5),
     "gauss-fwhm-negative": lambda: FilterProfile.gauss(AXIS, 0.0, -0.5),
+    "single-n_max-negative": lambda: SingleModeModel.two_detector(0.5, 0.5, 0.0, (1.0,), n_max=-1),
+    "single-n_max-zero": lambda: SingleModeModel.one_detector(0.5, 0.0, (1.0,), n_max=0),
+    "bipartite-n_max-fraction": lambda: LikelihoodModel(*reference_detectors(), n_max=2.5),
+    "bipartite-n_max-zero": lambda: LikelihoodModel(*reference_detectors(), n_max=0),
+    "tmsv-n_max-fraction": lambda: tmsv_pnd(0.1, 2.5),
+    "loss-n_max-negative": lambda: loss_matrix(0.5, n_max=-1),
+    "conversion-n_max-fraction": lambda: conversion_matrix(0.5, 0.5, 0.5, 2.5),
 }
 
 
@@ -83,3 +96,14 @@ def test_integral_floats_stay_accepted():
     assert all(row["n_m"] == 1e6 and row["converged"] for row in rows)
     samples = bootstrap(FACTORIES["CountRecord"](), 2.0, 1e3)
     assert [sample.n_m for sample in samples] == [1000, 1000]
+
+
+def test_integral_float_n_max_fits_like_an_int():
+    records = [FACTORIES["CountRecord"]()]
+    as_float = LikelihoodModel(*reference_detectors(), n_max=2.0)
+    as_int = LikelihoodModel(*reference_detectors(), n_max=2)
+    assert as_float.n_max == 2 and isinstance(as_float.n_max, int)
+    assert as_float.hash() == as_int.hash()
+    fit = ml_estimate(records, as_float)
+    assert fit.converged
+    assert fit.p_hat.p.tobytes() == ml_estimate(records, as_int).p_hat.p.tobytes()
