@@ -70,7 +70,7 @@ from .estimate import (
     ml_estimate,
     ml_estimate_many,
 )
-from .metrics import MetricConfig, bootstrap, bootstrap_stats, fidelity, rmsle
+from .metrics import bootstrap, bootstrap_stats, fidelity, rmsle
 from .simulate import (
     ExperimentConfig,
     SweepSpec,

@@ -221,7 +221,12 @@ def _build_detectors(cfg: RunConfig) -> tuple[DetectorPair, DetectorPair, float]
         )
         for ref, keys in zip(presets.reference_detectors(), _DETECTOR_KEYS)
     )
-    return det_s, det_i, cfg.get("detectors", "rep_rate_hz", presets.REFERENCE_REP_RATE_HZ)
+    rep_rate = cfg.get("detectors", "rep_rate_hz", presets.REFERENCE_REP_RATE_HZ)
+    if not 0 < rep_rate < math.inf:
+        raise ConfigError(
+            f"key 'rep_rate_hz' in [detectors] must be positive and finite, got {rep_rate}"
+        )
+    return det_s, det_i, rep_rate
 
 
 def _build_settings(cfg: RunConfig) -> tuple:
@@ -460,8 +465,9 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
     """
     seed = _flagged(cfg, args, "bootstrap", "seed", 0)
     n_boot = cfg.get("bootstrap", "n_boot", 100)
+    if n_boot < 1:
+        raise ConfigError(f"key 'n_boot' in [bootstrap] must be at least 1, got {n_boot}")
     sizes = cfg.get("bootstrap", "sample_sizes", None) or (None,)
-    refit_all = functools.partial(_ESTIMATORS[method], model=model, options=options)
 
     def pipeline(fit):
         return characterize(fit).as_dict()
@@ -472,7 +478,9 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
             bootstrap(rec, n_boot, rec.n_m if size is None else size, seed=seed)
             for rec in records
         ]
-        rows.extend(bootstrap_stats(list(zip(*per_setting)), pipeline, batch=refit_all))
+        draws = list(zip(*per_setting))
+        fits = _ESTIMATORS[method](draws, model, options)
+        rows.extend(bootstrap_stats(fits, pipeline, sum(r.n_m for r in draws[0])))
     write_bootstrap_csv(os.path.join(out, "bootstrap_summary.csv"), rows)
     print(f"wrote {out}/bootstrap_summary.csv")
 

@@ -22,8 +22,6 @@ from .errors import DataModelMismatchError, InvalidInputError, check_count
 from .pnd import PndMatrix
 from .tables import parse_int, read_table, write_table
 
-STATUS_LABELS = ("XX", "XO", "OX", "OO")
-
 # Outcome indices of one mode pair in which a given detector clicked.
 T_CLICK = (2, 3)  # transmitted-port detector (D1 on signal, D3 on idler)
 R_CLICK = (1, 3)  # reflected-port detector (D2 on signal, D4 on idler)
@@ -56,10 +54,6 @@ class DetectorPair:
             if not (0.0 <= value < 1.0):
                 raise InvalidInputError(f"{name} must lie in [0, 1), got {value}")
 
-    @property
-    def R(self) -> float:
-        return 1.0 - self.T
-
     def with_gamma(self, gamma: float) -> "DetectorPair":
         return replace(self, gamma=gamma)
 
@@ -67,8 +61,7 @@ class DetectorPair:
 def _check_counts(f: np.ndarray, n_m, raw: bool = True) -> None:
     if not np.all(np.isfinite(f)):
         raise InvalidInputError("counts must be finite")
-    if not 0 <= n_m < np.inf:
-        raise InvalidInputError(f"n_m must be finite and nonnegative, got {n_m}")
+    check_count("n_m", n_m, 0)
     if raw and np.any(f < 0):
         raise InvalidInputError("raw counts must be nonnegative")
     if raw and abs(f.sum() - n_m) > max(0.5, 2e-12 * n_m):
@@ -249,20 +242,15 @@ def detector_clicked_mask(detector: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ones(4, dtype=bool), click
 
 
-def counts_with_clicks(f: np.ndarray, detectors):
-    """Total counts in which every listed detector clicked.
-
-    A float for one 4 x 4 table, an array for a stack (..., 4, 4).
-    """
+def counts_with_clicks(f: np.ndarray, detectors) -> float:
+    """Total counts of a 4 x 4 table in which every listed detector clicked."""
     rows = np.ones(4, dtype=bool)
     cols = np.ones(4, dtype=bool)
     for det in detectors:
         r, c = detector_clicked_mask(det)
         rows &= r
         cols &= c
-    block = f[..., rows, :][..., cols]
-    total = block.reshape(block.shape[:-2] + (-1,)).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return float(f[np.ix_(rows, cols)].sum())
 
 
 def singles(rec: CountRecord) -> np.ndarray:

@@ -25,14 +25,19 @@ class DataModelMismatchError(PpskitError):
     """Count data and the detection model disagree (shape, settings, totals)."""
 
 
+def is_whole(value) -> bool:
+    """True iff ``value`` is a whole number; integral floats such as 1e12
+    count, fractions, NaN and infinities do not."""
+    try:
+        return bool(value == int(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def check_count(name: str, value, minimum: int) -> None:
     """Raise InvalidInputError unless ``value`` is a whole number >= ``minimum``.
 
     Integral floats such as 1e12 pass; fractions, NaN and infinities do not.
     """
-    try:
-        whole = value == int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not (whole and value >= minimum):
+    if not (is_whole(value) and value >= minimum):
         raise InvalidInputError(f"{name} must be a whole number >= {minimum}, got {value!r}")

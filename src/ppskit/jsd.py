@@ -623,25 +623,22 @@ def synthesize_pnd(
     filt_s: FilterProfile,
     filt_i: FilterProfile,
     gain: PumpGain,
-    n_max: int = 2,
 ) -> PndMatrix:
     """Photon number distribution of the filtered source, two-pair exact.
 
     Segments the JSD and hands the result to :func:`pnd_from_segmentation`.
     """
-    check_count("n_max", n_max, 2)
-    return pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain, n_max)
+    return pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain)
 
 
-def pnd_from_segmentation(seg: Segmentation, gain: PumpGain, n_max: int = 2) -> PndMatrix:
+def pnd_from_segmentation(seg: Segmentation, gain: PumpGain) -> PndMatrix:
     """Photon number distribution of a segmented source, two-pair exact.
 
     Single-pair events distribute the branch weights onto the one-photon
     cells; two-pair events fill the two-photon cells with the exact
     mode-number and exchange-overlap corrections.  The vacuum cell absorbs
-    the remainder so the matrix is normalized.
+    the remainder so the 3 x 3 matrix (0..2 photons per mode) is normalized.
     """
-    check_count("n_max", n_max, 2)
     mu = gain.xi_sq
     q1, q2, q3, q4 = seg.q
     k1, k2, k3, k4 = seg.kappa
@@ -676,11 +673,6 @@ def pnd_from_segmentation(seg: Segmentation, gain: PumpGain, n_max: int = 2) -> 
     p = single + double
     p[0, 0] = 0.0
     p[0, 0] = 1.0 - p.sum()
-    if n_max > 2:
-        n_max = int(n_max)
-        padded = np.zeros((n_max + 1, n_max + 1))
-        padded[:3, :3] = p
-        p = padded
     return PndMatrix(p)
 
 

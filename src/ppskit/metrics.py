@@ -2,16 +2,16 @@
 
 For pair sources the vacuum cell dominates, so Bhattacharyya fidelity is
 blind to errors in the small cells; the root mean squared logarithmic
-error compares cells by ratio instead and is the primary accuracy metric
-here.  Uncertainties come from resampling the observed outcome
-frequencies with replacement and pushing every resample through the full
-estimation pipeline.
+error compares cells by ratio instead, with one fixed guard against empty
+cells, and is the primary accuracy metric here.  Uncertainties come from
+resampling the observed outcome frequencies with replacement
+(:func:`bootstrap`), refitting every draw, and summarizing the refits
+(:func:`bootstrap_stats`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +22,10 @@ from .rng import multinomial_counts, substream
 from .tables import write_table
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    """Divergence guard for the log-ratio metric.
-
-    ``alpha`` is added to both cells before taking the ratio so empty
-    cells stay finite; the default suits distributions whose smallest
-    meaningful cells sit far above 1e-15.
-    """
-
-    alpha: float = 1e-15
-
-    def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise InvalidInputError(f"alpha must be positive and finite, got {self.alpha}")
+# Divergence guard of the log-ratio metric: added to both cells before
+# taking the ratio so empty cells stay finite; it suits distributions whose
+# smallest meaningful cells sit far above 1e-15.
+_ALPHA = 1e-15
 
 
 def _cells(P) -> np.ndarray:
@@ -44,18 +34,17 @@ def _cells(P) -> np.ndarray:
     return np.asarray(P, dtype=float)
 
 
-def rmsle(P, O, cfg: MetricConfig | None = None) -> float:
+def rmsle(P, O) -> float:
     """Root mean squared log10 cell ratio between two distributions.
 
     Zero iff the inputs agree; a uniform cell ratio of r gives |log10 r|.
     Symmetric in its arguments.
     """
-    cfg = cfg or MetricConfig()
     p = _cells(P)
     o = _cells(O)
     if p.shape != o.shape:
         raise InvalidInputError(f"shape mismatch: {p.shape} vs {o.shape}")
-    logs = np.log10((p + cfg.alpha) / (o + cfg.alpha))
+    logs = np.log10((p + _ALPHA) / (o + _ALPHA))
     return float(np.sqrt(np.mean(logs**2)))
 
 
@@ -94,29 +83,24 @@ def bootstrap(record: CountRecord, n_boot: int, sample_size: int, seed: int = 0)
     return samples
 
 
-def bootstrap_stats(samples, pipeline, batch=None) -> list[dict]:
-    """Summary statistics of a pipeline over bootstrap samples.
+def bootstrap_stats(draws, pipeline, sample_size: int) -> list[dict]:
+    """Summary statistics of a pipeline over bootstrap draws.
 
-    A sample is one CountRecord, or a tuple of records (one per setting)
-    resampled together, whose ``sample_size`` is then their total trials.
-    ``pipeline`` maps one sample to a mapping of characteristic name
-    to value; samples on which it raises a package error (or returns
-    non-finite values) are tallied in ``n_fail`` instead of aborting the
-    aggregation.  ``batch``, if given, maps the whole sample list to one
-    value per sample (say, every refit from one batched solve), and
-    ``pipeline`` then receives those values instead of the samples.
-    Returns one row per characteristic, sorted by name, with mean, std and
-    the 5 / 50 / 95 percent quantiles.
+    ``pipeline`` maps one draw (a resampled record, or the refit of one,
+    say) to a mapping of characteristic name to value; draws on which it
+    raises a package error (or returns non-finite values) are tallied in
+    ``n_fail`` instead of aborting the aggregation.  ``sample_size`` is the
+    number of trials in one draw, reported with every row.  Returns one
+    row per characteristic, sorted by name, with mean, std and the 5 / 50
+    / 95 percent quantiles.
     """
-    if not samples:
+    if not draws:
         raise InvalidInputError("no bootstrap samples given")
     values: dict[str, list[float]] = {}
     n_fail = 0
-    first = samples[0]
-    sample_size = sum(r.n_m for r in first) if isinstance(first, tuple) else first.n_m
-    for sample in samples if batch is None else batch(samples):
+    for draw in draws:
         try:
-            result = pipeline(sample)
+            result = pipeline(draw)
         except (PpskitError, ArithmeticError):
             n_fail += 1
             continue
@@ -127,7 +111,7 @@ def bootstrap_stats(samples, pipeline, batch=None) -> list[dict]:
             values.setdefault(name, []).append(float(value))
     if not values:
         raise PpskitError(
-            f"bootstrap pipeline failed on all {len(samples)} samples"
+            f"bootstrap pipeline failed on all {len(draws)} samples"
         )
     rows = []
     for name in sorted(values):

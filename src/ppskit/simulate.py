@@ -46,7 +46,7 @@ SWEEP_COLUMNS = (
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return substream(0 if seed is None else int(seed))
+    return substream(0 if seed is None else seed)
 
 
 def sample_counts(W: OutcomeProbs, n_m: int, seed, nu: int = 0) -> CountRecord:
@@ -146,7 +146,8 @@ class SweepSpec:
     ``gamma_design`` chooses the attenuator plan for bipartite methods:
     "none" measures once at full transmission, "va4" adds the four
     combinations of 0.5 / 1.0 on the two arms (four times the raw budget).
-    Single-mode methods always use ``single_gammas``.
+    Single-mode methods always use the ten attenuators
+    ``DEFAULT_SINGLE_GAMMAS``.
     """
 
     p_g_grid: tuple
@@ -156,7 +157,6 @@ class SweepSpec:
     gamma_design: str = "none"
     reps: int = 100
     bs_T: float = 0.5
-    single_gammas: tuple = DEFAULT_SINGLE_GAMMAS
     exact_counts: bool = False
     n_starts: int = 5
     max_iter: int = 10000
@@ -193,7 +193,7 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
         model = est.LikelihoodModel(det_s=det, det_i=det, settings=settings)
         random_truth, gamma_label = random_pps_pnd, spec.gamma_design
     else:
-        settings = spec.single_gammas
+        settings = DEFAULT_SINGLE_GAMMAS
         if layout == "2d":
             model = est.SingleModeModel.two_detector(T=spec.bs_T, eta=eta, d=d, gammas=settings)
         else:

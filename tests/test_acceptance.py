@@ -369,7 +369,7 @@ def test_bootstrap_uncertainty_scaling():
     table: dict = {}
     for size in sizes:
         samples = bootstrap(record, 100, int(size), seed=SEED)
-        for row in bootstrap_stats(samples, pipeline, batch=refit_all):
+        for row in bootstrap_stats(refit_all(samples), pipeline, int(size)):
             table.setdefault(row["characteristic"], []).append(row)
 
     ok = True

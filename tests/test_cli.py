@@ -338,6 +338,18 @@ class TestEstimateCommand:
         config = write_config(tmp_path, DETECTOR_SECTION, name="est.cfg")
         assert cli.main(["estimate", "--config", config]) == 2
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-76e6"])
+    def test_unusable_rep_rate_exits_2(self, tmp_path, capsys, rate):
+        counts = self._simulate(tmp_path)
+        config = write_config(
+            tmp_path, DETECTOR_SECTION + f"rep_rate_hz = {rate}\n", name="est.cfg"
+        )
+        out = tmp_path / "fit"
+        argv = ["estimate", "--config", config, "--counts", str(counts), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "rep_rate_hz" in capsys.readouterr().err
+        assert not (out / "characteristics.csv").exists()
+
 
 class TestBootstrapCommand:
     def test_summary_written(self, tmp_path):
@@ -416,6 +428,18 @@ class TestBootstrapCommand:
         assert batches == [[2] * 4, [2] * 4]  # one call per sample size
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {"0"}
+
+    @pytest.mark.parametrize("n_boot", ["0", "-1"])
+    def test_no_draws_exits_2_naming_n_boot(self, tmp_path, capsys, n_boot):
+        counts = self._counts(tmp_path)
+        config = write_config(
+            tmp_path, DETECTOR_SECTION + f"\n[bootstrap]\nn_boot = {n_boot}\n", name="boot.cfg"
+        )
+        out = tmp_path / "boot"
+        argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "n_boot" in capsys.readouterr().err
+        assert not (out / "bootstrap_summary.csv").exists()
 
     def test_sample_sizes_are_exact_integers(self, tmp_path, capsys):
         counts = self._counts(tmp_path)

@@ -10,13 +10,10 @@ from ppskit.detection import DetectorPair, bipartite_probs, write_counts_csv
 from ppskit.errors import InvalidInputError
 from ppskit.estimate import EstimateOptions, LikelihoodModel, eml_estimate_many, ml_estimate
 from ppskit.jsd import (
-    FilterProfile,
-    PumpGain,
     gaussian_jsd,
     read_filter_csv,
     read_jsd_csv,
     schmidt_number_svd,
-    synthesize_pnd,
     write_jsd_csv,
 )
 from ppskit.metrics import bootstrap, rmsle
@@ -144,19 +141,6 @@ class TestHigherTruncation:
         W = bipartite_probs(Q, det, det)
         oracle = test_detection.enumerate_bipartite(Q, det, det)
         np.testing.assert_allclose(W.probs, oracle, atol=1e-12)
-
-    def test_synthesize_pads_above_two_photons(self):
-        jsd = gaussian_jsd(0.3, 0.8, n_s=32, n_i=32)
-        P = synthesize_pnd(
-            jsd,
-            FilterProfile.all_pass(jsd.axis_s),
-            FilterProfile.all_pass(jsd.axis_i),
-            PumpGain(1e-3),
-            n_max=4,
-        )
-        assert P.p.shape == (5, 5)
-        assert P.p[3:, :].sum() == 0.0 and P.p[:, 3:].sum() == 0.0
-        assert P.p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_loss_matrix_binomial_tail(self):
         L = loss_matrix(0.3, 4)

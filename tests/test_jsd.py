@@ -742,21 +742,14 @@ class TestSynthesize:
         filt_s = FilterProfile.gauss(jsd.axis_s, 0.1, 0.7)
         filt_i = FilterProfile.gauss(jsd.axis_i, -0.1, 0.3)
         gain = PumpGain(0.02)
-        for n_max in (2, 4):
-            P = synthesize_pnd(jsd, filt_s, filt_i, gain, n_max)
-            Q = pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain, n_max)
-            assert P.p.tobytes() == Q.p.tobytes()
-        with pytest.raises(InvalidInputError):
-            pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain, n_max=1)
+        P = synthesize_pnd(jsd, filt_s, filt_i, gain)
+        Q = pnd_from_segmentation(segment(jsd, filt_s, filt_i), gain)
+        assert P.p.shape == (3, 3)
+        assert P.p.tobytes() == Q.p.tobytes()
 
     def test_integral_float_sizes_stay_accepted(self):
         jsd = gaussian_jsd(0.3, 0.9, n_s=16.0, n_i=12.0)
         assert jsd.values.shape == (16, 12)
-        P = synthesize_pnd(
-            jsd, FilterProfile.all_pass(jsd.axis_s), FilterProfile.all_pass(jsd.axis_i),
-            PumpGain(1e-3), n_max=4.0,
-        )
-        assert P.p.shape == (5, 5)
 
     def test_gain_validation(self):
         with pytest.raises(InvalidInputError):
@@ -779,20 +772,9 @@ def test_property_random_complex_grids_keep_oracles_equal(data, n):
     assert 1.0 - 1e-9 <= k_svd <= min(n, n + 2) + 1e-9
 
 
-def _all_pass_source():
-    jsd = gaussian_jsd(0.3, 0.9, n_s=16, n_i=16)
-    return jsd, FilterProfile.all_pass(jsd.axis_s), FilterProfile.all_pass(jsd.axis_i)
-
-
 BAD_ARGUMENTS = {
     "gaussian-n_s-fraction": lambda: gaussian_jsd(0.3, 0.9, n_s=16.5, n_i=16),
     "gaussian-n_i-fraction": lambda: gaussian_jsd(0.3, 0.9, n_s=16, n_i=16.5),
-    "synthesize-n_max-fraction": lambda: synthesize_pnd(
-        *_all_pass_source(), PumpGain(1e-3), n_max=2.5
-    ),
-    "segmentation-n_max-fraction": lambda: pnd_from_segmentation(
-        segment(*_all_pass_source()), PumpGain(1e-3), n_max=3.5
-    ),
     "grid-string-values": lambda: JsdGrid(np.full((4, 4), "1.0"), np.arange(4.0), np.arange(4.0)),
     "gain-string": lambda: PumpGain("0.01"),
 }

@@ -8,7 +8,6 @@ from ppskit.detection import DetectorPair, bipartite_probs
 from ppskit.errors import InvalidInputError, PpskitError
 from ppskit.estimate import count_based_pg_eta
 from ppskit.metrics import (
-    MetricConfig,
     bootstrap,
     bootstrap_stats,
     fidelity,
@@ -53,10 +52,6 @@ class TestRmsle:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             rmsle(np.ones(3) / 3, np.ones((3, 3)) / 9)
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            MetricConfig(alpha=0.0)
 
     def test_vector_arguments_supported(self):
         assert rmsle(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
@@ -143,12 +138,17 @@ class TestBootstrap:
         with pytest.raises(InvalidInputError):
             bootstrap(rec, 10, 0, seed=0)
 
+    def test_nan_seed_rejected(self):
+        _, _, rec = study_record()
+        with pytest.raises(InvalidInputError, match="seed"):
+            bootstrap(rec, 2, 1000, seed=np.nan)
+
 
 class TestBootstrapStats:
     def test_constant_pipeline_has_zero_std(self):
         _, _, rec = study_record()
         samples = bootstrap(rec, 5, 1000, seed=3)
-        rows = bootstrap_stats(samples, lambda s: {"c": 1.25})
+        rows = bootstrap_stats(samples, lambda s: {"c": 1.25}, 1000)
         assert rows == [
             {
                 "characteristic": "c",
@@ -171,7 +171,7 @@ class TestBootstrapStats:
             return {"p_g": p_g, "eta_H_s": eta_s, "eta_H_i": eta_i}
 
         samples = bootstrap(rec, 50, 10**6, seed=4)
-        for row in bootstrap_stats(samples, pipeline):
+        for row in bootstrap_stats(samples, pipeline, 10**6):
             assert row["q05"] <= row["q50"] <= row["q95"]
             assert row["n_fail"] == 0
 
@@ -186,29 +186,8 @@ class TestBootstrapStats:
                 raise PpskitError("boom")
             return {"c": float(calls["n"])}
 
-        rows = bootstrap_stats(samples, flaky)
+        rows = bootstrap_stats(samples, flaky, 1000)
         assert rows[0]["n_fail"] == 3
-
-    def test_batch_values_replace_samples(self):
-        _, _, rec = study_record()
-        samples = bootstrap(rec, 4, 1000, seed=5)
-        batches = []
-
-        def batch(given):
-            batches.append(list(given))
-            return [float(s.f[0, 0]) for s in given]
-
-        def pipeline(value):
-            if value == samples[1].f[0, 0]:
-                raise PpskitError("refit failed")
-            return {"c": value}
-
-        rows = bootstrap_stats(samples, pipeline, batch=batch)
-        assert batches == [samples]
-        assert rows[0]["n_fail"] == 1
-        assert rows[0]["sample_size"] == 1000
-        kept = [samples[i].f[0, 0] for i in (0, 2, 3)]
-        assert rows[0]["mean"] == pytest.approx(np.mean(kept), rel=1e-15)
 
     def test_all_failures_raise(self):
         _, _, rec = study_record()
@@ -218,7 +197,7 @@ class TestBootstrapStats:
             raise PpskitError("nope")
 
         with pytest.raises(PpskitError):
-            bootstrap_stats(samples, broken)
+            bootstrap_stats(samples, broken, 1000)
 
     def test_pg_std_scales_with_inverse_root_of_sample_size(self):
         _, det, rec = study_record(n_m=10**7, seed=9)
@@ -232,7 +211,7 @@ class TestBootstrapStats:
         stds = []
         for size in sizes:
             samples = bootstrap(rec, 300, size, seed=7)
-            rows = bootstrap_stats(samples, pipeline)
+            rows = bootstrap_stats(samples, pipeline, size)
             stds.append(rows[0]["std"])
         slope = np.polyfit(np.log10(sizes), np.log10(stds), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)

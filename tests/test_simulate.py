@@ -89,6 +89,21 @@ class TestSampleCounts:
         np.testing.assert_array_equal(counts, [100, 0, 0])
 
 
+class TestSeeds:
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            substream(1.5)
+        with pytest.raises(InvalidInputError, match="seed"):
+            random_pps_pnd(1e-2, 1.2)
+
+    def test_integral_float_seed_keeps_the_int_stream(self):
+        for seed in (3, -3):
+            np.testing.assert_array_equal(
+                substream(float(seed), "x", 1).random(8), substream(seed, "x", 1).random(8)
+            )
+        assert substream(-3).random() != substream(3).random()
+
+
 class TestRandomSources:
     def test_pps_first_order_cells_in_band(self):
         for seed in range(50):
@@ -193,6 +208,11 @@ class TestRunSweep:
         spec = SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e5,))
         with pytest.raises(InvalidInputError):
             run_sweep(spec, "map-3d")
+
+    def test_fractional_seed_rejected(self):
+        spec = SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e5,), reps=1, n_starts=1)
+        with pytest.raises(InvalidInputError, match="seed"):
+            run_sweep(spec, "ml-2x2d", seed=3.4)
 
     def test_default_attenuator_ladder(self):
         assert DEFAULT_SINGLE_GAMMAS == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)

@@ -1,5 +1,5 @@
-"""Value types holding arrays compare by identity and hash; sizes and
-metric guards passed from Python reject what no run can use."""
+"""Value types holding arrays compare by identity and hash; sizes passed
+from Python reject what no run can use."""
 
 import math
 
@@ -16,7 +16,7 @@ from ppskit.estimate import (
     ml_estimate,
 )
 from ppskit.jsd import FilterProfile, JsdGrid, gaussian_jsd, segment
-from ppskit.metrics import MetricConfig, bootstrap
+from ppskit.metrics import bootstrap
 from ppskit.pnd import PndMatrix, loss_matrix, tmsv_pnd
 from ppskit.presets import reference_detectors
 from ppskit.simulate import ExperimentConfig, SweepSpec, run_sweep
@@ -68,7 +68,8 @@ BAD_VALUES = {
     "experiment-n_m-fraction": lambda: ExperimentConfig(_pnd(), *reference_detectors(), n_m=2.5),
     "bootstrap-sample_size-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2, 2.5),
     "bootstrap-n_boot-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2.5, 10),
-    "alpha-nan": lambda: MetricConfig(alpha=math.nan),
+    "count-record-n_m-fraction": lambda: CountRecord(np.full((4, 4), 2.0), 32.5),
+    "single-record-n_m-fraction": lambda: SingleCountRecord(np.array([6.0, 1.0, 2.0, 1.0]), 10.5),
     "rect-width-nan": lambda: FilterProfile.rect(AXIS, 0.0, math.nan),
     "rect-width-negative": lambda: FilterProfile.rect(AXIS, 0.0, -0.5),
     "rect-center-nan": lambda: FilterProfile.rect(AXIS, math.nan, 0.5),
