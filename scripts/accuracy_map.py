@@ -35,7 +35,6 @@ def main(argv=None) -> None:
         n_m_grid=tuple(args.n_m),
         eta_grid=(args.eta,),
         reps=args.reps,
-        n_starts=3,
     )
     rows = run_sweep(spec, args.method, seed=args.seed)
     write_sweep_csv(args.out, rows)

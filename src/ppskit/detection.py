@@ -195,15 +195,28 @@ def bipartite_probs(P: PndMatrix, det_s: DetectorPair, det_i: DetectorPair) -> O
     """16-outcome probability table of a bipartite source.
 
     W = (N_s M_s) P (N_i M_i)^T with attenuators folded into the
-    efficiencies of each side.  ``P`` must be normalized (renormalize
-    truncated inputs first).
+    efficiencies of each side: :func:`pair_probs` under the two sides'
+    :func:`outcome_map`.  ``P`` must be normalized (renormalize truncated
+    inputs first).
+    """
+    return pair_probs(P, outcome_map(det_s, P.n_max), outcome_map(det_i, P.n_max))
+
+
+def pair_probs(P: PndMatrix, A: np.ndarray, B: np.ndarray) -> OutcomeProbs:
+    """16-outcome table A P B^T of a normalized PND under the signal and
+    idler outcome maps ``A`` and ``B`` (see :func:`outcome_map`).
+
+    Callers that push many PNDs through the same detectors build the maps
+    once; :func:`bipartite_probs` builds them per call.
     """
     if P.subnormalized:
         raise InvalidInputError(
-            "bipartite_probs needs a normalized PND; use PndMatrix.renormalized()"
+            "outcome probabilities need a normalized PND; use PndMatrix.renormalized()"
         )
-    A = outcome_map(det_s, P.n_max)
-    B = outcome_map(det_i, P.n_max)
+    if A.shape != (4, P.n_max + 1) or B.shape != (4, P.n_max + 1):
+        raise DataModelMismatchError(
+            f"outcome maps {A.shape} and {B.shape} do not fit a PND with n_max={P.n_max}"
+        )
     return OutcomeProbs(A @ P.p @ B.T)
 
 

@@ -14,10 +14,13 @@ not resolve above one standard error starts on the floor.
 A baseline estimator replicating the older extended-maximum-likelihood
 scheme is included for comparison: it discards outcomes in which all
 detectors of a mode clicked and fits setting-renormalized probabilities,
-so it needs at least two attenuator settings.  Its objective is not
-concave, so the same ascent, fed EML's score and expected information,
-runs from the moment start of the used outcomes and from jittered
-restarts, and the best start wins.
+so it needs at least two attenuator settings.  The same ascent, fed
+EML's score and expected information, runs once from the moment start of
+the used outcomes.  EML's objective is not concave, but on the sweep
+grids checked jittered restarts gain only roundoff over that start; far
+out of the accuracy region it can hold separate maxima.  The restarts
+stay available through ``EstimateOptions.n_starts`` above 1, and then
+the best start wins.
 
 Record sets that share a model (bootstrap draws, the reps of a sweep
 cell) go through one call of either estimator's ``*_many`` form, which
@@ -49,7 +52,7 @@ from .errors import (
     check_count,
 )
 from .pnd import CharacteristicSet, PndMatrix, characteristics
-from .rng import substream
+from .rng import check_seed, substream
 
 _FLOOR = 1e-15  # smallest cell, relative to cell 0
 _KKT_TOL = 1e-9  # largest per-count gain over the KKT multiplier of growing a cell
@@ -196,18 +199,20 @@ class EstimateOptions:
     """Fit budget.
 
     ``max_iter`` caps the Newton steps of an ML fit and of each EML
-    start.  ``n_starts`` and ``seed`` only steer EML's jittered restarts:
-    the ML log-likelihood is concave, so ML ascends once from the moment
-    start.
+    start.  ``n_starts`` and ``seed`` only steer EML: by default it
+    ascends once from its moment start, as ML always does, and
+    ``n_starts`` above 1 adds ``n_starts - 1`` jittered restarts drawn
+    from ``seed``, a whole number.
     """
 
-    n_starts: int = 5
+    n_starts: int = 1
     max_iter: int = 10000
     seed: int = 0
 
     def __post_init__(self):
         check_count("n_starts", self.n_starts, 1)
         check_count("max_iter", self.max_iter, 0)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -587,11 +592,12 @@ def eml_estimate(records, model, options: EstimateOptions | None = None) -> Esti
     renormalized to W_o(nu) / sum_lambda W_o(lambda) and the counts fitted
     against that distribution, so the absolute click fraction carries no
     weight.  All-click outcomes are excluded.  Needs >= 2 settings.  The
-    objective is not concave, so the projected Fisher-scoring ascent, with
-    EML's score and expected information, runs from the moment start of
-    the used outcomes and from ``n_starts - 1`` jittered restarts; the
-    start with the highest objective wins, the first among equals.  This
-    is the one-set call of :func:`eml_estimate_many`.
+    projected Fisher-scoring ascent, with EML's score and expected
+    information, runs from the moment start of the used outcomes.  The
+    objective is not concave, so ``n_starts`` above 1 adds
+    ``n_starts - 1`` jittered restarts; the start with the highest
+    objective wins, the first among equals.  This is the one-set call of
+    :func:`eml_estimate_many`.
     """
     return eml_estimate_many([records], model, options)[0]
 

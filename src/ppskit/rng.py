@@ -16,15 +16,21 @@ import numpy as np
 from .errors import InvalidInputError, is_whole
 
 
-def stream_key(seed: int, *path) -> np.ndarray:
-    """Derive a 128-bit Philox key from ``seed`` and a stream path.
+def check_seed(seed) -> None:
+    """Raise InvalidInputError unless ``seed`` is a whole number.
 
-    The seed must be a whole number; an integral float such as 3.0 keys
-    the same stream as 3, and a fraction is rejected rather than truncated
-    onto a neighbouring seed's stream.
+    An integral float such as 3.0 keys the same stream as 3, and a
+    fraction is rejected rather than truncated onto a neighbouring seed's
+    stream.  Value types that hold a seed call this at construction.
     """
     if not is_whole(seed):
         raise InvalidInputError(f"seed must be a whole number, got {seed!r}")
+
+
+def stream_key(seed: int, *path) -> np.ndarray:
+    """Derive a 128-bit Philox key from ``seed`` (see :func:`check_seed`)
+    and a stream path."""
+    check_seed(seed)
     tag = "/".join([str(int(seed))] + [str(p) for p in path])
     digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=16).digest()
     return np.frombuffer(digest, dtype=np.uint64)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimate as est
-from .detection import CountRecord, DetectorPair, OutcomeProbs, SingleCountRecord, bipartite_probs
+from .detection import CountRecord, DetectorPair, OutcomeProbs, SingleCountRecord, outcome_map, pair_probs
 from .errors import InvalidInputError, PpskitError, check_count
 from .metrics import rmsle
 from .pnd import PndMatrix, g2_marginal
-from .rng import multinomial_counts, substream
+from .rng import check_seed, multinomial_counts, substream
 from .tables import write_table
 
 DEFAULT_SINGLE_GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -51,8 +51,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 def sample_counts(W: OutcomeProbs, n_m: int, seed, nu: int = 0) -> CountRecord:
     """Multinomial count table for one setting; same seed, same counts."""
-    if n_m < 0:
-        raise InvalidInputError("n_m must be nonnegative")
+    check_count("n_m", n_m, 0)
     if W.probs.shape != (4, 4):
         raise InvalidInputError("sample_counts expects a bipartite outcome table")
     rng = _as_rng(seed)
@@ -62,6 +61,7 @@ def sample_counts(W: OutcomeProbs, n_m: int, seed, nu: int = 0) -> CountRecord:
 
 def sample_single_counts(probs: np.ndarray, n_m: int, seed, nu: int = 0) -> SingleCountRecord:
     """Multinomial draw over single-mode outcomes (length 2 or 4)."""
+    check_count("n_m", n_m, 0)
     rng = _as_rng(seed)
     counts = multinomial_counts(n_m, np.asarray(probs, dtype=float), rng)
     return SingleCountRecord(counts.astype(float), int(n_m), nu=nu)
@@ -113,18 +113,34 @@ class ExperimentConfig:
     def __post_init__(self):
         check_count("n_m", self.n_m, 1)
         check_count("reps", self.reps, 1)
+        check_seed(self.seed)
         if not self.settings:
             raise InvalidInputError("at least one attenuator setting is required")
 
 
-def _setting_record(model, truth, nu: int, n_m: int, rng):
-    """Record of setting ``nu``: expected counts if ``rng`` is None, else sampled."""
+def _setting_maps(model) -> list:
+    """Per setting of ``model``, what takes a truth to its outcome
+    probabilities: the signal and idler outcome maps of a bipartite model
+    (at its ``n_max``), the kernel of a single-mode one.  They depend on
+    the detectors alone, so a sweep cell builds them once for all reps.
+    """
     if isinstance(model, est.LikelihoodModel):
-        W = bipartite_probs(truth, *model.detectors(nu))
+        return [
+            tuple(outcome_map(det, model.n_max) for det in model.detectors(nu))
+            for nu in range(model.n_settings)
+        ]
+    return [model.kernel(nu) for nu in range(model.n_settings)]
+
+
+def _setting_record(maps, truth, nu: int, n_m: int, rng):
+    """Record of setting ``nu`` under its ``_setting_maps`` entry: expected
+    counts if ``rng`` is None, else sampled."""
+    if isinstance(maps, tuple):
+        W = pair_probs(truth, *maps)
         if rng is None:
             return CountRecord(n_m * W.probs, n_m, nu=nu)
         return sample_counts(W, n_m, rng, nu=nu)
-    probs = model.kernel(nu) @ truth
+    probs = maps @ truth
     if rng is None:
         return SingleCountRecord(n_m * probs, n_m, nu=nu)
     return sample_single_counts(probs, n_m, rng, nu=nu)
@@ -132,10 +148,12 @@ def _setting_record(model, truth, nu: int, n_m: int, rng):
 
 def simulate_records(config: ExperimentConfig, rep: int = 0) -> list[CountRecord]:
     """Sampled count records for every attenuator setting of one repetition."""
-    model = est.LikelihoodModel(det_s=config.det_s, det_i=config.det_i, settings=config.settings)
+    model = est.LikelihoodModel(
+        det_s=config.det_s, det_i=config.det_i, settings=config.settings, n_max=config.pnd.n_max
+    )
     return [
-        _setting_record(model, config.pnd, nu, config.n_m, substream(config.seed, "experiment", rep, nu))
-        for nu in range(len(config.settings))
+        _setting_record(maps, config.pnd, nu, config.n_m, substream(config.seed, "experiment", rep, nu))
+        for nu, maps in enumerate(_setting_maps(model))
     ]
 
 
@@ -147,7 +165,9 @@ class SweepSpec:
     "none" measures once at full transmission, "va4" adds the four
     combinations of 0.5 / 1.0 on the two arms (four times the raw budget).
     Single-mode methods always use the ten attenuators
-    ``DEFAULT_SINGLE_GAMMAS``.
+    ``DEFAULT_SINGLE_GAMMAS``.  ``n_starts`` and ``max_iter`` are each
+    fit's :class:`~ppskit.estimate.EstimateOptions`; with the default one
+    start, EML ascends once from its moment start, as ML does.
     """
 
     p_g_grid: tuple
@@ -158,7 +178,7 @@ class SweepSpec:
     reps: int = 100
     bs_T: float = 0.5
     exact_counts: bool = False
-    n_starts: int = 5
+    n_starts: int = 1
     max_iter: int = 10000
 
     def __post_init__(self):
@@ -200,16 +220,17 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
             model = est.SingleModeModel.one_detector(eta=eta, d=d, gammas=settings)
         random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
+    setting_maps = _setting_maps(model)
     truths, record_sets = [], []
     for rep in range(int(spec.reps)):
         truth = random_truth(p_g, substream(seed, "pnd", cell_id, rep))
         truths.append(truth)
         record_sets.append([
             _setting_record(
-                model, truth, nu, int(n_m),
+                maps, truth, nu, int(n_m),
                 None if spec.exact_counts else substream(seed, "counts", cell_id, rep, nu),
             )
-            for nu in range(len(settings))
+            for nu, maps in enumerate(setting_maps)
         ])
     # Every rep shares the model, so one call fits them all.
     fit_many = est.ml_estimate_many if method == "ml" else est.eml_estimate_many

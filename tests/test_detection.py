@@ -16,6 +16,8 @@ from ppskit.detection import (
     counts_with_clicks,
     noise_correct,
     noise_matrix,
+    outcome_map,
+    pair_probs,
     read_counts_csv,
     single_mode_probs,
     singles,
@@ -197,6 +199,19 @@ class TestBipartiteProbs:
         oracle = enumerate_bipartite(P, det_s, det_i)
         np.testing.assert_allclose(W.probs, oracle, atol=1e-12)
         assert W.probs.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_prebuilt_maps_give_the_same_table_and_checks(self):
+        P = tmsv_pnd(0.05).renormalized()
+        det_s = DetectorPair(T=0.4, eta_t=0.7, eta_r=0.6, d_t=1e-4, gamma=0.5)
+        det_i = DetectorPair(T=0.6, eta_t=0.5, eta_r=0.8, d_r=2e-4)
+        A, B = outcome_map(det_s, 2), outcome_map(det_i, 2)
+        assert pair_probs(P, A, B).probs.tobytes() == bipartite_probs(P, det_s, det_i).probs.tobytes()
+        halved = PndMatrix(P.p / 2, subnormalized=True)
+        for call in (lambda: bipartite_probs(halved, det_s, det_i), lambda: pair_probs(halved, A, B)):
+            with pytest.raises(InvalidInputError, match="normalized PND"):
+                call()
+        with pytest.raises(DataModelMismatchError, match="n_max=2"):
+            pair_probs(P, outcome_map(det_s, 3), B)
 
 
 class TestNoiseCorrect:

@@ -5,8 +5,18 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ppskit.simulate
-from ppskit.detection import OutcomeProbs
+from ppskit.detection import DetectorPair, OutcomeProbs, bipartite_probs
 from ppskit.errors import InvalidInputError
+from ppskit.estimate import (
+    EstimateOptions,
+    LikelihoodModel,
+    SingleModeModel,
+    characterize,
+    eml_estimate_many,
+    ml_estimate_many,
+)
+from ppskit.metrics import rmsle
+from ppskit.pnd import g2_marginal
 from ppskit.rng import multinomial_counts, substream
 from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
@@ -15,6 +25,7 @@ from ppskit.simulate import (
     random_single_pnd,
     run_sweep,
     sample_counts,
+    sample_single_counts,
 )
 
 
@@ -87,6 +98,19 @@ class TestSampleCounts:
     def test_multinomial_chain_handles_zero_tail(self):
         counts = multinomial_counts(100, np.array([1.0, 0.0, 0.0]), substream(2))
         np.testing.assert_array_equal(counts, [100, 0, 0])
+
+    SAMPLERS = {
+        "bipartite": lambda n_m: sample_counts(generic_outcome_table(), n_m, 1),
+        "single": lambda n_m: sample_single_counts(np.array([0.7, 0.1, 0.15, 0.05]), n_m, 1),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_fractional_budget_rejected_not_truncated(self, kind):
+        # int(10.7) would draw 10 trials and label the record n_m = 10.
+        with pytest.raises(InvalidInputError, match="n_m"):
+            self.SAMPLERS[kind](10.7)
+        rec = self.SAMPLERS[kind](1e12)
+        assert rec.n_m == 10**12 and rec.f.sum() == 10**12
 
 
 class TestSeeds:
@@ -242,6 +266,68 @@ class TestRunSweep:
         assert batches == [3, 3]
         assert [row["rep"] for row in rows] == [0, 1, 2] * 2
         assert all(row["converged"] for row in rows)
+
+    @pytest.mark.parametrize(
+        "method, p_g, n_m, eta, d",
+        [
+            ("ml-2d", 1e-2, 1e8, 0.5, 1e-6),
+            ("ml-1d", 1e-3, 1e9, 1.0, 0.0),
+            ("eml-2x2d", 1e-2, 1e8, 1.0, 0.0),
+        ],
+    )
+    def test_rows_match_records_rebuilt_from_public_functions(self, method, p_g, n_m, eta, d):
+        # A cell builds its detector maps once; every rep's counts must still
+        # be those of bipartite_probs / kernel @ truth on the cell's substreams.
+        kind, layout = method.split("-")
+        seed, reps = 41, 6
+        spec = SweepSpec(
+            p_g_grid=(p_g,), n_m_grid=(n_m,), eta_grid=(eta,), d_grid=(d,),
+            gamma_design="va4" if layout == "2x2d" else "none", reps=reps,
+        )
+        if layout == "2x2d":
+            det = DetectorPair(T=0.5, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
+            plan = ((1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.5, 0.5))
+            model = LikelihoodModel(det_s=det, det_i=det, settings=plan)
+        elif layout == "2d":
+            model = SingleModeModel.two_detector(T=0.5, eta=eta, d=d, gammas=DEFAULT_SINGLE_GAMMAS)
+        else:
+            model = SingleModeModel.one_detector(eta=eta, d=d, gammas=DEFAULT_SINGLE_GAMMAS)
+        truths, record_sets = [], []
+        for rep in range(reps):
+            counts = [substream(seed, "counts", 0, rep, nu) for nu in range(model.n_settings)]
+            if layout == "2x2d":
+                truth = random_pps_pnd(p_g, substream(seed, "pnd", 0, rep))
+                records = [
+                    sample_counts(bipartite_probs(truth, *model.detectors(nu)), int(n_m), rng, nu=nu)
+                    for nu, rng in enumerate(counts)
+                ]
+            else:
+                truth = random_single_pnd(p_g, substream(seed, "pnd", 0, rep))
+                records = [
+                    sample_single_counts(model.kernel(nu) @ truth, int(n_m), rng, nu=nu)
+                    for nu, rng in enumerate(counts)
+                ]
+            truths.append(truth)
+            record_sets.append(records)
+        fit_many = ml_estimate_many if kind == "ml" else eml_estimate_many
+        fits = fit_many(record_sets, model, EstimateOptions())
+        rows = run_sweep(spec, method, seed=seed)
+        assert [row["rep"] for row in rows] == list(range(reps))
+        for row, truth, fit in zip(rows, truths, fits):
+            expected = {"rmsle": rmsle(fit.p_hat, truth), "converged": fit.converged}
+            if layout == "2x2d":
+                chars = characterize(fit)
+                expected.update(
+                    pg_hat=chars.p_g, etaHs_hat=chars.eta_H_s, etaHi_hat=chars.eta_H_i,
+                    g2s_hat=chars.g2_s, g2i_hat=chars.g2_i,
+                    gh2s_hat=chars.gh2_s, gh2i_hat=chars.gh2_i,
+                )
+            else:
+                expected.update(
+                    pg_hat=float(fit.p_hat[1]), g2s_hat=g2_marginal(fit.p_hat, truncated=True)
+                )
+            assert fit.converged
+            assert {name: row[name] for name in expected} == expected
 
     @pytest.mark.parametrize("method", ["ml-2x2d", "ml-2d"])
     def test_coding_errors_are_not_swallowed(self, monkeypatch, method):

@@ -19,7 +19,7 @@ from ppskit.jsd import FilterProfile, JsdGrid, gaussian_jsd, segment
 from ppskit.metrics import bootstrap
 from ppskit.pnd import PndMatrix, loss_matrix, tmsv_pnd
 from ppskit.presets import reference_detectors
-from ppskit.simulate import ExperimentConfig, SweepSpec, run_sweep
+from ppskit.simulate import ExperimentConfig, SweepSpec, run_sweep, simulate_records
 
 
 def _jsd():
@@ -61,11 +61,14 @@ AXIS = np.linspace(-1.0, 1.0, 8)
 
 BAD_VALUES = {
     "n_starts-fraction": lambda: EstimateOptions(n_starts=2.5),
+    "estimate-seed-fraction": lambda: EstimateOptions(seed=2.5),
+    "estimate-seed-nan": lambda: EstimateOptions(seed=math.nan),
     "max_iter-nan": lambda: EstimateOptions(max_iter=math.nan),
     "reps-fraction": lambda: SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e6,), reps=2.5),
     "n_m_grid-fraction": lambda: SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1.5,)),
     "n_m_grid-inf": lambda: SweepSpec(p_g_grid=(1e-2,), n_m_grid=(math.inf,)),
     "experiment-n_m-fraction": lambda: ExperimentConfig(_pnd(), *reference_detectors(), n_m=2.5),
+    "experiment-seed-fraction": lambda: ExperimentConfig(_pnd(), *reference_detectors(), seed=2.5),
     "bootstrap-sample_size-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2, 2.5),
     "bootstrap-n_boot-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2.5, 10),
     "count-record-n_m-fraction": lambda: CountRecord(np.full((4, 4), 2.0), 32.5),
@@ -97,6 +100,12 @@ def test_integral_floats_stay_accepted():
     assert all(row["n_m"] == 1e6 and row["converged"] for row in rows)
     samples = bootstrap(FACTORIES["CountRecord"](), 2.0, 1e3)
     assert [sample.n_m for sample in samples] == [1000, 1000]
+    assert EstimateOptions(seed=-3.0).seed == -3
+    as_float, as_int = (
+        simulate_records(ExperimentConfig(_pnd(), *reference_detectors(), seed=seed))
+        for seed in (3.0, 3)
+    )
+    assert [rec.f.tobytes() for rec in as_float] == [rec.f.tobytes() for rec in as_int]
 
 
 def test_integral_float_n_max_fits_like_an_int():
