@@ -470,6 +470,8 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
     sizes = cfg.get("bootstrap", "sample_sizes", None) or (None,)
 
     def pipeline(fit):
+        if not fit.converged:  # bootstrap_stats tallies it in n_fail
+            raise PpskitError("bootstrap refit did not converge")
         return characterize(fit).as_dict()
 
     rows = []

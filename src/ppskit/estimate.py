@@ -62,6 +62,11 @@ _MAX_STEP = 2.0  # max-norm cap of one Newton step in z
 _TINY = np.finfo(float).smallest_subnormal  # below every positive probability
 
 
+def _frozen(C: np.ndarray) -> np.ndarray:
+    C.setflags(write=False)
+    return C
+
+
 @dataclass(frozen=True)
 class LikelihoodModel:
     """Known detection parameters of a bipartite measurement.
@@ -69,13 +74,15 @@ class LikelihoodModel:
     Detector efficiencies, splitter ratios and noise probabilities are
     assumed calibrated beforehand; ``settings`` lists the attenuator pair
     (gamma_s, gamma_i) of each setting index nu, so both detector pairs
-    keep ``gamma = 1``.
+    keep ``gamma = 1``.  ``maps`` holds each setting's (read-only) signal
+    and idler outcome maps, built once at construction.
     """
 
     det_s: DetectorPair
     det_i: DetectorPair
     settings: tuple = ((1.0, 1.0),)
     n_max: int = 2
+    maps: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.settings:
@@ -86,13 +93,12 @@ class LikelihoodModel:
             raise InvalidInputError(
                 "detector pairs of a model must have gamma = 1; put attenuators in settings"
             )
-        for nu in range(len(self.settings)):
-            self.detectors(nu)  # checks the setting's gammas
-
-    def detectors(self, nu: int) -> tuple[DetectorPair, DetectorPair]:
-        """Signal and idler detector pairs behind setting ``nu``'s attenuators."""
-        gamma_s, gamma_i = self.settings[nu]
-        return self.det_s.with_gamma(gamma_s), self.det_i.with_gamma(gamma_i)
+        maps = []
+        for gamma_s, gamma_i in self.settings:  # with_gamma checks each gamma
+            A = outcome_map(self.det_s.with_gamma(gamma_s), self.n_max)
+            B = outcome_map(self.det_i.with_gamma(gamma_i), self.n_max)
+            maps.append((_frozen(A), _frozen(B)))
+        object.__setattr__(self, "maps", tuple(maps))
 
     @property
     def n_settings(self) -> int:
@@ -102,8 +108,7 @@ class LikelihoodModel:
 
     def kernel(self, nu: int) -> np.ndarray:
         """W = kernel(nu) @ P.reshape(-1): kron of the two modes' outcome maps."""
-        det_s, det_i = self.detectors(nu)
-        return np.kron(outcome_map(det_s, self.n_max), outcome_map(det_i, self.n_max))
+        return np.kron(*self.maps[nu])
 
     def eml_used(self) -> np.ndarray:
         """Outcomes the baseline keeps: none in which both detectors of a mode clicked."""
@@ -129,19 +134,19 @@ class LikelihoodModel:
 class SingleModeModel:
     """Known detection parameters of a single-mode measurement.
 
-    ``layout`` is "2d" for the split-and-two-detectors scheme or "1d" for
-    a plain on/off detector, in which case everything is routed to the
-    transmitted detector and the outcomes collapse to (no click, click).
+    ``det`` is the calibrated detector pair (``gamma = 1``) and ``gammas``
+    the attenuator of each setting index nu.  ``layout`` is "2d" for the
+    split-and-two-detectors scheme or "1d" for a plain on/off detector, in
+    which case everything is routed to the transmitted detector and the
+    outcomes collapse to (no click, click).  ``maps`` holds each setting's
+    (read-only) outcome map, collapsed for "1d", built once at construction.
     """
 
-    T: float
-    eta_t: float
-    eta_r: float
-    d_t: float
-    d_r: float
+    det: DetectorPair
     gammas: tuple
     layout: str = "2d"
     n_max: int = 2
+    maps: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.gammas:
@@ -150,19 +155,27 @@ class SingleModeModel:
             raise InvalidInputError(f"layout must be '1d' or '2d', got {self.layout!r}")
         check_count("n_max", self.n_max, 1)
         object.__setattr__(self, "n_max", int(self.n_max))
-        for nu in range(len(self.gammas)):
-            self.detector(nu)  # checks the detector parameters and the setting's gamma
+        if self.det.gamma != 1.0:
+            raise InvalidInputError(
+                "the detector pair of a model must have gamma = 1; put attenuators in gammas"
+            )
+        maps = []
+        for gamma in self.gammas:
+            C = outcome_map(self.det.with_gamma(gamma), self.n_max)  # checks the gamma
+            if self.layout == "1d":
+                C = np.vstack([C[0] + C[1], C[2] + C[3]])
+            maps.append(_frozen(C))
+        object.__setattr__(self, "maps", tuple(maps))
 
     @classmethod
     def two_detector(cls, T, eta, d, gammas, n_max: int = 2) -> "SingleModeModel":
-        return cls(T=T, eta_t=eta, eta_r=eta, d_t=d, d_r=d, gammas=tuple(gammas), n_max=n_max)
+        det = DetectorPair(T=T, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
+        return cls(det=det, gammas=tuple(gammas), n_max=n_max)
 
     @classmethod
     def one_detector(cls, eta, d, gammas, n_max: int = 2) -> "SingleModeModel":
-        return cls(
-            T=1.0, eta_t=eta, eta_r=0.0, d_t=d, d_r=0.0,
-            gammas=tuple(gammas), layout="1d", n_max=n_max,
-        )
+        det = DetectorPair(T=1.0, eta_t=eta, eta_r=0.0, d_t=d, d_r=0.0)
+        return cls(det=det, gammas=tuple(gammas), layout="1d", n_max=n_max)
 
     @property
     def n_settings(self) -> int:
@@ -172,19 +185,9 @@ class SingleModeModel:
     def n_outcomes(self) -> int:
         return 2 if self.layout == "1d" else 4
 
-    def detector(self, nu: int) -> DetectorPair:
-        """The detector pair behind setting ``nu``'s attenuator."""
-        return DetectorPair(
-            T=self.T, eta_t=self.eta_t, eta_r=self.eta_r,
-            d_t=self.d_t, d_r=self.d_r, gamma=self.gammas[nu],
-        )
-
     def kernel(self, nu: int) -> np.ndarray:
         """W = kernel(nu) @ p: setting ``nu``'s outcome map, collapsed for "1d"."""
-        C = outcome_map(self.detector(nu), self.n_max)
-        if self.layout == "1d":
-            C = np.vstack([C[0] + C[1], C[2] + C[3]])
-        return C
+        return self.maps[nu]
 
     def eml_used(self) -> np.ndarray:
         """Outcomes the baseline keeps: all but the one with every detector clicked."""

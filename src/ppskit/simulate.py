@@ -9,12 +9,12 @@ execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import estimate as est
-from .detection import CountRecord, DetectorPair, OutcomeProbs, SingleCountRecord, outcome_map, pair_probs
+from .detection import CountRecord, DetectorPair, OutcomeProbs, SingleCountRecord, pair_probs
 from .errors import InvalidInputError, PpskitError, check_count
 from .metrics import rmsle
 from .pnd import PndMatrix, g2_marginal
@@ -67,11 +67,15 @@ def sample_single_counts(probs: np.ndarray, n_m: int, seed, nu: int = 0) -> Sing
     return SingleCountRecord(counts.astype(float), int(n_m), nu=nu)
 
 
+def _check_p_g(p_g) -> None:
+    if not (0.0 < p_g <= 0.1):
+        raise InvalidInputError(f"p_g must lie in (0, 0.1], got {p_g}")
+
+
 def random_pps_pnd(p_g: float, seed) -> PndMatrix:
     """Random pair-source matrix: first-order cells p_g * r, second-order
     cells p_g^2 * r with fresh r ~ U[0.5, 1.5] per cell; vacuum completes."""
-    if not (0.0 < p_g <= 0.1):
-        raise InvalidInputError(f"p_g must lie in (0, 0.1], got {p_g}")
+    _check_p_g(p_g)
     rng = _as_rng(seed)
     p = np.zeros((3, 3))
     for j in range(3):
@@ -90,8 +94,7 @@ def random_pps_pnd(p_g: float, seed) -> PndMatrix:
 def random_single_pnd(p_g: float, seed) -> np.ndarray:
     """Random single-mode vector (1 - p_g - P2, p_g, P2) with
     P2 = p_g^2 g2 / 2 and g2 ~ U[1, 2]."""
-    if not (0.0 < p_g <= 0.1):
-        raise InvalidInputError(f"p_g must lie in (0, 0.1], got {p_g}")
+    _check_p_g(p_g)
     rng = _as_rng(seed)
     g2 = rng.uniform(1.0, 2.0)
     p2 = p_g**2 * g2 / 2.0
@@ -100,7 +103,8 @@ def random_single_pnd(p_g: float, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One synthetic acquisition: a source, detectors, settings, a budget."""
+    """One synthetic acquisition: a source, detectors, settings, a budget,
+    and the ``model`` they make at the source's ``n_max``, built once."""
 
     pnd: PndMatrix
     det_s: DetectorPair
@@ -109,38 +113,25 @@ class ExperimentConfig:
     n_m: int = 10**6
     seed: int = 0
     reps: int = 1
+    model: est.LikelihoodModel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_count("n_m", self.n_m, 1)
         check_count("reps", self.reps, 1)
         check_seed(self.seed)
-        if not self.settings:
-            raise InvalidInputError("at least one attenuator setting is required")
+        model = est.LikelihoodModel(self.det_s, self.det_i, self.settings, self.pnd.n_max)
+        object.__setattr__(self, "model", model)
 
 
-def _setting_maps(model) -> list:
-    """Per setting of ``model``, what takes a truth to its outcome
-    probabilities: the signal and idler outcome maps of a bipartite model
-    (at its ``n_max``), the kernel of a single-mode one.  They depend on
-    the detectors alone, so a sweep cell builds them once for all reps.
-    """
-    if isinstance(model, est.LikelihoodModel):
-        return [
-            tuple(outcome_map(det, model.n_max) for det in model.detectors(nu))
-            for nu in range(model.n_settings)
-        ]
-    return [model.kernel(nu) for nu in range(model.n_settings)]
-
-
-def _setting_record(maps, truth, nu: int, n_m: int, rng):
-    """Record of setting ``nu`` under its ``_setting_maps`` entry: expected
+def _setting_record(model, truth, nu: int, n_m: int, rng):
+    """Record of setting ``nu`` of ``model`` from its stored maps: expected
     counts if ``rng`` is None, else sampled."""
-    if isinstance(maps, tuple):
-        W = pair_probs(truth, *maps)
+    if isinstance(model, est.LikelihoodModel):
+        W = pair_probs(truth, *model.maps[nu])
         if rng is None:
             return CountRecord(n_m * W.probs, n_m, nu=nu)
         return sample_counts(W, n_m, rng, nu=nu)
-    probs = maps @ truth
+    probs = model.maps[nu] @ truth
     if rng is None:
         return SingleCountRecord(n_m * probs, n_m, nu=nu)
     return sample_single_counts(probs, n_m, rng, nu=nu)
@@ -148,12 +139,9 @@ def _setting_record(maps, truth, nu: int, n_m: int, rng):
 
 def simulate_records(config: ExperimentConfig, rep: int = 0) -> list[CountRecord]:
     """Sampled count records for every attenuator setting of one repetition."""
-    model = est.LikelihoodModel(
-        det_s=config.det_s, det_i=config.det_i, settings=config.settings, n_max=config.pnd.n_max
-    )
     return [
-        _setting_record(maps, config.pnd, nu, config.n_m, substream(config.seed, "experiment", rep, nu))
-        for nu, maps in enumerate(_setting_maps(model))
+        _setting_record(config.model, config.pnd, nu, config.n_m, substream(config.seed, "experiment", rep, nu))
+        for nu in range(config.model.n_settings)
     ]
 
 
@@ -190,6 +178,11 @@ class SweepSpec:
         check_count("reps", self.reps, 1)
         for n_m in self.n_m_grid:
             check_count("n_m_grid entry", n_m, 1)
+        for p_g in self.p_g_grid:
+            _check_p_g(p_g)
+        for eta in self.eta_grid:  # checked as a cell's detectors check them
+            for d in self.d_grid:
+                DetectorPair(T=self.bs_T, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
         est.EstimateOptions(n_starts=self.n_starts, max_iter=self.max_iter)  # validates both
 
 
@@ -207,30 +200,29 @@ _NAN_CHARS = {name: float("nan") for name in
 
 
 def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
+    det = DetectorPair(T=spec.bs_T, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
     if layout == "2x2d":
-        det = DetectorPair(T=spec.bs_T, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
         settings = _bipartite_settings(spec.gamma_design)
         model = est.LikelihoodModel(det_s=det, det_i=det, settings=settings)
         random_truth, gamma_label = random_pps_pnd, spec.gamma_design
     else:
         settings = DEFAULT_SINGLE_GAMMAS
         if layout == "2d":
-            model = est.SingleModeModel.two_detector(T=spec.bs_T, eta=eta, d=d, gammas=settings)
+            model = est.SingleModeModel(det=det, gammas=settings)
         else:
             model = est.SingleModeModel.one_detector(eta=eta, d=d, gammas=settings)
         random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
-    setting_maps = _setting_maps(model)
     truths, record_sets = [], []
     for rep in range(int(spec.reps)):
         truth = random_truth(p_g, substream(seed, "pnd", cell_id, rep))
         truths.append(truth)
         record_sets.append([
             _setting_record(
-                maps, truth, nu, int(n_m),
+                model, truth, nu, int(n_m),
                 None if spec.exact_counts else substream(seed, "counts", cell_id, rep, nu),
             )
-            for nu, maps in enumerate(setting_maps)
+            for nu in range(model.n_settings)
         ])
     # Every rep shares the model, so one call fits them all.
     fit_many = est.ml_estimate_many if method == "ml" else est.eml_estimate_many

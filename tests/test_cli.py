@@ -194,6 +194,13 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
 
+    def test_attenuator_above_1_exits_2_before_writing(self, tmp_path, capsys):
+        text = SIMULATE_CONFIG + "\n[settings]\ngammas_s = 1, 1.5\ngammas_i = 1, 1\n"
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "gamma must lie in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_zero_reps_exits_2(self, tmp_path, capsys, where):
         text = SIMULATE_CONFIG + ("reps = 0\n" if where == "config" else "")
@@ -334,6 +341,25 @@ class TestEstimateCommand:
         assert budget.split()[0] in capsys.readouterr().err
         assert not (out / "pnd_hat.csv").exists()
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n"  # EML needs two
+        sim = write_config(tmp_path, SIMULATE_CONFIG + settings, name="sim.cfg")
+        assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "data")]) == 0
+        counts = str(tmp_path / "data" / "counts.csv")
+        fits = []
+        for name, seed_key, flag in (("flag", "", ["--seed", "11"]), ("key", "seed = 11\n", [])):
+            config = write_config(
+                tmp_path,
+                DETECTOR_SECTION + settings + f"\n[estimate]\nmethod = eml\nn_starts = 2\n{seed_key}",
+                name=f"{name}.cfg",
+            )
+            out = tmp_path / name
+            argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
+            assert cli.main(argv + flag) == 0
+            fits.append((out / "pnd_hat.csv").read_bytes())
+        assert fits[0] == fits[1]
+        assert read_pnd_csv(tmp_path / "flag" / "pnd_hat.csv")[1]["seed"] == "11"
+
     def test_missing_counts_flag_exits_2(self, tmp_path):
         config = write_config(tmp_path, DETECTOR_SECTION, name="est.cfg")
         assert cli.main(["estimate", "--config", config]) == 2
@@ -386,10 +412,12 @@ class TestBootstrapCommand:
 
     @pytest.mark.parametrize(
         "estimate",
-        ["max_iter = 1\n", "method = eml\nn_starts = 2\nseed = 11\n"],
-        ids=["ml-max-iter-1", "eml"],
+        ["max_iter = 4\n", "method = eml\nn_starts = 2\nseed = 11\n"],
+        ids=["ml-max-iter-4", "eml"],
     )
     def test_estimate_and_bootstrap_commands_refit_alike(self, tmp_path, estimate):
+        # max_iter = 4 leaves two of the three ML refits unconverged, so the
+        # summaries' n_fail shows that the budget reached both commands.
         settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n"  # EML needs two
         counts = self._counts(tmp_path, settings)
         config = write_config(
@@ -428,6 +456,43 @@ class TestBootstrapCommand:
         assert batches == [[2] * 4, [2] * 4]  # one call per sample size
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {"0"}
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    def test_unconverged_refits_count_as_failed_draws(self, tmp_path, monkeypatch, command):
+        counts = self._counts(tmp_path)
+        config = write_config(
+            tmp_path,
+            DETECTOR_SECTION + "\n[estimate]\nmax_iter = 4\n\n[bootstrap]\nn_boot = 20\nseed = 2\n",
+            name="boot.cfg",
+        )
+        calls, fit_many = [], cli._ESTIMATORS["ml"]
+
+        def spy_many(record_sets, model, options):
+            calls.append(fit_many(record_sets, model, options))
+            return calls[-1]
+
+        monkeypatch.setitem(cli._ESTIMATORS, "ml", spy_many)
+        out = tmp_path / "boot"
+        argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
+        cli.main(argv + (["--bootstrap"] if command == "estimate" else []))
+        unconverged = sum(not fit.converged for fit in calls[-1])
+        assert 0 < unconverged < 20
+        with open(out / "bootstrap_summary.csv", newline="") as fh:
+            assert {row["n_fail"] for row in csv.DictReader(fh)} == {str(unconverged)}
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    def test_no_converged_refit_exits_2_with_no_summary(self, tmp_path, capsys, command):
+        counts = self._counts(tmp_path)
+        config = write_config(
+            tmp_path,
+            DETECTOR_SECTION + "\n[estimate]\nmax_iter = 0\n\n[bootstrap]\nn_boot = 5\n",
+            name="boot.cfg",
+        )
+        out = tmp_path / "boot"
+        argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv + (["--bootstrap"] if command == "estimate" else [])) == 2
+        assert "failed on all 5 samples" in capsys.readouterr().err
+        assert not (out / "bootstrap_summary.csv").exists()
 
     @pytest.mark.parametrize("n_boot", ["0", "-1"])
     def test_no_draws_exits_2_naming_n_boot(self, tmp_path, capsys, n_boot):
@@ -568,14 +633,21 @@ REQUIRED_AND_DEFAULTS = {
         "[sweep]\np_g_grid = 1e-2\nn_m_grid = 1e6\n",
         "",
         "method = ml-2x2d\neta_grid = 0.5\nd_grid = 0.0\ngamma_design = none\nreps = 20\n"
-        "seed = 0\nbs_T = 0.5\nexact_counts = false\nn_starts = 5\nmax_iter = 10000\n",
+        "seed = 0\nbs_T = 0.5\nexact_counts = false\nn_starts = 1\nmax_iter = 10000\n",
+    ),
+    # EML reads n_starts, so this case shows that the spelled value is the default.
+    "sweep-eml": (
+        "[sweep]\np_g_grid = 1e-2\nn_m_grid = 1e6\nmethod = eml-2x2d\ngamma_design = va4\n",
+        "",
+        "eta_grid = 0.5\nd_grid = 0.0\nreps = 20\nseed = 0\nbs_T = 0.5\nexact_counts = false\n"
+        "n_starts = 1\nmax_iter = 10000\n",
     ),
     "estimate": (
         "[bootstrap]\nn_boot = 3\n",
         "[detectors]\nT_s = 0.4952\nT_i = 0.4846\neta1 = 0.562\neta2 = 0.575\n"
         "eta3 = 0.567\neta4 = 0.548\nd1 = 1.01e-7\nd2 = 2.11e-7\nd3 = 0.94e-7\n"
         "d4 = 1.00e-7\nrep_rate_hz = 76e6\n\n[settings]\ngammas_s = 1.0\ngammas_i = 1.0\n\n"
-        "[estimate]\nmethod = ml\nn_starts = 5\nmax_iter = 10000\nseed = 0\n\n",
+        "[estimate]\nmethod = ml\nn_starts = 1\nmax_iter = 10000\nseed = 0\n\n",
         "seed = 0\n",
     ),
 }
@@ -583,7 +655,7 @@ REQUIRED_AND_DEFAULTS = {
 
 @pytest.mark.parametrize("command", sorted(REQUIRED_AND_DEFAULTS))
 def test_unset_keys_take_the_defaults_the_cli_once_spelled_out(tmp_path, command):
-    argv = [command]
+    argv = [command.split("-")[0]]
     if command == "estimate":
         sim = write_config(
             tmp_path, "[pnd]\nsource = random\np_g = 1e-2\n\n[simulate]\nn_m = 1e9\n", name="sim.cfg"
@@ -597,4 +669,4 @@ def test_unset_keys_take_the_defaults_the_cli_once_spelled_out(tmp_path, command
         assert cli.main(argv + ["--config", write_config(tmp_path, text), "--out", str(out)]) == 0
         outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == {"jsd": 2, "sweep": 1, "estimate": 3}[command]
+    assert len(outputs[0]) == {"jsd": 2, "sweep": 1, "sweep-eml": 1, "estimate": 3}[command]

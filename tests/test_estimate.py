@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import ppskit.estimate
-from ppskit.detection import CountRecord, DetectorPair, SingleCountRecord, bipartite_probs, noise_correct
+from ppskit.detection import (
+    CountRecord,
+    DetectorPair,
+    SingleCountRecord,
+    bipartite_probs,
+    noise_correct,
+    outcome_map,
+)
 from ppskit.errors import (
     DataModelMismatchError,
     InvalidInputError,
@@ -39,7 +47,6 @@ from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
     ExperimentConfig,
     SweepSpec,
-    _setting_maps,
     _setting_record,
     random_pps_pnd,
     random_single_pnd,
@@ -355,13 +362,12 @@ def sweep_model(layout, eta, d, n_settings):
 def sampled_sets(model, p_g, n_m, seed, count):
     """``count`` record sets, each from its own random truth."""
     random_truth = random_pps_pnd if isinstance(model, LikelihoodModel) else random_single_pnd
-    setting_maps = _setting_maps(model)
     sets = []
     for rep in range(count):
         truth = random_truth(p_g, substream(seed, "pnd", rep))
         sets.append([
-            _setting_record(maps, truth, nu, n_m, substream(seed, "counts", rep, nu))
-            for nu, maps in enumerate(setting_maps)
+            _setting_record(model, truth, nu, n_m, substream(seed, "counts", rep, nu))
+            for nu in range(model.n_settings)
         ])
     return sets
 
@@ -402,7 +408,7 @@ class TestMlEstimateMany:
             det = DetectorPair(T=0.5, eta_t=0.6, eta_r=0.0)
             model = LikelihoodModel(det_s=det, det_i=det)
         else:
-            model = SingleModeModel(T=0.5, eta_t=0.6, eta_r=0.0, d_t=0.0, d_r=0.0, gammas=(1.0,))
+            model = SingleModeModel(det=DetectorPair(T=0.5, eta_t=0.6, eta_r=0.0), gammas=(1.0,))
         sets = sampled_sets(model, 1e-2, 10**6, seed, size)
         where = min(where, size - 1)
         (rec,) = sets[where]
@@ -497,10 +503,7 @@ class TestMomentStart:
         model = sweep_model(layout, 0.5, 1e-6, n_settings)
         random_truth = random_pps_pnd if layout == "2x2d" else random_single_pnd
         truth = random_truth(1e-2, substream(5, "pnd", 0))
-        records = [
-            _setting_record(maps, truth, nu, 10**12, None)
-            for nu, maps in enumerate(_setting_maps(model))
-        ]
+        records = [_setting_record(model, truth, nu, 10**12, None) for nu in range(model.n_settings)]
         K, F = ppskit.estimate._stack([records], model)
         start = ppskit.estimate._softmax_cells(ppskit.estimate._starts(K, F))[0]
         cells = truth.p.reshape(-1) if layout == "2x2d" else truth
@@ -531,12 +534,39 @@ class TestModels:
             (lambda: LikelihoodModel(det_s=IDEAL, det_i=IDEAL, settings=((1.0, 1.5),)), "gamma"),
             (lambda: SingleModeModel.two_detector(np.nan, 0.5, 0.0, DEFAULT_SINGLE_GAMMAS), "T"),
             (lambda: SingleModeModel.one_detector(0.5, 0.0, (1.0, -0.5)), "gamma"),
+            (lambda: SingleModeModel(det=IDEAL.with_gamma(0.5), gammas=(1.0,)), "gammas"),
         ],
-        ids=["detector-gamma", "nan-setting", "setting-above-1", "nan-T", "negative-gamma"],
+        ids=[
+            "detector-gamma", "nan-setting", "setting-above-1", "nan-T", "negative-gamma",
+            "single-detector-gamma",
+        ],
     )
     def test_bad_detection_parameters_fail_at_build(self, build, match):
         with pytest.raises(InvalidInputError, match=match):
             build()
+
+    @pytest.mark.parametrize("kind", ["bipartite", "single"])
+    def test_equal_fields_compare_equal_and_replace_rebuilds_the_maps(self, kind):
+        det = DetectorPair(T=0.4, eta_t=0.6, eta_r=0.7, d_t=1e-6, d_r=2e-6)
+        if kind == "bipartite":
+            a, b = (LikelihoodModel(det_s=det, det_i=IDEAL, settings=((1.0, 1.0), (0.5, 1.0)))
+                    for _ in range(2))
+            changed = dataclasses.replace(a, settings=((1.0, 0.3),))
+            expected = np.kron(outcome_map(det), outcome_map(IDEAL.with_gamma(0.3)))
+            assert a.hash() == b.hash() != changed.hash()
+        else:
+            a, b = (SingleModeModel(det=det, gammas=(1.0, 0.5)) for _ in range(2))
+            changed = dataclasses.replace(a, gammas=(0.3,))
+            expected = outcome_map(det.with_gamma(0.3))
+            collapsed = dataclasses.replace(a, layout="1d")
+            C = outcome_map(det.with_gamma(0.5))
+            assert collapsed.kernel(1).tobytes() == np.vstack([C[0] + C[1], C[2] + C[3]]).tobytes()
+        assert a == b and hash(a) == hash(b)
+        assert changed != a and len(changed.maps) == changed.n_settings == 1
+        assert changed.kernel(0).tobytes() == expected.tobytes()
+        stored = [m for entry in a.maps for m in (entry if kind == "bipartite" else (entry,))]
+        assert len(stored) == (2 if kind == "bipartite" else 1) * a.n_settings
+        assert not any(m.flags.writeable for m in stored)
 
     @pytest.mark.parametrize(
         "layout, record_outcomes, model_outcomes",

@@ -228,6 +228,23 @@ class TestRunSweep:
         med_va = np.median([r["rmsle"] for r in attenuated])
         assert med_va >= 0.8 * med_plain
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("p_g_grid", (1e-2, 0.5), "p_g must lie in (0, 0.1], got 0.5"),
+            ("p_g_grid", (0.0,), "p_g must lie in (0, 0.1], got 0.0"),
+            ("eta_grid", (0.5, 1.5), "eta_t must lie in [0, 1], got 1.5"),
+            ("eta_grid", (np.nan,), "eta_t must lie in [0, 1], got nan"),
+            ("d_grid", (0.0, 1.0), "d_t must lie in [0, 1), got 1.0"),
+            ("d_grid", (-1e-6,), "d_t must lie in [0, 1), got -1e-06"),
+            ("bs_T", 1.2, "T must lie in [0, 1], got 1.2"),
+        ],
+    )
+    def test_grid_entry_a_cell_would_reject_fails_at_construction(self, field, value, message):
+        with pytest.raises(InvalidInputError) as exc:
+            SweepSpec(**{"p_g_grid": (1e-2,), "n_m_grid": (1e6,), field: value})
+        assert str(exc.value) == message
+
     def test_unknown_method_rejected(self):
         spec = SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e5,))
         with pytest.raises(InvalidInputError):
@@ -298,8 +315,11 @@ class TestRunSweep:
             if layout == "2x2d":
                 truth = random_pps_pnd(p_g, substream(seed, "pnd", 0, rep))
                 records = [
-                    sample_counts(bipartite_probs(truth, *model.detectors(nu)), int(n_m), rng, nu=nu)
-                    for nu, rng in enumerate(counts)
+                    sample_counts(
+                        bipartite_probs(truth, det.with_gamma(gamma_s), det.with_gamma(gamma_i)),
+                        int(n_m), rng, nu=nu,
+                    )
+                    for nu, ((gamma_s, gamma_i), rng) in enumerate(zip(plan, counts))
                 ]
             else:
                 truth = random_single_pnd(p_g, substream(seed, "pnd", 0, rep))

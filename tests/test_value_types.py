@@ -69,6 +69,9 @@ BAD_VALUES = {
     "n_m_grid-inf": lambda: SweepSpec(p_g_grid=(1e-2,), n_m_grid=(math.inf,)),
     "experiment-n_m-fraction": lambda: ExperimentConfig(_pnd(), *reference_detectors(), n_m=2.5),
     "experiment-seed-fraction": lambda: ExperimentConfig(_pnd(), *reference_detectors(), seed=2.5),
+    "experiment-gamma-above-1": lambda: ExperimentConfig(
+        _pnd(), *reference_detectors(), settings=((1, 1.5),)
+    ),
     "bootstrap-sample_size-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2, 2.5),
     "bootstrap-n_boot-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2.5, 10),
     "count-record-n_m-fraction": lambda: CountRecord(np.full((4, 4), 2.0), 32.5),
