@@ -421,8 +421,10 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
     chars = characterize(fit)
     rows = list(chars.as_dict().items())
 
-    etas = (det_s.eta_t, det_s.eta_r, det_i.eta_t, det_i.eta_r)
     rec0 = records[0]
+    gamma_s, gamma_i = model.settings[rec0.nu]  # the attenuators rec0 was taken with
+    etas = (gamma_s * det_s.eta_t, gamma_s * det_s.eta_r,
+            gamma_i * det_i.eta_t, gamma_i * det_i.eta_r)
     corrected = noise_correct(rec0, det_s.d_t, det_s.d_r, det_i.d_t, det_i.d_r)
     try:
         pg_c, etas_c, etai_c = count_based_pg_eta(corrected, etas)
@@ -447,21 +449,23 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
 
     for warning in _count_threshold_warnings(records, model, fit.p_hat):
         print(f"warning: {warning}", file=sys.stderr)
+    code = EXIT_OK
     if args.bootstrap or cfg.has("bootstrap"):
-        _run_bootstrap(cfg, args, records, model, method, options, out)
+        code = _run_bootstrap(cfg, args, records, model, method, options, out)
     if not fit.converged:
         print("warning: estimator did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"wrote {out}/pnd_hat.csv and {out}/characteristics.csv")
-    return EXIT_OK
+    return code
 
 
-def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
+def _run_bootstrap(cfg, args, records, model, method, options, out) -> int:
     """Resample every setting's record and refit each draw's records jointly.
 
     Each record is resampled at every ``sample_sizes`` entry, or by default
     at its own ``n_m``.  Every draw of one size is refitted in one call of
-    the method's ``*_many`` estimator.
+    the method's ``*_many`` estimator.  Returns the exit code: non-convergence,
+    with no summary written, when no refit of some size converged.
     """
     seed = _flagged(cfg, args, "bootstrap", "seed", 0)
     n_boot = cfg.get("bootstrap", "n_boot", 100)
@@ -482,16 +486,19 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> None:
         ]
         draws = list(zip(*per_setting))
         fits = _ESTIMATORS[method](draws, model, options)
+        if not any(fit.converged for fit in fits):
+            print(f"error: none of the {n_boot} bootstrap refits converged", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
         rows.extend(bootstrap_stats(fits, pipeline, sum(r.n_m for r in draws[0])))
     write_bootstrap_csv(os.path.join(out, "bootstrap_summary.csv"), rows)
     print(f"wrote {out}/bootstrap_summary.csv")
+    return EXIT_OK
 
 
 def cmd_bootstrap(cfg: RunConfig, args) -> int:
     records, _, model, method, _ = _counts_and_model(cfg, args)
     options = _estimate_options(cfg, args)
-    _run_bootstrap(cfg, args, records, model, method, options, _outdir(args))
-    return EXIT_OK
+    return _run_bootstrap(cfg, args, records, model, method, options, _outdir(args))
 
 
 _FLAGS = {

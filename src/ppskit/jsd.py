@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -434,17 +434,6 @@ def _signal_weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a.conj().T @ a
 
 
-def _idler_weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """F D_w² F† for the scaled grid F: a signal-indexed Gram."""
-    a = f * w[None, :]
-    return a @ a.conj().T
-
-
-def _weighted_square_sum(gram: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """sum_bc u_b |gram_bc|² v_c."""
-    return float(u @ _abs2(gram) @ v)
-
-
 def _low_rank_factor(f: np.ndarray):
     """U S, S and V of F = U S V† + R with the residual R at roundoff.
 
@@ -495,67 +484,70 @@ def _small_gram(m: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return (m.conj().T * w2) @ m
 
 
-def _factored_quantities(us, v, weights, q, live):
-    """Branch mode numbers and overlaps as traces of r×r products.
+def _segment_quantities(traces, q, live):
+    """Branch mode numbers and overlaps from the traces tr(M_i M_j).
+
+    Each route builds one matrix M_j per branch j, and every quantity is
+    one trace of them (branches numbered from 1): 1/kappa_j is
+    tr(M_j²) / q_j², ox13, ox24, oy14 and oy23 are tr(M_3 M_1), tr(M_4 M_2),
+    tr(M_1 M_4) and tr(M_2 M_3) over q_i q_j, and O_c is tr(M_3 M_4) /
+    sqrt(q1 q2 q3 q4).  ``traces(pairs)`` maps each pair (i, j) it is given,
+    numbered from 0 and all of live branches, to tr(M_i M_j).  Empty
+    branches get kappa 1 and overlaps 0; O_c needs all four live.
+    """
+    overlaps = ((0, 2), (1, 3), (0, 3), (1, 2))  # ox13, ox24, oy14, oy23
+    pairs = [(j, j) for j in range(4)] + list(overlaps)
+    if all(live):
+        pairs.append((2, 3))  # O_c
+    t = traces([(i, j) for i, j in pairs if live[i] and live[j]])
+    kappa = np.array([q[j] ** 2 / t[j, j].real if live[j] else 1.0 for j in range(4)])
+    ox13, ox24, oy14, oy23 = (
+        t[i, j].real / (q[i] * q[j]) if (i, j) in t else 0.0 for i, j in overlaps
+    )
+    oc = t[2, 3] / math.sqrt(q.prod()) if all(live) else 0.0 + 0.0j
+    return kappa, ox13, ox24, oy14, oy23, oc
+
+
+def _factored_traces(us, v, weights, pairs):
+    """tr(M_i M_j) of each pair from r×r products.
 
     With F = U S V†, the branch Gram P_j† P_j is D_wy V A_x V† D_wy / q_j
-    with A_x = S U† D_wx² U S, so with B_y = V† D_wy² V and M_j = A_x B_y
-    every quantity is tr(M_i M_j): 1/kappa_j from tr(M_j²), ox13 from
-    tr(M_3 M_1), ox24 from tr(M_4 M_2), oy14 from tr(M_1 M_4), oy23 from
-    tr(M_2 M_3) and O_c from tr(M_3 M_4) (branches numbered from 1).
+    with A_x = S U† D_wx² U S, so M_j = A_x B_y with B_y = V† D_wy² V.
     """
     tx2, rx2, ty2, ry2 = (w**2 for w in weights)
     a_t, a_r = _small_gram(us, tx2), _small_gram(us, rx2)
     b_t, b_r = _small_gram(v, ty2), _small_gram(v, ry2)
     m = (a_t @ b_r, a_r @ b_t, a_t @ b_t, a_r @ b_r)
-
-    def trace(i, j):
-        return complex(np.sum(m[i] * m[j].T))
-
-    def overlap(i, j):
-        return trace(i, j).real / (q[i] * q[j]) if live[i] and live[j] else 0.0
-
-    kappa = np.array([q[j] ** 2 / trace(j, j).real if live[j] else 1.0 for j in range(4)])
-    oc = trace(2, 3) / math.sqrt(q.prod()) if all(live) else 0.0 + 0.0j
-    return kappa, overlap(0, 2), overlap(1, 3), overlap(0, 3), overlap(1, 2), oc
+    return {(i, j): complex(np.sum(m[i] * m[j].T)) for i, j in pairs}
 
 
-def _direct_quantities(f, weights, q, live):
-    """Branch mode numbers and overlaps from up to four n×n Gram products.
+def _direct_traces(f, weights, pairs):
+    """tr(M_i M_j) of each pair from at most two n×n Gram products.
 
-    Every branch amplitude is D_wx F D_wy, so each quantity is an O(n^2)
-    weighted contraction of one or two of H_t = F† D_tx² F and
-    H_r = F† D_rx² F (mode numbers, the x overlaps and O_c), G_t =
-    F D_ty² F† and G_r = F D_ry² F† (the y overlaps).  Each Gram is formed
-    directly from its own weights, never as a difference such as
-    F F† - G_t, which would cost small branches their relative accuracy;
-    and only when a live branch needs it.
+    Every branch amplitude is D_wx F D_wy, so M_j = H D_wy² with H_t =
+    F† D_tx² F for branches 1 and 3 and H_r = F† D_rx² F for 2 and 4, and
+    tr(M_i M_j) = wy_j² · (H_i ∘ H_jᵀ) · wy_i² is an O(n²) contraction of
+    |H_t|², |H_r|² or H_t ∘ H_rᵀ.  The one pair with H_r first, oy23's
+    tr(M_2 M_3), has ty² on both sides, so H_t ∘ H_rᵀ serves it too.
+    Each Gram is formed directly from its own weights, never as a
+    difference such as F† F - H_t, which would cost small branches their
+    relative accuracy; and only when a pair needs it.  The products are
+    formed one at a time, for peak memory.
     """
     tx, rx, ty, ry = weights
-    tx2, rx2, ty2, ry2 = tx**2, rx**2, ty**2, ry**2
-    kappa = np.ones(4)
-    ox13 = ox24 = oy14 = oy23 = 0.0
-    oc = 0.0 + 0.0j
-
-    h_t = _signal_weighted_gram(f, tx) if live[0] or live[2] else None
-    h_r = _signal_weighted_gram(f, rx) if live[1] or live[3] else None
-    # 1/kappa_j = ||P_j† P_j||_F² with P_j† P_j = D_wy H D_wy / q_j
-    for j, h, wy2 in ((0, h_t, ry2), (1, h_r, ty2), (2, h_t, ty2), (3, h_r, ry2)):
-        if live[j]:
-            kappa[j] = q[j] ** 2 / _weighted_square_sum(h, wy2, wy2)
-    if live[0] and live[2]:
-        ox13 = _weighted_square_sum(h_t, ty2, ry2) / (q[0] * q[2])
-    if live[1] and live[3]:
-        ox24 = _weighted_square_sum(h_r, ry2, ty2) / (q[1] * q[3])
-    if all(live):
-        # O_c = trace((P_1† P_3)(P_2† P_4)), P_1† P_3 = D_ry H_t D_ty / sqrt(q1 q3)
-        oc = complex(ry2 @ (h_t * h_r.T) @ ty2) / math.sqrt(q[0] * q[1] * q[2] * q[3])
-    del h_t, h_r  # hold at most one Gram from here on, for peak memory
-    if live[0] and live[3]:
-        oy14 = _weighted_square_sum(_idler_weighted_gram(f, ry), tx2, rx2) / (q[0] * q[3])
-    if live[1] and live[2]:
-        oy23 = _weighted_square_sum(_idler_weighted_gram(f, ty), rx2, tx2) / (q[1] * q[2])
-    return kappa, ox13, ox24, oy14, oy23, oc
+    wy2 = (ry**2, ty**2, ty**2, ry**2)
+    side = (0, 1, 0, 1)  # the Gram of branch j: H_t or H_r
+    needed = {side[j] for pair in pairs for j in pair}
+    h = [_signal_weighted_gram(f, wx) if k in needed else None for k, wx in enumerate((tx, rx))]
+    traces = {}
+    for a, b in ((0, 0), (1, 1), (0, 1)):  # |H_t|², |H_r|², H_t ∘ H_rᵀ
+        group = [(i, j) for i, j in pairs if {side[i], side[j]} == {a, b}]
+        if group:
+            product = _abs2(h[a]) if a == b else h[a] * h[b].T
+            for i, j in group:
+                traces[i, j] = complex(wy2[j] @ product @ wy2[i])
+            del product
+    return traces
 
 
 def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segmentation:
@@ -571,9 +563,11 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     the residual R at roundoff, and the traces run on r×r matrices in
     O(n r² + r³).  The factor is accurate in absolute terms, not entry by
     entry, so a branch of tiny weight can lose its relative accuracy: the
-    direct n×n Gram route runs instead when the factor would need too many
-    columns, or when a live branch's error sqrt(wx²·|R|²·wy² / q_j)
-    exceeds the branch error bound.
+    direct route runs instead when the factor would need too many columns,
+    or when a live branch's error sqrt(wx²·|R|²·wy² / q_j) exceeds the
+    branch error bound.  It forms at most two n×n Grams, F† D_tx² F and
+    F† D_rx² F, and takes every trace from them in O(n²).  Both routes
+    hand their traces to one map onto the mode numbers and overlaps.
     """
     _require_filter_axis(filt_s, jsd.axis_s, jsd.step_s, "signal")
     _require_filter_axis(filt_i, jsd.axis_i, jsd.step_i, "idler")
@@ -600,9 +594,10 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
             factor = None
     if factor is None:
         sv = None
-        kappa, ox13, ox24, oy14, oy23, oc = _direct_quantities(f, weights, q, live)
+        traces = partial(_direct_traces, f, weights)
     else:
-        kappa, ox13, ox24, oy14, oy23, oc = _factored_quantities(us, v, weights, q, live)
+        traces = partial(_factored_traces, us, v, weights)
+    kappa, ox13, ox24, oy14, oy23, oc = _segment_quantities(traces, q, live)
 
     return Segmentation(
         q=q,

@@ -7,6 +7,7 @@ import pytest
 from ppskit import cli
 from ppskit import jsd as jsd_module
 from ppskit.detection import read_counts_csv
+from ppskit.errors import UndefinedCharacteristicError
 from ppskit.jsd import segment
 from ppskit.pnd import read_pnd_csv
 
@@ -360,6 +361,27 @@ class TestEstimateCommand:
         assert fits[0] == fits[1]
         assert read_pnd_csv(tmp_path / "flag" / "pnd_hat.csv")[1]["seed"] == "11"
 
+    def test_count_ratio_rows_use_the_attenuators_of_their_record(self, tmp_path):
+        # The count-ratio rows read the first record, so with the attenuated
+        # setting first they must divide by gamma * eta, and then agree with
+        # the same source measured with the unattenuated setting first.
+        reports = []
+        for name, gammas in (("attenuated", "0.5, 1"), ("clear", "1, 0.5")):
+            config = write_config(
+                tmp_path,
+                "[pnd]\nsource = random\np_g = 1e-2\nseed = 3\n\n" + DETECTOR_SECTION
+                + f"\n[settings]\ngammas_s = {gammas}\ngammas_i = {gammas}\n"
+                + "\n[simulate]\nn_m = 10000000000\nseed = 1\n",
+                name=f"{name}.cfg",
+            )
+            data, out = tmp_path / f"data-{name}", tmp_path / f"fit-{name}"
+            assert cli.main(["simulate", "--config", config, "--out", str(data)]) == 0
+            argv = ["estimate", "--config", config, "--counts", str(data / "counts.csv")]
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            reports.append(read_report(out / "characteristics.csv"))
+        for key in ("pg_counts", "etaHs_counts", "etaHi_counts"):
+            assert float(reports[0][key]) == pytest.approx(float(reports[1][key]), rel=0.02), key
+
     def test_missing_counts_flag_exits_2(self, tmp_path):
         config = write_config(tmp_path, DETECTOR_SECTION, name="est.cfg")
         assert cli.main(["estimate", "--config", config]) == 2
@@ -481,7 +503,7 @@ class TestBootstrapCommand:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {str(unconverged)}
 
     @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
-    def test_no_converged_refit_exits_2_with_no_summary(self, tmp_path, capsys, command):
+    def test_no_converged_refit_exits_4_with_no_summary(self, tmp_path, capsys, command):
         counts = self._counts(tmp_path)
         config = write_config(
             tmp_path,
@@ -490,8 +512,26 @@ class TestBootstrapCommand:
         )
         out = tmp_path / "boot"
         argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
-        assert cli.main(argv + (["--bootstrap"] if command == "estimate" else [])) == 2
-        assert "failed on all 5 samples" in capsys.readouterr().err
+        assert cli.main(argv + (["--bootstrap"] if command == "estimate" else [])) == 4
+        assert "none of the 5 bootstrap refits converged" in capsys.readouterr().err
+        assert not (out / "bootstrap_summary.csv").exists()
+
+    def test_draws_failing_for_other_reasons_exit_2_with_no_summary(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        counts = self._counts(tmp_path)
+        config = write_config(
+            tmp_path, DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 3\n", name="boot.cfg"
+        )
+
+        def undefined(fit):
+            raise UndefinedCharacteristicError("characteristic undefined")
+
+        monkeypatch.setattr(cli, "characterize", undefined)
+        out = tmp_path / "boot"
+        argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "failed on all 3 samples" in capsys.readouterr().err
         assert not (out / "bootstrap_summary.csv").exists()
 
     @pytest.mark.parametrize("n_boot", ["0", "-1"])

@@ -475,6 +475,30 @@ class TestFactoredSegmentation:
         )
         assert seg.singular_values is None
         assert np.all(seg.q > 1e-2)
+        _assert_matches_contract_oracles(seg)
+
+    def test_forced_direct_route_matches_oracles(self, chirped_jsd_512, monkeypatch):
+        # The grid and filters of the factored-route test above, so all four
+        # branches are live on both routes: every trace of the direct route
+        # is taken, from the two signal-weighted Grams alone.
+        jsd = chirped_jsd_512
+        filters = (
+            FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
+            FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
+        )
+        grams = []
+        signal_weighted_gram = jsd_module._signal_weighted_gram
+
+        def counting_gram(f, w):
+            grams.append(w)
+            return signal_weighted_gram(f, w)
+
+        monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 0.0)
+        monkeypatch.setattr(jsd_module, "_signal_weighted_gram", counting_gram)
+        seg = segment(jsd, *filters)
+        assert seg.singular_values is None
+        assert np.all(seg.q > 1e-2) and len(grams) == 2
+        _assert_matches_contract_oracles(seg)
 
     def test_segmentation_is_deterministic(self, chirped_jsd_512):
         jsd = chirped_jsd_512
