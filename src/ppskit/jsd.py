@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError, check_count
 from .pnd import PndMatrix
-from .tables import read_table, write_table
+from .tables import parse_finite, read_table, write_table
 
 # Branch weights below this value are treated as exactly zero and the
 # corresponding normalized branch is flagged empty (avoids 0/0).
@@ -276,7 +276,7 @@ class Segmentation:
     ``kappa`` holds the branch effective mode numbers (1 for branches whose
     weight fell below :data:`EMPTY_SEGMENT_THRESHOLD`), and the remaining
     fields the pairwise exchange overlaps entering two-pair probabilities.
-    ``singular_values`` are those of the low-rank factor of the scaled grid
+    ``singular_values`` are those of the factor Q B of the scaled grid
     when :func:`segment` took the factored route, else ``None``.
 
     ``parts`` holds the renormalized branch amplitudes (``None`` for empty
@@ -434,35 +434,33 @@ def _signal_weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a.conj().T @ a
 
 
-def _low_rank_factor(f: np.ndarray):
-    """U S, S and V of F = U S V† + R with the residual R at roundoff.
+def _low_rank_factor(r: np.ndarray):
+    """Q, S and B of F = Q B + R with the residual R at roundoff.
 
-    A blocked randomized range finder with one power iteration per block
-    (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)) that works on
-    the running residual, so each block costs O(n_s n_i b) and growing the
-    rank repeats no work.  Returns ``(us, s, v, r)``, or ``None`` as soon
-    as the residual, shrinking at its rate so far, would not reach roundoff
-    within the rank cap.
+    A blocked randomized range finder (Halko, Martinsson & Tropp, SIAM
+    Rev. 53, 217 (2011)) on the residual, which ``r`` holds in place of F:
+    each block sketches R once, orthonormalizes the sketch against the
+    earlier blocks into Q_k and takes Q_k Q_k† R off R, in O(n_s n_i b).
+    S holds the singular values of Q B, those of B†'s triangular factor.
+    Returns ``(q, s, b, r)``, or ``None`` as soon as the residual,
+    shrinking at its rate so far, would not reach roundoff within the cap.
     """
-    n_s, n_i = f.shape
+    n_s, n_i = r.shape
     cap = _SKETCH_RANK_FRACTION * min(n_s, n_i)
     rng = np.random.default_rng(_SKETCH_SEED)
-    r = f
     qs, bs = [], []
-    rank, residual = 0, float(np.linalg.norm(f))
+    rank, residual = 0, float(np.linalg.norm(r))
     while residual > _SKETCH_RESIDUAL_TOL:
         if rank + _SKETCH_BLOCK > cap:
             return None
+        # Orthonormalized first: projecting the raw sketch would leave overlaps
+        # of roundoff times its condition number with the earlier blocks.
         y = np.linalg.qr(r @ rng.standard_normal((n_i, _SKETCH_BLOCK)))[0]
-        y = r @ (y.conj().T @ r).conj().T  # power iteration: R R† Y
         for q_prev in qs:  # reorthogonalize against the earlier blocks
             y -= q_prev @ (q_prev.conj().T @ y)
-        q = np.linalg.qr(y)[0]
+        q = np.linalg.qr(y)[0] if qs else y
         b = q.conj().T @ r
-        if r is f:  # the first block keeps f, which the direct route may reuse
-            r = r - q @ b
-        else:
-            r -= q @ b
+        r -= q @ b
         qs.append(q)
         bs.append(b)
         rank += _SKETCH_BLOCK
@@ -473,15 +471,9 @@ def _low_rank_factor(f: np.ndarray):
             / math.log(previous / residual) > cap
         ):
             return None
-    # B = [b_1; b_2; ...] = R_b† Q_b† with B† = Q_b R_b, and R_b† = U_r S W_r
-    q_b, r_b = np.linalg.qr(np.vstack(bs).conj().T)
-    u_r, sv, w_r = np.linalg.svd(r_b.conj().T)
-    return (np.hstack(qs) @ u_r) * sv, sv, q_b @ w_r.conj().T, r
-
-
-def _small_gram(m: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """M† D_w² M for a factor M with rank-r columns: an r×r Gram."""
-    return (m.conj().T * w2) @ m
+    b = np.vstack(bs)
+    sv = np.linalg.svd(np.linalg.qr(b.conj().T, mode="r"), compute_uv=False)
+    return np.hstack(qs), sv, b, r
 
 
 def _segment_quantities(traces, q, live):
@@ -508,15 +500,17 @@ def _segment_quantities(traces, q, live):
     return kappa, ox13, ox24, oy14, oy23, oc
 
 
-def _factored_traces(us, v, weights, pairs):
+def _factored_traces(q, b, weights, pairs):
     """tr(M_i M_j) of each pair from r×r products.
 
-    With F = U S V†, the branch Gram P_j† P_j is D_wy V A_x V† D_wy / q_j
-    with A_x = S U† D_wx² U S, so M_j = A_x B_y with B_y = V† D_wy² V.
+    With F = Q B, the branch Gram P_j† P_j is D_wy B† A_x B D_wy / q_j
+    with A_x = Q† D_wx² Q, so M_j = A_x B_y with B_y = B D_wy² B†.  The
+    SVD's U S and V† would give every M_j up to one r×r similarity.
     """
     tx2, rx2, ty2, ry2 = (w**2 for w in weights)
-    a_t, a_r = _small_gram(us, tx2), _small_gram(us, rx2)
-    b_t, b_r = _small_gram(v, ty2), _small_gram(v, ry2)
+    qh, bh = q.conj().T, b.conj().T
+    a_t, a_r = ((qh * w2) @ q for w2 in (tx2, rx2))
+    b_t, b_r = ((b * w2) @ bh for w2 in (ty2, ry2))
     m = (a_t @ b_r, a_r @ b_t, a_t @ b_t, a_r @ b_r)
     return {(i, j): complex(np.sum(m[i] * m[j].T)) for i, j in pairs}
 
@@ -559,15 +553,16 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     Every branch amplitude is D_wx F D_wy for the scaled grid F and the
     filter amplitudes w, so q_j = wx²·|F|²·wy² and every mode number and
     overlap is a trace of weighted Gram products.  A downconversion JSD
-    has a small Schmidt number, so F is first factored as U S V† + R with
-    the residual R at roundoff, and the traces run on r×r matrices in
-    O(n r² + r³).  The factor is accurate in absolute terms, not entry by
-    entry, so a branch of tiny weight can lose its relative accuracy: the
-    direct route runs instead when the factor would need too many columns,
-    or when a live branch's error sqrt(wx²·|R|²·wy² / q_j) exceeds the
-    branch error bound.  It forms at most two n×n Grams, F† D_tx² F and
-    F† D_rx² F, and takes every trace from them in O(n²).  Both routes
-    hand their traces to one map onto the mode numbers and overlaps.
+    has a small Schmidt number, so F is first factored as Q B + R, with Q
+    of r orthonormal columns and the residual R at roundoff, and the
+    traces run on r×r matrices in O(n r² + r³).  The factor is accurate
+    in absolute terms, not entry by entry, so a branch of tiny weight can
+    lose its relative accuracy: the direct route runs instead when the
+    factor would need too many columns, or when a live branch's error
+    sqrt(wx²·|R|²·wy² / q_j) exceeds the branch error bound.  It forms at
+    most two n×n Grams, F† D_tx² F and F† D_rx² F, and takes every trace
+    from them in O(n²).  Both routes hand their traces to one map onto
+    the mode numbers and overlaps.
     """
     _require_filter_axis(filt_s, jsd.axis_s, jsd.step_s, "signal")
     _require_filter_axis(filt_i, jsd.axis_i, jsd.step_i, "idler")
@@ -587,16 +582,17 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     live = q > 0.0
 
     factor = _low_rank_factor(f)
+    del f  # the factor's residual now, or spent on a rejected factor
     if factor is not None:
-        us, sv, v, r = factor
-        error2 = branch_sums(_abs2(r))
+        error2 = branch_sums(_abs2(factor[3]))
         if np.any(live & (error2 > _BRANCH_ERROR_BOUND**2 * q)):
             factor = None
     if factor is None:
         sv = None
-        traces = partial(_direct_traces, f, weights)
+        traces = partial(_direct_traces, jsd.scaled(), weights)
     else:
-        traces = partial(_factored_traces, us, v, weights)
+        qf, sv, b, _ = factor
+        traces = partial(_factored_traces, qf, b, weights)
     kappa, ox13, ox24, oy14, oy23, oc = _segment_quantities(traces, q, live)
 
     return Segmentation(
@@ -693,8 +689,12 @@ def gaussian_jsd(
     For this family the continuum mode number is (r + 1/r) / 2 with
     r = sigma_minus / sigma_plus, handy as an external cross-check.
     """
-    if sigma_plus <= 0 or sigma_minus <= 0:
-        raise InvalidInputError("sigmas must be positive")
+    for name, value in (("sigma_plus", sigma_plus), ("sigma_minus", sigma_minus), ("span", span)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
+    for name, value in (("theta", theta), ("chirp", chirp)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
     check_count("n_s", n_s, 2)
     check_count("n_i", n_i, 2)
     c, s = math.cos(theta), math.sin(theta)
@@ -734,23 +734,20 @@ def read_jsd_csv(path) -> JsdGrid:
     The rows must cover a complete rectangular lattice (any order).  A file
     whose every ``im`` is 0 gives a real (float64) grid.
     """
-    rows, _ = read_table(
-        path, _JSD_HEADER, "JSD", lambda row: tuple(float(row[name]) for name in _JSD_HEADER)
-    )
-    ws = np.array(sorted({r[0] for r in rows}))
-    wi = np.array(sorted({r[1] for r in rows}))
+    rows, _ = read_table(path, _JSD_HEADER, "JSD",
+                         lambda row: tuple(parse_finite(row[name]) for name in _JSD_HEADER))
+    w_s, w_i, re, im = np.array(rows).T
+    ws, index_s = np.unique(w_s, return_inverse=True)
+    wi, index_i = np.unique(w_i, return_inverse=True)
     if len(rows) != ws.size * wi.size:
-        raise InvalidInputError(
-            "JSD CSV does not cover a complete rectangular lattice"
-        )
-    index_s = {w: a for a, w in enumerate(ws)}
-    index_i = {w: b for b, w in enumerate(wi)}
-    real = all(r[3] == 0.0 for r in rows)
-    values = np.full((ws.size, wi.size), np.nan, dtype=float if real else complex)
-    for w_s, w_i, re, im in rows:
-        values[index_s[w_s], index_i[w_i]] = re if real else re + 1j * im
-    if np.any(np.isnan(values)):
+        raise InvalidInputError("JSD CSV does not cover a complete rectangular lattice")
+    filled = np.zeros((ws.size, wi.size), dtype=bool)
+    filled[index_s, index_i] = True
+    if not filled.all():
         raise InvalidInputError("JSD CSV has duplicate or missing lattice points")
+    real = not im.any()
+    values = np.zeros(filled.shape, dtype=float if real else complex)
+    values[index_s, index_i] = re if real else re + 1j * im
     return JsdGrid(values, ws, wi)
 
 

@@ -27,6 +27,15 @@ def parse_int(text: str) -> int:
     return int(value)
 
 
+def parse_finite(text: str) -> float:
+    """A float that is neither NaN nor infinite; anything else raises
+    ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _cell(value, float_format: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"

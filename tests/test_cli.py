@@ -95,6 +95,11 @@ class TestJsdCommand:
         )
         assert cli.main(["jsd", "--config", config, "--out", str(tmp_path)]) == 2
 
+    def test_zero_span_exits_2_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path, JSD_SECTIONS.replace("span = 10", "span = 0"))
+        assert cli.main(["jsd", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert "span must be finite and > 0" in capsys.readouterr().err
+
     def test_malformed_filter_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "filter.csv"
         bad.write_text("omega,t\n-1.0,0.5\n0.0,half\n1.0,0.5\n")

@@ -63,8 +63,23 @@ class TestJsdCsv:
             writer.writerows(
                 [[0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 2, 0]]
             )
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="duplicate or missing lattice points"):
             read_jsd_csv(path)
+
+    @pytest.mark.parametrize("column, value, line", [("re", "nan", 3), ("im", "nan", 4),
+                                                     ("re", "inf", 5)])
+    def test_non_finite_value_names_path_and_line(self, tmp_path, column, value, line):
+        header = ["omega_s", "omega_i", "re", "im"]
+        rows = [header, [0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 0]]
+        rows[line - 1][header.index(column)] = value
+        path = tmp_path / "jsd.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(InvalidInputError) as info:
+            read_jsd_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and f"line {line}:" in message
+        assert f"not a finite number: '{value}'" in message
 
 
 class TestFilterCsv:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -531,6 +532,45 @@ class TestFactoredSegmentation:
         assert len(built) == 2 and seg.parts is parts
 
 
+@pytest.mark.parametrize("chirp", [80.0, 0.0])
+def test_low_rank_factor_contract(chirp, monkeypatch):
+    # The benchmark's JSD at n = 256, complex and real; a rank cap of the
+    # whole grid lets the factor run to roundoff.
+    monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 1.0)
+    jsd = gaussian_jsd(0.05, 0.24, math.pi / 4, n_s=256, n_i=256, span=10.0, chirp=chirp)
+    f = jsd.scaled()
+    q, s, b, r = jsd_module._low_rank_factor(f)
+    assert r is f  # the residual is built in place of the grid's copy
+    rank = s.size
+    assert q.shape == (256, rank) and b.shape == (rank, 256)
+    assert np.abs(q.conj().T @ q - np.eye(rank)).max() <= 1e-13
+    assert np.linalg.norm(jsd.scaled() - q @ b - r) <= 1e-15
+    assert np.linalg.norm(r) <= 1e-14
+    full = np.linalg.svd(jsd.scaled(), compute_uv=False)
+    assert np.abs(s - full[:rank]).max() <= 1e-14 * full[0]
+
+
+@pytest.mark.parametrize("n, sigma_plus, sigma_minus, span, chirp", [
+    (1024, 0.05, 0.5, 10.0, 0.0),
+    (512, 0.1, 0.2, 6.0, 0.0),
+    (128, 0.1, 0.2, 10.0, 100.0),
+])
+def test_factored_route_matches_oracles_on_other_families(n, sigma_plus, sigma_minus, span, chirp):
+    # Two other families, on which the factor takes 192, 32 and 32 columns
+    # where the benchmark's grid takes 96: every quantity meets the oracles.
+    jsd = gaussian_jsd(sigma_plus, sigma_minus, math.pi / 4, n_s=n, n_i=n, span=span, chirp=chirp)
+    seg = segment(
+        jsd,
+        FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
+        FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
+    )
+    assert seg.singular_values is not None
+    _assert_matches_contract_oracles(seg)
+    assert 1.0 / np.sum(seg.singular_values**4) == pytest.approx(
+        schmidt_number_svd(jsd), rel=1e-12
+    )
+
+
 def _assert_relatively_close(real, twin, rtol=1e-14):
     real, twin = np.asarray(real), np.asarray(twin)
     assert real.shape == twin.shape
@@ -796,15 +836,38 @@ def test_property_random_complex_grids_keep_oracles_equal(data, n):
     assert 1.0 - 1e-9 <= k_svd <= min(n, n + 2) + 1e-9
 
 
+# case -> (the start of the message, the call)
 BAD_ARGUMENTS = {
-    "gaussian-n_s-fraction": lambda: gaussian_jsd(0.3, 0.9, n_s=16.5, n_i=16),
-    "gaussian-n_i-fraction": lambda: gaussian_jsd(0.3, 0.9, n_s=16, n_i=16.5),
-    "grid-string-values": lambda: JsdGrid(np.full((4, 4), "1.0"), np.arange(4.0), np.arange(4.0)),
-    "gain-string": lambda: PumpGain("0.01"),
+    "gaussian-n_s-fraction": (
+        "n_s must be a whole number", lambda: gaussian_jsd(0.3, 0.9, n_s=16.5, n_i=16)),
+    "gaussian-n_i-fraction": (
+        "n_i must be a whole number", lambda: gaussian_jsd(0.3, 0.9, n_s=16, n_i=16.5)),
+    "grid-string-values": (
+        "JSD values must be numeric",
+        lambda: JsdGrid(np.full((4, 4), "1.0"), np.arange(4.0), np.arange(4.0))),
+    "gain-string": ("xi_sq=", lambda: PumpGain("0.01")),
+    "gaussian-sigma_plus-nan": (
+        "sigma_plus must be finite and > 0", lambda: gaussian_jsd(math.nan, 0.9, n_s=16, n_i=16)),
+    "gaussian-sigma_minus-zero": (
+        "sigma_minus must be finite and > 0", lambda: gaussian_jsd(0.3, 0.0, n_s=16, n_i=16)),
+    "gaussian-sigma_minus-inf": (
+        "sigma_minus must be finite and > 0", lambda: gaussian_jsd(0.3, math.inf, n_s=16, n_i=16)),
+    "gaussian-theta-nan": (
+        "theta must be finite", lambda: gaussian_jsd(0.3, 0.9, theta=math.nan, n_s=16, n_i=16)),
+    "gaussian-span-zero": (
+        "span must be finite and > 0", lambda: gaussian_jsd(0.3, 0.9, n_s=16, n_i=16, span=0.0)),
+    "gaussian-span-negative": (
+        "span must be finite and > 0", lambda: gaussian_jsd(0.3, 0.9, n_s=16, n_i=16, span=-5.0)),
+    "gaussian-chirp-nan": (
+        "chirp must be finite", lambda: gaussian_jsd(0.3, 0.9, n_s=16, n_i=16, chirp=math.nan)),
+    "gaussian-chirp-inf": (
+        "chirp must be finite", lambda: gaussian_jsd(0.3, 0.9, n_s=16, n_i=16, chirp=math.inf)),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
 def test_unusable_argument_raises_invalid_input(case):
-    with pytest.raises(InvalidInputError):
-        BAD_ARGUMENTS[case]()
+    message, call = BAD_ARGUMENTS[case]
+    with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+        call()
