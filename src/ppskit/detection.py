@@ -58,14 +58,21 @@ class DetectorPair:
         return replace(self, gamma=gamma)
 
 
-def _check_counts(f: np.ndarray, n_m, raw: bool = True) -> None:
-    if not np.all(np.isfinite(f)):
+def check_counts(F: np.ndarray, n_m, raw: bool = True) -> None:
+    """Check count records of ``n_m`` trials each, one per row of ``F``'s
+    last axis (a lone record is one flat row): every count is finite, and
+    raw counts are nonnegative and each record sums to ``n_m``."""
+    if not np.all(np.isfinite(F)):
         raise InvalidInputError("counts must be finite")
     check_count("n_m", n_m, 0)
-    if raw and np.any(f < 0):
+    if not raw:
+        return
+    if np.any(F < 0):
         raise InvalidInputError("raw counts must be nonnegative")
-    if raw and abs(f.sum() - n_m) > max(0.5, 2e-12 * n_m):
-        raise DataModelMismatchError(f"counts sum to {f.sum()} but n_m={n_m}")
+    totals = F.sum(axis=-1)
+    off = np.abs(totals - n_m) > max(0.5, 2e-12 * n_m)
+    if np.any(off):
+        raise DataModelMismatchError(f"counts sum to {totals[off].flat[0]} but n_m={n_m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +117,7 @@ class CountRecord:
         f = np.asarray(self.f, dtype=float)
         if f.shape != (4, 4):
             raise InvalidInputError(f"count table must be 4x4, got {f.shape}")
-        _check_counts(f, self.n_m, raw=not self.noise_corrected)
+        check_counts(f.reshape(-1), self.n_m, raw=not self.noise_corrected)
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
 
@@ -132,7 +139,7 @@ class SingleCountRecord:
         f = np.asarray(self.f, dtype=float)
         if f.shape not in ((4,), (2,)):
             raise InvalidInputError(f"single-mode counts must be (4,) or (2,), got {f.shape}")
-        _check_counts(f, self.n_m)
+        check_counts(f, self.n_m)
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
 

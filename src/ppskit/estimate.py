@@ -25,6 +25,8 @@ the best start wins.
 Record sets that share a model (bootstrap draws, the reps of a sweep
 cell) go through one call of either estimator's ``*_many`` form, which
 runs one ascent vectorized over the sets (and, for EML, their starts).
+A caller that already holds the counts as one stack, as a sweep cell
+does, hands it to ``_fit_stack``, the batched core of both.
 
 Count-ratio estimators of g2 / heralded g2 / pair probability are provided
 for comparison with the reconstructed values; they accept raw or
@@ -571,7 +573,7 @@ def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None)
     cannot produce, comes back with ``converged=False``; the others are
     not disturbed.
     """
-    return _fit_many(record_sets, model, options, eml=False)
+    return _fit_stack(*_stack(record_sets, model), model, options, eml=False)
 
 
 def _eml_starts(K, F, used, options: EstimateOptions) -> np.ndarray:
@@ -613,17 +615,21 @@ def eml_estimate_many(record_sets, model, options: EstimateOptions | None = None
     set is one problem of the batch; each set's result is bit-identical to
     its lone ``eml_estimate`` fit.
     """
-    return _fit_many(record_sets, model, options, eml=True)
+    return _fit_stack(*_stack(record_sets, model), model, options, eml=True)
 
 
-def _fit_many(record_sets, model, options: EstimateOptions | None, eml: bool) -> list:
-    """Fits of every record set in one batched ascent, each start of each
-    set one problem: ML runs the moment start alone, EML its
-    ``n_starts`` starts with the model's used outcomes.  The start with
-    the highest objective wins, the first among equals.
+def _fit_stack(K, F, model, options: EstimateOptions | None, eml: bool) -> list:
+    """ML (or, with ``eml``, EML) fits of every set of a count stack F
+    (sets x records x outcomes) on the shared kernel stack K, as
+    :func:`_stack` builds them, in one batched ascent.
+
+    Each start of each set is one problem: ML runs the moment start
+    alone, EML its ``n_starts`` starts with the model's used outcomes.
+    The start with the highest objective wins, the first among equals.
+    The counts are taken as checked: ``*_estimate_many`` is the entry
+    for record sets.
     """
     options = options or EstimateOptions()
-    K, F = _stack(record_sets, model)
     if eml:
         if model.n_settings < 2:
             raise InvalidInputError("the baseline needs at least two attenuator settings")

@@ -768,7 +768,8 @@ def read_filter_csv(path, kind: str = "amplitude") -> FilterProfile:
     if kind not in ("amplitude", "intensity"):
         raise InvalidInputError(f"filter kind must be amplitude|intensity, got {kind!r}")
     rows, _ = read_table(
-        path, ["omega", "t"], "filter", lambda row: (float(row["omega"]), float(row["t"]))
+        path, ["omega", "t"], "filter",
+        lambda row: (parse_finite(row["omega"]), parse_finite(row["t"])),
     )
     omega, t = np.array(sorted(rows)).T
     if kind == "intensity":

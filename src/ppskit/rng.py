@@ -9,6 +9,7 @@ or in parallel, and still reproduce bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -36,9 +37,35 @@ def stream_key(seed: int, *path) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint64)
 
 
+@functools.cache
+def _key_sequence():
+    """Seed-sequence class whose state is a given Philox key.
+
+    A Philox stream is fixed by its key alone, so the generator takes the
+    key as its seed sequence's state instead of seeding (and discarding) a
+    ``SeedSequence``.  Built on first use, so that importing the package
+    loads no ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            # Philox asks for exactly its key: two 64-bit words.
+            return self.key
+
+    return KeySequence
+
+
 def substream(seed: int, *path) -> np.random.Generator:
-    """Independent generator for (seed, path); identical inputs replay."""
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
+    """Independent generator for (seed, path); identical inputs replay.
+
+    Its state is that of ``Generator(Philox(key=stream_key(seed, *path)))``.
+    """
+    seq = _key_sequence()(stream_key(seed, *path))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def multinomial_counts(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -48,16 +75,17 @@ def multinomial_counts(n: int, probs: np.ndarray, rng: np.random.Generator) -> n
     trial budgets of 1e12 are as cheap as 1e3.  The total is exactly n.
     """
     probs = np.asarray(probs, dtype=float).reshape(-1)
-    counts = np.zeros(probs.size, dtype=np.int64)
-    remaining = int(n)
     tail = float(probs.sum())
-    for idx in range(probs.size - 1):
+    cells = probs.tolist()
+    counts = [0] * len(cells)
+    remaining = int(n)
+    for idx in range(len(cells) - 1):
         if remaining == 0 or tail <= 0.0:
             break
-        p = min(max(probs[idx] / tail, 0.0), 1.0)
+        p = min(max(cells[idx] / tail, 0.0), 1.0)
         c = int(rng.binomial(remaining, p))
         counts[idx] = c
         remaining -= c
-        tail -= probs[idx]
+        tail -= cells[idx]
     counts[-1] += remaining
-    return counts
+    return np.array(counts, dtype=np.int64)

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimate as est
-from .detection import CountRecord, DetectorPair, OutcomeProbs, SingleCountRecord, pair_probs
+from .detection import (
+    CountRecord,
+    DetectorPair,
+    OutcomeProbs,
+    SingleCountRecord,
+    check_counts,
+    pair_probs,
+)
 from .errors import InvalidInputError, PpskitError, check_count
 from .metrics import rmsle
 from .pnd import PndMatrix, g2_marginal
@@ -72,18 +79,18 @@ def _check_p_g(p_g) -> None:
         raise InvalidInputError(f"p_g must lie in (0, 0.1], got {p_g}")
 
 
+# Photon order max(j, k) of each cell of a 3 x 3 PND but the vacuum, row-major.
+_PAIR_ORDER = np.maximum.outer(np.arange(3), np.arange(3)).reshape(-1)[1:]
+
+
 def random_pps_pnd(p_g: float, seed) -> PndMatrix:
     """Random pair-source matrix: first-order cells p_g * r, second-order
     cells p_g^2 * r with fresh r ~ U[0.5, 1.5] per cell; vacuum completes."""
     _check_p_g(p_g)
-    rng = _as_rng(seed)
-    p = np.zeros((3, 3))
-    for j in range(3):
-        for k in range(3):
-            if max(j, k) == 1:
-                p[j, k] = p_g * rng.uniform(0.5, 1.5)
-            elif max(j, k) == 2:
-                p[j, k] = p_g**2 * rng.uniform(0.5, 1.5)
+    r = _as_rng(seed).uniform(0.5, 1.5, size=8)  # row-major, vacuum skipped
+    p = np.zeros(9)
+    p[1:] = np.where(_PAIR_ORDER == 1, p_g, p_g**2) * r
+    p = p.reshape(3, 3)
     rest = p.sum()
     if rest >= 1.0:
         raise InvalidInputError(f"p_g={p_g} too large to normalize")
@@ -123,18 +130,28 @@ class ExperimentConfig:
         object.__setattr__(self, "model", model)
 
 
-def _setting_record(model, truth, nu: int, n_m: int, rng):
-    """Record of setting ``nu`` of ``model`` from its stored maps: expected
-    counts if ``rng`` is None, else sampled."""
+def _draw_counts(model, truth, nu: int, n_m: int, rng, out) -> None:
+    """Write the counts of setting ``nu`` of ``model`` under ``truth``,
+    from its stored maps, into ``out`` (one entry per outcome, row-major):
+    the expected counts n_m W if ``rng`` is None, else a multinomial draw
+    of ``n_m`` trials from ``rng``."""
     if isinstance(model, est.LikelihoodModel):
-        W = pair_probs(truth, *model.maps[nu])
-        if rng is None:
-            return CountRecord(n_m * W.probs, n_m, nu=nu)
-        return sample_counts(W, n_m, rng, nu=nu)
-    probs = model.maps[nu] @ truth
-    if rng is None:
-        return SingleCountRecord(n_m * probs, n_m, nu=nu)
-    return sample_single_counts(probs, n_m, rng, nu=nu)
+        W = pair_probs(truth, *model.maps[nu]).probs.reshape(-1)
+    else:
+        W = model.maps[nu] @ truth
+    out[:] = n_m * W if rng is None else multinomial_counts(n_m, W, rng)
+
+
+def _setting_record(model, truth, nu: int, n_m: int, rng):
+    """Record of setting ``nu`` of ``model``: expected counts if ``rng``
+    is None, else sampled (see :func:`_draw_counts`)."""
+    check_count("n_m", n_m, 0)
+    n_m = int(n_m)
+    f = np.empty(model.n_outcomes)
+    _draw_counts(model, truth, nu, n_m, rng, f)
+    if isinstance(model, est.LikelihoodModel):
+        return CountRecord(f.reshape(4, 4), n_m, nu=nu)
+    return SingleCountRecord(f, n_m, nu=nu)
 
 
 def simulate_records(config: ExperimentConfig, rep: int = 0) -> list[CountRecord]:
@@ -213,20 +230,21 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
             model = est.SingleModeModel.one_detector(eta=eta, d=d, gammas=settings)
         random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
-    truths, record_sets = [], []
+    # Every rep's counts go into one stack F (reps x settings x outcomes),
+    # each (rep, setting) from its own stream, checked once and fitted in
+    # one batched call: every rep shares the model.
+    trials = int(n_m)
+    F = np.empty((int(spec.reps), model.n_settings, model.n_outcomes))
+    truths = []
     for rep in range(int(spec.reps)):
         truth = random_truth(p_g, substream(seed, "pnd", cell_id, rep))
         truths.append(truth)
-        record_sets.append([
-            _setting_record(
-                model, truth, nu, int(n_m),
-                None if spec.exact_counts else substream(seed, "counts", cell_id, rep, nu),
-            )
-            for nu in range(model.n_settings)
-        ])
-    # Every rep shares the model, so one call fits them all.
-    fit_many = est.ml_estimate_many if method == "ml" else est.eml_estimate_many
-    fits = fit_many(record_sets, model, options)
+        for nu in range(model.n_settings):
+            rng = None if spec.exact_counts else substream(seed, "counts", cell_id, rep, nu)
+            _draw_counts(model, truth, nu, trials, rng, F[rep, nu])
+    check_counts(F, trials)
+    K = np.stack([model.kernel(nu) for nu in range(model.n_settings)])
+    fits = est._fit_stack(K, F, model, options, eml=method == "eml")
     for rep, (truth, fit) in enumerate(zip(truths, fits)):
         row = {
             "cell_id": cell_id, "p_g": p_g, "n_m": n_m, "eta": eta, "d": d,

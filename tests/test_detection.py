@@ -12,6 +12,7 @@ from ppskit.detection import (
     OutcomeProbs,
     SingleCountRecord,
     bipartite_probs,
+    check_counts,
     conversion_matrix,
     counts_with_clicks,
     noise_correct,
@@ -288,6 +289,23 @@ class TestCountRecord:
         f[0, 0] = 5
         with pytest.raises(DataModelMismatchError):
             CountRecord(f, 6)
+
+    def test_stack_check_applies_the_record_rules_to_every_record(self):
+        # A sweep cell checks its reps x settings x outcomes stack in one call.
+        F = np.zeros((3, 2, 4))
+        F[..., 0] = 4.0
+        check_counts(F, 4)
+        for index, value, error, message in [
+            ((1, 1, 2), 2.0, DataModelMismatchError, "counts sum to 6.0 but n_m=4"),
+            ((2, 0, 1), np.nan, InvalidInputError, "counts must be finite"),
+            ((0, 1, 3), -1.0, InvalidInputError, "raw counts must be nonnegative"),
+        ]:
+            bad = F.copy()
+            bad[index] = value
+            with pytest.raises(error, match=message):
+                check_counts(bad, 4)
+        with pytest.raises(InvalidInputError, match="n_m"):
+            check_counts(F, 4.5)
 
     def test_click_marginals(self):
         f = np.zeros((4, 4))

@@ -114,6 +114,20 @@ class TestFilterCsv:
         with pytest.raises(InvalidInputError):
             read_filter_csv(tmp_path / "filt.csv", "power")
 
+    @pytest.mark.parametrize("column, value, line", [("omega", "nan", 3), ("t", "inf", 4),
+                                                     ("t", "nan", 2)])
+    def test_non_finite_value_names_path_and_line(self, tmp_path, column, value, line):
+        rows = [["omega", "t"], [0.0, 0.5], [1.0, 0.5], [2.0, 0.5]]
+        rows[line - 1][rows[0].index(column)] = value
+        path = tmp_path / "filt.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(InvalidInputError) as info:
+            read_filter_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and f"line {line}:" in message
+        assert f"not a finite number: '{value}'" in message
+
 
 class TestCliCsvSources:
     def test_jsd_command_from_csv_inputs(self, tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ppskit.simulate
-from ppskit.detection import DetectorPair, OutcomeProbs, bipartite_probs
+from ppskit.detection import (
+    CountRecord,
+    DetectorPair,
+    OutcomeProbs,
+    SingleCountRecord,
+    bipartite_probs,
+)
 from ppskit.errors import InvalidInputError
 from ppskit.estimate import (
     EstimateOptions,
@@ -17,7 +28,7 @@ from ppskit.estimate import (
 )
 from ppskit.metrics import rmsle
 from ppskit.pnd import g2_marginal
-from ppskit.rng import multinomial_counts, substream
+from ppskit.rng import multinomial_counts, stream_key, substream
 from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
     SweepSpec,
@@ -126,6 +137,52 @@ class TestSeeds:
                 substream(float(seed), "x", 1).random(8), substream(seed, "x", 1).random(8)
             )
         assert substream(-3).random() != substream(3).random()
+
+
+class TestStreams:
+    def test_substream_is_the_philox_of_its_key(self):
+        for seed in (0, 7, 3.0, -12, 2**40):
+            for path in ((), ("counts", 3, 1, 9), ("bootstrap", 2, 19)):
+                rng = substream(seed, *path)
+                ref = np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
+                assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+                np.testing.assert_array_equal(rng.random(5), ref.random(5))
+                np.testing.assert_array_equal(
+                    rng.binomial(10**12, 0.3, size=3), ref.binomial(10**12, 0.3, size=3)
+                )
+                assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    # Recorded counts: any change to the chain's arithmetic or draw order moves them.
+    GOLDEN = [
+        (0, [0.2, 0.3, 0.5], 1, [0, 0, 0]),
+        (1000, [0.3, 0.0, 0.2, 0.5], 2, [320, 0, 193, 487]),
+        (500, [0.6, 0.4, 0.0, 0.0], 3, [310, 190, 0, 0]),
+        (10**12, np.arange(1, 17) / 136.0, 4, [
+            7352907451, 14706002555, 22058885075, 29411880364, 36764478087, 44117981090,
+            51470725738, 58823721614, 66176190000, 73529498291, 80882100482, 88235135160,
+            95588282459, 102940798958, 110294284789, 117647127887,
+        ]),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, probs, seed, counts", GOLDEN, ids=["n0", "mid-zero", "zero-tail", "16-at-1e12"]
+    )
+    def test_multinomial_counts_keep_their_draws(self, n, probs, seed, counts):
+        got = multinomial_counts(n, np.asarray(probs), substream(seed, "multinomial"))
+        assert got.dtype == np.int64
+        assert got.tolist() == counts
+
+    def test_import_loads_no_numpy_random(self):
+        src = str(Path(ppskit.simulate.__file__).parents[1])
+        code = (
+            "import sys, ppskit; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestRandomSources:
@@ -270,40 +327,29 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("method", ["ml-2x2d", "ml-1d", "eml-1d"])
     def test_ml_cell_fits_its_reps_in_one_call(self, monkeypatch, method):
-        name = method.split("-")[0] + "_estimate_many"
-        batches, fit_many = [], getattr(ppskit.simulate.est, name)
+        # A cell hands its count stack to the batched core, not to *_many.
+        batches, fit_stack = [], ppskit.simulate.est._fit_stack
 
-        def spy_many(record_sets, model, options):
-            batches.append(len(record_sets))
-            return fit_many(record_sets, model, options)
+        def spy_stack(K, F, model, options, eml):
+            assert eml == method.startswith("eml")
+            batches.append(F.shape[0])
+            return fit_stack(K, F, model, options, eml)
 
-        monkeypatch.setattr(ppskit.simulate.est, name, spy_many)
+        monkeypatch.setattr(ppskit.simulate.est, "_fit_stack", spy_stack)
         spec = SweepSpec(p_g_grid=(1e-2, 1e-3), n_m_grid=(1e8,), reps=3)
         rows = run_sweep(spec, method, seed=4)
         assert batches == [3, 3]
         assert [row["rep"] for row in rows] == [0, 1, 2] * 2
         assert all(row["converged"] for row in rows)
 
-    @pytest.mark.parametrize(
-        "method, p_g, n_m, eta, d",
-        [
-            ("ml-2d", 1e-2, 1e8, 0.5, 1e-6),
-            ("ml-1d", 1e-3, 1e9, 1.0, 0.0),
-            ("eml-2x2d", 1e-2, 1e8, 1.0, 0.0),
-        ],
-    )
-    def test_rows_match_records_rebuilt_from_public_functions(self, method, p_g, n_m, eta, d):
-        # A cell builds its detector maps once; every rep's counts must still
-        # be those of bipartite_probs / kernel @ truth on the cell's substreams.
+    @staticmethod
+    def rebuilt_rows(method, design, p_g, n_m, eta, d, exact, seed, reps):
+        """Expected rows of one cell, from records that the public functions
+        build on the cell's substreams (expected counts if ``exact``)."""
         kind, layout = method.split("-")
-        seed, reps = 41, 6
-        spec = SweepSpec(
-            p_g_grid=(p_g,), n_m_grid=(n_m,), eta_grid=(eta,), d_grid=(d,),
-            gamma_design="va4" if layout == "2x2d" else "none", reps=reps,
-        )
         if layout == "2x2d":
             det = DetectorPair(T=0.5, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
-            plan = ((1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.5, 0.5))
+            plan = ((1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.5, 0.5))[: 4 if design == "va4" else 1]
             model = LikelihoodModel(det_s=det, det_i=det, settings=plan)
         elif layout == "2d":
             model = SingleModeModel.two_detector(T=0.5, eta=eta, d=d, gammas=DEFAULT_SINGLE_GAMMAS)
@@ -314,26 +360,29 @@ class TestRunSweep:
             counts = [substream(seed, "counts", 0, rep, nu) for nu in range(model.n_settings)]
             if layout == "2x2d":
                 truth = random_pps_pnd(p_g, substream(seed, "pnd", 0, rep))
-                records = [
-                    sample_counts(
-                        bipartite_probs(truth, det.with_gamma(gamma_s), det.with_gamma(gamma_i)),
-                        int(n_m), rng, nu=nu,
+                records = []
+                for nu, ((gamma_s, gamma_i), rng) in enumerate(zip(plan, counts)):
+                    W = bipartite_probs(truth, det.with_gamma(gamma_s), det.with_gamma(gamma_i))
+                    records.append(
+                        CountRecord(int(n_m) * W.probs, int(n_m), nu=nu) if exact
+                        else sample_counts(W, int(n_m), rng, nu=nu)
                     )
-                    for nu, ((gamma_s, gamma_i), rng) in enumerate(zip(plan, counts))
-                ]
             else:
                 truth = random_single_pnd(p_g, substream(seed, "pnd", 0, rep))
-                records = [
-                    sample_single_counts(model.kernel(nu) @ truth, int(n_m), rng, nu=nu)
-                    for nu, rng in enumerate(counts)
-                ]
+                records = []
+                for nu, rng in enumerate(counts):
+                    probs = model.kernel(nu) @ truth
+                    records.append(
+                        SingleCountRecord(int(n_m) * probs, int(n_m), nu=nu) if exact
+                        else sample_single_counts(probs, int(n_m), rng, nu=nu)
+                    )
             truths.append(truth)
             record_sets.append(records)
         fit_many = ml_estimate_many if kind == "ml" else eml_estimate_many
         fits = fit_many(record_sets, model, EstimateOptions())
-        rows = run_sweep(spec, method, seed=seed)
-        assert [row["rep"] for row in rows] == list(range(reps))
-        for row, truth, fit in zip(rows, truths, fits):
+        rows = []
+        for truth, fit in zip(truths, fits):
+            assert fit.converged
             expected = {"rmsle": rmsle(fit.p_hat, truth), "converged": fit.converged}
             if layout == "2x2d":
                 chars = characterize(fit)
@@ -346,16 +395,45 @@ class TestRunSweep:
                 expected.update(
                     pg_hat=float(fit.p_hat[1]), g2s_hat=g2_marginal(fit.p_hat, truncated=True)
                 )
-            assert fit.converged
-            assert {name: row[name] for name in expected} == expected
+            rows.append(expected)
+        return rows
+
+    @pytest.mark.parametrize(
+        "method, p_g, n_m, eta, d",
+        [
+            ("ml-2d", 1e-2, 1e8, 0.5, 1e-6),
+            ("ml-1d", 1e-3, 1e9, 1.0, 0.0),
+            ("eml-2x2d", 1e-2, 1e8, 1.0, 0.0),
+            ("ml-2x2d", 1e-3, 1e10, 0.5, 1e-6),
+        ],
+    )
+    def test_rows_match_records_rebuilt_from_public_functions(self, method, p_g, n_m, eta, d):
+        # A cell draws every rep's counts into one stack from its stored maps;
+        # each row must still be that of the records bipartite_probs /
+        # kernel @ truth give on the cell's substreams, sampled or exact,
+        # under every gamma design the method takes.
+        seed, reps = 41, 6
+        # EML needs two settings, so its bipartite cells take va4 only.
+        designs = {"ml-2x2d": ("none", "va4"), "eml-2x2d": ("va4",)}.get(method, ("none",))
+        for design in designs:
+            for exact in (False, True):
+                spec = SweepSpec(
+                    p_g_grid=(p_g,), n_m_grid=(n_m,), eta_grid=(eta,), d_grid=(d,),
+                    gamma_design=design, reps=reps, exact_counts=exact,
+                )
+                rows = run_sweep(spec, method, seed=seed)
+                assert [row["rep"] for row in rows] == list(range(reps))
+                expected = self.rebuilt_rows(method, design, p_g, n_m, eta, d, exact, seed, reps)
+                for row, want in zip(rows, expected):
+                    assert {name: row[name] for name in want} == want, (design, exact)
 
     @pytest.mark.parametrize("method", ["ml-2x2d", "ml-2d"])
     def test_coding_errors_are_not_swallowed(self, monkeypatch, method):
         def broken(*args, **kwargs):
             raise TypeError("bug in the estimator")
 
-        # ML sweep cells fit all their reps in one ml_estimate_many call.
-        monkeypatch.setattr(ppskit.simulate.est, "ml_estimate_many", broken)
+        # A sweep cell fits all its reps in one call of the batched core.
+        monkeypatch.setattr(ppskit.simulate.est, "_fit_stack", broken)
         spec = SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e6,), reps=1)
         with pytest.raises(TypeError, match="bug in the estimator"):
             run_sweep(spec, method)
