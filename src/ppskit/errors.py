@@ -41,3 +41,14 @@ def check_count(name: str, value, minimum: int) -> None:
     """
     if not (is_whole(value) and value >= minimum):
         raise InvalidInputError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+
+
+MAX_TRIALS = 2**63 - 1  # numpy's binomial draws count trials in int64
+
+
+def check_trials(name: str, value, minimum: int) -> None:
+    """:func:`check_count` for a trial budget, which must also be at most
+    ``MAX_TRIALS``, the largest a count draw can take."""
+    check_count(name, value, minimum)
+    if value > MAX_TRIALS:
+        raise InvalidInputError(f"{name} must be at most 2**63 - 1, got {value!r}")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .detection import CountRecord
-from .errors import InvalidInputError, PpskitError, check_count
+from .errors import InvalidInputError, PpskitError, check_count, check_trials
 from .pnd import PndMatrix
 from .rng import multinomial_counts, substream
 from .tables import write_table
@@ -65,22 +65,22 @@ def bootstrap(record: CountRecord, n_boot: int, sample_size: int, seed: int = 0)
     """Resample a count record with replacement at the trial level.
 
     Each sample is a multinomial draw of ``sample_size`` trials from the
-    empirical outcome distribution f / n_m.  Deterministic under the seed.
+    empirical outcome distribution f / n_m.  All ``n_boot`` samples are
+    drawn in one call from ``substream(seed, "bootstrap", record.nu)``, one
+    row per sample, so sample b does not depend on ``n_boot``.
+    Deterministic under the seed.
     """
-    check_count("sample_size", sample_size, 1)
+    check_trials("sample_size", sample_size, 1)
     check_count("n_boot", n_boot, 0)
     total = float(record.f.sum())
     if total <= 0:
         raise InvalidInputError("cannot bootstrap an empty record")
-    probs = (record.f / total).reshape(-1)
-    samples = []
-    for b in range(int(n_boot)):
-        rng = substream(seed, "bootstrap", record.nu, b)
-        counts = multinomial_counts(int(sample_size), probs, rng).reshape(4, 4)
-        samples.append(
-            CountRecord(counts.astype(float), int(sample_size), nu=record.nu)
-        )
-    return samples
+    probs = np.broadcast_to((record.f / total).reshape(-1), (int(n_boot), 16))
+    counts = multinomial_counts(int(sample_size), probs, substream(seed, "bootstrap", record.nu))
+    return [
+        CountRecord(f, int(sample_size), nu=record.nu)
+        for f in counts.astype(float).reshape(-1, 4, 4)
+    ]
 
 
 def bootstrap_stats(draws, pipeline, sample_size: int) -> list[dict]:

@@ -166,9 +166,11 @@ def g2_marginal(pv, truncated: bool = False) -> float:
 
     The full form is sum(n(n-1) P_n) / (sum(n P_n))^2.  ``truncated=True``
     returns 2 P_2 / P_1^2, the two-photon approximation appropriate when
-    the mean photon number is far below 1.
+    the mean photon number is far below 1.  Every entry must be finite.
     """
     pv = np.asarray(pv, dtype=float)
+    if not np.all(np.isfinite(pv)):
+        raise InvalidInputError("marginal entries must be finite")
     if truncated:
         if pv.size < 3 or pv[1] <= 0.0:
             raise UndefinedCharacteristicError("truncated g2 undefined: P_1 is zero")

@@ -2,9 +2,13 @@
 
 Every stochastic routine in the package draws from a Philox generator whose
 key is derived from a user seed plus a string path naming the consumer
-(e.g. ``substream(seed, "sweep", cell, rep)``).  Seed and path fully
+(e.g. ``substream(seed, "counts", cell, rep)``).  Seed and path fully
 determine the stream, so repetitions and sweep cells can run in any order,
 or in parallel, and still reproduce bit-identical results.
+
+Counts are drawn by :func:`multinomial_counts`, one call per stream: a
+sweep rep or a simulated acquisition draws all its settings' tables at
+once, and a bootstrap draws all its resamples of one record at once.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import InvalidInputError, is_whole
+from .errors import InvalidInputError, check_trials, is_whole
 
 
 def check_seed(seed) -> None:
@@ -69,23 +73,28 @@ def substream(seed: int, *path) -> np.random.Generator:
 
 
 def multinomial_counts(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact multinomial draw by chained conditional binomials.
+    """Exact multinomial draws of ``n`` trials, one per row of ``probs``.
 
-    Cost is O(#outcomes) independent of n (binomial draws are O(1)), so
-    trial budgets of 1e12 are as cheap as 1e3.  The total is exactly n.
+    ``probs`` holds outcome probabilities along its last axis, with any
+    leading shape.  Entries down to -1e-12 are roundoff and count as 0, as
+    in :class:`~ppskit.detection.OutcomeProbs`, and each row is divided by
+    its sum.  numpy's ``multinomial`` draws a row as a chain of conditional
+    binomials in C, O(#outcomes) at any n, so trial budgets of 1e12 are as
+    cheap as 1e3.  Rows are drawn in order from ``rng``, so each row's
+    counts are those of drawing it alone, next.  Returns int64 counts of
+    ``probs``' shape; every row totals exactly n.
     """
-    probs = np.asarray(probs, dtype=float).reshape(-1)
-    tail = float(probs.sum())
-    cells = probs.tolist()
-    counts = [0] * len(cells)
-    remaining = int(n)
-    for idx in range(len(cells) - 1):
-        if remaining == 0 or tail <= 0.0:
-            break
-        p = min(max(cells[idx] / tail, 0.0), 1.0)
-        c = int(rng.binomial(remaining, p))
-        counts[idx] = c
-        remaining -= c
-        tail -= cells[idx]
-    counts[-1] += remaining
-    return np.array(counts, dtype=np.int64)
+    check_trials("n", n, 0)
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim == 0 or probs.shape[-1] == 0:
+        raise InvalidInputError(f"outcome probabilities need an outcome axis, got shape {probs.shape}")
+    lowest = probs.min(initial=0.0)  # initial: a table of no rows draws nothing
+    if not lowest >= -1e-12:  # a NaN fails too
+        raise InvalidInputError("outcome probabilities must be finite and nonnegative")
+    if lowest < 0.0:
+        probs = np.maximum(probs, 0.0)
+    with np.errstate(over="ignore"):  # an infinite sum is rejected below
+        total = probs.sum(axis=-1, keepdims=True)
+    if not (total.min(initial=np.inf) > 0.0 and total.max(initial=0.0) < np.inf):
+        raise InvalidInputError("outcome probabilities must be finite, with a positive sum")
+    return rng.multinomial(int(n), probs / total)

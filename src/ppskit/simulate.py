@@ -1,10 +1,13 @@
 """Synthetic experiments: count sampling, random sources, parameter sweeps.
 
-Counts are exact multinomial draws implemented as a conditional-binomial
-chain, so a trial budget of 1e12 costs the same as 16 binomial draws.
-Sweep cells and repetitions are keyed into independent counter-based
-streams (see :mod:`ppskit.rng`), which makes results independent of
-execution order.
+Counts are exact multinomial draws (:func:`ppskit.rng.multinomial_counts`),
+so a trial budget of 1e12 costs the same as 1e3.  Every repetition draws
+from its own counter-based streams (see :mod:`ppskit.rng`): its truth from
+``substream(seed, "pnd", cell, rep)`` and all its settings' counts in one
+draw, from ``substream(seed, "counts", cell, rep)`` in a sweep cell and
+``substream(seed, "experiment", rep)`` in :func:`simulate_records`.  So
+results do not depend on execution order, and rep r's counts do not
+depend on how many reps run.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .detection import (
     check_counts,
     pair_probs,
 )
-from .errors import InvalidInputError, PpskitError, check_count
+from .errors import InvalidInputError, PpskitError, check_count, check_trials
 from .metrics import rmsle
 from .pnd import PndMatrix, g2_marginal
 from .rng import check_seed, multinomial_counts, substream
@@ -58,7 +61,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 def sample_counts(W: OutcomeProbs, n_m: int, seed, nu: int = 0) -> CountRecord:
     """Multinomial count table for one setting; same seed, same counts."""
-    check_count("n_m", n_m, 0)
+    check_trials("n_m", n_m, 0)
     if W.probs.shape != (4, 4):
         raise InvalidInputError("sample_counts expects a bipartite outcome table")
     rng = _as_rng(seed)
@@ -68,7 +71,7 @@ def sample_counts(W: OutcomeProbs, n_m: int, seed, nu: int = 0) -> CountRecord:
 
 def sample_single_counts(probs: np.ndarray, n_m: int, seed, nu: int = 0) -> SingleCountRecord:
     """Multinomial draw over single-mode outcomes (length 2 or 4)."""
-    check_count("n_m", n_m, 0)
+    check_trials("n_m", n_m, 0)
     rng = _as_rng(seed)
     counts = multinomial_counts(n_m, np.asarray(probs, dtype=float), rng)
     return SingleCountRecord(counts.astype(float), int(n_m), nu=nu)
@@ -123,43 +126,43 @@ class ExperimentConfig:
     model: est.LikelihoodModel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        check_count("n_m", self.n_m, 1)
+        check_trials("n_m", self.n_m, 1)
         check_count("reps", self.reps, 1)
         check_seed(self.seed)
         model = est.LikelihoodModel(self.det_s, self.det_i, self.settings, self.pnd.n_max)
         object.__setattr__(self, "model", model)
 
 
-def _draw_counts(model, truth, nu: int, n_m: int, rng, out) -> None:
-    """Write the counts of setting ``nu`` of ``model`` under ``truth``,
-    from its stored maps, into ``out`` (one entry per outcome, row-major):
-    the expected counts n_m W if ``rng`` is None, else a multinomial draw
-    of ``n_m`` trials from ``rng``."""
-    if isinstance(model, est.LikelihoodModel):
-        W = pair_probs(truth, *model.maps[nu]).probs.reshape(-1)
-    else:
-        W = model.maps[nu] @ truth
+def _draw_counts(model, truth, n_m: int, rng, out) -> None:
+    """Write the counts of every setting of ``model`` under ``truth``, from
+    its stored maps, into ``out`` (settings x outcomes, row-major): the
+    expected counts n_m W if ``rng`` is None, else one multinomial draw of
+    ``n_m`` trials per setting, all from ``rng`` in one call."""
+    W = np.empty(out.shape)
+    for nu in range(model.n_settings):
+        if isinstance(model, est.LikelihoodModel):
+            W[nu] = pair_probs(truth, *model.maps[nu]).probs.reshape(-1)
+        else:
+            W[nu] = model.maps[nu] @ truth
     out[:] = n_m * W if rng is None else multinomial_counts(n_m, W, rng)
 
 
-def _setting_record(model, truth, nu: int, n_m: int, rng):
-    """Record of setting ``nu`` of ``model``: expected counts if ``rng``
-    is None, else sampled (see :func:`_draw_counts`)."""
-    check_count("n_m", n_m, 0)
+def _draw_records(model, truth, n_m: int, rng) -> list:
+    """One record per setting of ``model``: expected counts if ``rng`` is
+    None, else sampled (see :func:`_draw_counts`)."""
+    check_trials("n_m", n_m, 0)
     n_m = int(n_m)
-    f = np.empty(model.n_outcomes)
-    _draw_counts(model, truth, nu, n_m, rng, f)
+    F = np.empty((model.n_settings, model.n_outcomes))
+    _draw_counts(model, truth, n_m, rng, F)
     if isinstance(model, est.LikelihoodModel):
-        return CountRecord(f.reshape(4, 4), n_m, nu=nu)
-    return SingleCountRecord(f, n_m, nu=nu)
+        return [CountRecord(f.reshape(4, 4), n_m, nu=nu) for nu, f in enumerate(F)]
+    return [SingleCountRecord(f, n_m, nu=nu) for nu, f in enumerate(F)]
 
 
 def simulate_records(config: ExperimentConfig, rep: int = 0) -> list[CountRecord]:
-    """Sampled count records for every attenuator setting of one repetition."""
-    return [
-        _setting_record(config.model, config.pnd, nu, config.n_m, substream(config.seed, "experiment", rep, nu))
-        for nu in range(config.model.n_settings)
-    ]
+    """Sampled count records for every attenuator setting of one repetition,
+    all drawn from ``substream(config.seed, "experiment", rep)``."""
+    return _draw_records(config.model, config.pnd, config.n_m, substream(config.seed, "experiment", rep))
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ class SweepSpec:
             raise InvalidInputError(f"unknown gamma design {self.gamma_design!r}")
         check_count("reps", self.reps, 1)
         for n_m in self.n_m_grid:
-            check_count("n_m_grid entry", n_m, 1)
+            check_trials("n_m_grid entry", n_m, 1)
         for p_g in self.p_g_grid:
             _check_p_g(p_g)
         for eta in self.eta_grid:  # checked as a cell's detectors check them
@@ -231,17 +234,16 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
         random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
     # Every rep's counts go into one stack F (reps x settings x outcomes),
-    # each (rep, setting) from its own stream, checked once and fitted in
-    # one batched call: every rep shares the model.
+    # each rep's settings in one draw from its own stream, checked once and
+    # fitted in one batched call: every rep shares the model.
     trials = int(n_m)
     F = np.empty((int(spec.reps), model.n_settings, model.n_outcomes))
     truths = []
     for rep in range(int(spec.reps)):
         truth = random_truth(p_g, substream(seed, "pnd", cell_id, rep))
         truths.append(truth)
-        for nu in range(model.n_settings):
-            rng = None if spec.exact_counts else substream(seed, "counts", cell_id, rep, nu)
-            _draw_counts(model, truth, nu, trials, rng, F[rep, nu])
+        rng = None if spec.exact_counts else substream(seed, "counts", cell_id, rep)
+        _draw_counts(model, truth, trials, rng, F[rep])
     check_counts(F, trials)
     K = np.stack([model.kernel(nu) for nu in range(model.n_settings)])
     fits = est._fit_stack(K, F, model, options, eml=method == "eml")

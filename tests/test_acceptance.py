@@ -230,7 +230,7 @@ def _sweep_fits(spec, seed):
     for rep in range(spec.reps):
         truth = random_pps_pnd(p_g, substream(seed, "pnd", 0, rep))
         W = bipartite_probs(truth, det, det)
-        rec = sample_counts(W, n_m, substream(seed, "counts", 0, rep, 0))
+        rec = sample_counts(W, n_m, substream(seed, "counts", 0, rep))
         fits.append((truth, ml_estimate([rec], model, options)))
     return fits
 

@@ -207,6 +207,13 @@ class TestSimulateCommand:
         assert "gamma must lie in [0, 1], got 1.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_budget_beyond_int64_exits_2_before_writing(self, tmp_path, capsys):
+        text = SIMULATE_CONFIG.replace("n_m = 100000000", "n_m = 10000000000000000000")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "n_m must be at most 2**63 - 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_zero_reps_exits_2(self, tmp_path, capsys, where):
         text = SIMULATE_CONFIG + ("reps = 0\n" if where == "config" else "")

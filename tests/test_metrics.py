@@ -138,6 +138,19 @@ class TestBootstrap:
         with pytest.raises(InvalidInputError):
             bootstrap(rec, 10, 0, seed=0)
 
+    def test_sample_size_beyond_int64_rejected(self):
+        _, _, rec = study_record()
+        for size in (2**63, 10**19, 1e19):
+            with pytest.raises(InvalidInputError, match="sample_size"):
+                bootstrap(rec, 2, size, seed=0)
+
+    def test_sample_b_does_not_depend_on_n_boot(self):
+        # All samples of a record come from one stream, one row per sample.
+        _, _, rec = study_record()
+        few, many = bootstrap(rec, 3, 10**6, seed=8), bootstrap(rec, 7, 10**6, seed=8)
+        for x, y in zip(few, many):
+            np.testing.assert_array_equal(x.f, y.f)
+
     def test_nan_seed_rejected(self):
         _, _, rec = study_record()
         with pytest.raises(InvalidInputError, match="seed"):

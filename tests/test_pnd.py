@@ -223,6 +223,15 @@ class TestG2:
         with pytest.raises(UndefinedCharacteristicError):
             g2_marginal(np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 2])
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_non_finite_entry_rejected(self, bad, where, truncated):
+        pv = np.array([1 - 1e-3 - 5e-7, 1e-3, 5e-7])
+        pv[where] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            g2_marginal(pv, truncated=truncated)
+
     def test_full_form_approaches_truncated_for_weak_excitation(self):
         for mu in (1e-3, 1e-4, 1e-5):
             pv = np.array([1 - mu - mu**2, mu, mu**2])

@@ -31,6 +31,7 @@ from ppskit.pnd import g2_marginal
 from ppskit.rng import multinomial_counts, stream_key, substream
 from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
+    ExperimentConfig,
     SweepSpec,
     random_pps_pnd,
     random_single_pnd,
@@ -123,6 +124,20 @@ class TestSampleCounts:
         rec = self.SAMPLERS[kind](1e12)
         assert rec.n_m == 10**12 and rec.f.sum() == 10**12
 
+    @pytest.mark.parametrize("budget", [2**63, 10**19, 1e19])
+    @pytest.mark.parametrize("where", ["bipartite", "single", "experiment", "sweep"])
+    def test_budget_beyond_int64_rejected(self, where, budget):
+        det = DetectorPair(T=0.5, eta_t=0.5, eta_r=0.5)
+        build = {
+            **self.SAMPLERS,
+            "experiment": lambda n_m: ExperimentConfig(
+                pnd=random_pps_pnd(1e-2, 0), det_s=det, det_i=det, n_m=n_m
+            ),
+            "sweep": lambda n_m: SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e6, n_m)),
+        }[where]
+        with pytest.raises(InvalidInputError, match=r"must be at most 2\*\*63 - 1"):
+            build(budget)
+
 
 class TestSeeds:
     def test_fractional_seed_rejected(self):
@@ -152,7 +167,9 @@ class TestStreams:
                 )
                 assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
-    # Recorded counts: any change to the chain's arithmetic or draw order moves them.
+    # Counts recorded from the Python binomial chain that numpy's C chain
+    # replaced; both draw the same binomials in the same order, so any
+    # change to the sampler's arithmetic or draw order moves them.
     GOLDEN = [
         (0, [0.2, 0.3, 0.5], 1, [0, 0, 0]),
         (1000, [0.3, 0.0, 0.2, 0.5], 2, [320, 0, 193, 487]),
@@ -172,6 +189,29 @@ class TestStreams:
         assert got.dtype == np.int64
         assert got.tolist() == counts
 
+    @staticmethod
+    def binomial_chain(n, probs, rng):
+        """Reference sampler: the conditional-binomial chain in Python."""
+        probs = probs / probs.sum()
+        counts, remaining, tail = [0] * len(probs), int(n), 1.0
+        for idx, p in enumerate(probs[:-1]):
+            if remaining == 0:
+                break
+            counts[idx] = int(rng.binomial(remaining, min(p / tail, 1.0)))
+            remaining -= counts[idx]
+            tail -= p
+        counts[-1] += remaining
+        return counts
+
+    def test_multinomial_counts_is_the_conditional_binomial_chain(self):
+        # numpy's multinomial runs this chain in C: same binomials, same order.
+        cases = substream(10, "chain-cases")
+        for case in range(300):
+            probs = cases.uniform(0.0, 1.0, cases.choice([2, 4, 16])) ** 4
+            n = int(10 ** cases.uniform(0, 12))
+            got = multinomial_counts(n, probs, substream(case, "chain"))
+            assert got.tolist() == self.binomial_chain(n, probs, substream(case, "chain"))
+
     def test_import_loads_no_numpy_random(self):
         src = str(Path(ppskit.simulate.__file__).parents[1])
         code = (
@@ -183,6 +223,98 @@ class TestStreams:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+def rep_tables(model, truth):
+    """Every setting's outcome table of ``model`` under ``truth`` (settings x outcomes)."""
+    if isinstance(model, LikelihoodModel):
+        return np.stack([
+            bipartite_probs(truth, model.det_s.with_gamma(gs), model.det_i.with_gamma(gi))
+            .probs.reshape(-1)
+            for gs, gi in model.settings
+        ])
+    return np.stack([model.kernel(nu) @ truth for nu in range(model.n_settings)])
+
+
+class TestSampler:
+    REPS = 400
+
+    @pytest.mark.parametrize("layout", ["va4-2x2d", "2d"])
+    def test_rep_draws_follow_their_tables(self, layout):
+        # A sweep cell's draw of each rep, on the cell's streams, against
+        # one truth: the chi-square over every (rep, setting) record and the
+        # one of the counts summed over reps must both be typical.
+        det = DetectorPair(T=0.5, eta_t=0.5, eta_r=0.5, d_t=1e-6, d_r=1e-6)
+        if layout == "va4-2x2d":
+            plan = ((1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.5, 0.5))
+            model = LikelihoodModel(det_s=det, det_i=det, settings=plan)
+            truth = random_pps_pnd(1e-2, substream(6, "pnd"))
+        else:
+            model = SingleModeModel(det=det, gammas=DEFAULT_SINGLE_GAMMAS)
+            truth = random_single_pnd(1e-2, substream(6, "pnd"))
+        n_m, W = 10**9, rep_tables(model, truth)
+        expected = n_m * W
+        assert expected.min() > 20  # every cell in the chi-square's regime
+        F = np.empty((self.REPS, *W.shape))
+        for rep in range(self.REPS):
+            ppskit.simulate._draw_counts(model, truth, n_m, substream(6, "counts", 0, rep), F[rep])
+        assert np.all(F.sum(axis=-1) == n_m)
+        dof = W.shape[0] * (W.shape[1] - 1)
+        per_record = float(np.sum((F - expected) ** 2 / expected))
+        pooled = float(np.sum((F.sum(axis=0) - self.REPS * expected) ** 2 / (self.REPS * expected)))
+        for stat, k in ((per_record, self.REPS * dof), (pooled, dof)):
+            p_value = stats.chi2.sf(stat, k)
+            assert 1e-4 < p_value < 1 - 1e-4, (stat, k)
+
+    def test_huge_budget_and_tiny_cell_draw_exactly(self):
+        probs = np.array([0.3, 1e-20, 0.2, 0.5 - 1e-20, 1e-20])
+        counts = multinomial_counts(10**12, np.broadcast_to(probs, (2000, 5)), substream(7))
+        assert counts.dtype == np.int64 and np.all(counts >= 0)
+        assert np.all(counts.sum(axis=-1) == 10**12)
+        assert np.all(counts[:, [1, 4]] == 0)  # expected 1e-8 per row
+        sigma = np.sqrt(10**12 * probs * (1 - probs))
+        assert np.all(np.abs(counts.mean(axis=0) - 10**12 * probs) < 6 * sigma / np.sqrt(2000))
+        table = np.pad(probs, (0, 11)).reshape(4, 4)
+        for seed in range(20):
+            rec = sample_counts(OutcomeProbs(table), 10**12, seed)
+            assert rec.f.sum() == 10**12 and rec.f[0, 1] == rec.f[1, 0] == 0
+
+    def test_rows_draw_in_order_from_one_stream(self):
+        W = np.stack([generic_outcome_table(s).probs.reshape(-1) for s in range(3)])
+        together = multinomial_counts(10**9, W.reshape(3, 1, 16), substream(9, "rows"))
+        rng = substream(9, "rows")
+        one_by_one = [multinomial_counts(10**9, w, rng) for w in W]
+        assert together.shape == (3, 1, 16)
+        np.testing.assert_array_equal(together[:, 0], one_by_one)
+
+    def test_roundoff_below_zero_counts_as_zero(self):
+        counts = multinomial_counts(10**6, np.array([0.6, -1e-18, 0.4]), substream(2))
+        assert counts[1] == 0 and counts.sum() == 10**6
+
+    @pytest.mark.parametrize(
+        "n, probs, match",
+        [
+            (10, [0.5, np.nan], "finite"),
+            (10, [0.5, np.inf], "finite"),
+            (10, [0.7, -0.1, 0.4], "nonnegative"),
+            (10, [[0.5, 0.5], [0.0, 0.0]], "positive sum"),
+            (10, [1e308, 1e308], "finite"),
+            (10, 0.5, "outcome axis"),
+            (10, np.ones((2, 0)), "outcome axis"),
+            (-1, [0.5, 0.5], "n must be"),
+            (2.5, [0.5, 0.5], "n must be"),
+            (2**63, [0.5, 0.5], r"at most 2\*\*63 - 1"),
+        ],
+        ids=["nan", "inf", "negative", "zero-row", "overflow", "scalar", "no-outcomes",
+             "negative-n", "fractional-n", "n-beyond-int64"],
+    )
+    def test_garbage_raises_package_errors(self, n, probs, match):
+        with pytest.raises(InvalidInputError, match=match):
+            multinomial_counts(n, np.asarray(probs, dtype=float), substream(1))
+
+    def test_largest_budget_draws(self):
+        counts = multinomial_counts(2**63 - 1, np.array([0.25, 0.75]), substream(3))
+        assert sum(int(c) for c in counts) == 2**63 - 1
 
 
 class TestRandomSources:
@@ -342,10 +474,20 @@ class TestRunSweep:
         assert [row["rep"] for row in rows] == [0, 1, 2] * 2
         assert all(row["converged"] for row in rows)
 
+    @pytest.mark.parametrize("method", ["ml-2x2d", "ml-2d"])
+    def test_rep_counts_do_not_depend_on_reps(self, method):
+        # Each rep draws from its own streams, so more reps leave the first
+        # ones' rows as they were.
+        grid = dict(p_g_grid=(1e-2,), n_m_grid=(1e6,), gamma_design="va4")
+        few = run_sweep(SweepSpec(**grid, reps=2), method, seed=12)
+        many = run_sweep(SweepSpec(**grid, reps=5), method, seed=12)
+        assert few == many[:2]
+
     @staticmethod
     def rebuilt_rows(method, design, p_g, n_m, eta, d, exact, seed, reps):
         """Expected rows of one cell, from records that the public functions
-        build on the cell's substreams (expected counts if ``exact``)."""
+        build on the cell's substreams (expected counts if ``exact``): each
+        rep draws its settings in order from its own counts stream."""
         kind, layout = method.split("-")
         if layout == "2x2d":
             det = DetectorPair(T=0.5, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
@@ -357,11 +499,11 @@ class TestRunSweep:
             model = SingleModeModel.one_detector(eta=eta, d=d, gammas=DEFAULT_SINGLE_GAMMAS)
         truths, record_sets = [], []
         for rep in range(reps):
-            counts = [substream(seed, "counts", 0, rep, nu) for nu in range(model.n_settings)]
+            rng = substream(seed, "counts", 0, rep)
             if layout == "2x2d":
                 truth = random_pps_pnd(p_g, substream(seed, "pnd", 0, rep))
                 records = []
-                for nu, ((gamma_s, gamma_i), rng) in enumerate(zip(plan, counts)):
+                for nu, (gamma_s, gamma_i) in enumerate(plan):
                     W = bipartite_probs(truth, det.with_gamma(gamma_s), det.with_gamma(gamma_i))
                     records.append(
                         CountRecord(int(n_m) * W.probs, int(n_m), nu=nu) if exact
@@ -370,7 +512,7 @@ class TestRunSweep:
             else:
                 truth = random_single_pnd(p_g, substream(seed, "pnd", 0, rep))
                 records = []
-                for nu, rng in enumerate(counts):
+                for nu in range(model.n_settings):
                     probs = model.kernel(nu) @ truth
                     records.append(
                         SingleCountRecord(int(n_m) * probs, int(n_m), nu=nu) if exact
@@ -408,10 +550,10 @@ class TestRunSweep:
         ],
     )
     def test_rows_match_records_rebuilt_from_public_functions(self, method, p_g, n_m, eta, d):
-        # A cell draws every rep's counts into one stack from its stored maps;
-        # each row must still be that of the records bipartite_probs /
-        # kernel @ truth give on the cell's substreams, sampled or exact,
-        # under every gamma design the method takes.
+        # A cell draws every rep's counts into one stack from its stored maps,
+        # one draw per rep; each row must still be that of the records
+        # bipartite_probs / kernel @ truth give on the cell's substreams,
+        # sampled or exact, under every gamma design the method takes.
         seed, reps = 41, 6
         # EML needs two settings, so its bipartite cells take va4 only.
         designs = {"ml-2x2d": ("none", "va4"), "eml-2x2d": ("va4",)}.get(method, ("none",))
