@@ -356,7 +356,7 @@ def _count_threshold_warnings(records, model, p_hat) -> list[str]:
     warnings = []
     min_expected = math.inf
     for rec in records:
-        W = model.kernel(rec.nu) @ p_hat.p.reshape(-1)
+        W = model.kernels[rec.nu] @ p_hat.p.reshape(-1)
         min_expected = min(min_expected, float(W.min()) * rec.n_m)
         if rec.f[3, 3] == 0:
             warnings.append(

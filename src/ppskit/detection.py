@@ -9,7 +9,10 @@ XXXX, XXXO, XXOX, XXOO, XOXX, ... OOOO for detectors D1 D2 D3 D4.
 
 The photon-number to outcome map is a conversion matrix M, per-trial noise
 clicks are a lower-triangular matrix N, and attenuators fold exactly into
-the detector efficiencies.
+the detector efficiencies.  A detection model (:mod:`ppskit.estimate`)
+stacks each setting's maps into the kernel K of W = K p, the one forward
+model that the fits and the simulator read; :func:`bipartite_probs` and
+:func:`single_mode_probs` give one checked table of the same maps.
 """
 
 from __future__ import annotations
@@ -202,29 +205,14 @@ def bipartite_probs(P: PndMatrix, det_s: DetectorPair, det_i: DetectorPair) -> O
     """16-outcome probability table of a bipartite source.
 
     W = (N_s M_s) P (N_i M_i)^T with attenuators folded into the
-    efficiencies of each side: :func:`pair_probs` under the two sides'
-    :func:`outcome_map`.  ``P`` must be normalized (renormalize truncated
-    inputs first).
-    """
-    return pair_probs(P, outcome_map(det_s, P.n_max), outcome_map(det_i, P.n_max))
-
-
-def pair_probs(P: PndMatrix, A: np.ndarray, B: np.ndarray) -> OutcomeProbs:
-    """16-outcome table A P B^T of a normalized PND under the signal and
-    idler outcome maps ``A`` and ``B`` (see :func:`outcome_map`).
-
-    Callers that push many PNDs through the same detectors build the maps
-    once; :func:`bipartite_probs` builds them per call.
+    efficiencies of each side (:func:`outcome_map`).  ``P`` must be
+    normalized (renormalize truncated inputs first).
     """
     if P.subnormalized:
         raise InvalidInputError(
             "outcome probabilities need a normalized PND; use PndMatrix.renormalized()"
         )
-    if A.shape != (4, P.n_max + 1) or B.shape != (4, P.n_max + 1):
-        raise DataModelMismatchError(
-            f"outcome maps {A.shape} and {B.shape} do not fit a PND with n_max={P.n_max}"
-        )
-    return OutcomeProbs(A @ P.p @ B.T)
+    return OutcomeProbs(outcome_map(det_s, P.n_max) @ P.p @ outcome_map(det_i, P.n_max).T)
 
 
 def noise_correct(

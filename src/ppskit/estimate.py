@@ -3,9 +3,11 @@
 The full-information estimator maximizes the ordinary multinomial
 log-likelihood over all click outcomes (including the all-click events,
 which carry the only direct evidence about two-photon cells).  Outcome
-probabilities are linear in the cells, so that log-likelihood is concave
-and one projected Fisher-scoring ascent in softmax coordinates, with every
-cell floored relative to the vacuum cell, reaches its maximum.
+probabilities are linear in the cells, W_nu = K_nu p with the kernels
+K_nu that a detection model stores at construction (the simulator draws
+its counts from the same map), so that log-likelihood is concave and one
+projected Fisher-scoring ascent in softmax coordinates, with every cell
+floored relative to the vacuum cell, reaches its maximum.
 
 Both estimators start from Neyman's minimum chi-square inversion of that
 linear model, with no formula per detector layout; a cell the counts do
@@ -53,6 +55,7 @@ from .errors import (
     UndefinedCharacteristicError,
     check_count,
 )
+from .metrics import _cells
 from .pnd import CharacteristicSet, PndMatrix, characteristics
 from .rng import check_seed, substream
 
@@ -76,15 +79,17 @@ class LikelihoodModel:
     Detector efficiencies, splitter ratios and noise probabilities are
     assumed calibrated beforehand; ``settings`` lists the attenuator pair
     (gamma_s, gamma_i) of each setting index nu, so both detector pairs
-    keep ``gamma = 1``.  ``maps`` holds each setting's (read-only) signal
-    and idler outcome maps, built once at construction.
+    keep ``gamma = 1``.  ``kernels`` (settings x 16 outcomes x cells,
+    read-only) holds each setting's kernel K_nu, the kron of its signal
+    and idler outcome maps, built once at construction: W_nu = K_nu
+    P.reshape(-1).
     """
 
     det_s: DetectorPair
     det_i: DetectorPair
     settings: tuple = ((1.0, 1.0),)
     n_max: int = 2
-    maps: tuple = field(init=False, compare=False, repr=False)
+    kernels: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.settings:
@@ -95,22 +100,18 @@ class LikelihoodModel:
             raise InvalidInputError(
                 "detector pairs of a model must have gamma = 1; put attenuators in settings"
             )
-        maps = []
-        for gamma_s, gamma_i in self.settings:  # with_gamma checks each gamma
-            A = outcome_map(self.det_s.with_gamma(gamma_s), self.n_max)
-            B = outcome_map(self.det_i.with_gamma(gamma_i), self.n_max)
-            maps.append((_frozen(A), _frozen(B)))
-        object.__setattr__(self, "maps", tuple(maps))
+        kernels = [  # with_gamma checks each gamma
+            np.kron(outcome_map(self.det_s.with_gamma(gamma_s), self.n_max),
+                    outcome_map(self.det_i.with_gamma(gamma_i), self.n_max))
+            for gamma_s, gamma_i in self.settings
+        ]
+        object.__setattr__(self, "kernels", _frozen(np.stack(kernels)))
 
     @property
     def n_settings(self) -> int:
         return len(self.settings)
 
     n_outcomes = 16  # signal outcome x idler outcome, row-major
-
-    def kernel(self, nu: int) -> np.ndarray:
-        """W = kernel(nu) @ P.reshape(-1): kron of the two modes' outcome maps."""
-        return np.kron(*self.maps[nu])
 
     def eml_used(self) -> np.ndarray:
         """Outcomes the baseline keeps: none in which both detectors of a mode clicked."""
@@ -140,15 +141,16 @@ class SingleModeModel:
     the attenuator of each setting index nu.  ``layout`` is "2d" for the
     split-and-two-detectors scheme or "1d" for a plain on/off detector, in
     which case everything is routed to the transmitted detector and the
-    outcomes collapse to (no click, click).  ``maps`` holds each setting's
-    (read-only) outcome map, collapsed for "1d", built once at construction.
+    outcomes collapse to (no click, click).  ``kernels`` (settings x
+    outcomes x cells, read-only) holds each setting's outcome map K_nu,
+    collapsed for "1d", built once at construction: W_nu = K_nu p.
     """
 
     det: DetectorPair
     gammas: tuple
     layout: str = "2d"
     n_max: int = 2
-    maps: tuple = field(init=False, compare=False, repr=False)
+    kernels: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.gammas:
@@ -161,13 +163,12 @@ class SingleModeModel:
             raise InvalidInputError(
                 "the detector pair of a model must have gamma = 1; put attenuators in gammas"
             )
-        maps = []
-        for gamma in self.gammas:
-            C = outcome_map(self.det.with_gamma(gamma), self.n_max)  # checks the gamma
-            if self.layout == "1d":
-                C = np.vstack([C[0] + C[1], C[2] + C[3]])
-            maps.append(_frozen(C))
-        object.__setattr__(self, "maps", tuple(maps))
+        kernels = np.stack([  # with_gamma checks each gamma
+            outcome_map(self.det.with_gamma(gamma), self.n_max) for gamma in self.gammas
+        ])
+        if self.layout == "1d":
+            kernels = kernels[:, 0::2] + kernels[:, 1::2]  # rows XX + XO, OX + OO
+        object.__setattr__(self, "kernels", _frozen(kernels))
 
     @classmethod
     def two_detector(cls, T, eta, d, gammas, n_max: int = 2) -> "SingleModeModel":
@@ -186,10 +187,6 @@ class SingleModeModel:
     @property
     def n_outcomes(self) -> int:
         return 2 if self.layout == "1d" else 4
-
-    def kernel(self, nu: int) -> np.ndarray:
-        """W = kernel(nu) @ p: setting ``nu``'s outcome map, collapsed for "1d"."""
-        return self.maps[nu]
 
     def eml_used(self) -> np.ndarray:
         """Outcomes the baseline keeps: all but the one with every detector clicked."""
@@ -241,11 +238,13 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 # likelihood machinery
 #
-# Every model gives the kernel K_nu (outcomes x cells) of each setting:
-# record v has outcome probabilities W_v = K_v p in the row-major cells p,
-# and records stack into K (records x outcomes x cells) with counts F
-# (records x outcomes).  One loglik, score and expected Fisher matrix of W
-# serve every estimator; EML adds its per-outcome renormalization term.
+# Every model stores the kernel K_nu (outcomes x cells) of each setting in
+# ``kernels``: record v has outcome probabilities W_v = K_v p in the
+# row-major cells p, and records stack into K (records x outcomes x cells)
+# with counts F (records x outcomes).  One loglik, score and expected
+# Fisher matrix of W serve every estimator; EML adds its per-outcome
+# renormalization term.  The simulator draws its counts from the same
+# W = K p (``_probs``).
 #
 # F, W and p may carry a leading problem axis over one shared K (problems
 # x records x outcomes, problems x cells).  Every reduction then runs per
@@ -284,7 +283,7 @@ def _stack(record_sets, model):
                 f"the first set {nus}"
             )
     F = np.array([[rec.f.reshape(-1) for rec in records] for records in record_sets])
-    return np.stack([model.kernel(nu) for nu in nus]), F
+    return model.kernels[nus], F
 
 
 def _probs(K, p) -> np.ndarray:
@@ -367,8 +366,7 @@ def log_likelihood(P, records, model) -> float:
     nonzero counts make the result -inf, the typed infeasible value.
     """
     K, F = _stack([records], model)
-    p = P.p if isinstance(P, PndMatrix) else np.asarray(P, dtype=float)
-    return float(_loglik(_probs(K, p.reshape(-1)), F[0]))
+    return float(_loglik(_probs(K, _cells(P).reshape(-1)), F[0]))
 
 
 def _solve_each(a, b) -> np.ndarray:

@@ -32,6 +32,10 @@ EMPTY_SEGMENT_THRESHOLD = 1e-15
 
 _UNIFORM_RTOL = 1e-12
 
+# Gaussian widths, spans and filter centres stay below this bound: the
+# amplitudes square products of two of them, which must stay finite.
+_GAUSS_SCALE_MAX = 1e75
+
 # Real and imaginary components below this fraction of a grid's largest
 # component magnitude are zeroed on construction.  Products of such tail
 # entries underflow to subnormals, which cost many times a normal product
@@ -222,8 +226,10 @@ class FilterProfile:
     @classmethod
     def gauss(cls, axis, center: float, fwhm: float) -> "FilterProfile":
         """Gaussian bandpass with the given intensity FWHM."""
-        if not fwhm > 0:
-            raise InvalidInputError(f"fwhm must be positive, got {fwhm}")
+        if not abs(center) < _GAUSS_SCALE_MAX:
+            raise InvalidInputError(f"|center| must be below {_GAUSS_SCALE_MAX:g}, got {center}")
+        if not 0 < fwhm < _GAUSS_SCALE_MAX:
+            raise InvalidInputError(f"fwhm must lie in (0, {_GAUSS_SCALE_MAX:g}), got {fwhm}")
         axis = np.asarray(axis, dtype=float)
         T = np.exp(-4.0 * math.log(2.0) * (axis - center) ** 2 / fwhm**2)
         return cls.from_intensity(axis, T)
@@ -690,8 +696,10 @@ def gaussian_jsd(
     r = sigma_minus / sigma_plus, handy as an external cross-check.
     """
     for name, value in (("sigma_plus", sigma_plus), ("sigma_minus", sigma_minus), ("span", span)):
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidInputError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 < value < _GAUSS_SCALE_MAX:
+            raise InvalidInputError(
+                f"{name} must be finite and > 0, below {_GAUSS_SCALE_MAX:g}, got {value!r}"
+            )
     for name, value in (("theta", theta), ("chirp", chirp)):
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")

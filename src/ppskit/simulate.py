@@ -1,10 +1,13 @@
 """Synthetic experiments: count sampling, random sources, parameter sweeps.
 
 Counts are exact multinomial draws (:func:`ppskit.rng.multinomial_counts`),
-so a trial budget of 1e12 costs the same as 1e3.  Every repetition draws
-from its own counter-based streams (see :mod:`ppskit.rng`): its truth from
-``substream(seed, "pnd", cell, rep)`` and all its settings' counts in one
-draw, from ``substream(seed, "counts", cell, rep)`` in a sweep cell and
+so a trial budget of 1e12 costs the same as 1e3.  They are drawn from
+the fit's own outcome probabilities W = K p, K being the detection
+model's stored ``kernels``, so the simulator and the estimators share one
+forward model.  Every repetition draws from its own counter-based
+streams (see :mod:`ppskit.rng`): its truth from ``substream(seed, "pnd",
+cell, rep)`` and all its settings' counts in one draw, from
+``substream(seed, "counts", cell, rep)`` in a sweep cell and
 ``substream(seed, "experiment", rep)`` in :func:`simulate_records`.  So
 results do not depend on execution order, and rep r's counts do not
 depend on how many reps run.
@@ -23,10 +26,9 @@ from .detection import (
     OutcomeProbs,
     SingleCountRecord,
     check_counts,
-    pair_probs,
 )
 from .errors import InvalidInputError, PpskitError, check_count, check_trials
-from .metrics import rmsle
+from .metrics import _cells, rmsle
 from .pnd import PndMatrix, g2_marginal
 from .rng import check_seed, multinomial_counts, substream
 from .tables import write_table
@@ -129,31 +131,33 @@ class ExperimentConfig:
         check_trials("n_m", self.n_m, 1)
         check_count("reps", self.reps, 1)
         check_seed(self.seed)
+        if self.pnd.subnormalized:
+            raise InvalidInputError(
+                "pnd must be normalized to draw counts; use PndMatrix.renormalized()"
+            )
         model = est.LikelihoodModel(self.det_s, self.det_i, self.settings, self.pnd.n_max)
         object.__setattr__(self, "model", model)
 
 
-def _draw_counts(model, truth, n_m: int, rng, out) -> None:
-    """Write the counts of every setting of ``model`` under ``truth``, from
-    its stored maps, into ``out`` (settings x outcomes, row-major): the
-    expected counts n_m W if ``rng`` is None, else one multinomial draw of
-    ``n_m`` trials per setting, all from ``rng`` in one call."""
-    W = np.empty(out.shape)
-    for nu in range(model.n_settings):
-        if isinstance(model, est.LikelihoodModel):
-            W[nu] = pair_probs(truth, *model.maps[nu]).probs.reshape(-1)
-        else:
-            W[nu] = model.maps[nu] @ truth
-    out[:] = n_m * W if rng is None else multinomial_counts(n_m, W, rng)
+def _draw_counts(model, truths, n_m: int, rngs) -> np.ndarray:
+    """Counts of every setting of ``model`` under each of ``truths``
+    (truths x settings x outcomes).  The tables are the fit's own W = K p
+    (:func:`ppskit.estimate._probs` on ``model.kernels``), all formed in
+    one product.  Returns the expected counts n_m W if ``rngs`` is None,
+    else truth r's tables drawn as one multinomial call of ``n_m`` trials
+    per setting, from ``rngs[r]``."""
+    W = est._probs(model.kernels, np.stack([_cells(truth).reshape(-1) for truth in truths]))
+    if rngs is None:
+        return n_m * W
+    return np.stack([multinomial_counts(n_m, w, rng) for w, rng in zip(W, rngs)]).astype(float)
 
 
 def _draw_records(model, truth, n_m: int, rng) -> list:
     """One record per setting of ``model``: expected counts if ``rng`` is
-    None, else sampled (see :func:`_draw_counts`)."""
+    None, else sampled from it (see :func:`_draw_counts`)."""
     check_trials("n_m", n_m, 0)
     n_m = int(n_m)
-    F = np.empty((model.n_settings, model.n_outcomes))
-    _draw_counts(model, truth, n_m, rng, F)
+    F = _draw_counts(model, [truth], n_m, None if rng is None else [rng])[0]
     if isinstance(model, est.LikelihoodModel):
         return [CountRecord(f.reshape(4, 4), n_m, nu=nu) for nu, f in enumerate(F)]
     return [SingleCountRecord(f, n_m, nu=nu) for nu, f in enumerate(F)]
@@ -233,20 +237,16 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
             model = est.SingleModeModel.one_detector(eta=eta, d=d, gammas=settings)
         random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
-    # Every rep's counts go into one stack F (reps x settings x outcomes),
-    # each rep's settings in one draw from its own stream, checked once and
-    # fitted in one batched call: every rep shares the model.
-    trials = int(n_m)
-    F = np.empty((int(spec.reps), model.n_settings, model.n_outcomes))
-    truths = []
-    for rep in range(int(spec.reps)):
-        truth = random_truth(p_g, substream(seed, "pnd", cell_id, rep))
-        truths.append(truth)
-        rng = None if spec.exact_counts else substream(seed, "counts", cell_id, rep)
-        _draw_counts(model, truth, trials, rng, F[rep])
+    # Every rep shares the model: all truths first, then every rep's tables
+    # in one product and its counts in one draw from its own stream, into
+    # one stack F (reps x settings x outcomes), checked once and fitted in
+    # one batched call.
+    trials, reps = int(n_m), range(int(spec.reps))
+    truths = [random_truth(p_g, substream(seed, "pnd", cell_id, rep)) for rep in reps]
+    rngs = None if spec.exact_counts else [substream(seed, "counts", cell_id, rep) for rep in reps]
+    F = _draw_counts(model, truths, trials, rngs)
     check_counts(F, trials)
-    K = np.stack([model.kernel(nu) for nu in range(model.n_settings)])
-    fits = est._fit_stack(K, F, model, options, eml=method == "eml")
+    fits = est._fit_stack(model.kernels, F, model, options, eml=method == "eml")
     for rep, (truth, fit) in enumerate(zip(truths, fits)):
         row = {
             "cell_id": cell_id, "p_g": p_g, "n_m": n_m, "eta": eta, "d": d,

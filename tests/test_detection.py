@@ -18,13 +18,13 @@ from ppskit.detection import (
     noise_correct,
     noise_matrix,
     outcome_map,
-    pair_probs,
     read_counts_csv,
     single_mode_probs,
     singles,
     write_counts_csv,
 )
 from ppskit.errors import DataModelMismatchError, InvalidInputError
+from ppskit.estimate import LikelihoodModel
 from ppskit.pnd import PndMatrix, tmsv_pnd
 from ppskit.presets import wide_narrow_study
 from ppskit.rng import substream
@@ -202,17 +202,22 @@ class TestBipartiteProbs:
         assert W.probs.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_prebuilt_maps_give_the_same_table_and_checks(self):
+        # bipartite_probs is A P B^T under the two sides' outcome maps; a
+        # model's stored kernel kron(A, B), which the fits and the simulator
+        # read, gives the same table up to roundoff.
         P = tmsv_pnd(0.05).renormalized()
-        det_s = DetectorPair(T=0.4, eta_t=0.7, eta_r=0.6, d_t=1e-4, gamma=0.5)
+        det_s = DetectorPair(T=0.4, eta_t=0.7, eta_r=0.6, d_t=1e-4)
         det_i = DetectorPair(T=0.6, eta_t=0.5, eta_r=0.8, d_r=2e-4)
-        A, B = outcome_map(det_s, 2), outcome_map(det_i, 2)
-        assert pair_probs(P, A, B).probs.tobytes() == bipartite_probs(P, det_s, det_i).probs.tobytes()
+        A, B = outcome_map(det_s.with_gamma(0.5), 2), outcome_map(det_i, 2)
+        W = bipartite_probs(P, det_s.with_gamma(0.5), det_i).probs
+        assert W.tobytes() == (A @ P.p @ B.T).tobytes()
+        model = LikelihoodModel(det_s, det_i, settings=((1.0, 1.0), (0.5, 1.0)))
+        np.testing.assert_allclose(
+            model.kernels[1] @ P.p.reshape(-1), W.reshape(-1), rtol=1e-15, atol=0
+        )
         halved = PndMatrix(P.p / 2, subnormalized=True)
-        for call in (lambda: bipartite_probs(halved, det_s, det_i), lambda: pair_probs(halved, A, B)):
-            with pytest.raises(InvalidInputError, match="normalized PND"):
-                call()
-        with pytest.raises(DataModelMismatchError, match="n_max=2"):
-            pair_probs(P, outcome_map(det_s, 3), B)
+        with pytest.raises(InvalidInputError, match="normalized PND"):
+            bipartite_probs(halved, det_s, det_i)
 
 
 class TestNoiseCorrect:

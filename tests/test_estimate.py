@@ -251,7 +251,7 @@ class TestMlEstimate:
         ):
             n_m = 10**9
             records = [
-                SingleCountRecord(n_m * (model.kernel(nu) @ truth), n_m, nu=nu)
+                SingleCountRecord(n_m * (model.kernels[nu] @ truth), n_m, nu=nu)
                 for nu in range(len(gammas))
             ]
             fit = ml_estimate(records, model, EstimateOptions(n_starts=1))
@@ -277,7 +277,7 @@ def kkt_excess(fit, records, model):
     n = sum(rec.f.sum() for rec in records)
     p = fit.p_hat.p.reshape(-1) if isinstance(model, LikelihoodModel) else fit.p_hat
     score = sum(
-        model.kernel(rec.nu).T @ (rec.f.reshape(-1) / (model.kernel(rec.nu) @ p))
+        model.kernels[rec.nu].T @ (rec.f.reshape(-1) / (model.kernels[rec.nu] @ p))
         for rec in records
     )
     return float(np.max(score / n - 1.0))
@@ -287,7 +287,7 @@ def single_records(model, p_g, n_m, rep):
     truth = random_single_pnd(p_g, substream(11, "pnd", rep))
     return [
         sample_single_counts(
-            model.kernel(nu) @ truth, int(n_m), substream(11, "c", rep, nu), nu=nu
+            model.kernels[nu] @ truth, int(n_m), substream(11, "c", rep, nu), nu=nu
         )
         for nu in range(len(DEFAULT_SINGLE_GAMMAS))
     ]
@@ -547,26 +547,34 @@ class TestModels:
 
     @pytest.mark.parametrize("kind", ["bipartite", "single"])
     def test_equal_fields_compare_equal_and_replace_rebuilds_the_maps(self, kind):
+        # ``kernels`` is built once, read-only: the kron of the two modes'
+        # outcome maps, or the single-mode map collapsed for "1d", with
+        # every setting's bits; ``replace`` rebuilds it.
         det = DetectorPair(T=0.4, eta_t=0.6, eta_r=0.7, d_t=1e-6, d_r=2e-6)
         if kind == "bipartite":
             a, b = (LikelihoodModel(det_s=det, det_i=IDEAL, settings=((1.0, 1.0), (0.5, 1.0)))
                     for _ in range(2))
             changed = dataclasses.replace(a, settings=((1.0, 0.3),))
             expected = np.kron(outcome_map(det), outcome_map(IDEAL.with_gamma(0.3)))
+            built = np.kron(outcome_map(det.with_gamma(0.5)), outcome_map(IDEAL))
             assert a.hash() == b.hash() != changed.hash()
         else:
             a, b = (SingleModeModel(det=det, gammas=(1.0, 0.5)) for _ in range(2))
             changed = dataclasses.replace(a, gammas=(0.3,))
             expected = outcome_map(det.with_gamma(0.3))
+            built = outcome_map(det.with_gamma(0.5))
             collapsed = dataclasses.replace(a, layout="1d")
             C = outcome_map(det.with_gamma(0.5))
-            assert collapsed.kernel(1).tobytes() == np.vstack([C[0] + C[1], C[2] + C[3]]).tobytes()
+            assert collapsed.kernels.shape == (2, 2, 3)
+            assert collapsed.kernels[1].tobytes() == np.vstack([C[0] + C[1], C[2] + C[3]]).tobytes()
         assert a == b and hash(a) == hash(b)
-        assert changed != a and len(changed.maps) == changed.n_settings == 1
-        assert changed.kernel(0).tobytes() == expected.tobytes()
-        stored = [m for entry in a.maps for m in (entry if kind == "bipartite" else (entry,))]
-        assert len(stored) == (2 if kind == "bipartite" else 1) * a.n_settings
-        assert not any(m.flags.writeable for m in stored)
+        assert a.kernels.shape == (a.n_settings, *built.shape)
+        assert a.kernels[1].tobytes() == built.tobytes()
+        assert changed != a and changed.kernels.shape[0] == changed.n_settings == 1
+        assert changed.kernels[0].tobytes() == expected.tobytes()
+        assert not a.kernels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.kernels[0, 0, 0] = 0.0
 
     @pytest.mark.parametrize(
         "layout, record_outcomes, model_outcomes",
@@ -644,7 +652,7 @@ class TestEmlEstimate:
         model = SingleModeModel.one_detector(eta=0.5, d=0.0, gammas=gammas)
         n_m = 10**8
         records = [
-            SingleCountRecord(n_m * (model.kernel(nu) @ truth), n_m, nu=nu)
+            SingleCountRecord(n_m * (model.kernels[nu] @ truth), n_m, nu=nu)
             for nu in range(len(gammas))
         ]
         fit = eml_estimate(records, model, EstimateOptions(n_starts=2))
@@ -969,7 +977,7 @@ class TestCharacterize:
         model = SingleModeModel.two_detector(T=0.5, eta=0.5, d=0.0, gammas=gammas)
         truth = np.array([0.989, 1e-2, 1e-3])
         records = [
-            SingleCountRecord(10**6 * (model.kernel(nu) @ truth), 10**6, nu=nu)
+            SingleCountRecord(10**6 * (model.kernels[nu] @ truth), 10**6, nu=nu)
             for nu in range(len(gammas))
         ]
         fit = ml_estimate(records, model, EstimateOptions(n_starts=1))

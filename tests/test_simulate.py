@@ -233,7 +233,7 @@ def rep_tables(model, truth):
             .probs.reshape(-1)
             for gs, gi in model.settings
         ])
-    return np.stack([model.kernel(nu) @ truth for nu in range(model.n_settings)])
+    return np.stack([model.kernels[nu] @ truth for nu in range(model.n_settings)])
 
 
 class TestSampler:
@@ -255,9 +255,8 @@ class TestSampler:
         n_m, W = 10**9, rep_tables(model, truth)
         expected = n_m * W
         assert expected.min() > 20  # every cell in the chi-square's regime
-        F = np.empty((self.REPS, *W.shape))
-        for rep in range(self.REPS):
-            ppskit.simulate._draw_counts(model, truth, n_m, substream(6, "counts", 0, rep), F[rep])
+        rngs = [substream(6, "counts", 0, rep) for rep in range(self.REPS)]
+        F = ppskit.simulate._draw_counts(model, [truth] * self.REPS, n_m, rngs)
         assert np.all(F.sum(axis=-1) == n_m)
         dof = W.shape[0] * (W.shape[1] - 1)
         per_record = float(np.sum((F - expected) ** 2 / expected))
@@ -503,8 +502,8 @@ class TestRunSweep:
             if layout == "2x2d":
                 truth = random_pps_pnd(p_g, substream(seed, "pnd", 0, rep))
                 records = []
-                for nu, (gamma_s, gamma_i) in enumerate(plan):
-                    W = bipartite_probs(truth, det.with_gamma(gamma_s), det.with_gamma(gamma_i))
+                for nu in range(model.n_settings):
+                    W = OutcomeProbs((model.kernels[nu] @ truth.p.reshape(-1)).reshape(4, 4))
                     records.append(
                         CountRecord(int(n_m) * W.probs, int(n_m), nu=nu) if exact
                         else sample_counts(W, int(n_m), rng, nu=nu)
@@ -513,7 +512,7 @@ class TestRunSweep:
                 truth = random_single_pnd(p_g, substream(seed, "pnd", 0, rep))
                 records = []
                 for nu in range(model.n_settings):
-                    probs = model.kernel(nu) @ truth
+                    probs = model.kernels[nu] @ truth
                     records.append(
                         SingleCountRecord(int(n_m) * probs, int(n_m), nu=nu) if exact
                         else sample_single_counts(probs, int(n_m), rng, nu=nu)
@@ -550,10 +549,11 @@ class TestRunSweep:
         ],
     )
     def test_rows_match_records_rebuilt_from_public_functions(self, method, p_g, n_m, eta, d):
-        # A cell draws every rep's counts into one stack from its stored maps,
-        # one draw per rep; each row must still be that of the records
-        # bipartite_probs / kernel @ truth give on the cell's substreams,
-        # sampled or exact, under every gamma design the method takes.
+        # A cell forms every rep's tables in one product from the model's
+        # kernels and draws each rep once; each row must still be that of
+        # the records that model.kernels[nu] @ truth gives on the cell's
+        # substreams, sampled or exact, under every gamma design the method
+        # takes.
         seed, reps = 41, 6
         # EML needs two settings, so its bipartite cells take va4 only.
         designs = {"ml-2x2d": ("none", "va4"), "eml-2x2d": ("va4",)}.get(method, ("none",))

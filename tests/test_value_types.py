@@ -80,6 +80,12 @@ BAD_VALUES = {
     "rect-width-negative": lambda: FilterProfile.rect(AXIS, 0.0, -0.5),
     "rect-center-nan": lambda: FilterProfile.rect(AXIS, math.nan, 0.5),
     "gauss-fwhm-negative": lambda: FilterProfile.gauss(AXIS, 0.0, -0.5),
+    "gauss-fwhm-huge": lambda: FilterProfile.gauss(AXIS, 0.0, 1e300),
+    "gauss-center-huge": lambda: FilterProfile.gauss(AXIS, 1e300, 0.3),
+    "gaussian-jsd-sigma_plus-huge": lambda: gaussian_jsd(sigma_plus=1e300, sigma_minus=0.24),
+    "experiment-pnd-subnormalized": lambda: ExperimentConfig(
+        PndMatrix(_pnd().p / 2, subnormalized=True), *reference_detectors()
+    ),
     "single-n_max-negative": lambda: SingleModeModel.two_detector(0.5, 0.5, 0.0, (1.0,), n_max=-1),
     "single-n_max-zero": lambda: SingleModeModel.one_detector(0.5, 0.0, (1.0,), n_max=0),
     "bipartite-n_max-fraction": lambda: LikelihoodModel(*reference_detectors(), n_max=2.5),
