@@ -36,6 +36,7 @@ from .pnd import (
     PndMatrix,
     apply_loss_bipartite,
     characteristics,
+    characteristics_many,
     g2_marginal,
     gh2,
     heralding_bounds,
@@ -70,7 +71,7 @@ from .estimate import (
     ml_estimate,
     ml_estimate_many,
 )
-from .metrics import bootstrap, bootstrap_stats, fidelity, rmsle
+from .metrics import bootstrap, bootstrap_stats, fidelity, rmsle, rmsle_many
 from .simulate import (
     ExperimentConfig,
     SweepSpec,

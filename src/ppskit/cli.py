@@ -23,9 +23,12 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import presets
 from .detection import (
     DetectorPair,
+    check_counts,
     noise_correct,
     read_counts_csv,
     singles,
@@ -35,6 +38,8 @@ from .errors import ConfigError, DataModelMismatchError, PpskitError
 from .estimate import (
     EstimateOptions,
     LikelihoodModel,
+    _fit_stack,
+    _stack,
     characterize,
     count_based_g2,
     count_based_gh2,
@@ -54,11 +59,13 @@ from .jsd import (
     segment,
     synthesize_pnd,
 )
-from .metrics import bootstrap, bootstrap_stats, write_bootstrap_csv
+from .metrics import _resample, _summarize, write_bootstrap_csv
 from .pnd import (
+    CharacteristicSet,
     PndMatrix,
     apply_loss_bipartite,
     characteristics,
+    characteristics_many,
     read_pnd_csv,
     write_pnd_csv,
 )
@@ -463,33 +470,35 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> int:
     """Resample every setting's record and refit each draw's records jointly.
 
     Each record is resampled at every ``sample_sizes`` entry, or by default
-    at its own ``n_m``.  Every draw of one size is refitted in one call of
-    the method's ``*_many`` estimator.  Returns the exit code: non-convergence,
-    with no summary written, when no refit of some size converged.
+    at its own ``n_m``.  The draws of one size stay one count stack (draws
+    x records x outcomes): checked once per record, refitted in one call
+    of the batched core ``_fit_stack`` and summarized over the
+    characteristics of every refit at once.  A draw whose refit did not
+    converge, or whose characteristics are undefined, counts in
+    ``n_fail``.  Returns the exit code: non-convergence, with no summary
+    written, when no refit of some size converged.
     """
     seed = _flagged(cfg, args, "bootstrap", "seed", 0)
     n_boot = cfg.get("bootstrap", "n_boot", 100)
     if n_boot < 1:
         raise ConfigError(f"key 'n_boot' in [bootstrap] must be at least 1, got {n_boot}")
     sizes = cfg.get("bootstrap", "sample_sizes", None) or (None,)
-
-    def pipeline(fit):
-        if not fit.converged:  # bootstrap_stats tallies it in n_fail
-            raise PpskitError("bootstrap refit did not converge")
-        return characterize(fit).as_dict()
+    K, _ = _stack([records], model)  # every record must fit the model
+    side = model.n_max + 1
 
     rows = []
     for size in sizes:
-        per_setting = [
-            bootstrap(rec, n_boot, rec.n_m if size is None else size, seed=seed)
-            for rec in records
-        ]
-        draws = list(zip(*per_setting))
-        fits = _ESTIMATORS[method](draws, model, options)
-        if not any(fit.converged for fit in fits):
+        n_ms = [rec.n_m if size is None else size for rec in records]
+        F = np.stack([_resample(rec, n_boot, n_m, seed) for rec, n_m in zip(records, n_ms)], axis=1)
+        for r, n_m in enumerate(n_ms):
+            check_counts(F[:, r], n_m)
+        fits = _fit_stack(K, F, model, options, eml=method == "eml")
+        if not fits.converged.any():
             print(f"error: none of the {n_boot} bootstrap refits converged", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        rows.extend(bootstrap_stats(fits, pipeline, sum(r.n_m for r in draws[0])))
+        # Undefined characteristics are NaN, which _summarize counts in n_fail.
+        values, _ = characteristics_many(fits.p.reshape(-1, side, side))
+        rows.extend(_summarize(CharacteristicSet.FIELDS, values, fits.converged, sum(n_ms)))
     write_bootstrap_csv(os.path.join(out, "bootstrap_summary.csv"), rows)
     print(f"wrote {out}/bootstrap_summary.csv")
     return EXIT_OK

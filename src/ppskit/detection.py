@@ -153,7 +153,8 @@ def conversion_matrix(T: float, eta_t: float, eta_r: float, n_max: int = 2) -> n
     Column n gives the outcome probabilities for exactly n photons hitting
     the splitter, assuming photons act independently: transmitted with
     probability T then detected with eta_t, reflected and detected with
-    eta_r.  Columns sum to 1.
+    eta_r.  Columns sum to 1 within roundoff, and every entry is
+    nonnegative.
     """
     for name, value in (("T", T), ("eta_t", eta_t), ("eta_r", eta_r)):
         if not (0.0 <= value <= 1.0):
@@ -170,7 +171,9 @@ def conversion_matrix(T: float, eta_t: float, eta_r: float, n_max: int = 2) -> n
     M[0] = none
     M[1] = no_t - none           # reflected detector only
     M[2] = no_r - none           # transmitted detector only
-    M[3] = 1.0 - no_t - no_r + none
+    # The cancellation can leave a cell that is 0 (or nearly) about 1e-16
+    # below 0; clipping it moves its column's sum by no more than that.
+    M[3] = np.maximum(1.0 - no_t - no_r + none, 0.0)
     return M
 
 

@@ -27,8 +27,9 @@ the best start wins.
 Record sets that share a model (bootstrap draws, the reps of a sweep
 cell) go through one call of either estimator's ``*_many`` form, which
 runs one ascent vectorized over the sets (and, for EML, their starts).
-A caller that already holds the counts as one stack, as a sweep cell
-does, hands it to ``_fit_stack``, the batched core of both.
+A caller that already holds the counts as one stack, as a sweep cell and
+the command-line bootstrap do, hands it to ``_fit_stack``, the batched
+core of both, and reads its arrays without building a result per set.
 
 Count-ratio estimators of g2 / heralded g2 / pair probability are provided
 for comparison with the reconstructed values; they accept raw or
@@ -571,7 +572,7 @@ def ml_estimate_many(record_sets, model, options: EstimateOptions | None = None)
     cannot produce, comes back with ``converged=False``; the others are
     not disturbed.
     """
-    return _fit_stack(*_stack(record_sets, model), model, options, eml=False)
+    return _results(_fit_stack(*_stack(record_sets, model), model, options, eml=False), model)
 
 
 def _eml_starts(K, F, used, options: EstimateOptions) -> np.ndarray:
@@ -613,10 +614,25 @@ def eml_estimate_many(record_sets, model, options: EstimateOptions | None = None
     set is one problem of the batch; each set's result is bit-identical to
     its lone ``eml_estimate`` fit.
     """
-    return _fit_stack(*_stack(record_sets, model), model, options, eml=True)
+    return _results(_fit_stack(*_stack(record_sets, model), model, options, eml=True), model)
 
 
-def _fit_stack(K, F, model, options: EstimateOptions | None, eml: bool) -> list:
+@dataclass(frozen=True, eq=False)
+class _StackFit:
+    """Arrays of the fits of a count stack, one entry per set: the winning
+    start's cells, loglik, Newton steps and convergence, and every start's
+    (sets x starts)."""
+
+    p: np.ndarray
+    loglik: np.ndarray
+    steps: np.ndarray
+    converged: np.ndarray
+    start_loglik: np.ndarray
+    start_steps: np.ndarray
+    start_converged: np.ndarray
+
+
+def _fit_stack(K, F, model, options: EstimateOptions | None, eml: bool) -> _StackFit:
     """ML (or, with ``eml``, EML) fits of every set of a count stack F
     (sets x records x outcomes) on the shared kernel stack K, as
     :func:`_stack` builds them, in one batched ascent.
@@ -625,7 +641,8 @@ def _fit_stack(K, F, model, options: EstimateOptions | None, eml: bool) -> list:
     alone, EML its ``n_starts`` starts with the model's used outcomes.
     The start with the highest objective wins, the first among equals.
     The counts are taken as checked: ``*_estimate_many`` is the entry
-    for record sets.
+    for record sets, and :func:`_results` wraps the arrays into
+    :class:`EstimateResult` objects.
     """
     options = options or EstimateOptions()
     if eml:
@@ -643,21 +660,23 @@ def _fit_stack(K, F, model, options: EstimateOptions | None, eml: bool) -> list:
     P = _softmax_cells(Z)
     logliks = _loglik(_probs(K, P), F, used).reshape(n_sets, n_starts)
     steps, converged = steps.reshape(n_sets, n_starts), converged.reshape(n_sets, n_starts)
+    best = (np.arange(n_sets), np.argmax(logliks, axis=1))
+    return _StackFit(
+        p=P.reshape(n_sets, n_starts, -1)[best], loglik=logliks[best], steps=steps[best],
+        converged=converged[best], start_loglik=logliks, start_steps=steps,
+        start_converged=converged,
+    )
+
+
+def _results(fits: _StackFit, model) -> list:
+    """One :class:`EstimateResult` per set of a :func:`_fit_stack` result."""
     results = []
-    for i, best in enumerate(np.argmax(logliks, axis=1).tolist()):
-        starts = tuple(
-            StartResult(loglik=float(ll), iterations=k, converged=ok)
-            for ll, k, ok in zip(logliks[i], steps[i].tolist(), converged[i].tolist())
-        )
-        results.append(
-            EstimateResult(
-                p_hat=model.fitted(P[i * n_starts + best]),
-                loglik=starts[best].loglik,
-                iterations=starts[best].iterations,
-                converged=starts[best].converged,
-                starts=starts,
-            )
-        )
+    for p, loglik, k, ok, logliks, steps, converged in zip(
+        fits.p, fits.loglik.tolist(), fits.steps.tolist(), fits.converged.tolist(),
+        fits.start_loglik.tolist(), fits.start_steps.tolist(), fits.start_converged.tolist(),
+    ):
+        starts = tuple(map(StartResult, logliks, steps, converged))
+        results.append(EstimateResult(model.fitted(p), loglik, k, ok, starts))
     return results
 
 

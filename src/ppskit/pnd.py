@@ -18,6 +18,7 @@ from .errors import InvalidInputError, UndefinedCharacteristicError, check_count
 from .tables import parse_int, read_table, write_table
 
 _SUM_TOL = 1e-10
+_MAX_CELLS = (2**63 - 1) // 8  # float64 cells whose bytes numpy can count
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,17 +38,7 @@ class PndMatrix:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
             raise InvalidInputError(f"PND matrix must be square and >= 2x2, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidInputError("PND matrix has non-finite entries")
-        if np.any(p < -1e-12):
-            raise InvalidInputError("PND matrix has negative entries")
-        p = np.where(p < 0.0, 0.0, p)
-        total = float(p.sum())
-        if self.subnormalized:
-            if total > 1.0 + _SUM_TOL:
-                raise InvalidInputError(f"subnormalized PND sums to {total} > 1")
-        elif abs(total - 1.0) > _SUM_TOL:
-            raise InvalidInputError(f"PND must sum to 1 within {_SUM_TOL}, got {total}")
+        p = checked_cells(p, self.subnormalized)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -61,6 +52,29 @@ class PndMatrix:
     def renormalized(self) -> "PndMatrix":
         """Rescale so the cells sum to 1 (e.g. to drop a truncated tail)."""
         return PndMatrix(self.p / self.total())
+
+
+def checked_cells(p: np.ndarray, subnormalized: bool = False) -> np.ndarray:
+    """The :class:`PndMatrix` rules, run once over a stack of matrices
+    (... x N x N): every entry finite and none below -1e-12, and each
+    matrix summing to 1 within ``_SUM_TOL`` (to at most 1 + ``_SUM_TOL``
+    if ``subnormalized``).  Returns a copy with the roundoff below 0 set
+    to 0."""
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError("PND matrix has non-finite entries")
+    if np.any(p < -1e-12):
+        raise InvalidInputError("PND matrix has negative entries")
+    p = np.where(p < 0.0, 0.0, p)
+    totals = p.sum(axis=(-2, -1))
+    if subnormalized:
+        off = totals > 1.0 + _SUM_TOL
+        if np.any(off):
+            raise InvalidInputError(f"subnormalized PND sums to {totals[off].flat[0]} > 1")
+    else:
+        off = np.abs(totals - 1.0) > _SUM_TOL
+        if np.any(off):
+            raise InvalidInputError(f"PND must sum to 1 within {_SUM_TOL}, got {totals[off].flat[0]}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,10 @@ def tmsv_pnd(mu: float, n_max: int = 2) -> PndMatrix:
         raise InvalidInputError(f"mu must lie in [0, 1), got {mu}")
     check_count("n_max", n_max, 1)
     n_max = int(n_max)
+    if (n_max + 1) ** 2 > _MAX_CELLS:
+        raise InvalidInputError(
+            f"n_max must be at most {math.isqrt(_MAX_CELLS) - 1}, got {n_max!r}"
+        )
     p = np.zeros((n_max + 1, n_max + 1))
     for j in range(n_max + 1):
         p[j, j] = (1.0 - mu) * mu**j
@@ -144,6 +162,83 @@ def _require_normalized(P: PndMatrix, op: str) -> None:
         raise InvalidInputError(f"{op} requires a normalized PND matrix")
 
 
+# Why each CharacteristicSet field can be undefined; the fields are in the
+# order characteristics() checks them, so the first undefined one names it.
+_UNDEFINED = (
+    None,
+    "heralding bound undefined: no photons on one of the modes",
+    "heralding bound undefined: no photons on one of the modes",
+    "truncated g2 undefined: P_1 is zero",
+    "truncated g2 undefined: P_1 is zero",
+    "gh2 undefined: P11 is zero",
+    "gh2 undefined: P11 is zero",
+)
+
+
+def _ratio(num, den, defined) -> np.ndarray:
+    """num / den where ``defined``, NaN elsewhere."""
+    return np.divide(num, den, out=np.full(np.shape(den), np.nan), where=defined)
+
+
+def _squared(x) -> np.ndarray:
+    """x^2 through libm's pow, rounded as Python's float ``x ** 2``."""
+    return np.float_power(x, 2.0)
+
+
+def _g2_truncated(p1, p2) -> np.ndarray:
+    """2 P_2 / P_1^2 of every marginal; NaN where P_1 (or its square) is 0."""
+    square = _squared(p1)
+    return _ratio(2.0 * p2, square, (p1 > 0.0) & (square > 0.0))
+
+
+def _gh2(p) -> np.ndarray:
+    """2 (P21 + P22)(P01 + P11) / P11^2 of every matrix of a stack;
+    NaN where P11 (or its square) is 0."""
+    p11 = p[..., 1, 1]
+    square = _squared(p11)
+    pairs = 2.0 * (p[..., 2, 1] + p[..., 2, 2]) * (p[..., 0, 1] + p[..., 1, 1])
+    return _ratio(pairs, square, (p11 > 0.0) & (square > 0.0))
+
+
+def characteristics_many(p) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristics of a stack of normalized PND matrices (... x N x N).
+
+    Returns the values (..., 7), in ``CharacteristicSet.FIELDS`` order,
+    and a mask (...) of the matrices with any of them undefined, whose
+    undefined values are NaN.  Each value is rounded as
+    :func:`characteristics` rounds it, which is the one-matrix case.
+    Without two-photon cells (N = 2) both g2 and gh2 are undefined.
+    """
+    p = np.asarray(p, dtype=float)
+    both = p[..., 1:, 1:].sum(axis=(-2, -1))
+    idler_only = p[..., 0, 1:].sum(axis=-1)
+    signal_only = p[..., 1:, 0].sum(axis=-1)
+    heralded = (both + idler_only > 0.0) & (both + signal_only > 0.0)
+    values = [p[..., 1, 1], _ratio(both, idler_only + both, heralded),
+              _ratio(both, signal_only + both, heralded)]
+    if p.shape[-1] < 3:
+        values += [np.full(both.shape, np.nan)] * 4
+    else:
+        marginal_s, marginal_i = p.sum(axis=-1), p.sum(axis=-2)
+        values += [
+            _g2_truncated(marginal_s[..., 1], marginal_s[..., 2]),
+            _g2_truncated(marginal_i[..., 1], marginal_i[..., 2]),
+            _gh2(p),
+            _gh2(np.swapaxes(p, -2, -1)),
+        ]
+    values = np.stack(values, axis=-1)
+    return values, np.isnan(values).any(axis=-1)
+
+
+def _one_matrix(P: PndMatrix, fields) -> list[float]:
+    """The named characteristics of P, raising for the first undefined one."""
+    values, _ = characteristics_many(P.p)
+    for index in fields:
+        if math.isnan(values[index]):
+            raise UndefinedCharacteristicError(_UNDEFINED[index])
+    return values[list(fields)].tolist()
+
+
 def heralding_bounds(P: PndMatrix) -> tuple[float, float]:
     """Loss-free upper bounds on the heralding efficiencies (s, i).
 
@@ -151,14 +246,8 @@ def heralding_bounds(P: PndMatrix) -> tuple[float, float]:
     depend only on the source distribution, not on detector efficiencies.
     """
     _require_normalized(P, "heralding_bounds")
-    both = float(P.p[1:, 1:].sum())
-    idler_only = float(P.p[0, 1:].sum())
-    signal_only = float(P.p[1:, 0].sum())
-    if both + idler_only <= 0.0 or both + signal_only <= 0.0:
-        raise UndefinedCharacteristicError(
-            "heralding bound undefined: no photons on one of the modes"
-        )
-    return both / (idler_only + both), both / (signal_only + both)
+    eta_s, eta_i = _one_matrix(P, (1, 2))
+    return eta_s, eta_i
 
 
 def g2_marginal(pv, truncated: bool = False) -> float:
@@ -172,9 +261,10 @@ def g2_marginal(pv, truncated: bool = False) -> float:
     if not np.all(np.isfinite(pv)):
         raise InvalidInputError("marginal entries must be finite")
     if truncated:
-        if pv.size < 3 or pv[1] <= 0.0:
-            raise UndefinedCharacteristicError("truncated g2 undefined: P_1 is zero")
-        return 2.0 * float(pv[2]) / float(pv[1]) ** 2
+        g2 = float(_g2_truncated(pv[1], pv[2])) if pv.size >= 3 else math.nan
+        if math.isnan(g2):
+            raise UndefinedCharacteristicError(_UNDEFINED[3])
+        return g2
     n = np.arange(pv.size)
     mean = float(np.sum(n * pv))
     if mean <= 0.0:
@@ -188,15 +278,12 @@ def gh2(P: PndMatrix, heralded: str = "s") -> float:
     For heralded signal photons: 2 (P21 + P22)(P01 + P11) / P11^2; the
     idler case is the index transpose.
     """
-    p = P.p
-    if heralded == "i":
-        p = p.T
-    elif heralded != "s":
+    if heralded not in ("s", "i"):
         raise InvalidInputError(f"heralded must be 's' or 'i', got {heralded!r}")
-    p11 = float(p[1, 1])
-    if p11 <= 0.0:
-        raise UndefinedCharacteristicError("gh2 undefined: P11 is zero")
-    return 2.0 * float(p[2, 1] + p[2, 2]) * float(p[0, 1] + p[1, 1]) / p11**2
+    if P.n_max < 2:
+        raise UndefinedCharacteristicError("gh2 undefined: no two-photon cells")
+    (value,) = _one_matrix(P, (5 if heralded == "s" else 6,))
+    return value
 
 
 def characteristics(P: PndMatrix) -> CharacteristicSet:
@@ -204,18 +291,10 @@ def characteristics(P: PndMatrix) -> CharacteristicSet:
 
     Marginal g2 values use the truncated two-photon form, which is the
     faithful one for pair sources with mean photon number far below 1.
+    This is the one-matrix case of :func:`characteristics_many`.
     """
     _require_normalized(P, "characteristics")
-    eta_s, eta_i = heralding_bounds(P)
-    return CharacteristicSet(
-        p_g=pair_gen_prob(P),
-        eta_H_s=eta_s,
-        eta_H_i=eta_i,
-        g2_s=g2_marginal(marginal(P, "s"), truncated=True),
-        g2_i=g2_marginal(marginal(P, "i"), truncated=True),
-        gh2_s=gh2(P, "s"),
-        gh2_i=gh2(P, "i"),
-    )
+    return CharacteristicSet(*_one_matrix(P, range(7)))
 
 
 def write_pnd_csv(path, P: PndMatrix, metadata: dict | None = None) -> None:

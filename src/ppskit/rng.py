@@ -7,8 +7,10 @@ determine the stream, so repetitions and sweep cells can run in any order,
 or in parallel, and still reproduce bit-identical results.
 
 Counts are drawn by :func:`multinomial_counts`, one call per stream: a
-sweep rep or a simulated acquisition draws all its settings' tables at
-once, and a bootstrap draws all its resamples of one record at once.
+simulated acquisition draws all its settings' tables at once, and a
+bootstrap draws all its resamples of one record at once.  A sweep cell
+checks every rep's tables once (:func:`outcome_rows`) and draws each rep
+from its own stream.
 """
 
 from __future__ import annotations
@@ -76,15 +78,25 @@ def multinomial_counts(n: int, probs: np.ndarray, rng: np.random.Generator) -> n
     """Exact multinomial draws of ``n`` trials, one per row of ``probs``.
 
     ``probs`` holds outcome probabilities along its last axis, with any
-    leading shape.  Entries down to -1e-12 are roundoff and count as 0, as
-    in :class:`~ppskit.detection.OutcomeProbs`, and each row is divided by
-    its sum.  numpy's ``multinomial`` draws a row as a chain of conditional
+    leading shape, checked and normalized by :func:`outcome_rows`.
+    numpy's ``multinomial`` draws a row as a chain of conditional
     binomials in C, O(#outcomes) at any n, so trial budgets of 1e12 are as
     cheap as 1e3.  Rows are drawn in order from ``rng``, so each row's
     counts are those of drawing it alone, next.  Returns int64 counts of
     ``probs``' shape; every row totals exactly n.
     """
     check_trials("n", n, 0)
+    return rng.multinomial(int(n), outcome_rows(probs))
+
+
+def outcome_rows(probs) -> np.ndarray:
+    """Outcome probabilities along the last axis, each row divided by its
+    sum, as :func:`multinomial_counts` draws them.  Entries down to -1e-12
+    are roundoff and count as 0, as in
+    :class:`~ppskit.detection.OutcomeProbs`.  The checks run once over
+    the whole stack, so a caller drawing its rows from several streams
+    checks them once and hands each row to ``rng.multinomial``.
+    """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim == 0 or probs.shape[-1] == 0:
         raise InvalidInputError(f"outcome probabilities need an outcome axis, got shape {probs.shape}")
@@ -97,4 +109,4 @@ def multinomial_counts(n: int, probs: np.ndarray, rng: np.random.Generator) -> n
         total = probs.sum(axis=-1, keepdims=True)
     if not (total.min(initial=np.inf) > 0.0 and total.max(initial=0.0) < np.inf):
         raise InvalidInputError("outcome probabilities must be finite, with a positive sum")
-    return rng.multinomial(int(n), probs / total)
+    return probs / total

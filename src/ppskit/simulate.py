@@ -27,10 +27,10 @@ from .detection import (
     SingleCountRecord,
     check_counts,
 )
-from .errors import InvalidInputError, PpskitError, check_count, check_trials
-from .metrics import _cells, rmsle
-from .pnd import PndMatrix, g2_marginal
-from .rng import check_seed, multinomial_counts, substream
+from .errors import InvalidInputError, check_count, check_trials
+from .metrics import _cells, rmsle_many
+from .pnd import PndMatrix, _g2_truncated, characteristics_many, checked_cells
+from .rng import check_seed, multinomial_counts, outcome_rows, substream
 from .tables import write_table
 
 DEFAULT_SINGLE_GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -88,29 +88,36 @@ def _check_p_g(p_g) -> None:
 _PAIR_ORDER = np.maximum.outer(np.arange(3), np.arange(3)).reshape(-1)[1:]
 
 
+def _random_pps_cells(p_g: float, rngs) -> np.ndarray:
+    """Cells (truths x 9, row-major) of one :func:`random_pps_pnd` matrix
+    per generator of ``rngs``, each drawn from its own; the PND rules run
+    once over the stack."""
+    _check_p_g(p_g)
+    r = np.stack([rng.uniform(0.5, 1.5, size=8) for rng in rngs])  # vacuum skipped
+    p = np.zeros((len(r), 9))
+    p[:, 1:] = np.where(_PAIR_ORDER == 1, p_g, p_g**2) * r
+    p[:, 0] = 1.0 - p.sum(axis=-1)  # at most 0.66 for p_g <= 0.1
+    return checked_cells(p.reshape(-1, 3, 3)).reshape(-1, 9)
+
+
 def random_pps_pnd(p_g: float, seed) -> PndMatrix:
     """Random pair-source matrix: first-order cells p_g * r, second-order
     cells p_g^2 * r with fresh r ~ U[0.5, 1.5] per cell; vacuum completes."""
+    return PndMatrix(_random_pps_cells(p_g, [_as_rng(seed)]).reshape(3, 3))
+
+
+def _random_single_cells(p_g: float, rngs) -> np.ndarray:
+    """One :func:`random_single_pnd` vector per generator of ``rngs``
+    (truths x 3), each drawn from its own."""
     _check_p_g(p_g)
-    r = _as_rng(seed).uniform(0.5, 1.5, size=8)  # row-major, vacuum skipped
-    p = np.zeros(9)
-    p[1:] = np.where(_PAIR_ORDER == 1, p_g, p_g**2) * r
-    p = p.reshape(3, 3)
-    rest = p.sum()
-    if rest >= 1.0:
-        raise InvalidInputError(f"p_g={p_g} too large to normalize")
-    p[0, 0] = 1.0 - rest
-    return PndMatrix(p)
+    p2 = p_g**2 * np.array([rng.uniform(1.0, 2.0) for rng in rngs]) / 2.0
+    return np.stack([1.0 - p_g - p2, np.full_like(p2, p_g), p2], axis=-1)
 
 
 def random_single_pnd(p_g: float, seed) -> np.ndarray:
     """Random single-mode vector (1 - p_g - P2, p_g, P2) with
     P2 = p_g^2 g2 / 2 and g2 ~ U[1, 2]."""
-    _check_p_g(p_g)
-    rng = _as_rng(seed)
-    g2 = rng.uniform(1.0, 2.0)
-    p2 = p_g**2 * g2 / 2.0
-    return np.array([1.0 - p_g - p2, p_g, p2])
+    return _random_single_cells(p_g, [_as_rng(seed)])[0]
 
 
 @dataclass(frozen=True)
@@ -139,17 +146,19 @@ class ExperimentConfig:
         object.__setattr__(self, "model", model)
 
 
-def _draw_counts(model, truths, n_m: int, rngs) -> np.ndarray:
-    """Counts of every setting of ``model`` under each of ``truths``
-    (truths x settings x outcomes).  The tables are the fit's own W = K p
-    (:func:`ppskit.estimate._probs` on ``model.kernels``), all formed in
-    one product.  Returns the expected counts n_m W if ``rngs`` is None,
-    else truth r's tables drawn as one multinomial call of ``n_m`` trials
-    per setting, from ``rngs[r]``."""
-    W = est._probs(model.kernels, np.stack([_cells(truth).reshape(-1) for truth in truths]))
+def _draw_counts(model, truths: np.ndarray, n_m: int, rngs) -> np.ndarray:
+    """Counts of every setting of ``model`` under each of ``truths``, the
+    truths' cells one row each (truths x settings x outcomes).  The tables
+    are the fit's own W = K p (:func:`ppskit.estimate._probs` on
+    ``model.kernels``), all formed in one product.  Returns the expected
+    counts n_m W if ``rngs`` is None.  Otherwise the tables are checked
+    once (:func:`~ppskit.rng.outcome_rows`) and truth r's drawn as one
+    multinomial call of ``n_m`` trials per setting, from ``rngs[r]``."""
+    W = est._probs(model.kernels, truths)
     if rngs is None:
         return n_m * W
-    return np.stack([multinomial_counts(n_m, w, rng) for w, rng in zip(W, rngs)]).astype(float)
+    W = outcome_rows(W)
+    return np.stack([rng.multinomial(n_m, w) for w, rng in zip(W, rngs)]).astype(float)
 
 
 def _draw_records(model, truth, n_m: int, rng) -> list:
@@ -157,7 +166,7 @@ def _draw_records(model, truth, n_m: int, rng) -> list:
     None, else sampled from it (see :func:`_draw_counts`)."""
     check_trials("n_m", n_m, 0)
     n_m = int(n_m)
-    F = _draw_counts(model, [truth], n_m, None if rng is None else [rng])[0]
+    F = _draw_counts(model, _cells(truth).reshape(1, -1), n_m, None if rng is None else [rng])[0]
     if isinstance(model, est.LikelihoodModel):
         return [CountRecord(f.reshape(4, 4), n_m, nu=nu) for nu, f in enumerate(F)]
     return [SingleCountRecord(f, n_m, nu=nu) for nu, f in enumerate(F)]
@@ -216,11 +225,7 @@ def _bipartite_settings(design: str) -> tuple:
     return ((1.0, 1.0),)
 
 
-_FIT_FAILURES = (PpskitError, ArithmeticError, np.linalg.LinAlgError)
-
-_NAN_CHARS = {name: float("nan") for name in
-              ("pg_hat", "etaHs_hat", "etaHi_hat", "g2s_hat", "g2i_hat",
-               "gh2s_hat", "gh2i_hat")}
+_NAN = float("nan")  # every undefined row value, so that equal rows compare equal
 
 
 def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
@@ -228,47 +233,41 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
     if layout == "2x2d":
         settings = _bipartite_settings(spec.gamma_design)
         model = est.LikelihoodModel(det_s=det, det_i=det, settings=settings)
-        random_truth, gamma_label = random_pps_pnd, spec.gamma_design
+        random_cells, gamma_label = _random_pps_cells, spec.gamma_design
     else:
         settings = DEFAULT_SINGLE_GAMMAS
         if layout == "2d":
             model = est.SingleModeModel(det=det, gammas=settings)
         else:
             model = est.SingleModeModel.one_detector(eta=eta, d=d, gammas=settings)
-        random_truth, gamma_label = random_single_pnd, f"va{len(settings)}"
+        random_cells, gamma_label = _random_single_cells, f"va{len(settings)}"
     options = est.EstimateOptions(n_starts=spec.n_starts, max_iter=spec.max_iter)
-    # Every rep shares the model: all truths first, then every rep's tables
+    # Every rep shares the model, and the cell holds its reps as arrays
+    # from the draw to the rows: all truths in one stack, every rep's tables
     # in one product and its counts in one draw from its own stream, into
     # one stack F (reps x settings x outcomes), checked once and fitted in
-    # one batched call.
+    # one batched call, whose cells give every rep's figures at once.
     trials, reps = int(n_m), range(int(spec.reps))
-    truths = [random_truth(p_g, substream(seed, "pnd", cell_id, rep)) for rep in reps]
+    truths = random_cells(p_g, [substream(seed, "pnd", cell_id, rep) for rep in reps])
     rngs = None if spec.exact_counts else [substream(seed, "counts", cell_id, rep) for rep in reps]
     F = _draw_counts(model, truths, trials, rngs)
     check_counts(F, trials)
     fits = est._fit_stack(model.kernels, F, model, options, eml=method == "eml")
-    for rep, (truth, fit) in enumerate(zip(truths, fits)):
-        row = {
-            "cell_id": cell_id, "p_g": p_g, "n_m": n_m, "eta": eta, "d": d,
-            "gamma": gamma_label, "rep": rep, **_NAN_CHARS,
-        }
-        try:
-            row["rmsle"] = rmsle(fit.p_hat, truth)
-            if layout == "2x2d":
-                chars = est.characterize(fit)
-                row.update(
-                    pg_hat=chars.p_g, etaHs_hat=chars.eta_H_s, etaHi_hat=chars.eta_H_i,
-                    g2s_hat=chars.g2_s, g2i_hat=chars.g2_i,
-                    gh2s_hat=chars.gh2_s, gh2i_hat=chars.gh2_i,
-                )
-            else:
-                row.update(
-                    pg_hat=float(fit.p_hat[1]), g2s_hat=g2_marginal(fit.p_hat, truncated=True)
-                )
-            row["converged"] = fit.converged
-        except _FIT_FAILURES:  # failures are data, not fatal; coding bugs still raise
-            row.update(rmsle=float("nan"), converged=False, **_NAN_CHARS)
-        rows.append(row)
+    P = fits.p
+    if layout == "2x2d":
+        chars, undefined = characteristics_many(P.reshape(-1, 3, 3))
+    else:
+        chars = np.full((len(P), 7), np.nan)
+        chars[:, 0], chars[:, 3] = P[:, 1], _g2_truncated(P[:, 1], P[:, 2])
+        undefined = np.isnan(chars[:, 3])
+    # A rep whose figures are undefined is data, not fatal: NaN, unconverged.
+    values = np.column_stack([rmsle_many(P, truths), chars])
+    values[undefined] = np.nan
+    cells = values.astype(object)
+    cells[np.isnan(values)] = _NAN
+    converged = fits.converged & ~undefined
+    for rep, row, ok in zip(reps, cells.tolist(), converged.tolist()):
+        rows.append(dict(zip(SWEEP_COLUMNS, (cell_id, p_g, n_m, eta, d, gamma_label, rep, *row, ok))))
 
 
 def run_sweep(spec: SweepSpec, method: str = "ml-2x2d", seed: int = 0) -> list[dict]:

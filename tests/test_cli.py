@@ -2,13 +2,16 @@ import csv
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 from ppskit import cli
 from ppskit import jsd as jsd_module
 from ppskit.detection import read_counts_csv
-from ppskit.errors import UndefinedCharacteristicError
+from ppskit.errors import PpskitError
+from ppskit.estimate import EstimateOptions, LikelihoodModel, characterize
 from ppskit.jsd import segment
+from ppskit.metrics import bootstrap, bootstrap_stats, write_bootstrap_csv
 from ppskit.pnd import read_pnd_csv
 
 JSD_SECTIONS = """\
@@ -477,17 +480,18 @@ class TestBootstrapCommand:
             + "\n[bootstrap]\nn_boot = 4\nsample_sizes = 1e6, 1e7\n",
             name="boot.cfg",
         )
-        batches, fit_many = [], cli._ESTIMATORS[method]
+        batches, fit_stack = [], cli._fit_stack
 
-        def spy_many(record_sets, model, options):
-            batches.append([len(records) for records in record_sets])
-            return fit_many(record_sets, model, options)
+        def spy_stack(K, F, model, options, eml):
+            assert eml == (method == "eml")
+            batches.append(F.shape[:2])
+            return fit_stack(K, F, model, options, eml)
 
-        monkeypatch.setitem(cli._ESTIMATORS, method, spy_many)
+        monkeypatch.setattr(cli, "_fit_stack", spy_stack)
         out = tmp_path / "boot"
         argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
         assert cli.main(argv) == 0
-        assert batches == [[2] * 4, [2] * 4]  # one call per sample size
+        assert batches == [(4, 2), (4, 2)]  # one stack of draws x records per sample size
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {"0"}
 
@@ -499,20 +503,63 @@ class TestBootstrapCommand:
             DETECTOR_SECTION + "\n[estimate]\nmax_iter = 4\n\n[bootstrap]\nn_boot = 20\nseed = 2\n",
             name="boot.cfg",
         )
-        calls, fit_many = [], cli._ESTIMATORS["ml"]
+        calls, fit_stack = [], cli._fit_stack
 
-        def spy_many(record_sets, model, options):
-            calls.append(fit_many(record_sets, model, options))
+        def spy_stack(K, F, model, options, eml):
+            calls.append(fit_stack(K, F, model, options, eml))
             return calls[-1]
 
-        monkeypatch.setitem(cli._ESTIMATORS, "ml", spy_many)
+        monkeypatch.setattr(cli, "_fit_stack", spy_stack)
         out = tmp_path / "boot"
         argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
         cli.main(argv + (["--bootstrap"] if command == "estimate" else []))
-        unconverged = sum(not fit.converged for fit in calls[-1])
+        unconverged = int(np.sum(~calls[-1].converged))
         assert 0 < unconverged < 20
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {str(unconverged)}
+
+    @pytest.mark.parametrize(
+        "method, max_iter, sizes",
+        [("ml", 1, (10**7, 10**8)), ("ml", 3, (10**6, 10**8)), ("eml", 3, (10**6,))],
+    )
+    def test_summary_equals_the_public_bootstrap_pipeline(self, tmp_path, method, max_iter, sizes):
+        # The command keeps the draws as one count stack from the resample
+        # to the summary; its rows must be those that bootstrap, *_many and
+        # bootstrap_stats give with a characterize pipeline.  The small
+        # budgets leave some refits of every size unconverged (one of 30
+        # converges at max_iter = 1), so n_fail is compared too.
+        settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n" if method == "eml" else ""
+        counts = self._counts(tmp_path, settings)
+        config = write_config(
+            tmp_path,
+            DETECTOR_SECTION + settings
+            + f"\n[estimate]\nmethod = {method}\nmax_iter = {max_iter}\n"
+            + f"\n[bootstrap]\nn_boot = 30\nsample_sizes = {', '.join(map(str, sizes))}\nseed = 4\n",
+            name="boot.cfg",
+        )
+        out = tmp_path / "boot"
+        argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 0
+
+        cfg = cli.load_config(config)
+        det_s, det_i, _ = cli._build_detectors(cfg)
+        model = LikelihoodModel(det_s, det_i, settings=cli._build_settings(cfg))
+        records, _ = read_counts_csv(counts)
+
+        def pipeline(fit):
+            if not fit.converged:
+                raise PpskitError("refit did not converge")
+            return characterize(fit).as_dict()
+
+        rows = []
+        for size in sizes:
+            draws = list(zip(*(bootstrap(rec, 30, size, seed=4) for rec in records)))
+            fits = cli._ESTIMATORS[method](draws, model, EstimateOptions(max_iter=max_iter))
+            rows += bootstrap_stats(fits, pipeline, size * len(records))
+        assert all(0 < row["n_fail"] < 30 for row in rows)
+        expected = tmp_path / "expected.csv"
+        write_bootstrap_csv(expected, rows)
+        assert (out / "bootstrap_summary.csv").read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
     def test_no_converged_refit_exits_4_with_no_summary(self, tmp_path, capsys, command):
@@ -536,10 +583,10 @@ class TestBootstrapCommand:
             tmp_path, DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 3\n", name="boot.cfg"
         )
 
-        def undefined(fit):
-            raise UndefinedCharacteristicError("characteristic undefined")
+        def undefined(p):  # every refit's characteristics undefined
+            return np.full(p.shape[:-2] + (7,), np.nan), np.ones(p.shape[:-2], dtype=bool)
 
-        monkeypatch.setattr(cli, "characterize", undefined)
+        monkeypatch.setattr(cli, "characteristics_many", undefined)
         out = tmp_path / "boot"
         argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
         assert cli.main(argv) == 2

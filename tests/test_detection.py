@@ -109,6 +109,16 @@ class TestConversionMatrix:
         np.testing.assert_allclose(M.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(M >= -1e-15)
 
+    def test_both_clicked_row_is_nonnegative_on_a_random_grid(self):
+        # 1 - no_t - no_r + none cancels to about -1e-16 on many cells that
+        # are 0 or nearly; an exact_counts table n_m K p must still be
+        # nonnegative for check_counts.
+        rng = np.random.default_rng(2803)
+        for T, eta_t, eta_r in rng.uniform(0.0, 1.0, (20000, 3)):
+            M = conversion_matrix(T, eta_t, eta_r, n_max=3)
+            assert M.min() >= 0.0, (T, eta_t, eta_r)
+            assert np.abs(M.sum(axis=0) - 1.0).max() <= 1e-15, (T, eta_t, eta_r)
+
 
 class TestNoiseMatrix:
     def test_no_noise_is_identity(self):

@@ -16,7 +16,7 @@ from ppskit.jsd import (
     schmidt_number_svd,
     write_jsd_csv,
 )
-from ppskit.metrics import bootstrap, rmsle
+from ppskit.metrics import rmsle
 from ppskit.pnd import apply_loss_bipartite, loss_matrix, tmsv_pnd
 from ppskit.simulate import random_pps_pnd, sample_counts
 
@@ -256,16 +256,22 @@ class TestMultiSettingEstimation:
         from ppskit import cli
 
         resampled, fitted = [], []
+        resample, fit_stack = cli._resample, cli._fit_stack
 
-        def spy_bootstrap(record, n_boot, sample_size, seed=0):
+        def spy_resample(record, n_boot, sample_size, seed=0):
             resampled.append((record.nu, sample_size))
-            return bootstrap(record, n_boot, sample_size, seed=seed)
+            return resample(record, n_boot, sample_size, seed=seed)
 
         def spy_eml(record_sets, model, options):
             fitted.append([[rec.nu for rec in recs] for recs in record_sets])
             return eml_estimate_many(record_sets, model, options)
 
-        monkeypatch.setattr(cli, "bootstrap", spy_bootstrap)
+        def spy_stack(K, F, model, options, eml):
+            fitted.append((F.shape[:2], eml))
+            return fit_stack(K, F, model, options, eml)
+
+        monkeypatch.setattr(cli, "_resample", spy_resample)
+        monkeypatch.setattr(cli, "_fit_stack", spy_stack)
         monkeypatch.setitem(cli._ESTIMATORS, "eml", spy_eml)
         monkeypatch.setitem(cli._ESTIMATORS, "ml", None)
         out = tmp_path / "fit"
@@ -273,7 +279,8 @@ class TestMultiSettingEstimation:
             ["estimate", "--config", str(config), "--counts", str(counts), "--out", str(out)]
         ) == 0
         assert resampled == [(0, 10**8), (1, 10**8 + 1)]
-        assert fitted == [[[0, 1]], [[0, 1]] * 3]  # the estimate, then every draw in one call
+        # The estimate, then every draw's two records in one EML stack.
+        assert fitted == [[[0, 1]], ((3, 2), True)]
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {row["sample_size"] for row in rows} == {str(2 * 10**8 + 1)}

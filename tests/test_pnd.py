@@ -12,6 +12,7 @@ from ppskit.pnd import (
     PndMatrix,
     apply_loss_bipartite,
     characteristics,
+    characteristics_many,
     g2_marginal,
     gh2,
     heralding_bounds,
@@ -53,6 +54,12 @@ class TestTmsv:
     def test_rejects_unit_gain(self):
         with pytest.raises(InvalidInputError):
             tmsv_pnd(1.0)
+
+    def test_unaddressable_n_max_is_named(self):
+        # A side whose float64 cells numpy cannot count, rejected before
+        # numpy raises its own ValueError.
+        with pytest.raises(InvalidInputError, match="n_max must be at most"):
+            tmsv_pnd(0.01, 1e300)
 
 
 class TestLossMatrix:
@@ -304,6 +311,103 @@ class TestCharacteristics:
         assert (chars.eta_H_s, chars.eta_H_i) == heralding_bounds(P)
         assert chars.gh2_s == gh2(P, "s")
         assert chars.g2_i == g2_marginal(marginal(P, "i"), truncated=True)
+
+
+def scalar_characteristics(p):
+    """The per-matrix formulas that characteristics() used before the
+    stacked kernel, with Python floats; raises as they raised, except that
+    a P_1 or P11 whose square underflows to 0 counts as 0 (the formulas
+    raised ZeroDivisionError there)."""
+    both = float(p[1:, 1:].sum())
+    idler_only, signal_only = float(p[0, 1:].sum()), float(p[1:, 0].sum())
+    if both + idler_only <= 0.0 or both + signal_only <= 0.0:
+        raise UndefinedCharacteristicError("heralding bound undefined: no photons on one of the modes")
+    g2 = []
+    for pv in (p.sum(axis=1), p.sum(axis=0)):
+        if pv[1] <= 0.0 or float(pv[1]) ** 2 == 0.0:
+            raise UndefinedCharacteristicError("truncated g2 undefined: P_1 is zero")
+        g2.append(2.0 * float(pv[2]) / float(pv[1]) ** 2)
+    gh2 = []
+    for q in (p, p.T):
+        p11 = float(q[1, 1])
+        if p11 <= 0.0 or p11**2 == 0.0:
+            raise UndefinedCharacteristicError("gh2 undefined: P11 is zero")
+        gh2.append(2.0 * float(q[2, 1] + q[2, 2]) * float(q[0, 1] + q[1, 1]) / p11**2)
+    return [float(p[1, 1]), both / (idler_only + both), both / (signal_only + both), *g2, *gh2]
+
+
+@st.composite
+def pnd_stacks(draw):
+    """Stacks of normalized PNDs spanning many decades, with cells
+    (p11, whole first rows and columns) emptied at random."""
+    n, m = draw(st.integers(3, 5)), draw(st.integers(1, 6))
+    a = draw(hnp.arrays(np.float64, (m, n, n), elements=st.floats(0.0, 1.0)))
+    scale = draw(hnp.arrays(np.float64, (m, n, n), elements=st.floats(-18.0, 0.0)))
+    a = a * 10.0**scale
+    for k in range(m):
+        emptied = draw(st.sampled_from(["none", "p11", "row1", "col1", "all-but-vacuum"]))
+        if emptied == "p11":
+            a[k, 1, 1] = 0.0
+        elif emptied == "row1":
+            a[k, 1, :] = 0.0
+        elif emptied == "col1":
+            a[k, :, 1] = 0.0
+        elif emptied == "all-but-vacuum":
+            a[k] = 0.0
+        a[k, 0, 0] += 1.0
+    return a / a.sum(axis=(1, 2), keepdims=True)
+
+
+class TestCharacteristicsMany:
+    @given(stack=pnd_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_scalar_formulas_bit_for_bit(self, stack):
+        values, undefined = characteristics_many(stack)
+        assert values.shape == (len(stack), 7) and undefined.shape == (len(stack),)
+        for p, row, flagged in zip(stack, values, undefined):
+            try:
+                want = scalar_characteristics(p)
+            except UndefinedCharacteristicError as exc:
+                assert flagged and np.isnan(row).any()
+                with pytest.raises(UndefinedCharacteristicError, match=f"^{exc}$"):
+                    characteristics(PndMatrix(p))
+                continue
+            assert not flagged
+            assert row.tobytes() == np.array(want).tobytes()
+            got = characteristics(PndMatrix(p)).as_dict()
+            assert np.array(list(got.values())).tobytes() == np.array(want).tobytes()
+
+    def test_a_seeded_stack_equals_the_scalar_formulas_bit_for_bit(self):
+        # Squares that libm's pow and a multiply round apart occur about
+        # once per thousand values; 4000 matrices hold 16,000 squares.
+        rng = np.random.default_rng(2808)
+        stack = rng.uniform(0.0, 1.0, (4000, 3, 3)) * 10.0 ** rng.uniform(-12.0, 0.0, (4000, 3, 3))
+        stack[:, 0, 0] = 1.0
+        stack /= stack.sum(axis=(1, 2), keepdims=True)
+        values, undefined = characteristics_many(stack)
+        want = np.array([scalar_characteristics(p) for p in stack])
+        assert not undefined.any()
+        assert values.tobytes() == want.tobytes()
+
+    def test_empty_pair_cell_and_first_marginal_come_back_nan(self):
+        vacuum = np.zeros((3, 3))
+        vacuum[0, 0] = 1.0
+        no_pairs = vacuum.copy()
+        no_pairs[0, 1] = no_pairs[1, 0] = no_pairs[2, 2] = 1e-3
+        no_pairs[0, 0] = 1.0 - 3e-3
+        values, undefined = characteristics_many(np.stack([vacuum, no_pairs]))
+        assert undefined.tolist() == [True, True]
+        assert np.isnan(values[0, 1:]).all()  # p_g is the (empty) cell itself
+        assert np.isnan(values[1, 5:]).all() and not np.isnan(values[1, :5]).any()
+
+    def test_without_two_photon_cells_g2_and_gh2_are_undefined(self):
+        p = np.array([[0.9, 0.05], [0.03, 0.02]])
+        values, undefined = characteristics_many(p)
+        assert undefined and np.isnan(values[3:]).all() and not np.isnan(values[:3]).any()
+        with pytest.raises(UndefinedCharacteristicError, match="truncated g2"):
+            characteristics(PndMatrix(p))
+        with pytest.raises(UndefinedCharacteristicError, match="no two-photon cells"):
+            gh2(PndMatrix(p), "s")
 
 
 @pytest.mark.parametrize("subnormalized", [False, True])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from ppskit.pnd import g2_marginal
 from ppskit.rng import multinomial_counts, stream_key, substream
 from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
+    SWEEP_COLUMNS,
     ExperimentConfig,
     SweepSpec,
     random_pps_pnd,
@@ -256,7 +258,8 @@ class TestSampler:
         expected = n_m * W
         assert expected.min() > 20  # every cell in the chi-square's regime
         rngs = [substream(6, "counts", 0, rep) for rep in range(self.REPS)]
-        F = ppskit.simulate._draw_counts(model, [truth] * self.REPS, n_m, rngs)
+        cells = np.repeat(np.reshape(getattr(truth, "p", truth), (1, -1)), self.REPS, axis=0)
+        F = ppskit.simulate._draw_counts(model, cells, n_m, rngs)
         assert np.all(F.sum(axis=-1) == n_m)
         dof = W.shape[0] * (W.shape[1] - 1)
         per_record = float(np.sum((F - expected) ** 2 / expected))
@@ -568,6 +571,29 @@ class TestRunSweep:
                 expected = self.rebuilt_rows(method, design, p_g, n_m, eta, d, exact, seed, reps)
                 for row, want in zip(rows, expected):
                     assert {name: row[name] for name in want} == want, (design, exact)
+
+    @pytest.mark.parametrize("method", ["ml-2x2d", "ml-2d"])
+    def test_rep_with_undefined_figures_is_a_nan_row(self, monkeypatch, method):
+        # An all-vacuum fit has no heralding bound (bipartite) and no P_1
+        # (single-mode): its row is NaN and unconverged, the others as before.
+        spec = SweepSpec(p_g_grid=(1e-2,), n_m_grid=(1e8,), reps=4)
+        before = run_sweep(spec, method, seed=5)
+        fit_stack = ppskit.simulate.est._fit_stack
+
+        def vacuum_rep(K, F, model, options, eml):
+            fits = fit_stack(K, F, model, options, eml)
+            p = fits.p.copy()
+            p[2] = 0.0
+            p[2, 0] = 1.0
+            return dataclasses.replace(fits, p=p)
+
+        monkeypatch.setattr(ppskit.simulate.est, "_fit_stack", vacuum_rep)
+        rows = run_sweep(spec, method, seed=5)
+        figures = [name for name in SWEEP_COLUMNS if name == "rmsle" or name.endswith("_hat")]
+        assert all(np.isnan(rows[2][name]) for name in figures)
+        assert rows[2]["converged"] is False and before[2]["converged"] is True
+        assert [row["rep"] for row in rows] == [0, 1, 2, 3]
+        assert rows[:2] + rows[3:] == before[:2] + before[3:]
 
     @pytest.mark.parametrize("method", ["ml-2x2d", "ml-2d"])
     def test_coding_errors_are_not_swallowed(self, monkeypatch, method):

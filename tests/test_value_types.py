@@ -91,6 +91,7 @@ BAD_VALUES = {
     "bipartite-n_max-fraction": lambda: LikelihoodModel(*reference_detectors(), n_max=2.5),
     "bipartite-n_max-zero": lambda: LikelihoodModel(*reference_detectors(), n_max=0),
     "tmsv-n_max-fraction": lambda: tmsv_pnd(0.1, 2.5),
+    "tmsv-n_max-huge": lambda: tmsv_pnd(0.01, 1e300),
     "loss-n_max-negative": lambda: loss_matrix(0.5, n_max=-1),
     "conversion-n_max-fraction": lambda: conversion_matrix(0.5, 0.5, 0.5, 2.5),
 }
