@@ -294,12 +294,11 @@ def cmd_jsd(cfg: RunConfig, args) -> int:
     pnd = pnd_from_segmentation(seg, gain)
     chars = characteristics(pnd)
 
-    # The factored route already holds the singular values of the scaled
-    # grid; k_analytic stays the independent O(n^3) Gram trace, which on a
-    # complex grid runs as two real products (Re and Im of A A^dag).
-    s = seg.singular_values
+    # The factored route already holds sum(s^4) over the singular values of
+    # the scaled grid; k_analytic stays the independent O(n^3) Gram trace,
+    # which on a complex grid runs as two real products (Re and Im of A A^dag).
     rows = [
-        ("k_svd", schmidt_number_svd(jsd) if s is None else 1.0 / float((s**4).sum())),
+        ("k_svd", schmidt_number_svd(jsd) if seg.purity is None else 1.0 / seg.purity),
         ("k_analytic", schmidt_number_analytic(jsd)),
     ]
     rows += [(f"q{j + 1}", float(seg.q[j])) for j in range(4)]

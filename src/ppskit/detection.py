@@ -17,6 +17,7 @@ model that the fits and the simulator read; :func:`bipartite_probs` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,18 +164,32 @@ def conversion_matrix(T: float, eta_t: float, eta_r: float, n_max: int = 2) -> n
     n_max = int(n_max)
     pt = T * eta_t          # per-photon click at the transmitted detector
     pr = (1.0 - T) * eta_r  # per-photon click at the reflected detector
-    n = np.arange(n_max + 1)
-    none = (1.0 - pt - pr) ** n
-    no_t = (1.0 - pt) ** n
-    no_r = (1.0 - pr) ** n
-    M = np.empty((4, n_max + 1))
-    M[0] = none
-    M[1] = no_t - none           # reflected detector only
-    M[2] = no_r - none           # transmitted detector only
-    # The cancellation can leave a cell that is 0 (or nearly) about 1e-16
-    # below 0; clipping it moves its column's sum by no more than that.
-    M[3] = np.maximum(1.0 - no_t - no_r + none, 0.0)
-    return M
+    x, y = 1.0 - pt, 1.0 - pr  # per-photon miss at each detector
+    z = max(x - pr, 0.0)       # per-photon miss at both; xy - z = pt pr
+    photons = range(1, n_max + 1)  # past the vacuum, whose column is fixed
+
+    # Each cell past the vacuum is formed without subtracting numbers near
+    # 1, so a small click probability keeps its relative accuracy.
+    def gap(a, u):
+        """a^k - (a - u)^k for each photon number k, for 0 <= u <= a, as
+        -a^k expm1(k log1p(-u/a))."""
+        if u >= a:  # (a - u)^k = 0
+            return [a**k for k in photons]
+        log_ratio = math.log1p(-u / a)
+        return [-(a**k) * math.expm1(k * log_ratio) for k in photons]
+
+    # Both: 1 - x^k - y^k + z^k = (1 - x^k)(1 - y^k) - ((xy)^k - z^k), a
+    # difference that loses at most about one bit (the second term is at
+    # most half the first for k >= 2).  One photon never clicks both.
+    both = [max(ct * cr - pair, 0.0)
+            for ct, cr, pair in zip(gap(1.0, pt), gap(1.0, pr), gap(x * y, pt * pr))]
+    both[0] = 0.0
+    return np.array([
+        [1.0] + [z**k for k in photons],
+        [0.0] + gap(x, pr),  # reflected detector only: x^k - z^k
+        [0.0] + gap(y, pt),  # transmitted detector only: y^k - z^k
+        [0.0] + both,
+    ])
 
 
 def noise_matrix(d_t: float, d_r: float) -> np.ndarray:

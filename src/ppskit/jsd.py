@@ -45,15 +45,22 @@ _GAUSS_SCALE_MAX = 1e75
 _FLUSH_RATIO = 1e-150
 _FLUSH_BLOCK = 8192
 
+# segment's branch sums square a grid's real components in row blocks of
+# about this many, which stay in cache and leave no grid-sized temporary.
+_SQUARE_BLOCK = 32768
+
 # Factored route of :func:`segment`.  The sketch is drawn from a fixed
-# seed so that segmentation is deterministic.  It grows by blocks of
-# columns until the residual of the unit-norm scaled grid falls to
-# roundoff, and gives up once it would need more than the rank fraction
-# of min(n_s, n_i) columns.  A live branch whose measured relative error
-# exceeds the branch error bound sends the whole segmentation to the
-# direct Gram route.
+# seed so that segmentation is deterministic.  It grows by blocks of at
+# most _SKETCH_BLOCK columns, each later block sized in steps of
+# _SKETCH_BLOCK_STEP, until the residual of the unit-norm scaled grid
+# falls to roundoff, and gives up once it would need more than the rank
+# fraction of min(n_s, n_i) columns.  A live branch whose measured
+# relative error exceeds the branch error bound sends the whole
+# segmentation to the direct Gram route.
 _SKETCH_SEED = 5304
 _SKETCH_BLOCK = 32
+_SKETCH_BLOCK_STEP = 8
+_CHOLESKY_MIN_EIGENVALUE = 1e-2
 _SKETCH_RANK_FRACTION = 0.25
 _SKETCH_RESIDUAL_TOL = 1e-14
 _BRANCH_ERROR_BOUND = 1e-13
@@ -93,6 +100,12 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(x):
         return x.real**2 + x.imag**2
     return x * x
+
+
+def _squares_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(x ∘ x) @ w for a real 2-D ``x``, squared in blocks of rows."""
+    rows = max(1, _SQUARE_BLOCK // x.shape[1])
+    return np.concatenate([np.square(x[i : i + rows]) @ w for i in range(0, x.shape[0], rows)])
 
 
 def _grid_norm_squared(values: np.ndarray, step_s: float, step_i: float) -> float:
@@ -282,8 +295,11 @@ class Segmentation:
     ``kappa`` holds the branch effective mode numbers (1 for branches whose
     weight fell below :data:`EMPTY_SEGMENT_THRESHOLD`), and the remaining
     fields the pairwise exchange overlaps entering two-pair probabilities.
-    ``singular_values`` are those of the factor Q B of the scaled grid
-    when :func:`segment` took the factored route, else ``None``.
+    When :func:`segment` took the factored route, F = Q B + R with Q of
+    orthonormal columns, ``purity`` is sum(s_k^4) = ||B B^dag||_F^2 over
+    the singular values s_k of the factor Q B of the scaled grid (so 1 /
+    ``purity`` is its mode number), and ``singular_values`` are those s_k,
+    computed from B on first read.  On the direct route both are ``None``.
 
     ``parts`` holds the renormalized branch amplitudes (``None`` for empty
     branches).  It is built from the JSD and filter amplitudes on first
@@ -297,17 +313,24 @@ class Segmentation:
     oy14: float
     oy23: float
     oc: complex
-    singular_values: np.ndarray | None = None
+    purity: float | None = None
+    _factor_b: np.ndarray | None = field(default=None, repr=False)
     _jsd: JsdGrid | None = field(default=None, repr=False)
     _branches: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        for name in ("q", "kappa", "singular_values"):
-            value = getattr(self, name)
-            if value is not None:
-                value = np.asarray(value, dtype=float)
-                value.setflags(write=False)
-                object.__setattr__(self, name, value)
+        for name in ("q", "kappa"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray | None:
+        if self._factor_b is None:
+            return None
+        s = np.linalg.svd(self._factor_b, compute_uv=False)
+        s.setflags(write=False)
+        return s
 
     @cached_property
     def parts(self) -> tuple:
@@ -440,46 +463,68 @@ def _signal_weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a.conj().T @ a
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a C-contiguous array, in one BLAS pass."""
+    return math.sqrt(np.vdot(a, a).real)
+
+
 def _low_rank_factor(r: np.ndarray):
-    """Q, S and B of F = Q B + R with the residual R at roundoff.
+    """Q and B of F = Q B + R with the residual R at roundoff.
 
     A blocked randomized range finder (Halko, Martinsson & Tropp, SIAM
     Rev. 53, 217 (2011)) on the residual, which ``r`` holds in place of F:
-    each block sketches R once, orthonormalizes the sketch against the
-    earlier blocks into Q_k and takes Q_k Q_k† R off R, in O(n_s n_i b).
-    S holds the singular values of Q B, those of B†'s triangular factor.
-    Returns ``(q, s, b, r)``, or ``None`` as soon as the residual,
-    shrinking at its rate so far, would not reach roundoff within the cap.
+    each block sketches R once, orthonormalizes the sketch with one
+    Householder QR, projects it off the earlier blocks into Q_k and takes
+    Q_k Q_k† R off R, in O(n_s n_i b).  The projected block Y is
+    orthonormalized again by one Cholesky pass, Y L⁻† with L L† = Y† Y
+    (Yamamoto et al., ETNA 44, 306 (2015)).  Y was orthonormal, and the
+    residual it sketched is orthogonal to Q up to roundoff, so Y† Y = I -
+    P† P for its small overlap P with Q: the pass loses orthogonality by
+    roundoff over the smallest eigenvalue of Y† Y, which is about 1.  A
+    block whose columns sketch mostly roundoff, as a last one can, may
+    overlap Q more; where that eigenvalue falls below
+    _CHOLESKY_MIN_EIGENVALUE, the block takes a second QR instead.
+
+    The first block has _SKETCH_BLOCK columns.  Each later block is sized
+    to the columns that the residual, shrinking at its rate so far, still
+    needs, rounded up to a multiple of _SKETCH_BLOCK_STEP and at most
+    _SKETCH_BLOCK.  Returns ``(q, b, r)``, or ``None`` as soon as the
+    residual stops shrinking or would need more columns than the cap.
     """
     n_s, n_i = r.shape
     cap = _SKETCH_RANK_FRACTION * min(n_s, n_i)
     rng = np.random.default_rng(_SKETCH_SEED)
     qs, bs = [], []
-    rank, residual = 0, float(np.linalg.norm(r))
+    rank, residual, width = 0, _norm(r), _SKETCH_BLOCK
     while residual > _SKETCH_RESIDUAL_TOL:
-        if rank + _SKETCH_BLOCK > cap:
+        if rank + width > cap:
             return None
         # Orthonormalized first: projecting the raw sketch would leave overlaps
         # of roundoff times its condition number with the earlier blocks.
-        y = np.linalg.qr(r @ rng.standard_normal((n_i, _SKETCH_BLOCK)))[0]
-        for q_prev in qs:  # reorthogonalize against the earlier blocks
+        y = np.linalg.qr(r @ rng.standard_normal((n_i, width)))[0]
+        for q_prev in qs:  # project off the earlier blocks
             y -= q_prev @ (q_prev.conj().T @ y)
-        q = np.linalg.qr(y)[0] if qs else y
-        b = q.conj().T @ r
-        r -= q @ b
-        qs.append(q)
+        if qs:
+            gram = y.conj().T @ y
+            if np.linalg.eigvalsh(gram)[0] < _CHOLESKY_MIN_EIGENVALUE:
+                y = np.linalg.qr(y)[0]
+            else:
+                y = y @ np.linalg.inv(np.linalg.cholesky(gram)).conj().T
+        b = y.conj().T @ r
+        r -= y @ b
+        qs.append(y)
         bs.append(b)
-        rank += _SKETCH_BLOCK
-        previous, residual = residual, float(np.linalg.norm(r))
-        if residual >= previous or (
-            residual > _SKETCH_RESIDUAL_TOL
-            and rank + _SKETCH_BLOCK * math.log(residual / _SKETCH_RESIDUAL_TOL)
-            / math.log(previous / residual) > cap
-        ):
+        rank += width
+        previous, residual = residual, _norm(r)
+        if residual >= previous:
             return None
-    b = np.vstack(bs)
-    sv = np.linalg.svd(np.linalg.qr(b.conj().T, mode="r"), compute_uv=False)
-    return np.hstack(qs), sv, b, r
+        if residual > _SKETCH_RESIDUAL_TOL:
+            left = width * math.log(residual / _SKETCH_RESIDUAL_TOL) / math.log(previous / residual)
+            if rank + left > cap:
+                return None
+            step = _SKETCH_BLOCK_STEP
+            width = min(_SKETCH_BLOCK, step * math.ceil(left / step))
+    return np.hstack(qs), np.vstack(bs), r
 
 
 def _segment_quantities(traces, q, live):
@@ -506,17 +551,18 @@ def _segment_quantities(traces, q, live):
     return kappa, ox13, ox24, oy14, oy23, oc
 
 
-def _factored_traces(q, b, weights, pairs):
+def _factored_traces(q, wx, b_y, pairs):
     """tr(M_i M_j) of each pair from r×r products.
 
     With F = Q B, the branch Gram P_j† P_j is D_wy B† A_x B D_wy / q_j
-    with A_x = Q† D_wx² Q, so M_j = A_x B_y with B_y = B D_wy² B†.  The
-    SVD's U S and V† would give every M_j up to one r×r similarity.
+    with A_x = Q† D_wx² Q, so M_j = A_x B_y with B_y = B D_wy² B†.
+    ``wx`` holds the signal amplitudes (t, r) and ``b_y`` the idler
+    Grams (B_t, B_r).  The SVD's U S and V† would give every M_j up to
+    one r×r similarity.
     """
-    tx2, rx2, ty2, ry2 = (w**2 for w in weights)
-    qh, bh = q.conj().T, b.conj().T
-    a_t, a_r = ((qh * w2) @ q for w2 in (tx2, rx2))
-    b_t, b_r = ((b * w2) @ bh for w2 in (ty2, ry2))
+    qh = q.conj().T
+    a_t, a_r = ((qh * w**2) @ q for w in wx)
+    b_t, b_r = b_y
     m = (a_t @ b_r, a_r @ b_t, a_t @ b_t, a_r @ b_r)
     return {(i, j): complex(np.sum(m[i] * m[j].T)) for i, j in pairs}
 
@@ -568,7 +614,9 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     sqrt(wx²·|R|²·wy² / q_j) exceeds the branch error bound.  It forms at
     most two n×n Grams, F† D_tx² F and F† D_rx² F, and takes every trace
     from them in O(n²).  Both routes hand their traces to one map onto
-    the mode numbers and overlaps.
+    the mode numbers and overlaps.  The factored route also records the
+    factor's purity, ||B B†||_F², from the two idler-weighted Grams of B
+    that its traces use.
     """
     _require_filter_axis(filt_s, jsd.axis_s, jsd.step_s, "signal")
     _require_filter_axis(filt_i, jsd.axis_i, jsd.step_i, "idler")
@@ -576,12 +624,23 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     tx, rx, ty, ry = weights = (filt_s.t, filt_s.r, filt_i.t, filt_i.r)
     branches = ((tx, ry), (rx, ty), (tx, ty), (rx, ry))
 
-    def branch_sums(a2):
-        """sum_ab wx_a² a2_ab wy_b² of each branch."""
-        return np.array([float(wx**2 @ a2 @ wy**2) for wx, wy in branches])
+    # Every q_j and branch error is wx²·|X|²·wy² for X = F or R.  The real
+    # components of X (a complex X's re and im interleaved in each row, so
+    # each idler weight is repeated) are squared block by block, and each
+    # block of squares meets both idler weights in one product; the signal
+    # weights follow.
+    wx2 = np.stack([tx, rx]) ** 2
+    wy2 = np.stack([ty, ry], axis=1) ** 2
+    if np.iscomplexobj(jsd.values):
+        wy2 = np.repeat(wy2, 2, axis=0)
+
+    def branch_sums(x):
+        """wx²·|X|²·wy² of each branch."""
+        (tt, tr), (rt, rr) = wx2 @ _squares_times(x.view(float), wy2)
+        return np.array([tr, rt, tt, rr])
 
     f = jsd.scaled()
-    q = branch_sums(_abs2(f))
+    q = branch_sums(f)
     q[q < EMPTY_SEGMENT_THRESHOLD] = 0.0
     if abs(q.sum() - 1.0) > 1e-10:
         raise InvalidInputError("filter branches do not preserve the JSD norm")
@@ -589,16 +648,22 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
 
     factor = _low_rank_factor(f)
     del f  # the factor's residual now, or spent on a rejected factor
-    if factor is not None:
-        error2 = branch_sums(_abs2(factor[3]))
-        if np.any(live & (error2 > _BRANCH_ERROR_BOUND**2 * q)):
-            factor = None
+    if factor is not None and np.any(
+        live & (branch_sums(factor[2]) > _BRANCH_ERROR_BOUND**2 * q)
+    ):
+        factor = None
+    purity = b = None
     if factor is None:
-        sv = None
         traces = partial(_direct_traces, jsd.scaled(), weights)
     else:
-        qf, sv, b, _ = factor
-        traces = partial(_factored_traces, qf, b, weights)
+        qf, b = factor[:2]
+        del factor  # frees the residual
+        b.setflags(write=False)
+        bh = b.conj().T
+        b_y = tuple((b * w**2) @ bh for w in (ty, ry))
+        gram = b_y[0] + b_y[1]  # B B†, since t² + r² = 1
+        purity = float(np.vdot(gram, gram).real)
+        traces = partial(_factored_traces, qf, (tx, rx), b_y)
     kappa, ox13, ox24, oy14, oy23, oc = _segment_quantities(traces, q, live)
 
     return Segmentation(
@@ -609,7 +674,8 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
         oy14=oy14,
         oy23=oy23,
         oc=oc,
-        singular_values=sv,
+        purity=purity,
+        _factor_b=b,
         _jsd=jsd,
         _branches=branches,
     )
@@ -736,11 +802,20 @@ def gaussian_jsd(
 _JSD_HEADER = ["omega_s", "omega_i", "re", "im"]
 
 
+def _from_file(path, build, *args):
+    """``build(*args)``, with the file's path leading any rejection."""
+    try:
+        return build(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
 def read_jsd_csv(path) -> JsdGrid:
     """Load a JSD from CSV with columns omega_s, omega_i, re, im.
 
     The rows must cover a complete rectangular lattice (any order).  A file
-    whose every ``im`` is 0 gives a real (float64) grid.
+    whose every ``im`` is 0 gives a real (float64) grid.  Every rejection
+    starts with the path.
     """
     rows, _ = read_table(path, _JSD_HEADER, "JSD",
                          lambda row: tuple(parse_finite(row[name]) for name in _JSD_HEADER))
@@ -748,15 +823,15 @@ def read_jsd_csv(path) -> JsdGrid:
     ws, index_s = np.unique(w_s, return_inverse=True)
     wi, index_i = np.unique(w_i, return_inverse=True)
     if len(rows) != ws.size * wi.size:
-        raise InvalidInputError("JSD CSV does not cover a complete rectangular lattice")
+        raise InvalidInputError(f"{path}: JSD CSV does not cover a complete rectangular lattice")
     filled = np.zeros((ws.size, wi.size), dtype=bool)
     filled[index_s, index_i] = True
     if not filled.all():
-        raise InvalidInputError("JSD CSV has duplicate or missing lattice points")
+        raise InvalidInputError(f"{path}: JSD CSV has duplicate or missing lattice points")
     real = not im.any()
     values = np.zeros(filled.shape, dtype=float if real else complex)
     values[index_s, index_i] = re if real else re + 1j * im
-    return JsdGrid(values, ws, wi)
+    return _from_file(path, JsdGrid, values, ws, wi)
 
 
 def write_jsd_csv(path, jsd: JsdGrid) -> None:
@@ -771,7 +846,9 @@ def read_filter_csv(path, kind: str = "amplitude") -> FilterProfile:
     """Load a filter from CSV with columns omega, t.
 
     ``kind`` selects whether the t column is an amplitude or an intensity
-    transmittance; intensities are converted via sqrt.
+    transmittance; intensities are converted via sqrt.  The rows may come
+    in any order, but no omega twice.  Every rejection starts with the
+    path.
     """
     if kind not in ("amplitude", "intensity"):
         raise InvalidInputError(f"filter kind must be amplitude|intensity, got {kind!r}")
@@ -780,6 +857,8 @@ def read_filter_csv(path, kind: str = "amplitude") -> FilterProfile:
         lambda row: (parse_finite(row["omega"]), parse_finite(row["t"])),
     )
     omega, t = np.array(sorted(rows)).T
-    if kind == "intensity":
-        return FilterProfile.from_intensity(omega, t)
-    return FilterProfile(omega, t)
+    repeated = omega[1:][np.diff(omega) == 0.0]
+    if repeated.size:
+        raise InvalidInputError(f"{path}: filter CSV has a duplicate omega {float(repeated[0])!r}")
+    build = FilterProfile.from_intensity if kind == "intensity" else FilterProfile
+    return _from_file(path, build, omega, t)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,14 +111,46 @@ class TestConversionMatrix:
         assert np.all(M >= -1e-15)
 
     def test_both_clicked_row_is_nonnegative_on_a_random_grid(self):
-        # 1 - no_t - no_r + none cancels to about -1e-16 on many cells that
-        # are 0 or nearly; an exact_counts table n_m K p must still be
-        # nonnegative for check_counts.
+        # Cells that are 0 or nearly must not round below 0: an
+        # exact_counts table n_m K p reaches check_counts unclipped.
         rng = np.random.default_rng(2803)
         for T, eta_t, eta_r in rng.uniform(0.0, 1.0, (20000, 3)):
             M = conversion_matrix(T, eta_t, eta_r, n_max=3)
             assert M.min() >= 0.0, (T, eta_t, eta_r)
             assert np.abs(M.sum(axis=0) - 1.0).max() <= 1e-15, (T, eta_t, eta_r)
+
+    @pytest.mark.parametrize("eta", [1e-6, 1e-8])
+    @pytest.mark.parametrize("T", [0.5, 0.13])
+    def test_small_click_probabilities_keep_their_relative_accuracy(self, T, eta):
+        # At these efficiencies 1 - x^n - y^n + z^n cancels all but a few
+        # digits (at 1e-8 its old form read 2.2 times the both-click cell).
+        M = conversion_matrix(T, eta, 2 * eta, n_max=4)
+        pt, pr = T * eta, (1 - T) * 2 * eta
+        assert M[3, 2] == pytest.approx(2 * pt * pr, rel=1e-12, abs=0)
+        assert M[1, 2] == pytest.approx(pr * (2 - 2 * pt - pr), rel=1e-12, abs=0)
+        assert M[2, 2] == pytest.approx(pt * (2 - 2 * pr - pt), rel=1e-12, abs=0)
+        assert M[1, 1] == pytest.approx(pr, rel=1e-12) and M[3, 1] == 0.0
+        assert M[2, 1] == pytest.approx(pt, rel=1e-12)
+        # Every cell against the exact rational forms of the same inputs.
+        exact_pt = Fraction(T) * Fraction(eta)
+        exact_pr = (1 - Fraction(T)) * Fraction(2 * eta)
+        x, y, z = 1 - exact_pt, 1 - exact_pr, 1 - exact_pt - exact_pr
+        for n in range(5):
+            exact = (z**n, x**n - z**n, y**n - z**n, 1 - x**n - y**n + z**n)
+            for row, value in enumerate(exact):
+                assert M[row, n] == pytest.approx(float(value), rel=1e-12, abs=0), (row, n)
+        assert np.abs(M.sum(axis=0) - 1.0).max() <= 1e-15
+        assert M.min() >= 0.0
+
+    def test_splitter_and_detector_extremes(self):
+        # Every photon at one unit-efficiency detector, or all lost.
+        for T, eta_t, eta_r in ((1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (0.3, 1.0, 1.0),
+                                (0.5, 0.0, 0.0), (0.1, 1.0, 1.0)):
+            M = conversion_matrix(T, eta_t, eta_r, n_max=4)
+            assert np.all(np.isfinite(M)) and M.min() >= 0.0
+            assert np.abs(M.sum(axis=0) - 1.0).max() <= 1e-15
+        np.testing.assert_array_equal(conversion_matrix(1.0, 1.0, 1.0, 3)[2], [0, 1, 1, 1])
+        np.testing.assert_array_equal(conversion_matrix(0.5, 0.0, 0.0, 3)[0], [1, 1, 1, 1])
 
 
 class TestNoiseMatrix:

@@ -66,6 +66,22 @@ class TestJsdCsv:
         with pytest.raises(InvalidInputError, match="duplicate or missing lattice points"):
             read_jsd_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0]],
+         "JSD CSV does not cover a complete rectangular lattice"),
+        ([[0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 2, 0]],
+         "JSD CSV has duplicate or missing lattice points"),
+        ([[w_s, w_i, 1, 0] for w_s in (0, 1, 3) for w_i in (0, 1)], "axis_s is not uniform"),
+        ([[w_s, w_i, 0, 0] for w_s in (0, 1) for w_i in (0, 1)], "JSD has zero or non-finite norm"),
+    ])
+    def test_lattice_and_axis_errors_name_the_file(self, tmp_path, rows, message):
+        path = tmp_path / "jsd.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["omega_s", "omega_i", "re", "im"]] + rows)
+        with pytest.raises(InvalidInputError) as info:
+            read_jsd_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("column, value, line", [("re", "nan", 3), ("im", "nan", 4),
                                                      ("re", "inf", 5)])
     def test_non_finite_value_names_path_and_line(self, tmp_path, column, value, line):
@@ -109,6 +125,26 @@ class TestFilterCsv:
         filt = read_filter_csv(path)
         np.testing.assert_allclose(filt.omega, [0.0, 1.0, 2.0])
         np.testing.assert_allclose(filt.t, [0.1, 0.3, 0.5])
+
+    def test_duplicate_omega_is_reported_as_a_duplicate(self, tmp_path):
+        path = tmp_path / "filt.csv"
+        self._write(path, [0.0, 1.0, 1.0, 2.0], [0.1, 0.3, 0.3, 0.5])
+        with pytest.raises(InvalidInputError) as info:
+            read_filter_csv(path)
+        assert str(info.value) == f"{path}: filter CSV has a duplicate omega 1.0"
+
+    @pytest.mark.parametrize("omegas, ts, kind, message", [
+        ([0.0, 1.0, 3.0], [0.1, 0.3, 0.5], "amplitude", "filter axis is not uniform"),
+        ([0.0], [0.5], "amplitude", "filter axis must be a 1-D grid with at least 2 points"),
+        ([0.0, 1.0], [0.5, 1.5], "amplitude", "amplitude transmittance must lie in [0, 1]"),
+        ([0.0, 1.0], [0.5, -0.5], "intensity", "intensity transmittance must lie in [0, 1]"),
+    ])
+    def test_axis_and_value_errors_name_the_file(self, tmp_path, omegas, ts, kind, message):
+        path = tmp_path / "filt.csv"
+        self._write(path, omegas, ts)
+        with pytest.raises(InvalidInputError) as info:
+            read_filter_csv(path, kind)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):

@@ -459,7 +459,7 @@ class TestFactoredSegmentation:
             patch.setattr(jsd_module, "_low_rank_factor", recording_factor)
             fallback = segment(jsd, *filters)
         (factor,) = factors
-        assert factor is not None and factor[1].size > jsd_module._SKETCH_BLOCK
+        assert factor is not None and factor[0].shape[1] > jsd_module._SKETCH_BLOCK
         assert direct.singular_values is None and fallback.singular_values is None
         for name in ("q", "kappa"):
             assert getattr(fallback, name).tobytes() == getattr(direct, name).tobytes()
@@ -474,7 +474,7 @@ class TestFactoredSegmentation:
             FilterProfile.gauss(jsd.axis_s, 0.1, 0.7),
             FilterProfile.gauss(jsd.axis_i, -0.1, 1.5),
         )
-        assert seg.singular_values is None
+        assert seg.singular_values is None and seg.purity is None
         assert np.all(seg.q > 1e-2)
         _assert_matches_contract_oracles(seg)
 
@@ -539,15 +539,93 @@ def test_low_rank_factor_contract(chirp, monkeypatch):
     monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 1.0)
     jsd = gaussian_jsd(0.05, 0.24, math.pi / 4, n_s=256, n_i=256, span=10.0, chirp=chirp)
     f = jsd.scaled()
-    q, s, b, r = jsd_module._low_rank_factor(f)
+    q, b, r = jsd_module._low_rank_factor(f)
     assert r is f  # the residual is built in place of the grid's copy
-    rank = s.size
+    rank = q.shape[1]
     assert q.shape == (256, rank) and b.shape == (rank, 256)
     assert np.abs(q.conj().T @ q - np.eye(rank)).max() <= 1e-13
     assert np.linalg.norm(jsd.scaled() - q @ b - r) <= 1e-15
     assert np.linalg.norm(r) <= 1e-14
     full = np.linalg.svd(jsd.scaled(), compute_uv=False)
+    s = np.linalg.svd(b, compute_uv=False)  # those of Q B, as Q is orthonormal
     assert np.abs(s - full[:rank]).max() <= 1e-14 * full[0]
+
+
+def _record_linalg_calls(monkeypatch, *names):
+    """Patch the named np.linalg functions to record (name, last dimension
+    of the argument) of every call; returns the record."""
+    calls = []
+    for name in names:
+        def wrapped(a, *args, _name=name, _function=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a.shape[-1]))
+            return _function(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    return calls
+
+
+def test_a_block_that_sketches_roundoff_takes_a_second_qr(monkeypatch):
+    # Rank 40 of 48 with singular values from 1 down to 1e-15: the second
+    # block sketches mostly roundoff, which overlaps the first block so
+    # much that its Y† Y has an eigenvalue near 6e-5, too small for the
+    # Cholesky pass.
+    monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 1.0)
+    rng = np.random.default_rng(48040)
+    u = np.linalg.qr(rng.standard_normal((48, 40)))[0]
+    v = np.linalg.qr(rng.standard_normal((48, 40)))[0]
+    f = (u * np.geomspace(1.0, 1e-15, 40)) @ v.T
+    f /= np.linalg.norm(f)
+    calls = _record_linalg_calls(monkeypatch, "qr", "cholesky")
+    q, b, r = jsd_module._low_rank_factor(f.copy())
+    monkeypatch.undo()
+    assert calls == [("qr", 32), ("qr", 16), ("qr", 16)]
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+    assert np.linalg.norm(f - q @ b - r) <= 1e-15 and np.linalg.norm(r) <= 1e-14
+
+
+@pytest.fixture(scope="module", params=["chirped", "real"])
+def benchmark_kind_1024(request):
+    """The synthesis benchmark's two JSD kinds at n = 1024 (the real grid
+    is the rect kind's), each with filters of its kind."""
+    chirp = 80.0 if request.param == "chirped" else 0.0
+    jsd = gaussian_jsd(0.05, 0.24, math.pi / 4, n_s=1024, n_i=1024, span=10.0, chirp=chirp)
+    if request.param == "chirped":
+        filters = (FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
+                   FilterProfile.gauss(jsd.axis_i, -0.01, 0.15))
+    else:
+        filters = (FilterProfile.rect(jsd.axis_s, 0.0, 2.1 * 10.0 * math.sqrt(0.05**2 + 0.24**2) / 2),
+                   FilterProfile.rect(jsd.axis_i, 0.0, 0.2))
+    return jsd, filters
+
+
+class TestLowRankFactorAtBenchmarkSize:
+    def test_blocks_take_one_qr_and_a_cholesky_pass_and_end_at_the_rank(
+        self, benchmark_kind_1024, monkeypatch
+    ):
+        jsd, _ = benchmark_kind_1024
+        calls = _record_linalg_calls(monkeypatch, "qr", "cholesky")
+        q, b, r = jsd_module._low_rank_factor(jsd.scaled())
+        monkeypatch.undo()
+        widths = [width for name, width in calls if name == "qr"]
+        assert sum(widths) == q.shape[1] and len(widths) >= 2
+        assert [name for name, _ in calls] == ["qr"] + ["qr", "cholesky"] * (len(widths) - 1)
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-13
+        # Three whole blocks would be 96 columns; the last is cut to 8s.
+        assert q.shape[1] < 3 * jsd_module._SKETCH_BLOCK
+        assert q.shape[1] % jsd_module._SKETCH_BLOCK_STEP == 0
+        assert np.linalg.norm(r) <= 1e-14
+
+    def test_purity_and_lazy_singular_values(self, benchmark_kind_1024, monkeypatch):
+        jsd, filters = benchmark_kind_1024
+        full = np.linalg.svd(jsd.scaled(), compute_uv=False)
+        svds = _record_linalg_calls(monkeypatch, "svd")
+        seg = segment(jsd, *filters)
+        assert svds == [] and "singular_values" not in seg.__dict__
+        s = seg.singular_values
+        assert len(svds) == 1 and seg.singular_values is s
+        monkeypatch.undo()
+        assert not s.flags.writeable and s.size < 3 * jsd_module._SKETCH_BLOCK
+        assert np.abs(s - full[:s.size]).max() <= 1e-14 * full[0]
+        assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, sigma_plus, sigma_minus, span, chirp", [
@@ -556,8 +634,8 @@ def test_low_rank_factor_contract(chirp, monkeypatch):
     (128, 0.1, 0.2, 10.0, 100.0),
 ])
 def test_factored_route_matches_oracles_on_other_families(n, sigma_plus, sigma_minus, span, chirp):
-    # Two other families, on which the factor takes 192, 32 and 32 columns
-    # where the benchmark's grid takes 96: every quantity meets the oracles.
+    # Two other families, on which the factor takes 168, 32 and 32 columns
+    # where the benchmark's grid takes 88: every quantity meets the oracles.
     jsd = gaussian_jsd(sigma_plus, sigma_minus, math.pi / 4, n_s=n, n_i=n, span=span, chirp=chirp)
     seg = segment(
         jsd,

@@ -46,3 +46,15 @@ def test_heralded_bias_study_writes_one_noise_level(tmp_path):
         for rep in ("0", "1")
         for estimator in ("raw", "corrected", "reconstructed")
     ]
+
+
+def test_synthesis_stages_prints_both_kinds(capsys):
+    run_script("synthesis_stages.py", ["--n", "64", "--repeats", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["kind", "gaussian_jsd", "segment", "factor", "k_analytic",
+                                "columns", "segment_minflt"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["chirped", "rect"]
+    for row in rows:
+        assert all(float(value) >= 0.0 for value in row[1:5] + row[6:])
+        assert row[5] == "direct"  # n = 64 is below the factor's rank cap
