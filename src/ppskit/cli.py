@@ -55,7 +55,6 @@ from .jsd import (
     read_filter_csv,
     read_jsd_csv,
     schmidt_number_analytic,
-    schmidt_number_svd,
     segment,
     synthesize_pnd,
 )
@@ -220,6 +219,14 @@ _DETECTOR_KEYS = (
 )
 
 
+def _synthesis_inputs(cfg: RunConfig) -> tuple:
+    """The JSD, the signal and idler filters and the pump gain of ``cfg``."""
+    jsd = _build_jsd(cfg)
+    filt_s = _build_filter(cfg, "filter_s", jsd.axis_s)
+    filt_i = _build_filter(cfg, "filter_i", jsd.axis_i)
+    return jsd, filt_s, filt_i, PumpGain(cfg.get("gain", "xi_sq"))
+
+
 def _build_detectors(cfg: RunConfig) -> tuple[DetectorPair, DetectorPair, float]:
     """The reference detectors with the [detectors] keys the file sets put over them."""
     det_s, det_i = (
@@ -251,13 +258,7 @@ def _source_pnd(cfg: RunConfig, seed: int) -> PndMatrix:
     elif source == "random":
         pnd = random_pps_pnd(cfg.get("pnd", "p_g"), cfg.get("pnd", "seed", seed))
     elif source == "synthesize":
-        jsd = _build_jsd(cfg)
-        pnd = synthesize_pnd(
-            jsd,
-            _build_filter(cfg, "filter_s", jsd.axis_s),
-            _build_filter(cfg, "filter_i", jsd.axis_i),
-            PumpGain(cfg.get("gain", "xi_sq")),
-        )
+        pnd = synthesize_pnd(*_synthesis_inputs(cfg))
     else:
         raise ConfigError(
             f"key 'source' in [pnd] must be synthesize|csv|random, got {source!r}"
@@ -284,21 +285,17 @@ def _outdir(args) -> str:
 
 
 def cmd_jsd(cfg: RunConfig, args) -> int:
-    jsd = _build_jsd(cfg)
-    filt_s = _build_filter(cfg, "filter_s", jsd.axis_s)
-    filt_i = _build_filter(cfg, "filter_i", jsd.axis_i)
-    gain = PumpGain(cfg.get("gain", "xi_sq"))
+    jsd, filt_s, filt_i, gain = _synthesis_inputs(cfg)
     out = _outdir(args)
 
     seg = segment(jsd, filt_s, filt_i)
     pnd = pnd_from_segmentation(seg, gain)
     chars = characteristics(pnd)
 
-    # The factored route already holds sum(s^4) over the singular values of
-    # the scaled grid; k_analytic stays the independent O(n^3) Gram trace,
-    # which on a complex grid runs as two real products (Re and Im of A A^dag).
+    # Either route of segment holds sum(s^4) over the scaled grid's singular
+    # values; k_analytic stays the independent O(n^3) Gram trace.
     rows = [
-        ("k_svd", schmidt_number_svd(jsd) if seg.purity is None else 1.0 / seg.purity),
+        ("k_svd", 1.0 / seg.purity),
         ("k_analytic", schmidt_number_analytic(jsd)),
     ]
     rows += [(f"q{j + 1}", float(seg.q[j])) for j in range(4)]

@@ -102,7 +102,7 @@ class OutcomeProbs:
 
 @dataclass(frozen=True, eq=False)
 class CountRecord:
-    """Observed frequencies of the 16 outcomes for one setting.
+    """Observed frequencies of the 16 outcomes for setting index ``nu`` >= 0.
 
     ``f[a, b]`` counts trials with signal-pair outcome a and idler-pair
     outcome b in the status order above.  Every cell is finite.  Raw
@@ -124,6 +124,7 @@ class CountRecord:
         check_counts(f.reshape(-1), self.n_m, raw=not self.noise_corrected)
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "nu", check_count("nu", self.nu, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +132,8 @@ class SingleCountRecord:
     """Outcome counts of a single-mode measurement under one attenuator.
 
     ``f`` has length 4 for the two-detector layout or length 2 (no click,
-    click) when only the transmitted detector exists.  ``nu`` indexes the
-    attenuator in the model's ``gammas``.
+    click) when only the transmitted detector exists.  ``nu`` >= 0 indexes
+    the attenuator in the model's ``gammas``.
     """
 
     f: np.ndarray
@@ -146,6 +147,7 @@ class SingleCountRecord:
         check_counts(f, self.n_m)
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "nu", check_count("nu", self.nu, 0))
 
 
 def conversion_matrix(T: float, eta_t: float, eta_r: float, n_max: int = 2) -> np.ndarray:
@@ -160,8 +162,7 @@ def conversion_matrix(T: float, eta_t: float, eta_r: float, n_max: int = 2) -> n
     for name, value in (("T", T), ("eta_t", eta_t), ("eta_r", eta_r)):
         if not (0.0 <= value <= 1.0):
             raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
-    check_count("n_max", n_max, 0)
-    n_max = int(n_max)
+    n_max = check_count("n_max", n_max, 0)
     pt = T * eta_t          # per-photon click at the transmitted detector
     pr = (1.0 - T) * eta_r  # per-photon click at the reflected detector
     x, y = 1.0 - pt, 1.0 - pr  # per-photon miss at each detector

@@ -34,21 +34,22 @@ def is_whole(value) -> bool:
         return False
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """Raise InvalidInputError unless ``value`` is a whole number >= ``minimum``.
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; InvalidInputError unless it is a whole number >= ``minimum``.
 
     Integral floats such as 1e12 pass; fractions, NaN and infinities do not.
     """
     if not (is_whole(value) and value >= minimum):
         raise InvalidInputError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
 
 
 MAX_TRIALS = 2**63 - 1  # numpy's binomial draws count trials in int64
 
 
-def check_trials(name: str, value, minimum: int) -> None:
+def check_trials(name: str, value, minimum: int) -> int:
     """:func:`check_count` for a trial budget, which must also be at most
     ``MAX_TRIALS``, the largest a count draw can take."""
-    check_count(name, value, minimum)
-    if value > MAX_TRIALS:
+    if check_count(name, value, minimum) > MAX_TRIALS:
         raise InvalidInputError(f"{name} must be at most 2**63 - 1, got {value!r}")
+    return int(value)

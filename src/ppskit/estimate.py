@@ -95,8 +95,7 @@ class LikelihoodModel:
     def __post_init__(self):
         if not self.settings:
             raise InvalidInputError("model needs at least one setting")
-        check_count("n_max", self.n_max, 1)
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", check_count("n_max", self.n_max, 1))
         if self.det_s.gamma != 1.0 or self.det_i.gamma != 1.0:
             raise InvalidInputError(
                 "detector pairs of a model must have gamma = 1; put attenuators in settings"
@@ -158,8 +157,7 @@ class SingleModeModel:
             raise InvalidInputError("model needs at least one attenuator setting")
         if self.layout not in ("1d", "2d"):
             raise InvalidInputError(f"layout must be '1d' or '2d', got {self.layout!r}")
-        check_count("n_max", self.n_max, 1)
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", check_count("n_max", self.n_max, 1))
         if self.det.gamma != 1.0:
             raise InvalidInputError(
                 "the detector pair of a model must have gamma = 1; put attenuators in gammas"

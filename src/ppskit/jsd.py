@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -295,11 +295,11 @@ class Segmentation:
     ``kappa`` holds the branch effective mode numbers (1 for branches whose
     weight fell below :data:`EMPTY_SEGMENT_THRESHOLD`), and the remaining
     fields the pairwise exchange overlaps entering two-pair probabilities.
-    When :func:`segment` took the factored route, F = Q B + R with Q of
-    orthonormal columns, ``purity`` is sum(s_k^4) = ||B B^dag||_F^2 over
-    the singular values s_k of the factor Q B of the scaled grid (so 1 /
-    ``purity`` is its mode number), and ``singular_values`` are those s_k,
-    computed from B on first read.  On the direct route both are ``None``.
+    ``purity`` is sum(s_k^4) over the singular values s_k of the scaled
+    grid F (so 1 / ``purity`` is its mode number), from either route of
+    :func:`segment`.  On the factored route, F = Q B + R with Q of
+    orthonormal columns, ``singular_values`` are the s_k of Q B, computed
+    from B on first read; on the direct route they are ``None``.
 
     ``parts`` holds the renormalized branch amplitudes (``None`` for empty
     branches).  It is built from the JSD and filter amplitudes on first
@@ -313,7 +313,7 @@ class Segmentation:
     oy14: float
     oy23: float
     oc: complex
-    purity: float | None = None
+    purity: float
     _factor_b: np.ndarray | None = field(default=None, repr=False)
     _jsd: JsdGrid | None = field(default=None, repr=False)
     _branches: tuple = field(default=(), repr=False)
@@ -457,10 +457,9 @@ def _require_filter_axis(filt: FilterProfile, axis: np.ndarray, step: float, nam
         raise InvalidInputError(f"{name} filter axis does not match the JSD axis")
 
 
-def _signal_weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """F† D_w² F for the scaled grid F: an idler-indexed Gram."""
-    a = w[:, None] * f
-    return a.conj().T @ a
+def _gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X† D_w² X, with the weights w on the rows of X."""
+    return (x.conj().T * w**2) @ x
 
 
 def _norm(a: np.ndarray) -> float:
@@ -560,14 +559,13 @@ def _factored_traces(q, wx, b_y, pairs):
     Grams (B_t, B_r).  The SVD's U S and V† would give every M_j up to
     one r×r similarity.
     """
-    qh = q.conj().T
-    a_t, a_r = ((qh * w**2) @ q for w in wx)
+    a_t, a_r = (_gram(q, w) for w in wx)
     b_t, b_r = b_y
     m = (a_t @ b_r, a_r @ b_t, a_t @ b_t, a_r @ b_r)
     return {(i, j): complex(np.sum(m[i] * m[j].T)) for i, j in pairs}
 
 
-def _direct_traces(f, weights, pairs):
+def _direct_traces(h, wy, pairs):
     """tr(M_i M_j) of each pair from at most two n×n Gram products.
 
     Every branch amplitude is D_wx F D_wy, so M_j = H D_wy² with H_t =
@@ -575,16 +573,13 @@ def _direct_traces(f, weights, pairs):
     tr(M_i M_j) = wy_j² · (H_i ∘ H_jᵀ) · wy_i² is an O(n²) contraction of
     |H_t|², |H_r|² or H_t ∘ H_rᵀ.  The one pair with H_r first, oy23's
     tr(M_2 M_3), has ty² on both sides, so H_t ∘ H_rᵀ serves it too.
-    Each Gram is formed directly from its own weights, never as a
-    difference such as F† F - H_t, which would cost small branches their
-    relative accuracy; and only when a pair needs it.  The products are
+    ``h`` holds (H_t, H_r), each ``None`` where both its branches are
+    empty, and ``wy`` the idler amplitudes (t, r).  The products are
     formed one at a time, for peak memory.
     """
-    tx, rx, ty, ry = weights
+    ty, ry = wy
     wy2 = (ry**2, ty**2, ty**2, ry**2)
     side = (0, 1, 0, 1)  # the Gram of branch j: H_t or H_r
-    needed = {side[j] for pair in pairs for j in pair}
-    h = [_signal_weighted_gram(f, wx) if k in needed else None for k, wx in enumerate((tx, rx))]
     traces = {}
     for a, b in ((0, 0), (1, 1), (0, 1)):  # |H_t|², |H_r|², H_t ∘ H_rᵀ
         group = [(i, j) for i, j in pairs if {side[i], side[j]} == {a, b}]
@@ -614,14 +609,16 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     sqrt(wx²·|R|²·wy² / q_j) exceeds the branch error bound.  It forms at
     most two n×n Grams, F† D_tx² F and F† D_rx² F, and takes every trace
     from them in O(n²).  Both routes hand their traces to one map onto
-    the mode numbers and overlaps.  The factored route also records the
-    factor's purity, ||B B†||_F², from the two idler-weighted Grams of B
-    that its traces use.
+    the mode numbers and overlaps, and take the purity ||G_t + G_r||_F²
+    from the two Grams their traces read, B D_wy² B† or F† D_wx² F, whose
+    sum is B B† or F† F.  Each Gram is formed from its own weights, never
+    as a difference such as F† F - H_t, which would cost small branches
+    their relative accuracy.
     """
     _require_filter_axis(filt_s, jsd.axis_s, jsd.step_s, "signal")
     _require_filter_axis(filt_i, jsd.axis_i, jsd.step_i, "idler")
 
-    tx, rx, ty, ry = weights = (filt_s.t, filt_s.r, filt_i.t, filt_i.r)
+    tx, rx, ty, ry = filt_s.t, filt_s.r, filt_i.t, filt_i.r
     branches = ((tx, ry), (rx, ty), (tx, ty), (rx, ry))
 
     # Every q_j and branch error is wx²·|X|²·wy² for X = F or R.  The real
@@ -652,18 +649,22 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
         live & (branch_sums(factor[2]) > _BRANCH_ERROR_BOUND**2 * q)
     ):
         factor = None
-    purity = b = None
     if factor is None:
-        traces = partial(_direct_traces, jsd.scaled(), weights)
+        b, f = None, jsd.scaled()
+        # H_t (branches 0, 2) or H_r (1, 3), each only for a live branch; a
+        # side left out weighs below 2e-15, a roundoff in the purity.
+        grams = [_gram(f, w) if live[k::2].any() else None for k, w in enumerate((tx, rx))]
+        del f
+        traces = partial(_direct_traces, grams, (ty, ry))
     else:
         qf, b = factor[:2]
         del factor  # frees the residual
         b.setflags(write=False)
-        bh = b.conj().T
-        b_y = tuple((b * w**2) @ bh for w in (ty, ry))
-        gram = b_y[0] + b_y[1]  # B B†, since t² + r² = 1
-        purity = float(np.vdot(gram, gram).real)
-        traces = partial(_factored_traces, qf, (tx, rx), b_y)
+        grams = [_gram(b.conj().T, w) for w in (ty, ry)]
+        traces = partial(_factored_traces, qf, (tx, rx), grams)
+    gram = reduce(np.add, [g for g in grams if g is not None])  # t² + r² = 1
+    purity = float(np.vdot(gram, gram).real)
+    del gram
     kappa, ox13, ox24, oy14, oy23, oc = _segment_quantities(traces, q, live)
 
     return Segmentation(

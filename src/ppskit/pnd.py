@@ -95,6 +95,15 @@ class CharacteristicSet:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
+def _check_n_max(n_max, minimum: int) -> int:
+    """``n_max`` as an int: a whole number >= ``minimum`` whose (n_max + 1)²
+    float64 cells numpy can count."""
+    n_max = check_count("n_max", n_max, minimum)
+    if (n_max + 1) ** 2 > _MAX_CELLS:
+        raise InvalidInputError(f"n_max must be at most {math.isqrt(_MAX_CELLS) - 1}, got {n_max}")
+    return n_max
+
+
 def tmsv_pnd(mu: float, n_max: int = 2) -> PndMatrix:
     """Two-mode squeezed vacuum: diagonal thermal distribution (1-mu) mu^j.
 
@@ -103,12 +112,7 @@ def tmsv_pnd(mu: float, n_max: int = 2) -> PndMatrix:
     """
     if not (0.0 <= mu < 1.0):
         raise InvalidInputError(f"mu must lie in [0, 1), got {mu}")
-    check_count("n_max", n_max, 1)
-    n_max = int(n_max)
-    if (n_max + 1) ** 2 > _MAX_CELLS:
-        raise InvalidInputError(
-            f"n_max must be at most {math.isqrt(_MAX_CELLS) - 1}, got {n_max!r}"
-        )
+    n_max = _check_n_max(n_max, 1)
     p = np.zeros((n_max + 1, n_max + 1))
     for j in range(n_max + 1):
         p[j, j] = (1.0 - mu) * mu**j
@@ -123,8 +127,7 @@ def loss_matrix(T, n_max: int = 2) -> np.ndarray:
     """
     if not (0.0 <= T <= 1.0):
         raise InvalidInputError(f"transmittance must lie in [0, 1], got {T}")
-    check_count("n_max", n_max, 0)
-    size = int(n_max) + 1
+    size = _check_n_max(n_max, 0) + 1
     L = np.zeros((size, size))
     for m in range(size):
         for n in range(m + 1):

@@ -85,8 +85,7 @@ def multinomial_counts(n: int, probs: np.ndarray, rng: np.random.Generator) -> n
     counts are those of drawing it alone, next.  Returns int64 counts of
     ``probs``' shape; every row totals exactly n.
     """
-    check_trials("n", n, 0)
-    return rng.multinomial(int(n), outcome_rows(probs))
+    return rng.multinomial(check_trials("n", n, 0), outcome_rows(probs))
 
 
 def outcome_rows(probs) -> np.ndarray:

@@ -164,8 +164,7 @@ def _draw_counts(model, truths: np.ndarray, n_m: int, rngs) -> np.ndarray:
 def _draw_records(model, truth, n_m: int, rng) -> list:
     """One record per setting of ``model``: expected counts if ``rng`` is
     None, else sampled from it (see :func:`_draw_counts`)."""
-    check_trials("n_m", n_m, 0)
-    n_m = int(n_m)
+    n_m = check_trials("n_m", n_m, 0)
     F = _draw_counts(model, _cells(truth).reshape(1, -1), n_m, None if rng is None else [rng])[0]
     if isinstance(model, est.LikelihoodModel):
         return [CountRecord(f.reshape(4, 4), n_m, nu=nu) for nu, f in enumerate(F)]

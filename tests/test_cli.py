@@ -129,9 +129,10 @@ class TestJsdCommand:
 
     def test_factored_route_gives_k_svd_without_a_grid_svd(self, tmp_path, monkeypatch):
         def no_svd(jsd):
-            raise AssertionError("schmidt_number_svd called on the factored route")
+            raise AssertionError("schmidt_number_svd called by ppskit jsd")
 
-        monkeypatch.setattr(cli, "schmidt_number_svd", no_svd)
+        # raising=False: cli no longer imports the name, but a spy there still counts.
+        monkeypatch.setattr(cli, "schmidt_number_svd", no_svd, raising=False)
         monkeypatch.setattr(jsd_module, "schmidt_number_svd", no_svd)
         text = (
             JSD_SECTIONS.replace("n_s = 96", "n_s = 512").replace("n_i = 96", "n_i = 512")
@@ -145,6 +146,20 @@ class TestJsdCommand:
         report = read_report(out / "report.csv")
         assert float(report["k_svd"]) == pytest.approx(float(report["k_analytic"]), rel=1e-12)
         assert all(float(report[f"q{j}"]) > 1e-2 for j in range(1, 5))
+        # With no columns allowed, the factor gives up and the direct route runs.
+        direct = []
+        direct_traces = jsd_module._direct_traces
+
+        def recording_traces(*args):
+            direct.append(args)
+            return direct_traces(*args)
+
+        monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 0.0)
+        monkeypatch.setattr(jsd_module, "_direct_traces", recording_traces)
+        assert cli.main(["jsd", "--config", config, "--out", str(tmp_path / "direct")]) == 0
+        assert len(direct) == 1
+        report = read_report(tmp_path / "direct" / "report.csv")
+        assert float(report["k_svd"]) == pytest.approx(float(report["k_analytic"]), rel=1e-12)
 
     def test_unknown_key_rejected_with_name(self, tmp_path, capsys):
         config = write_config(tmp_path, "[jsd]\nsource = gaussian\nwobble = 3\n")

@@ -432,6 +432,7 @@ class TestFactoredSegmentation:
         assert 1e-11 < seg.q[2] < 1e-10
         assert seg.singular_values is None
         _assert_matches_contract_oracles(seg)
+        assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
 
     def test_rejected_factor_leaves_the_grid_for_the_direct_route(
         self, chirped_jsd_512, monkeypatch
@@ -474,7 +475,8 @@ class TestFactoredSegmentation:
             FilterProfile.gauss(jsd.axis_s, 0.1, 0.7),
             FilterProfile.gauss(jsd.axis_i, -0.1, 1.5),
         )
-        assert seg.singular_values is None and seg.purity is None
+        assert seg.singular_values is None
+        assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
         assert np.all(seg.q > 1e-2)
         _assert_matches_contract_oracles(seg)
 
@@ -488,18 +490,42 @@ class TestFactoredSegmentation:
             FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
         )
         grams = []
-        signal_weighted_gram = jsd_module._signal_weighted_gram
+        gram = jsd_module._gram
 
-        def counting_gram(f, w):
+        def counting_gram(x, w):
             grams.append(w)
-            return signal_weighted_gram(f, w)
+            return gram(x, w)
 
         monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 0.0)
-        monkeypatch.setattr(jsd_module, "_signal_weighted_gram", counting_gram)
+        monkeypatch.setattr(jsd_module, "_gram", counting_gram)
         seg = segment(jsd, *filters)
         assert seg.singular_values is None
         assert np.all(seg.q > 1e-2) and len(grams) == 2
         _assert_matches_contract_oracles(seg)
+        assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
+
+    def test_direct_route_purity_from_one_gram(self, chirped_jsd_512, monkeypatch):
+        # A signal filter that passes the whole axis leaves both reflected
+        # signal branches empty: only F† D_tx² F is formed, and it is F† F.
+        jsd = chirped_jsd_512
+        grams = []
+        gram = jsd_module._gram
+
+        def counting_gram(x, w):
+            grams.append(w)
+            return gram(x, w)
+
+        monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 0.0)
+        monkeypatch.setattr(jsd_module, "_gram", counting_gram)
+        seg = segment(
+            jsd,
+            FilterProfile.all_pass(jsd.axis_s),
+            FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
+        )
+        assert seg.singular_values is None
+        assert seg.q[1] == seg.q[3] == 0.0 and len(grams) == 1
+        _assert_matches_contract_oracles(seg)
+        assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
 
     def test_segmentation_is_deterministic(self, chirped_jsd_512):
         jsd = chirped_jsd_512

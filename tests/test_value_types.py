@@ -76,6 +76,11 @@ BAD_VALUES = {
     "bootstrap-n_boot-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2.5, 10),
     "count-record-n_m-fraction": lambda: CountRecord(np.full((4, 4), 2.0), 32.5),
     "single-record-n_m-fraction": lambda: SingleCountRecord(np.array([6.0, 1.0, 2.0, 1.0]), 10.5),
+    "count-record-nu-fraction": lambda: CountRecord(np.full((4, 4), 2.0), 32, nu=1.5),
+    "count-record-nu-negative": lambda: CountRecord(np.full((4, 4), 2.0), 32, nu=-1),
+    "single-record-nu-fraction": lambda: SingleCountRecord(
+        np.array([6.0, 1.0, 2.0, 1.0]), 10, nu=0.5
+    ),
     "rect-width-nan": lambda: FilterProfile.rect(AXIS, 0.0, math.nan),
     "rect-width-negative": lambda: FilterProfile.rect(AXIS, 0.0, -0.5),
     "rect-center-nan": lambda: FilterProfile.rect(AXIS, math.nan, 0.5),
@@ -93,6 +98,7 @@ BAD_VALUES = {
     "tmsv-n_max-fraction": lambda: tmsv_pnd(0.1, 2.5),
     "tmsv-n_max-huge": lambda: tmsv_pnd(0.01, 1e300),
     "loss-n_max-negative": lambda: loss_matrix(0.5, n_max=-1),
+    "loss-n_max-huge": lambda: loss_matrix(0.5, n_max=1e300),
     "conversion-n_max-fraction": lambda: conversion_matrix(0.5, 0.5, 0.5, 2.5),
 }
 
@@ -127,3 +133,15 @@ def test_integral_float_n_max_fits_like_an_int():
     fit = ml_estimate(records, as_float)
     assert fit.converged
     assert fit.p_hat.p.tobytes() == ml_estimate(records, as_int).p_hat.p.tobytes()
+
+
+def test_integral_float_nu_fits_like_an_int():
+    config = ExperimentConfig(_pnd(), *reference_detectors(), settings=((1.0, 1.0), (0.5, 0.5)))
+    first, second = simulate_records(config)
+    as_float = CountRecord(second.f, second.n_m, nu=1.0)
+    assert as_float.nu == 1 and isinstance(as_float.nu, int)
+    fit = ml_estimate([first, as_float], config.model)
+    assert fit.converged
+    assert fit.p_hat.p.tobytes() == ml_estimate([first, second], config.model).p_hat.p.tobytes()
+    single = SingleCountRecord(np.array([6.0, 1.0, 2.0, 1.0]), 10, nu=1.0)
+    assert single.nu == 1 and isinstance(single.nu, int)
