@@ -4,7 +4,9 @@
 The ``chirped`` kind is a complex Gaussian JSD (chirp 80) with Gaussian
 filters, so all four branches are live; the ``rect`` kind is the same
 JSD without chirp (a real grid) with a signal filter that passes the
-whole axis and a narrow idler slit, so two branches are empty.  For each
+whole axis and a narrow idler slit, so two branches are empty.  Both
+JSDs are rotated by ``--theta-deg`` (45 by default, the benchmark's
+angle, where the chirp is a product of one phase per axis).  For each
 kind the script times, in process, ``gaussian_jsd``, ``segment``, the
 low-rank factor that ``segment`` runs (on a fresh copy of the scaled
 grid) and ``schmidt_number_analytic``, and prints the median of each
@@ -13,7 +15,7 @@ the grid takes the direct route) and the median of the minor page
 faults (``ru_minflt``) that one ``segment`` call takes.
 
 Example:
-    python3 scripts/synthesis_stages.py --n 1024 --repeats 7
+    python3 scripts/synthesis_stages.py --n 1024 --repeats 7 --theta-deg 30
 """
 
 import argparse
@@ -29,16 +31,17 @@ from ppskit.jsd import FilterProfile, gaussian_jsd, schmidt_number_analytic, seg
 SIGMA_PLUS, SIGMA_MINUS, SPAN = 0.05, 0.24, 10.0
 
 
-def make_kind(kind: str, n: int):
+def make_kind(kind: str, n: int, theta: float):
     """The kind's JSD (built once) and its filters."""
     chirp = 80.0 if kind == "chirped" else 0.0
-    jsd = gaussian_jsd(SIGMA_PLUS, SIGMA_MINUS, math.pi / 4, n, n, SPAN, chirp=chirp)
+    jsd = gaussian_jsd(SIGMA_PLUS, SIGMA_MINUS, theta, n, n, SPAN, chirp=chirp)
     if kind == "chirped":
         filters = (FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
                    FilterProfile.gauss(jsd.axis_i, -0.01, 0.15))
     else:
-        std_x = math.sqrt((SIGMA_PLUS**2 + SIGMA_MINUS**2) / 4.0)
-        filters = (FilterProfile.rect(jsd.axis_s, 0.0, 2.1 * SPAN * std_x),
+        # 5% wider than the signal axis, so it passes all of it.
+        width = 1.05 * (jsd.axis_s[-1] - jsd.axis_s[0])
+        filters = (FilterProfile.rect(jsd.axis_s, 0.0, width),
                    FilterProfile.rect(jsd.axis_i, 0.0, 0.2))
     return chirp, jsd, filters
 
@@ -53,9 +56,9 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(kind: str, n: int, repeats: int) -> dict:
-    chirp, jsd, filters = make_kind(kind, n)
-    build_jsd = partial(gaussian_jsd, SIGMA_PLUS, SIGMA_MINUS, math.pi / 4, n, n, SPAN, chirp=chirp)
+def measure(kind: str, n: int, repeats: int, theta: float) -> dict:
+    chirp, jsd, filters = make_kind(kind, n, theta)
+    build_jsd = partial(gaussian_jsd, SIGMA_PLUS, SIGMA_MINUS, theta, n, n, SPAN, chirp=chirp)
     times = {"gaussian_jsd": [], "segment": [], "factor": [], "k_analytic": []}
     faults = []
     for _ in range(repeats):
@@ -78,13 +81,16 @@ def main(argv=None) -> None:
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--kinds", nargs="+", default=["chirped", "rect"],
                         choices=["chirped", "rect"])
+    parser.add_argument("--theta-deg", type=float, default=45.0,
+                        help="rotation of the JSD's correlation axes, in degrees")
     args = parser.parse_args(argv)
 
-    print(f"n = {args.n}, medians of {args.repeats} in-process calls (ms)")
+    print(f"n = {args.n}, theta = {args.theta_deg:g} deg,"
+          f" medians of {args.repeats} in-process calls (ms)")
     print(f"{'kind':<8} {'gaussian_jsd':>12} {'segment':>8} {'factor':>8} {'k_analytic':>10}"
           f" {'columns':>8} {'segment_minflt':>14}")
     for kind in args.kinds:
-        row = measure(kind, args.n, args.repeats)
+        row = measure(kind, args.n, args.repeats, math.radians(args.theta_deg))
         print(f"{kind:<8} {row['gaussian_jsd']:>12.2f} {row['segment']:>8.2f} {row['factor']:>8.2f}"
               f" {row['k_analytic']:>10.2f} {row['columns']!s:>8} {row['segment_minflt']:>14g}")
 

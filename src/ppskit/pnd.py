@@ -79,7 +79,15 @@ def checked_cells(p: np.ndarray, subnormalized: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CharacteristicSet:
-    """Source figures of merit computed from a PND matrix."""
+    """Source figures of merit computed from a PND matrix.
+
+    Every field is finite.  A figure whose denominator is 0 is undefined,
+    and so are g2 (over P_1^2) and gh2 (over P11^2) wherever that square
+    is below the smallest normal float (``np.finfo(float).tiny``), so no
+    ratio can overflow: :func:`characteristics` raises
+    ``UndefinedCharacteristicError`` for such a matrix, and
+    :func:`characteristics_many` returns NaN and flags it.
+    """
 
     p_g: float
     eta_H_s: float
@@ -171,11 +179,16 @@ _UNDEFINED = (
     None,
     "heralding bound undefined: no photons on one of the modes",
     "heralding bound undefined: no photons on one of the modes",
-    "truncated g2 undefined: P_1 is zero",
-    "truncated g2 undefined: P_1 is zero",
-    "gh2 undefined: P11 is zero",
-    "gh2 undefined: P11 is zero",
+    "truncated g2 undefined: P_1 is zero or its square underflows",
+    "truncated g2 undefined: P_1 is zero or its square underflows",
+    "gh2 undefined: P11 is zero or its square underflows",
+    "gh2 undefined: P11 is zero or its square underflows",
 )
+
+# g2 and gh2 are defined only where their squared denominator is at least
+# the smallest normal float: every numerator is at most 2, so no defined
+# ratio can overflow.
+_TINY = np.finfo(float).tiny
 
 
 def _ratio(num, den, defined) -> np.ndarray:
@@ -189,18 +202,18 @@ def _squared(x) -> np.ndarray:
 
 
 def _g2_truncated(p1, p2) -> np.ndarray:
-    """2 P_2 / P_1^2 of every marginal; NaN where P_1 (or its square) is 0."""
+    """2 P_2 / P_1^2 of every marginal; NaN where P_1 is 0 or P_1^2 < _TINY."""
     square = _squared(p1)
-    return _ratio(2.0 * p2, square, (p1 > 0.0) & (square > 0.0))
+    return _ratio(2.0 * p2, square, (p1 > 0.0) & (square >= _TINY))
 
 
 def _gh2(p) -> np.ndarray:
     """2 (P21 + P22)(P01 + P11) / P11^2 of every matrix of a stack;
-    NaN where P11 (or its square) is 0."""
+    NaN where P11 is 0 or P11^2 < _TINY."""
     p11 = p[..., 1, 1]
     square = _squared(p11)
     pairs = 2.0 * (p[..., 2, 1] + p[..., 2, 2]) * (p[..., 0, 1] + p[..., 1, 1])
-    return _ratio(pairs, square, (p11 > 0.0) & (square > 0.0))
+    return _ratio(pairs, square, (p11 > 0.0) & (square >= _TINY))
 
 
 def characteristics_many(p) -> tuple[np.ndarray, np.ndarray]:

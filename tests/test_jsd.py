@@ -104,6 +104,16 @@ class TestRealifiedGram:
         jsd = gaussian_jsd(0.05, 0.24, math.pi / 4, n_s=96, n_i=96, span=10.0, chirp=80.0)
         self._assert_mode_number(jsd)
 
+    @pytest.mark.parametrize("shape", [(200, 130), (130, 200), (300, 300)])
+    def test_tiled_trace_with_partial_tiles(self, rng, shape):
+        # 130, 200 and 300 rows leave a partial last tile of tr(M²).
+        self._assert_mode_number(random_jsd(rng, *shape))
+
+    def test_tiled_trace_on_the_benchmark_grid_at_30_degrees(self):
+        # At 30° the chirp is not a product of one phase per axis, so Im(AA†) ≠ 0.
+        jsd = gaussian_jsd(0.05, 0.24, math.radians(30), n_s=1024, n_i=1024, span=10.0, chirp=80.0)
+        self._assert_mode_number(jsd)
+
     def test_rotated_real_grid_matches_the_real_grid(self):
         # A global phase cancels in A A^dag, so its imaginary part is 0.
         real = gaussian_jsd(0.3, 0.9, theta=0.3, n_s=48, n_i=64)
@@ -114,7 +124,7 @@ class TestRealifiedGram:
 
 def meshgrid_gaussian_jsd(sigma_plus, sigma_minus, theta, n_s, n_i, span, chirp):
     """gaussian_jsd's amplitude from the formula on two meshgrid arrays: the
-    reference that its in-place build must match byte for byte."""
+    reference that its chirp-free build must match byte for byte."""
     c, s = math.cos(theta), math.sin(theta)
     std_x = math.sqrt((c**2 * sigma_plus**2 + s**2 * sigma_minus**2) / 2.0)
     std_y = math.sqrt((s**2 * sigma_plus**2 + c**2 * sigma_minus**2) / 2.0)
@@ -131,18 +141,60 @@ def meshgrid_gaussian_jsd(sigma_plus, sigma_minus, theta, n_s, n_i, span, chirp)
     return JsdGrid(amp, axis_s, axis_i)
 
 
+def assert_near_longdouble_formula(grid, sigma_plus, sigma_minus, theta, chirp):
+    """|grid - f| <= 16 eps max|f| entrywise, for f the normalized formula
+    evaluated in np.longdouble on the grid's own axes."""
+    ld = np.longdouble
+    c, s = np.cos(ld(theta)), np.sin(ld(theta))
+    x, y = grid.axis_s.astype(ld)[:, None], grid.axis_i.astype(ld)[None, :]
+    u = c * x + s * y
+    v = -s * x + c * y
+    magnitude = np.exp(-(u**2) / (2 * ld(sigma_plus) ** 2) - v**2 / (2 * ld(sigma_minus) ** 2))
+    phase = ld(chirp) * u * v
+    re, im = magnitude * np.cos(phase), magnitude * np.sin(phase)
+    norm = np.sqrt(np.sum(re**2 + im**2) * ld(grid.step_s) * ld(grid.step_i))
+    re, im = re / norm, im / norm
+    error = np.hypot(grid.values.real - re, grid.values.imag - im).max()
+    assert error <= 16 * np.finfo(float).eps * np.hypot(re, im).max()
+
+
 class TestGaussianJsdBytes:
-    @pytest.mark.parametrize("n_s, n_i", [(72, 48), (48, 72)])
+    # 48 and 200 idler points leave a partial last block of the phase tables.
+    @pytest.mark.parametrize("n_s, n_i", [(72, 48), (48, 72), (160, 200)])
     @pytest.mark.parametrize("theta", [math.pi / 4, 0.3])
-    @pytest.mark.parametrize("chirp", [0.0, 80.0])
+    @pytest.mark.parametrize("chirp", [0.0, 80.0, -40.0, 120.0])
     def test_grid_bytes_match_the_meshgrid_formula(self, chirp, theta, n_s, n_i):
+        # A chirp-free grid is pinned byte for byte.  A chirped one is built
+        # from phase tables, so it and the float64 formula are each held to
+        # a few ulps of the peak of the longdouble formula instead.
         args = (0.05, 0.24, theta, n_s, n_i, 10.0, chirp)
         grid, reference = gaussian_jsd(*args), meshgrid_gaussian_jsd(*args)
         assert grid.values.dtype == reference.values.dtype
         assert grid.values.dtype == (np.complex128 if chirp else np.float64)
-        assert grid.values.tobytes() == reference.values.tobytes()
         assert grid.axis_s.tobytes() == reference.axis_s.tobytes()
         assert grid.axis_i.tobytes() == reference.axis_i.tobytes()
+        if chirp:
+            for built in (grid, reference):
+                assert_near_longdouble_formula(built, 0.05, 0.24, theta, chirp)
+        else:
+            assert grid.values.tobytes() == reference.values.tobytes()
+
+    @pytest.mark.parametrize("route", ["factored", "direct"])
+    @pytest.mark.parametrize("theta_deg", [30, 45])
+    def test_segment_agrees_with_the_meshgrid_grid(self, theta_deg, route, monkeypatch):
+        args = (0.05, 0.24, math.radians(theta_deg), 512, 512, 10.0, 80.0)
+        grids = gaussian_jsd(*args), meshgrid_gaussian_jsd(*args)
+        if route == "direct":
+            monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 0.0)
+        built, reference = (
+            segment(g, FilterProfile.gauss(g.axis_s, 0.02, 0.3),
+                    FilterProfile.gauss(g.axis_i, -0.01, 0.15))
+            for g in grids
+        )
+        assert (built.singular_values is None) == (route == "direct")
+        for name in ("q", "kappa", "ox13", "ox24", "oy14", "oy23", "oc", "purity"):
+            a, b = np.asarray(getattr(built, name)), np.asarray(getattr(reference, name))
+            assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), name
 
 
 class TestGridValidation:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -316,22 +317,25 @@ class TestCharacteristics:
 def scalar_characteristics(p):
     """The per-matrix formulas that characteristics() used before the
     stacked kernel, with Python floats; raises as they raised, except that
-    a P_1 or P11 whose square underflows to 0 counts as 0 (the formulas
-    raised ZeroDivisionError there)."""
+    a P_1 or P11 whose square is below the smallest normal float counts as
+    0 (the formulas raised ZeroDivisionError at 0 and could overflow
+    below)."""
+    tiny = np.finfo(float).tiny
     both = float(p[1:, 1:].sum())
     idler_only, signal_only = float(p[0, 1:].sum()), float(p[1:, 0].sum())
     if both + idler_only <= 0.0 or both + signal_only <= 0.0:
         raise UndefinedCharacteristicError("heralding bound undefined: no photons on one of the modes")
     g2 = []
     for pv in (p.sum(axis=1), p.sum(axis=0)):
-        if pv[1] <= 0.0 or float(pv[1]) ** 2 == 0.0:
-            raise UndefinedCharacteristicError("truncated g2 undefined: P_1 is zero")
+        if pv[1] <= 0.0 or float(pv[1]) ** 2 < tiny:
+            raise UndefinedCharacteristicError(
+                "truncated g2 undefined: P_1 is zero or its square underflows")
         g2.append(2.0 * float(pv[2]) / float(pv[1]) ** 2)
     gh2 = []
     for q in (p, p.T):
         p11 = float(q[1, 1])
-        if p11 <= 0.0 or p11**2 == 0.0:
-            raise UndefinedCharacteristicError("gh2 undefined: P11 is zero")
+        if p11 <= 0.0 or p11**2 < tiny:
+            raise UndefinedCharacteristicError("gh2 undefined: P11 is zero or its square underflows")
         gh2.append(2.0 * float(q[2, 1] + q[2, 2]) * float(q[0, 1] + q[1, 1]) / p11**2)
     return [float(p[1, 1]), both / (idler_only + both), both / (signal_only + both), *g2, *gh2]
 
@@ -399,6 +403,21 @@ class TestCharacteristicsMany:
         assert undefined.tolist() == [True, True]
         assert np.isnan(values[0, 1:]).all()  # p_g is the (empty) cell itself
         assert np.isnan(values[1, 5:]).all() and not np.isnan(values[1, :5]).any()
+
+    def test_a_ratio_that_would_overflow_is_undefined(self):
+        # P_1² = P11² = 1e-320 is positive but subnormal: 2 P_2 / P_1² would
+        # be inf and gh2 2e157.
+        p = np.zeros((3, 3))
+        p[1, 1], p[2, 2] = 1e-160, 1e-3
+        p[0, 0] = 1.0 - p.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values, undefined = characteristics_many(p)
+        assert undefined and np.isnan(values[3:]).all() and not np.isnan(values[:3]).any()
+        with pytest.raises(UndefinedCharacteristicError, match="truncated g2 undefined"):
+            characteristics(PndMatrix(p))
+        with pytest.raises(UndefinedCharacteristicError, match="truncated g2 undefined"):
+            scalar_characteristics(p)
 
     def test_without_two_photon_cells_g2_and_gh2_are_undefined(self):
         p = np.array([[0.9, 0.05], [0.03, 0.02]])

@@ -1,11 +1,13 @@
 """Smoke runs of the study scripts at a tiny size."""
 
 import csv
+import math
 import pathlib
 import runpy
 
 import pytest
 
+from ppskit import jsd as jsd_module
 from ppskit.simulate import SWEEP_COLUMNS
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -58,3 +60,20 @@ def test_synthesis_stages_prints_both_kinds(capsys):
     for row in rows:
         assert all(float(value) >= 0.0 for value in row[1:5] + row[6:])
         assert row[5] == "direct"  # n = 64 is below the factor's rank cap
+
+
+@pytest.mark.parametrize("argv, theta_deg", [([], 45.0), (["--theta-deg", "30"], 30.0)])
+def test_synthesis_stages_rotates_both_kinds_by_theta(monkeypatch, capsys, argv, theta_deg):
+    thetas = []
+    build = jsd_module.gaussian_jsd
+
+    def recording_build(sigma_plus, sigma_minus, theta, *args, **kwargs):
+        thetas.append(theta)
+        return build(sigma_plus, sigma_minus, theta, *args, **kwargs)
+
+    monkeypatch.setattr(jsd_module, "gaussian_jsd", recording_build)
+    run_script("synthesis_stages.py", ["--n", "64", "--repeats", "1", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"n = 64, theta = {theta_deg:g} deg,")
+    assert [line.split()[0] for line in lines[2:]] == ["chirped", "rect"]
+    assert thetas and all(theta == math.radians(theta_deg) for theta in thetas)
