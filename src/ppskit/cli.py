@@ -39,13 +39,11 @@ from .estimate import (
     EstimateOptions,
     LikelihoodModel,
     _fit_stack,
+    _probs,
     _stack,
-    characterize,
     count_based_g2,
     count_based_gh2,
     count_based_pg_eta,
-    eml_estimate_many,
-    ml_estimate_many,
 )
 from .jsd import (
     FilterProfile,
@@ -355,17 +353,14 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _count_threshold_warnings(records, model, p_hat) -> list[str]:
-    warnings = []
-    min_expected = math.inf
-    for rec in records:
-        W = model.kernels[rec.nu] @ p_hat.p.reshape(-1)
-        min_expected = min(min_expected, float(W.min()) * rec.n_m)
-        if rec.f[3, 3] == 0:
-            warnings.append(
-                f"setting {rec.nu}: no all-click events observed; "
-                "two-photon cells are weakly constrained"
-            )
+def _count_threshold_warnings(records, W) -> list[str]:
+    """Warnings on ``records`` and their fitted outcome probabilities W."""
+    warnings = [
+        f"setting {rec.nu}: no all-click events observed; two-photon cells are weakly constrained"
+        for rec in records
+        if rec.f[3, 3] == 0
+    ]
+    min_expected = min(float(w.min()) * rec.n_m for rec, w in zip(records, W))
     if min_expected < 10:
         warnings.append(
             f"smallest expected outcome count is {min_expected:.3g} (< 10): "
@@ -392,9 +387,6 @@ def _counts_and_model(cfg: RunConfig, args):
     return records, info, model, method, rep_rate
 
 
-_ESTIMATORS = {"ml": ml_estimate_many, "eml": eml_estimate_many}
-
-
 def _estimate_options(cfg: RunConfig, args) -> EstimateOptions:
     """[estimate] fit options, shared by the estimate and every bootstrap refit."""
     fields = cfg.given("estimate", "n_starts", "max_iter", "seed")
@@ -403,26 +395,53 @@ def _estimate_options(cfg: RunConfig, args) -> EstimateOptions:
     return EstimateOptions(**fields)
 
 
+def _fit_counts(cfg, args, records, model, method, options, point: bool, boot: bool):
+    """Fit the file's counts (with ``point``) and their [bootstrap] draws
+    (with ``boot``) in one call of the batched core ``_fit_stack``.
+
+    The count stack (problems x records x outcomes) holds the file's own
+    counts first, then ``n_boot`` draws for every ``sample_sizes`` entry
+    in order, each record resampled at that size, or by default at its
+    own ``n_m``, and checked once per record column.  Each problem's fit
+    is bit-identical to its lone fit.  Returns the kernel stack K, the
+    fits and the trial total of one draw of each size.
+    """
+    seed, n_boot = _flagged(cfg, args, "bootstrap", "seed", 0), cfg.get("bootstrap", "n_boot", 100)
+    if boot and n_boot < 1:
+        raise ConfigError(f"key 'n_boot' in [bootstrap] must be at least 1, got {n_boot}")
+    K, F = _stack([records], model)  # every record must fit the model
+    stacks, totals = [F] if point else [], []
+    for size in (cfg.get("bootstrap", "sample_sizes", None) or (None,)) if boot else ():
+        n_ms = [rec.n_m if size is None else size for rec in records]
+        draws = [_resample(rec, n_boot, n_m, seed) for rec, n_m in zip(records, n_ms)]
+        stacks.append(np.stack(draws, axis=1))
+        for r, n_m in enumerate(n_ms):
+            check_counts(stacks[-1][:, r], n_m)
+        totals.append(sum(n_ms))
+    return K, _fit_stack(K, np.concatenate(stacks), model, options, eml=method == "eml"), totals
+
+
 def cmd_estimate(cfg: RunConfig, args) -> int:
     records, info, model, method, rep_rate = _counts_and_model(cfg, args)
     det_s, det_i = model.det_s, model.det_i
     options = _estimate_options(cfg, args)
-    fit = _ESTIMATORS[method]([records], model, options)[0]
+    boot = args.bootstrap or cfg.has("bootstrap")
+    K, fits, totals = _fit_counts(cfg, args, records, model, method, options, True, boot)
+    p_hat, converged = model.fitted(fits.p[0]), bool(fits.converged[0])
 
     out = _outdir(args)
     metadata = {
-        "loglik": f"{fit.loglik:.17g}",
-        "iterations": fit.iterations,
-        "converged": fit.converged,
+        "loglik": f"{fits.loglik[0]:.17g}",
+        "iterations": int(fits.steps[0]),
+        "converged": converged,
         "seed": options.seed,
         "model_hash": model.hash(),
         "method": method,
         "rows_per_setting": info["rows_per_setting"],
     }
-    write_pnd_csv(os.path.join(out, "pnd_hat.csv"), fit.p_hat, metadata)
+    write_pnd_csv(os.path.join(out, "pnd_hat.csv"), p_hat, metadata)
 
-    chars = characterize(fit)
-    rows = list(chars.as_dict().items())
+    rows = list(characteristics(p_hat).as_dict().items())
 
     rec0 = records[0]
     gamma_s, gamma_i = model.settings[rec0.nu]  # the attenuators rec0 was taken with
@@ -450,51 +469,34 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
         rows.append((f"S{j + 1}_per_second", S[j] / max(rec0.n_m, 1) * rep_rate))
     _write_report(os.path.join(out, "characteristics.csv"), rows)
 
-    for warning in _count_threshold_warnings(records, model, fit.p_hat):
+    for warning in _count_threshold_warnings(records, _probs(K, fits.p[0])):
         print(f"warning: {warning}", file=sys.stderr)
-    code = EXIT_OK
-    if args.bootstrap or cfg.has("bootstrap"):
-        code = _run_bootstrap(cfg, args, records, model, method, options, out)
-    if not fit.converged:
+    code = _write_bootstrap(fits.p[1:], fits.converged[1:], totals, model, out) if boot else EXIT_OK
+    if not converged:
         print("warning: estimator did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"wrote {out}/pnd_hat.csv and {out}/characteristics.csv")
     return code
 
 
-def _run_bootstrap(cfg, args, records, model, method, options, out) -> int:
-    """Resample every setting's record and refit each draw's records jointly.
+def _write_bootstrap(p, converged, totals, model, out) -> int:
+    """Summarize the refits' cells p and convergence, ``n_boot`` draws of
+    each sample size in turn, whose trial totals are ``totals``.
 
-    Each record is resampled at every ``sample_sizes`` entry, or by default
-    at its own ``n_m``.  The draws of one size stay one count stack (draws
-    x records x outcomes): checked once per record, refitted in one call
-    of the batched core ``_fit_stack`` and summarized over the
-    characteristics of every refit at once.  A draw whose refit did not
-    converge, or whose characteristics are undefined, counts in
-    ``n_fail``.  Returns the exit code: non-convergence, with no summary
-    written, when no refit of some size converged.
+    A draw whose refit did not converge, or whose characteristics are
+    undefined, counts in ``n_fail``.  Returns the exit code:
+    non-convergence, with no summary written, when no refit of some size
+    converged.
     """
-    seed = _flagged(cfg, args, "bootstrap", "seed", 0)
-    n_boot = cfg.get("bootstrap", "n_boot", 100)
-    if n_boot < 1:
-        raise ConfigError(f"key 'n_boot' in [bootstrap] must be at least 1, got {n_boot}")
-    sizes = cfg.get("bootstrap", "sample_sizes", None) or (None,)
-    K, _ = _stack([records], model)  # every record must fit the model
-    side = model.n_max + 1
-
-    rows = []
-    for size in sizes:
-        n_ms = [rec.n_m if size is None else size for rec in records]
-        F = np.stack([_resample(rec, n_boot, n_m, seed) for rec, n_m in zip(records, n_ms)], axis=1)
-        for r, n_m in enumerate(n_ms):
-            check_counts(F[:, r], n_m)
-        fits = _fit_stack(K, F, model, options, eml=method == "eml")
-        if not fits.converged.any():
-            print(f"error: none of the {n_boot} bootstrap refits converged", file=sys.stderr)
+    side, rows = model.n_max + 1, []
+    for cells, ok, n_trials in zip(p.reshape(len(totals), -1, side, side),
+                                   converged.reshape(len(totals), -1), totals):
+        if not ok.any():
+            print(f"error: none of the {len(ok)} bootstrap refits converged", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         # Undefined characteristics are NaN, which _summarize counts in n_fail.
-        values, _ = characteristics_many(fits.p.reshape(-1, side, side))
-        rows.extend(_summarize(CharacteristicSet.FIELDS, values, fits.converged, sum(n_ms)))
+        values, _ = characteristics_many(cells)
+        rows.extend(_summarize(CharacteristicSet.FIELDS, values, ok, n_trials))
     write_bootstrap_csv(os.path.join(out, "bootstrap_summary.csv"), rows)
     print(f"wrote {out}/bootstrap_summary.csv")
     return EXIT_OK
@@ -503,7 +505,8 @@ def _run_bootstrap(cfg, args, records, model, method, options, out) -> int:
 def cmd_bootstrap(cfg: RunConfig, args) -> int:
     records, _, model, method, _ = _counts_and_model(cfg, args)
     options = _estimate_options(cfg, args)
-    return _run_bootstrap(cfg, args, records, model, method, options, _outdir(args))
+    _, fits, totals = _fit_counts(cfg, args, records, model, method, options, False, True)
+    return _write_bootstrap(fits.p, fits.converged, totals, model, _outdir(args))
 
 
 _FLAGS = {

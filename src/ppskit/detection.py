@@ -26,9 +26,10 @@ from .errors import DataModelMismatchError, InvalidInputError, check_count
 from .pnd import PndMatrix
 from .tables import parse_int, read_table, write_table
 
-# Outcome indices of one mode pair in which a given detector clicked.
-T_CLICK = (2, 3)  # transmitted-port detector (D1 on signal, D3 on idler)
-R_CLICK = (1, 3)  # reflected-port detector (D2 on signal, D4 on idler)
+# In which of a mode's outcomes (XX, XO, OX, OO) its transmitted-port
+# detector (D1 on signal, D3 on idler, row 0) and its reflected-port
+# detector (D2, D4, row 1) clicked.
+_CLICKED = np.array([[False, False, True, True], [False, True, False, True]])
 
 
 @dataclass(frozen=True)
@@ -258,26 +259,15 @@ def noise_correct(
 # count marginals
 
 
-def detector_clicked_mask(detector: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks (rows, cols) of the 4x4 table where detector 1..4 clicked."""
-    if detector not in (1, 2, 3, 4):
-        raise InvalidInputError(f"detector index must be 1..4, got {detector}")
-    click = np.zeros(4, dtype=bool)
-    click[list(T_CLICK if detector in (1, 3) else R_CLICK)] = True
-    if detector <= 2:
-        return click, np.ones(4, dtype=bool)
-    return np.ones(4, dtype=bool), click
-
-
 def counts_with_clicks(f: np.ndarray, detectors) -> float:
     """Total counts of a 4 x 4 table in which every listed detector clicked."""
-    rows = np.ones(4, dtype=bool)
-    cols = np.ones(4, dtype=bool)
+    clicked = np.ones((2, 4), dtype=bool)  # signal outcomes (rows), idler outcomes (cols)
     for det in detectors:
-        r, c = detector_clicked_mask(det)
-        rows &= r
-        cols &= c
-    return float(f[np.ix_(rows, cols)].sum())
+        if det not in (1, 2, 3, 4):
+            raise InvalidInputError(f"detector index must be 1..4, got {det}")
+        mode, port = divmod(int(det) - 1, 2)
+        clicked[mode] &= _CLICKED[port]
+    return float(f[np.ix_(*clicked)].sum())
 
 
 def singles(rec: CountRecord) -> np.ndarray:

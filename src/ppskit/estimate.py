@@ -27,9 +27,10 @@ the best start wins.
 Record sets that share a model (bootstrap draws, the reps of a sweep
 cell) go through one call of either estimator's ``*_many`` form, which
 runs one ascent vectorized over the sets (and, for EML, their starts).
-A caller that already holds the counts as one stack, as a sweep cell and
-the command-line bootstrap do, hands it to ``_fit_stack``, the batched
-core of both, and reads its arrays without building a result per set.
+A caller that already holds the counts as one stack hands it to
+``_fit_stack``, the batched core of both, and reads its arrays without
+building a result per set: a sweep cell its reps, and the command line
+a counts file's own counts together with all their bootstrap draws.
 
 Count-ratio estimators of g2 / heralded g2 / pair probability are provided
 for comparison with the reconstructed values; they accept raw or

@@ -46,9 +46,17 @@ def rmsle(P, O) -> float:
     return float(rmsle_many(p.reshape(-1), o.reshape(-1)))
 
 
+def _check_cells(*cells) -> None:
+    """Every cell of every distribution is finite and nonnegative."""
+    for c in cells:
+        if not np.all((c >= 0.0) & (c < np.inf)):
+            raise InvalidInputError("distribution cells must be finite and nonnegative")
+
+
 def rmsle_many(p, o) -> np.ndarray:
     """:func:`rmsle` of every pair of rows of two stacks of distributions,
     each row holding one distribution's cells along the last axis."""
+    _check_cells(p, o)
     logs = np.log10((p + _ALPHA) / (o + _ALPHA))
     return np.sqrt(np.mean(logs**2, axis=-1))
 
@@ -63,6 +71,7 @@ def fidelity(P, O) -> float:
     o = _cells(O)
     if p.shape != o.shape:
         raise InvalidInputError(f"shape mismatch: {p.shape} vs {o.shape}")
+    _check_cells(p, o)
     return float(np.sum(np.sqrt(p * o)))
 
 

@@ -271,11 +271,14 @@ def g2_marginal(pv, truncated: bool = False) -> float:
 
     The full form is sum(n(n-1) P_n) / (sum(n P_n))^2.  ``truncated=True``
     returns 2 P_2 / P_1^2, the two-photon approximation appropriate when
-    the mean photon number is far below 1.  Every entry must be finite.
+    the mean photon number is far below 1.  Every entry must be a finite
+    probability in [0, 1].  Either form is undefined where its squared
+    denominator is 0 or below the smallest normal float; with entries in
+    [0, 1] neither ratio can then overflow.
     """
     pv = np.asarray(pv, dtype=float)
-    if not np.all(np.isfinite(pv)):
-        raise InvalidInputError("marginal entries must be finite")
+    if not np.all((pv >= 0.0) & (pv <= 1.0)):
+        raise InvalidInputError("marginal entries must be finite and lie in [0, 1]")
     if truncated:
         g2 = float(_g2_truncated(pv[1], pv[2])) if pv.size >= 3 else math.nan
         if math.isnan(g2):
@@ -283,8 +286,10 @@ def g2_marginal(pv, truncated: bool = False) -> float:
         return g2
     n = np.arange(pv.size)
     mean = float(np.sum(n * pv))
-    if mean <= 0.0:
-        raise UndefinedCharacteristicError("g2 undefined: mean photon number is zero")
+    if mean**2 < _TINY:  # zero included; no entry is negative
+        raise UndefinedCharacteristicError(
+            "g2 undefined: mean photon number is zero or its square underflows"
+        )
     return float(np.sum((n**2 - n) * pv)) / mean**2
 
 

@@ -9,7 +9,13 @@ from ppskit import cli
 from ppskit import jsd as jsd_module
 from ppskit.detection import read_counts_csv
 from ppskit.errors import PpskitError
-from ppskit.estimate import EstimateOptions, LikelihoodModel, characterize
+from ppskit.estimate import (
+    EstimateOptions,
+    LikelihoodModel,
+    characterize,
+    eml_estimate_many,
+    ml_estimate_many,
+)
 from ppskit.jsd import segment
 from ppskit.metrics import bootstrap, bootstrap_stats, write_bootstrap_csv
 from ppskit.pnd import read_pnd_csv
@@ -506,7 +512,7 @@ class TestBootstrapCommand:
         out = tmp_path / "boot"
         argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
         assert cli.main(argv) == 0
-        assert batches == [(4, 2), (4, 2)]  # one stack of draws x records per sample size
+        assert batches == [(8, 2)]  # one stack of both sizes' draws x records
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {"0"}
 
@@ -528,7 +534,9 @@ class TestBootstrapCommand:
         out = tmp_path / "boot"
         argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
         cli.main(argv + (["--bootstrap"] if command == "estimate" else []))
-        unconverged = int(np.sum(~calls[-1].converged))
+        assert len(calls) == 1
+        # Row 0 of the estimate's stack is the point fit, not a draw.
+        unconverged = int(np.sum(~calls[0].converged[1 if command == "estimate" else 0:]))
         assert 0 < unconverged < 20
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {str(unconverged)}
@@ -569,12 +577,40 @@ class TestBootstrapCommand:
         rows = []
         for size in sizes:
             draws = list(zip(*(bootstrap(rec, 30, size, seed=4) for rec in records)))
-            fits = cli._ESTIMATORS[method](draws, model, EstimateOptions(max_iter=max_iter))
+            estimate_many = ml_estimate_many if method == "ml" else eml_estimate_many
+            fits = estimate_many(draws, model, EstimateOptions(max_iter=max_iter))
             rows += bootstrap_stats(fits, pipeline, size * len(records))
         assert all(0 < row["n_fail"] < 30 for row in rows)
         expected = tmp_path / "expected.csv"
         write_bootstrap_csv(expected, rows)
         assert (out / "bootstrap_summary.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("method", ["ml", "eml"])
+    def test_estimate_outputs_do_not_depend_on_the_bootstrap(self, tmp_path, monkeypatch, method):
+        # The point fit is row 0 of the one stack that also holds every
+        # size's draws; its files must be those of a lone estimate.
+        settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n"  # EML needs two
+        counts = self._counts(tmp_path, settings)
+        estimate = DETECTOR_SECTION + settings + f"\n[estimate]\nmethod = {method}\nn_starts = 3\n"
+        plain = write_config(tmp_path, estimate, name="plain.cfg")
+        boot = write_config(
+            tmp_path, estimate + "\n[bootstrap]\nn_boot = 4\nsample_sizes = 1e6, 1e7\n",
+            name="boot.cfg",
+        )
+        batches, fit_stack = [], cli._fit_stack
+
+        def spy_stack(K, F, model, options, eml):
+            batches.append(F.shape[:2])
+            return fit_stack(K, F, model, options, eml)
+
+        monkeypatch.setattr(cli, "_fit_stack", spy_stack)
+        for name, config in (("plain", plain), ("boot", boot)):
+            argv = ["estimate", "--config", config, "--counts", counts, "--seed", "9"]
+            assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
+        assert batches == [(1, 2), (9, 2)]  # the point alone, then with both sizes' draws
+        for name in ("pnd_hat.csv", "characteristics.csv"):
+            assert (tmp_path / "boot" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "boot" / "bootstrap_summary.csv").exists()
 
     @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
     def test_no_converged_refit_exits_4_with_no_summary(self, tmp_path, capsys, command):
@@ -619,6 +655,19 @@ class TestBootstrapCommand:
         assert cli.main(argv) == 2
         assert "n_boot" in capsys.readouterr().err
         assert not (out / "bootstrap_summary.csv").exists()
+
+    def test_estimate_with_no_draws_exits_2_writing_nothing(self, tmp_path, capsys):
+        # The draws are made before the fit, so a [bootstrap] error stops
+        # the estimate before its first file.
+        counts = self._counts(tmp_path)
+        config = write_config(
+            tmp_path, DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 0\n", name="boot.cfg"
+        )
+        out = tmp_path / "fit"
+        argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "n_boot" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_sample_sizes_are_exact_integers(self, tmp_path, capsys):
         counts = self._counts(tmp_path)

@@ -365,6 +365,27 @@ class TestCountRecord:
         assert counts_with_clicks(rec.f, [1, 3]) == 2
         assert counts_with_clicks(rec.f, [1]) == 5
 
+    def test_click_marginals_match_the_status_order(self):
+        # Outcome a of a mode reads (transmitted, reflected) with O a click:
+        # XX, XO, OX, OO, so its transmitted detector clicked for a >= 2
+        # and its reflected one for odd a.
+        f = substream(3).integers(0, 1000, (4, 4)).astype(float)
+
+        def clicked(det, a, b):
+            outcome = a if det <= 2 else b
+            return outcome >= 2 if det in (1, 3) else outcome % 2 == 1
+
+        for size in range(5):
+            for dets in itertools.combinations((1, 2, 3, 4), size):
+                want = sum(f[a, b] for a in range(4) for b in range(4)
+                           if all(clicked(det, a, b) for det in dets))
+                assert counts_with_clicks(f, list(dets)) == want, dets
+
+    @pytest.mark.parametrize("det", [0, 5, 1.5])
+    def test_unknown_detector_rejected(self, det):
+        with pytest.raises(InvalidInputError, match="detector index"):
+            counts_with_clicks(np.ones((4, 4)), [1, det])
+
     def test_csv_roundtrip_and_row_summing(self, tmp_path):
         rng = substream(1)
         f1 = rng.integers(0, 50, (4, 4)).astype(float)

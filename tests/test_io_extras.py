@@ -8,7 +8,7 @@ import pytest
 
 from ppskit.detection import DetectorPair, bipartite_probs, write_counts_csv
 from ppskit.errors import InvalidInputError
-from ppskit.estimate import EstimateOptions, LikelihoodModel, eml_estimate_many, ml_estimate
+from ppskit.estimate import EstimateOptions, LikelihoodModel, ml_estimate
 from ppskit.jsd import (
     gaussian_jsd,
     read_filter_csv,
@@ -298,25 +298,19 @@ class TestMultiSettingEstimation:
             resampled.append((record.nu, sample_size))
             return resample(record, n_boot, sample_size, seed=seed)
 
-        def spy_eml(record_sets, model, options):
-            fitted.append([[rec.nu for rec in recs] for recs in record_sets])
-            return eml_estimate_many(record_sets, model, options)
-
         def spy_stack(K, F, model, options, eml):
             fitted.append((F.shape[:2], eml))
             return fit_stack(K, F, model, options, eml)
 
         monkeypatch.setattr(cli, "_resample", spy_resample)
         monkeypatch.setattr(cli, "_fit_stack", spy_stack)
-        monkeypatch.setitem(cli._ESTIMATORS, "eml", spy_eml)
-        monkeypatch.setitem(cli._ESTIMATORS, "ml", None)
         out = tmp_path / "fit"
         assert cli.main(
             ["estimate", "--config", str(config), "--counts", str(counts), "--out", str(out)]
         ) == 0
         assert resampled == [(0, 10**8), (1, 10**8 + 1)]
-        # The estimate, then every draw's two records in one EML stack.
-        assert fitted == [[[0, 1]], ((3, 2), True)]
+        # The estimate and its three draws, two records each, in one EML stack.
+        assert fitted == [((4, 2), True)]
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {row["sample_size"] for row in rows} == {str(2 * 10**8 + 1)}

@@ -12,6 +12,7 @@ from ppskit.metrics import (
     bootstrap_stats,
     fidelity,
     rmsle,
+    rmsle_many,
 )
 from ppskit.pnd import PndMatrix
 from ppskit.simulate import random_pps_pnd, sample_counts
@@ -92,6 +93,25 @@ class TestFidelity:
         G = fidelity(P, O)
         assert G == pytest.approx(fidelity(O, P), rel=1e-12)
         assert 0.0 <= G <= 1.0 + 1e-12
+
+
+class TestCellChecks:
+    @pytest.mark.parametrize("metric", [rmsle, rmsle_many, fidelity])
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_non_finite_or_negative_cell_rejected(self, metric, which, bad):
+        # At the parent a NaN or inf cell passed through and a negative one
+        # warned and gave NaN.
+        args = [np.full(4, 0.25), np.full(4, 0.25)]
+        args[which][2] = bad
+        with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+            metric(*args)
+
+    def test_rmsle_many_checks_every_row(self):
+        p = np.full((3, 4), 0.25)
+        p[2, 0] = np.nan
+        with pytest.raises(InvalidInputError):
+            rmsle_many(p, np.full((3, 4), 0.25))
 
 
 def study_record(n_m=10**7, seed=0):

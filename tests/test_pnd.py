@@ -240,6 +240,19 @@ class TestG2:
         with pytest.raises(InvalidInputError, match="finite"):
             g2_marginal(pv, truncated=truncated)
 
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("pv", [[0.0, 2e-154, 10.0], [1.5, 1e-3, 0.0], [1.0, -1e-3, 1e-3]],
+                             ids=["above-1", "first-above-1", "negative"])
+    def test_entry_outside_unit_interval_rejected(self, pv, truncated):
+        # [0, 2e-154, 10] overflowed the truncated ratio to inf.
+        with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+            g2_marginal(np.array(pv), truncated=truncated)
+
+    def test_full_form_with_underflowing_mean_square_undefined(self):
+        # mean^2 = 1e-340 underflows to 0; this raised ZeroDivisionError.
+        with pytest.raises(UndefinedCharacteristicError, match="underflows"):
+            g2_marginal(np.array([1 - 1e-170, 1e-170, 0.0]))
+
     def test_full_form_approaches_truncated_for_weak_excitation(self):
         for mu in (1e-3, 1e-4, 1e-5):
             pv = np.array([1 - mu - mu**2, mu, mu**2])

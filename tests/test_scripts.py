@@ -77,3 +77,14 @@ def test_synthesis_stages_rotates_both_kinds_by_theta(monkeypatch, capsys, argv,
     assert lines[0].startswith(f"n = 64, theta = {theta_deg:g} deg,")
     assert [line.split()[0] for line in lines[2:]] == ["chirped", "rect"]
     assert thetas and all(theta == math.radians(theta_deg) for theta in thetas)
+
+
+def test_acquisition_stages_times_every_command_at_both_points(capsys):
+    run_script("acquisition_stages.py", ["--repeats", "1", "--n-boot", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "medians of 1 in-process runs (ms), 2 bootstrap draws"
+    assert lines[1].split() == ["point", "estimate", "estimate+boot", "bootstrap"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["xi1e-04_n1e+08", "xi1e-02_n1e+12"]
+    for row in rows:
+        assert all(float(value) > 0.0 for value in row[1:])
