@@ -17,6 +17,7 @@ model that the fits and the simulator read; :func:`bipartite_probs` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -259,15 +260,26 @@ def noise_correct(
 # count marginals
 
 
+@functools.cache
+def _click_cells(detectors: frozenset) -> np.ndarray:
+    """Flat 4 x 4 cells in which every one of ``detectors`` clicked, in the
+    row-major order of the f[np.ix_(rows, cols)] block, so that a total
+    over them sums in that order.  Each set's cells are built once."""
+    clicked = np.ones((2, 4), dtype=bool)  # signal outcomes (rows), idler outcomes (cols)
+    for det in detectors:
+        mode, port = divmod(int(det) - 1, 2)
+        clicked[mode] &= _CLICKED[port]
+    rows, cols = np.flatnonzero(clicked[0]), np.flatnonzero(clicked[1])
+    return (4 * rows[:, None] + cols).reshape(-1)
+
+
 def counts_with_clicks(f: np.ndarray, detectors) -> float:
     """Total counts of a 4 x 4 table in which every listed detector clicked."""
-    clicked = np.ones((2, 4), dtype=bool)  # signal outcomes (rows), idler outcomes (cols)
+    detectors = list(detectors)
     for det in detectors:
         if det not in (1, 2, 3, 4):
             raise InvalidInputError(f"detector index must be 1..4, got {det}")
-        mode, port = divmod(int(det) - 1, 2)
-        clicked[mode] &= _CLICKED[port]
-    return float(f[np.ix_(*clicked)].sum())
+    return float(np.take(f, _click_cells(frozenset(detectors))).sum())
 
 
 def singles(rec: CountRecord) -> np.ndarray:

@@ -19,10 +19,10 @@ detectors of a mode clicked and fits setting-renormalized probabilities,
 so it needs at least two attenuator settings.  The same ascent, fed
 EML's score and expected information, runs once from the moment start of
 the used outcomes.  EML's objective is not concave, but on the sweep
-grids checked jittered restarts gain only roundoff over that start; far
-out of the accuracy region it can hold separate maxima.  The restarts
-stay available through ``EstimateOptions.n_starts`` above 1, and then
-the best start wins.
+grids checked jittered restarts gain only roundoff over that start, and
+at most 2e-4 nats in its flattest cell, far out of the accuracy region.
+The restarts stay available through ``EstimateOptions.n_starts`` above
+1, and then the best start wins.
 
 Record sets that share a model (bootstrap draws, the reps of a sweep
 cell) go through one call of either estimator's ``*_many`` form, which
@@ -65,7 +65,6 @@ _FLOOR = 1e-15  # smallest cell, relative to cell 0
 _KKT_TOL = 1e-9  # largest per-count gain over the KKT multiplier of growing a cell
 _GAIN_TOL = 1e-14  # ML: largest relative log-likelihood gain left at convergence
 _EML_GAIN_TOL = 1e-6  # EML: largest objective gain left at convergence, in nats
-_MAX_STEP = 2.0  # max-norm cap of one Newton step in z
 _TINY = np.finfo(float).smallest_subnormal  # below every positive probability
 
 
@@ -420,6 +419,22 @@ def _scoring_steps(J, fisher, score, free, exp_curvature=None) -> np.ndarray:
     return np.where(free, x, 0.0)
 
 
+def _ratio_moves(step) -> np.ndarray:
+    """Moves in z of Newton steps ``step`` in z: a growing coordinate moves
+    its cell's ratio to cell 0 by the factor 1 + s, the Newton target in
+    p, so a floor cell reaches it in one move; log1p(s) = s + O(s^2), so
+    the steps stay quadratic."""
+    return np.where(step > 0.0, np.log1p(np.maximum(step, 0.0)), step)
+
+
+def _rises(ll, ll_trial, z, trial, score, n, slack) -> np.ndarray:
+    """Whether each trial rises enough: by at least a tenth of the linear
+    gain n score . (trial - z) of the move it makes, where that gain is
+    positive, less the roundoff ``slack``."""
+    linear = n * (score[:, None, :] @ (trial - z)[..., None])[:, 0, 0]
+    return ll_trial >= ll + 0.1 * np.maximum(linear, 0.0) - slack
+
+
 def _fisher_scoring(K, F, Z, max_iter: int, used=None):
     """Projected Fisher-scoring ascent of the ML log-likelihood, or of
     EML's objective when an outcome mask ``used`` is given.
@@ -431,12 +446,19 @@ def _fisher_scoring(K, F, Z, max_iter: int, used=None):
     score is sent there, and the rest are solved again without it.  Each
     solve is one masked stack over every problem (``_scoring_steps``), in
     which held cells step exactly 0 whatever mix of free sets the problems
-    hold.  The other moves are capped at ``_MAX_STEP``, and the projected
-    step is halved until the objective does not fall by more than roundoff.
-    Converged means the KKT conditions hold in p (no cell gains more than
-    ``_KKT_TOL`` per count over the multiplier from growing) and a full
-    step would gain at most ``_GAIN_TOL`` of the log-likelihood.  ML's
-    multiplier is 1 (p . score = N).
+    hold.  A coordinate with a growing step s moves by log1p(s)
+    (``_ratio_moves``), so its cell's ratio to cell 0 moves to the Newton
+    target in p, 1 + s times the ratio: a cell on the floor, whose step in
+    z can reach 1e11, gets there in one move.  The Newton step is halved,
+    and mapped to moves again, until the trial rises by at least a tenth
+    of its move's linear gain, less a roundoff slack (``_rises``), so no
+    trial falls by more than that slack.  A flat coordinate whose full
+    step overshoots is shortened there, where a trial that need only not
+    fall could zigzag about the maximum for good.  Converged means the
+    KKT conditions hold in p (no cell gains more than ``_KKT_TOL`` per
+    count over the multiplier from growing) and a full step would gain at
+    most ``_GAIN_TOL`` of the log-likelihood.  ML's multiplier is 1
+    (p . score = N).
 
     EML's objective is homogeneous of degree 0 in p, so its multiplier is
     0.  It is not concave, and it is nearly flat along cells that only set
@@ -444,9 +466,9 @@ def _fisher_scoring(K, F, Z, max_iter: int, used=None):
     things differ.  Its steps take the exp curvature of ``_scoring_steps``
     on cells expected to give less than one used count.  Its KKT test
     looks only at the cells on the floor and leaves the others to the
-    gain test, which allows ``_EML_GAIN_TOL`` nats.  Its roundoff slack
-    is 1e-14 per used count, because its gains near the maximum are far
-    below ML's slack of 1e-12 |loglik|.
+    gain test, which allows ``_EML_GAIN_TOL`` nats.  Its line search's
+    roundoff slack is 1e-14 per used count, because its gains near the
+    maximum are far below ML's slack of 1e-12 |loglik|.
 
     A problem leaves the live set once it converges or fails; each takes
     exactly the steps it would take alone.  Returns (Z, steps, converged),
@@ -498,23 +520,19 @@ def _fisher_scoring(K, F, Z, max_iter: int, used=None):
                 None if ml else tiny[again],
             )
             step[again] = np.where(lands[again], step[again], resolved)
-        moves = np.where(lands, 0.0, np.abs(np.maximum(z + step, z_floor) - z))
-        norm = moves.max(axis=1, initial=0.0)
-        capped = norm > _MAX_STEP
-        if capped.any():
-            step[capped] *= (_MAX_STEP / norm[capped])[:, None]
-        # Backtracking: up to 30 tries, the step halved after each miss.
-        floor_ll = ll - (1e-12 * np.maximum(np.abs(ll), 1.0) if ml else 1e-14 * n)
-        trial = np.maximum(z + step, z_floor)
+        # Backtracking: up to 30 tries, the step halved after each miss.  A
+        # trial must rise by a tenth of its move's linear gain, less roundoff.
+        slack = 1e-12 * np.maximum(np.abs(ll), 1.0) if ml else 1e-14 * n
+        trial = np.maximum(z + _ratio_moves(step), z_floor)
         ll_trial = _loglik(_probs(K, _softmax_cells(trial)), f, used)
-        short = np.flatnonzero(~(ll_trial >= floor_ll))
+        short = np.flatnonzero(~_rises(ll, ll_trial, z, trial, score, n, slack))
         for _ in range(29):
             if not short.size:
                 break
             step[short] *= 0.5
-            trial[short] = np.maximum(z[short] + step[short], z_floor)
+            trial[short] = np.maximum(z[short] + _ratio_moves(step[short]), z_floor)
             ll_trial[short] = _loglik(_probs(K, _softmax_cells(trial[short])), f[short], used)
-            short = short[~(ll_trial[short] >= floor_ll[short])]
+            short = short[~_rises(*(a[short] for a in (ll, ll_trial, z, trial, score, n, slack)))]
         moved = ~(trial == z).all(axis=1)
         moved[short] = False
         if not moved.all():

@@ -10,7 +10,7 @@ Counts are drawn by :func:`multinomial_counts`, one call per stream: a
 simulated acquisition draws all its settings' tables at once, and a
 bootstrap draws all its resamples of one record at once.  A sweep cell
 checks every rep's tables once (:func:`outcome_rows`) and draws each rep
-from its own stream.
+from its own stream, taken in turn from :func:`substreams`.
 """
 
 from __future__ import annotations
@@ -72,6 +72,26 @@ def substream(seed: int, *path) -> np.random.Generator:
     """
     seq = _key_sequence()(stream_key(seed, *path))
     return np.random.Generator(np.random.Philox(seq))
+
+
+_ZEROS = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter and buffer
+
+
+def substreams(seed: int, *path, count: int):
+    """The generators of ``substream(seed, *path, i)`` for i in
+    range(``count``), in turn.  They are one generator whose Philox is
+    re-keyed through its ``state`` for each i, which costs less than
+    building a new one, so each is valid only until the next is taken:
+    draw from it before taking the next."""
+    rng = substream(seed, *path, 0)
+    for i in range(count):
+        if i:
+            key = stream_key(seed, *path, i)
+            rng.bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+                "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+        yield rng
 
 
 def multinomial_counts(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

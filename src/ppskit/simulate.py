@@ -30,7 +30,7 @@ from .detection import (
 from .errors import InvalidInputError, check_count, check_trials
 from .metrics import _cells, rmsle_many
 from .pnd import PndMatrix, _g2_truncated, characteristics_many, checked_cells
-from .rng import check_seed, multinomial_counts, outcome_rows, substream
+from .rng import check_seed, multinomial_counts, outcome_rows, substream, substreams
 from .tables import write_table
 
 DEFAULT_SINGLE_GAMMAS = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -90,8 +90,8 @@ _PAIR_ORDER = np.maximum.outer(np.arange(3), np.arange(3)).reshape(-1)[1:]
 
 def _random_pps_cells(p_g: float, rngs) -> np.ndarray:
     """Cells (truths x 9, row-major) of one :func:`random_pps_pnd` matrix
-    per generator of ``rngs``, each drawn from its own; the PND rules run
-    once over the stack."""
+    per generator of ``rngs``, each drawn from its own as it is taken; the
+    PND rules run once over the stack."""
     _check_p_g(p_g)
     r = np.stack([rng.uniform(0.5, 1.5, size=8) for rng in rngs])  # vacuum skipped
     p = np.zeros((len(r), 9))
@@ -108,7 +108,7 @@ def random_pps_pnd(p_g: float, seed) -> PndMatrix:
 
 def _random_single_cells(p_g: float, rngs) -> np.ndarray:
     """One :func:`random_single_pnd` vector per generator of ``rngs``
-    (truths x 3), each drawn from its own."""
+    (truths x 3), each drawn from its own as it is taken."""
     _check_p_g(p_g)
     p2 = p_g**2 * np.array([rng.uniform(1.0, 2.0) for rng in rngs]) / 2.0
     return np.stack([1.0 - p_g - p2, np.full_like(p2, p_g), p2], axis=-1)
@@ -153,7 +153,8 @@ def _draw_counts(model, truths: np.ndarray, n_m: int, rngs) -> np.ndarray:
     ``model.kernels``), all formed in one product.  Returns the expected
     counts n_m W if ``rngs`` is None.  Otherwise the tables are checked
     once (:func:`~ppskit.rng.outcome_rows`) and truth r's drawn as one
-    multinomial call of ``n_m`` trials per setting, from ``rngs[r]``."""
+    multinomial call of ``n_m`` trials per setting, from the r-th
+    generator of ``rngs``, drawn as it is taken."""
     W = est._probs(model.kernels, truths)
     if rngs is None:
         return n_m * W
@@ -247,8 +248,8 @@ def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
     # one stack F (reps x settings x outcomes), checked once and fitted in
     # one batched call, whose cells give every rep's figures at once.
     trials, reps = int(n_m), range(int(spec.reps))
-    truths = random_cells(p_g, [substream(seed, "pnd", cell_id, rep) for rep in reps])
-    rngs = None if spec.exact_counts else [substream(seed, "counts", cell_id, rep) for rep in reps]
+    truths = random_cells(p_g, substreams(seed, "pnd", cell_id, count=len(reps)))
+    rngs = None if spec.exact_counts else substreams(seed, "counts", cell_id, count=len(reps))
     F = _draw_counts(model, truths, trials, rngs)
     check_counts(F, trials)
     fits = est._fit_stack(model.kernels, F, model, options, eml=method == "eml")

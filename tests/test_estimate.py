@@ -491,6 +491,52 @@ class TestScoringSteps:
             np.testing.assert_allclose(step[i][mask], x[0], rtol=1e-13, atol=0.0)
 
 
+class TestStepRule:
+    """A growing cell steps to its Newton ratio target, so a cell that
+    starts on the floor climbs in one move, and the line search asks each
+    trial to rise by a tenth of its move's linear gain."""
+
+    @staticmethod
+    def cell_fits(monkeypatch, method, seed, **grid):
+        """The count stack and the ``_fit_stack`` arrays of one 20-rep sweep cell."""
+        fits, fit_stack = [], ppskit.estimate._fit_stack
+
+        def spy_stack(K, F, model, options, eml):
+            fits.append((F, fit_stack(K, F, model, options, eml)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(ppskit.estimate, "_fit_stack", spy_stack)
+        run_sweep(SweepSpec(**grid, reps=20), method, seed=seed)
+        [(F, fit)] = fits
+        return F, fit
+
+    def test_a_floor_cell_climbs_in_a_few_steps(self, monkeypatch):
+        # Two reps of this cell start with their two-photon cell on the
+        # floor and end 3.6e-8 and 9.9e-8 above cell 0: 12 steps each while
+        # the step cap of 2 in z let the cell grow by e^2 a step.
+        model = sweep_model("1d", 1.0, 1e-6, 10)
+        F, fit = self.cell_fits(
+            monkeypatch, "ml-1d", 928813558,
+            p_g_grid=(1e-4,), n_m_grid=(1e9,), eta_grid=(1.0,), d_grid=(1e-6,),
+        )
+        start = ppskit.estimate._starts(model.kernels, F)
+        climbs = (start[:, 1] == np.log(ppskit.estimate._FLOOR)) & (fit.p[:, 2] > 1e-9)
+        assert np.flatnonzero(climbs).tolist() == [9, 17]
+        assert fit.converged.all()
+        assert fit.steps[climbs].max() <= 3
+
+    def test_a_flat_eml_cell_converges_in_every_rep(self, monkeypatch):
+        # EML's flat out-of-region cells: up to 37 steps a rep in this
+        # benchmark cell while steps were capped; log1p steps without the
+        # sufficient-increase test left one such set zigzagging for good.
+        _, fit = self.cell_fits(
+            monkeypatch, "eml-2x2d", 96546367, gamma_design="va4",
+            p_g_grid=(1e-3,), n_m_grid=(1e6,), eta_grid=(0.5,), d_grid=(1e-6,),
+        )
+        assert fit.converged.all()
+        assert fit.steps.max() <= 30
+
+
 class TestMomentStart:
     @pytest.mark.parametrize(
         "layout, n_settings", [("2x2d", 1), ("2x2d", 4), ("2d", 10), ("1d", 10)]
@@ -791,8 +837,7 @@ ONE_START_CELLS = [
 
 class TestEmlOneStart:
     """EML ascends once from its moment start by default: on these cells
-    jittered restarts gain only the fit's own roundoff over that start, but
-    far out of the accuracy region one can find a higher maximum."""
+    jittered restarts gain only the fit's own roundoff over that start."""
 
     @pytest.mark.parametrize(
         "layout, p_g, n_m, eta, d", ONE_START_CELLS,
@@ -815,21 +860,21 @@ class TestEmlOneStart:
             assert len(fit.starts) == 1
             assert same_fit(fit, eml_estimate(records, model, EstimateOptions(n_starts=1)))
 
-    def test_a_jittered_start_can_find_a_higher_maximum_in_the_flattest_cell(self):
+    def test_the_single_start_reaches_the_best_start_in_the_flattest_cell(self):
         # Far out of the accuracy region (p_g = 1e-4 at 1e6 trials, eta 0.5)
-        # EML's objective can hold separate local maxima.  In this set every
-        # jittered start climbs 0.16 nats above the moment start's maximum,
-        # to a very different PND; the default single start stays below it.
-        # Such sets are rare: 1 of this cell's 1200 sets (d 0 and 1e-6, 20
-        # sets for each of the seeds 1-30).
+        # EML's objective is flattest.  In this set the moment start once
+        # stopped 0.16 nats below every jittered start, after 62 steps capped
+        # at 2 in z; it now climbs to their maximum in 20.  No set of this
+        # cell's 1200 (d 0 and 1e-6, 20 sets for each of the seeds 1-30) has
+        # a jittered start 0.1 nats above the single start; the largest
+        # gain is 1.9e-4 nats.
         model = sweep_model("2x2d", 0.5, 0.0, 4)
         records = sampled_sets(model, 1e-4, 10**6, 17, 9)[8]
         five = eml_estimate(records, model, EstimateOptions(n_starts=5))
         one = eml_estimate(records, model)
         assert all(start.converged for start in five.starts) and one.converged
         assert five.loglik == max(start.loglik for start in five.starts)
-        assert five.loglik - five.starts[0].loglik > 0.1
-        assert five.loglik - one.loglik > 0.1
+        assert five.loglik - one.loglik <= ppskit.estimate._EML_GAIN_TOL
 
 
 class TestCountBasedG2:

@@ -88,3 +88,17 @@ def test_acquisition_stages_times_every_command_at_both_points(capsys):
     assert [row[0] for row in rows] == ["xi1e-04_n1e+08", "xi1e-02_n1e+12"]
     for row in rows:
         assert all(float(value) > 0.0 for value in row[1:])
+
+
+def test_sweep_steps_prints_every_benchmark_sweep_kind(capsys):
+    run_script("sweep_steps.py", ["--repeats", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1 cells a kind, 20 reps each: Newton steps of every fit, ms per cell"
+    assert lines[1].split() == ["kind", "steps_median", "steps_max", "ms_median"]
+    workloads = runpy.run_path(str(SCRIPTS.parent / "perfbench" / "workloads.py"))
+    rows = [line.split() for line in lines[2:-1]]
+    assert [row[0] for row in rows] == list(workloads["Sweep"].kinds)
+    assert lines[-1].startswith("all (ms: sum of medians)")
+    for row in rows + [lines[-1].split()[-3:]]:
+        median, largest, ms = float(row[-3]), int(row[-2]), float(row[-1])
+        assert 0 <= median <= largest and ms > 0.0

@@ -29,7 +29,7 @@ from ppskit.estimate import (
 )
 from ppskit.metrics import rmsle
 from ppskit.pnd import g2_marginal
-from ppskit.rng import multinomial_counts, stream_key, substream
+from ppskit.rng import multinomial_counts, stream_key, substream, substreams
 from ppskit.simulate import (
     DEFAULT_SINGLE_GAMMAS,
     SWEEP_COLUMNS,
@@ -168,6 +168,26 @@ class TestStreams:
                     rng.binomial(10**12, 0.3, size=3), ref.binomial(10**12, 0.3, size=3)
                 )
                 assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    @staticmethod
+    def draws(rng, i):
+        return (
+            rng.random(i % 5 + 1),
+            rng.multinomial(10**9, [0.5, 0.25, 0.25]),
+            rng.integers(0, 2**31, dtype=np.uint32),
+        )
+
+    def test_substreams_replay_a_fresh_generator_of_every_key(self):
+        # Each stream is left part-way through a Philox block and a 32-bit
+        # draw, so a re-key that kept the buffer would move the next one.
+        for seed in (0, 7, -12, 2**40):
+            for path in (("pnd", 3), ("counts", 11)):
+                for i, rng in enumerate(substreams(seed, *path, count=40)):
+                    ref = np.random.Generator(np.random.Philox(key=stream_key(seed, *path, i)))
+                    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+                    for got, want in zip(self.draws(rng, i), self.draws(ref, i)):
+                        np.testing.assert_array_equal(got, want)
+                    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
     # Counts recorded from the Python binomial chain that numpy's C chain
     # replaced; both draw the same binomials in the same order, so any
