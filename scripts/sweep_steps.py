@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Newton steps and time per cell of the benchmark's 16 sweep kinds.
+"""Newton steps and time per cell and per fit of the benchmark's 16 sweep kinds.
 
 Each kind is one (method, p_g, n_m, eta, d) cell of 20 reps, as the
 benchmark's ``sweep`` workload runs it (``_sweep_kinds`` in
@@ -8,9 +8,11 @@ Latin square, and the bipartite EML fits use the four-setting "va4"
 plan.  For every kind the script runs one untimed cell, then
 ``--repeats`` timed cells through ``simulate.run_sweep``, cell i from
 sweep seed ``--seed + i``.  It prints the median and the largest Newton
-steps over all their fits and the median milliseconds per cell, then the
-same over every kind, with the sum of the kinds' median times.  Run it
-with one BLAS thread, as the benchmark runs the sweep.
+steps over all their fits, the median milliseconds per cell and the
+median milliseconds of the cell's batched fit (``estimate._fit_stack``,
+starts included), then the same over every kind, with the sums of the
+kinds' median times.  Run it with one BLAS thread, as the benchmark runs
+the sweep.
 
 Example:
     OPENBLAS_NUM_THREADS=1 python3 scripts/sweep_steps.py --repeats 9
@@ -45,15 +47,18 @@ def sweep_kinds() -> list:
 
 
 def run_cells(method, p_g, n_m, eta, d, seeds) -> tuple:
-    """Newton steps of every fit and seconds of each cell, one cell per seed."""
+    """Newton steps of every fit, and seconds of each cell and of its
+    ``_fit_stack`` call, one cell per seed."""
     spec = SweepSpec(
         p_g_grid=(p_g,), n_m_grid=(n_m,), eta_grid=(eta,), d_grid=(d,),
         gamma_design="va4" if method.startswith("eml") else "none", reps=REPS,
     )
-    steps, seconds, fit_stack = [], [], estimate._fit_stack
+    steps, seconds, fit_seconds, fit_stack = [], [], [], estimate._fit_stack
 
     def counting_stack(*args, **kwargs):
+        start = time.perf_counter()
         fits = fit_stack(*args, **kwargs)
+        fit_seconds.append(time.perf_counter() - start)
         steps.append(fits.steps)
         return fits
 
@@ -65,7 +70,7 @@ def run_cells(method, p_g, n_m, eta, d, seeds) -> tuple:
             seconds.append(time.perf_counter() - start)
     finally:
         estimate._fit_stack = fit_stack
-    return np.concatenate(steps), seconds
+    return np.concatenate(steps), seconds, fit_seconds
 
 
 def main(argv=None) -> None:
@@ -74,18 +79,25 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=4242, help="sweep seed of the first timed cell")
     args = parser.parse_args(argv)
 
-    print(f"{args.repeats} cells a kind, {REPS} reps each: Newton steps of every fit, ms per cell")
-    print(f"{'kind':<38} {'steps_median':>12} {'steps_max':>9} {'ms_median':>9}")
-    all_steps, total_ms = [], 0.0
+    print(
+        f"{args.repeats} cells a kind, {REPS} reps each: "
+        "Newton steps of every fit, ms per cell and in its fit"
+    )
+    print(f"{'kind':<38} {'steps_median':>12} {'steps_max':>9} {'ms_median':>9} {'fit_ms_median':>13}")
+    all_steps, total_ms, total_fit_ms = [], 0.0, 0.0
     for label, *cell in sweep_kinds():
         run_cells(*cell, [args.seed - 1])
-        steps, seconds = run_cells(*cell, range(args.seed, args.seed + args.repeats))
-        ms = 1e3 * statistics.median(seconds)
+        steps, seconds, fit_seconds = run_cells(*cell, range(args.seed, args.seed + args.repeats))
+        ms, fit_ms = 1e3 * statistics.median(seconds), 1e3 * statistics.median(fit_seconds)
         all_steps.append(steps)
         total_ms += ms
-        print(f"{label:<38} {np.median(steps):>12g} {steps.max():>9d} {ms:>9.2f}")
+        total_fit_ms += fit_ms
+        print(f"{label:<38} {np.median(steps):>12g} {steps.max():>9d} {ms:>9.2f} {fit_ms:>13.2f}")
     steps = np.concatenate(all_steps)
-    print(f"{'all (ms: sum of medians)':<38} {np.median(steps):>12g} {steps.max():>9d} {total_ms:>9.2f}")
+    print(
+        f"{'all (ms: sum of medians)':<38} {np.median(steps):>12g} {steps.max():>9d} "
+        f"{total_ms:>9.2f} {total_fit_ms:>13.2f}"
+    )
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ noise-corrected records.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -245,9 +246,11 @@ class EstimateResult:
 # renormalization term.  The simulator draws its counts from the same
 # W = K p (``_probs``).
 #
-# F, W and p may carry a leading problem axis over one shared K (problems
-# x records x outcomes, problems x cells).  Every reduction then runs per
-# problem exactly as for a lone problem, so no value depends on its batch.
+# F, W and p carry a leading problem axis over one shared K (problems x
+# records x outcomes, problems x cells), and a fit builds the terms that
+# depend only on its counts once (``_Terms``).  Every reduction and every
+# product runs per problem exactly as for a lone problem, so no value
+# depends on its batch.
 
 
 def _stack(record_sets, model):
@@ -290,56 +293,115 @@ def _probs(K, p) -> np.ndarray:
     return (K @ p[..., None, :, None])[..., 0]
 
 
-def _loglik(W, F, used=None) -> np.ndarray:
+class _Terms:
+    """Count-only terms of the objective of a count stack, built once a fit.
+
+    ML keeps every outcome of the kernel stack K (records x outcomes x
+    cells) and of the counts F (problems x records x outcomes), with each
+    record's trials n_v = sum_o F_vo.  EML, given its outcome mask
+    ``used``, keeps only the used outcomes, with their totals over the
+    records N_o = sum_v F_vo and the kernel's column sums k_o = sum_v K_vo.
+    ``seen`` marks the counted outcomes.  The contractions run over the
+    flattened (records x outcomes) axis: ``K2`` is K as (records *
+    outcomes) x cells, and ML's ``KK`` holds every outer product K_vo
+    K_vo^T as (records * outcomes) x cells^2.  The kernel terms are shared
+    and ``take`` subsets the count terms by problem.
+    """
+
+    def __init__(self, K, F, used=None):
+        self.ml = used is None
+        if not self.ml:
+            K, F = K[:, used], F[..., used]
+        # Contiguous: a boolean index on the last axis leaves the rows
+        # strided, and numpy then sums them in another order.
+        self.K, self.F = np.ascontiguousarray(K), np.ascontiguousarray(F)
+        n_rows, n_cells = K.shape[0] * K.shape[1], K.shape[2]
+        self.K2 = self.K.reshape(n_rows, n_cells)
+        self.seen = self.F > 0
+        if self.ml:
+            self.totals = self.F.sum(axis=-1)  # n_v
+            self.KK = (self.K2[:, :, None] * self.K2[:, None, :]).reshape(n_rows, -1)
+        else:
+            self.totals = self.F.sum(axis=-2)  # N_o
+            self.k = self.K.sum(axis=0)
+
+    def take(self, rows) -> "_Terms":
+        """The terms of the problems ``rows``, sharing the kernel terms."""
+        part = object.__new__(_Terms)
+        part.__dict__.update(
+            self.__dict__, F=self.F[rows], seen=self.seen[rows], totals=self.totals[rows]
+        )
+        return part
+
+    def probs(self, p) -> np.ndarray:
+        """The kept outcome probabilities W = K p of every problem."""
+        return _probs(self.K, p)
+
+
+def _loglik(terms: _Terms, W) -> np.ndarray:
     """Log-likelihood sum F log W per problem; -inf where counts meet W = 0.
 
-    A ``used`` outcome mask gives EML's objective instead: only the used
-    outcomes count, each renormalized over the records (settings).
+    ML subtracts sum_v n_v log sum_o W_vo, which is 0 in exact arithmetic:
+    without it, a sum of p off 1 by an ulp would move the objective by
+    N (sum p - 1), above the line search's roundoff slack at N = 1e11.
+    EML's objective instead renormalizes each used outcome over the
+    records (settings): sum_o N_o log S_o with S_o = sum_v W_vo.
     """
-    seen = F > 0 if used is None else (F > 0) & used
-    W_seen = np.where(seen, W, 1.0)
-    infeasible = (W_seen <= 0.0).any(axis=-1).any(axis=-1)
+    W_seen = np.where(terms.seen, W, 1.0)
+    infeasible = (W_seen <= 0.0).any(axis=(-2, -1))
     # Per-record sums first, so that swapping two records keeps every bit.
     # _TINY only keeps the logs of infeasible problems finite.
-    ll = np.where(seen, F * np.log(np.maximum(W_seen, _TINY)), 0.0).sum(axis=-1).sum(axis=-1)
-    if used is not None:
-        # Masked, not indexed: a boolean index on the last axis can leave the
-        # rows strided, and numpy then sums them in another order.
+    ll = (terms.F * np.log(np.maximum(W_seen, _TINY))).sum(axis=-1)
+    if terms.ml:
+        ll = ll - terms.totals * np.log(np.maximum(W.sum(axis=-1), _TINY))
+        ll = ll.sum(axis=-1)
+    else:
         S = W.sum(axis=-2)
-        infeasible |= ((S <= 0.0) & used).any(axis=-1)
-        ll = ll - np.where(used, F.sum(axis=-2) * np.log(np.maximum(S, _TINY)), 0.0).sum(axis=-1)
+        infeasible |= (S <= 0.0).any(axis=-1)
+        ll = ll.sum(axis=-1) - (terms.totals * np.log(np.maximum(S, _TINY))).sum(axis=-1)
     return np.where(infeasible, -np.inf, ll)
 
 
-def _score(K, W, F, used=None) -> np.ndarray:
-    """Gradient of ``_loglik`` in the cells p, where W = K p."""
-    seen = F > 0 if used is None else (F > 0) & used
-    ratio = np.where(seen, F / np.where(seen, W, 1.0), 0.0)
-    if used is not None:
-        totals = F.sum(axis=-2, keepdims=True) / np.where(used, W.sum(axis=-2, keepdims=True), 1.0)
-        ratio -= np.where(used, totals, 0.0)
-    return np.einsum("...vo,voc->...c", ratio, K)
+def _score(terms: _Terms, W) -> np.ndarray:
+    """Gradient of ``_loglik`` in the cells p, where W = K p, without ML's
+    sum_v n_v log sum_o W_vo term: on the simplex that term's gradient is
+    constant across the cells, and the softmax Jacobian annihilates it.
+
+    The ratio F_vo / W_vo (EML: less N_o / S_o) of each problem is one row
+    (problems x 1 x records * outcomes) of a product with K2.  Problems
+    stay on the stack axis of every product and never share a row axis of
+    one 2-D product, whose blocking would make a problem's bits depend on
+    its batch.
+    """
+    ratio = terms.F / np.where(terms.seen, W, 1.0)
+    if not terms.ml:
+        ratio -= (terms.totals / W.sum(axis=-2))[..., None, :]
+    return (ratio.reshape(len(ratio), 1, -1) @ terms.K2)[:, 0]
 
 
-def _fisher(K, W, F, used=None) -> np.ndarray:
+def _fisher(terms: _Terms, W) -> np.ndarray:
     """Expected information of ``_loglik`` in the cells p, where W = K p.
 
-    ML: sum_v n_v K_v^T diag(1/W_v) K_v.  EML, with N_o = sum_v F_vo,
+    ML: sum_v n_v K_v^T diag(1/W_v) K_v, the weights n_v / W_vo of each
+    problem as one row (problems x 1 x records * outcomes) of a product
+    with the outer products KK.  EML, with N_o = sum_v F_vo,
     S_o = sum_v W_vo and k_o = sum_v K_vo over the used outcomes:
     sum_o N_o [sum_v K_vo K_vo^T / (S_o W_vo) - k_o k_o^T / S_o^2].  It is
-    summed as sum_vo N_o / (S_o W_vo) R_vo R_vo^T with the centred rows
-    R_vo = K_vo - (W_vo / S_o) k_o, so that no difference of large terms
-    can leave it indefinite; R_vo . p = 0, so EML's information is
-    singular along p itself.
+    summed as sum_vo w_vo R_vo R_vo^T, w_vo = N_o / (S_o W_vo), with the
+    centred rows R_vo = K_vo - (W_vo / S_o) k_o, so that no difference of
+    large terms can leave it indefinite; R_vo . p = 0, so EML's
+    information is singular along p itself.  Each problem's sum is one
+    product (R o w)^T R of its cells x (records * outcomes) rows.  As in
+    ``_score``, problems stay on the stack axis of every product.
     """
-    if used is None:
-        weight = F.sum(axis=-1)[..., None] / np.where(W > 0.0, W, np.inf)
-        return np.einsum("voc,...vo,vod->...cd", K, weight, K)
-    K, W, F = K[:, used], W[..., used], F[..., used]
+    n_problems, n_cells = len(W), terms.K.shape[-1]
+    if terms.ml:
+        weight = terms.totals[..., None] / np.where(W > 0.0, W, np.inf)
+        return (weight.reshape(n_problems, 1, -1) @ terms.KK).reshape(n_problems, n_cells, n_cells)
     S = W.sum(axis=-2, keepdims=True)
-    R = K - (W / S)[..., None] * K.sum(axis=0)
-    weight = F.sum(axis=-2, keepdims=True) / (S * np.where(W > 0.0, W, np.inf))
-    return np.einsum("...voc,...vo,...vod->...cd", R, weight, R)
+    R = (terms.K - (W / S)[..., None] * terms.k).reshape(n_problems, -1, n_cells)
+    weight = (terms.totals[:, None] / (S * np.where(W > 0.0, W, np.inf))).reshape(n_problems, -1, 1)
+    return (R * weight).transpose(0, 2, 1) @ R
 
 
 def _softmax_cells(z: np.ndarray) -> np.ndarray:
@@ -361,11 +423,15 @@ def log_likelihood(P, records, model) -> float:
     """Total multinomial log-likelihood of count records under P.
 
     ``P`` may be a PndMatrix with a bipartite model or a probability
-    vector with a single-mode model.  Outcomes with zero probability but
-    nonzero counts make the result -inf, the typed infeasible value.
+    vector with a single-mode model.  Each record's outcome probabilities
+    count over their sum, which is 1 up to roundoff for a distribution,
+    so a sum of cells off 1 by roundoff moves no value.  Outcomes with
+    zero probability but nonzero counts make the result -inf, the typed
+    infeasible value.
     """
     K, F = _stack([records], model)
-    return float(_loglik(_probs(K, _cells(P).reshape(-1)), F[0]))
+    terms = _Terms(K, F)
+    return float(_loglik(terms, terms.probs(_cells(P).reshape(-1)[None]))[0])
 
 
 def _solve_each(a, b) -> np.ndarray:
@@ -393,8 +459,16 @@ def _scaled_solve(info, rhs):
         empty = diag == 0.0
         d = 1.0 / np.sqrt(np.where(empty, np.inf, diag))
         scale = np.where(empty, np.inf, d)
-    scaled = d[..., :, None] * info * d[..., None, :] + 1e-12 * np.eye(d.shape[-1])
+    scaled = info * d[..., None, :]
+    scaled *= d[..., :, None]
+    scaled += _diagonal(info.shape[-1], 1e-12)
     return d * _solve_each(scaled, d * rhs), scale
+
+
+@functools.cache
+def _diagonal(n: int, value: float) -> np.ndarray:
+    """The read-only n x n matrix with ``value`` on its diagonal, built once."""
+    return _frozen(value * np.eye(n))
 
 
 def _scoring_steps(J, fisher, score, free, exp_curvature=None) -> np.ndarray:
@@ -411,10 +485,10 @@ def _scoring_steps(J, fisher, score, free, exp_curvature=None) -> np.ndarray:
     score 0, so it decouples and steps exactly 0.
     """
     info = J @ fisher @ J.transpose(0, 2, 1)
-    eye = np.eye(score.shape[-1])
+    n = score.shape[-1]
     if exp_curvature is not None:
-        info = info + np.where(exp_curvature, np.maximum(-score, 0.0), 0.0)[..., None] * eye
-    info = np.where(free[:, :, None] & free[:, None, :], info, eye)
+        info.reshape(-1, n * n)[:, :: n + 1] += np.where(exp_curvature, np.maximum(-score, 0.0), 0.0)
+    info = np.where(free[:, :, None] & free[:, None, :], info, _diagonal(n, 1.0))
     x, _ = _scaled_solve(info, np.where(free, score, 0.0))
     return np.where(free, x, 0.0)
 
@@ -435,13 +509,13 @@ def _rises(ll, ll_trial, z, trial, score, n, slack) -> np.ndarray:
     return ll_trial >= ll + 0.1 * np.maximum(linear, 0.0) - slack
 
 
-def _fisher_scoring(K, F, Z, max_iter: int, used=None):
+def _fisher_scoring(terms: _Terms, Z, max_iter: int):
     """Projected Fisher-scoring ascent of the ML log-likelihood, or of
-    EML's objective when an outcome mask ``used`` is given.
+    EML's objective when ``terms`` keep EML's used outcomes.
 
-    Fits every problem of the count stack F (problems x records x outcomes)
-    from its start in Z (problems x cells-1).  Cells stay at or above
-    ``_FLOOR`` relative to cell 0.  A cell on the floor with an outward
+    Fits every problem of the count stack of ``terms`` from its start in
+    Z (problems x cells-1).  Cells stay at or above ``_FLOOR`` relative
+    to cell 0.  A cell on the floor with an outward
     score is held there; one whose step crosses the floor with an outward
     score is sent there, and the rest are solved again without it.  Each
     solve is one masked stack over every problem (``_scoring_steps``), in
@@ -471,27 +545,27 @@ def _fisher_scoring(K, F, Z, max_iter: int, used=None):
     maximum are far below ML's slack of 1e-12 |loglik|.
 
     A problem leaves the live set once it converges or fails; each takes
-    exactly the steps it would take alone.  Returns (Z, steps, converged),
-    one entry per problem.
+    exactly the steps it would take alone.  Each step starts from the
+    cells p and outcome probabilities W of the trial its line search took.
+    Returns (Z, steps, converged), one entry per problem.
     """
-    ml = used is None
-    n = F.reshape(len(F), -1).sum(axis=1) if ml else np.where(used, F.sum(axis=-2), 0.0).sum(axis=-1)
-    n = np.maximum(n, 1.0)
+    ml = terms.ml
+    n = np.maximum(terms.totals.sum(axis=-1), 1.0)
     z_floor = np.log(_FLOOR)
     Z = np.maximum(Z, z_floor)
-    steps = np.zeros(len(F), dtype=int)
-    converged = np.zeros(len(F), dtype=bool)
-    ll = _loglik(_probs(K, _softmax_cells(Z)), F, used)
+    steps = np.zeros(len(Z), dtype=int)
+    converged = np.zeros(len(Z), dtype=bool)
+    p = _softmax_cells(Z)
+    W = terms.probs(p)
+    ll = _loglik(terms, W)
     # The live problems, each k steps in; one leaves by writing back its z.
     live = np.flatnonzero(np.isfinite(ll))
-    z, f, n, ll = Z[live], F[live], n[live], ll[live]
+    z, p, W, n, ll, part = Z[live], p[live], W[live], n[live], ll[live], terms.take(live)
     k = 0
     while live.size:
-        p = _softmax_cells(z)
-        W = _probs(K, p)
-        score_p = _score(K, W, f, used) / n[:, None]
+        score_p = _score(part, W) / n[:, None]
         J = _softmax_jacobian(p)
-        score, fisher = (J @ score_p[..., None])[..., 0], _fisher(K, W, f, used) / n[:, None, None]
+        score, fisher = (J @ score_p[..., None])[..., 0], _fisher(part, W) / n[:, None, None]
         free = (z > z_floor) | (score > 0.0)
         tiny = None if ml else n[:, None] * p[:, 1:] < 1.0  # cells worth < 1 count
         step = _scoring_steps(J, fisher, score, free, tiny)
@@ -507,7 +581,8 @@ def _fisher_scoring(K, F, Z, max_iter: int, used=None):
         if not stay.all():
             converged[live[done]] = True
             Z[live[~stay]], steps[live[~stay]] = z[~stay], k
-            live, z, f, n, ll, step = live[stay], z[stay], f[stay], n[stay], ll[stay], step[stay]
+            live, z, n, ll, step = live[stay], z[stay], n[stay], ll[stay], step[stay]
+            part = part.take(stay)
             J, fisher, score, free = J[stay], fisher[stay], score[stay], free[stay]
             tiny = None if ml else tiny[stay]
             if not live.size:
@@ -524,20 +599,26 @@ def _fisher_scoring(K, F, Z, max_iter: int, used=None):
         # trial must rise by a tenth of its move's linear gain, less roundoff.
         slack = 1e-12 * np.maximum(np.abs(ll), 1.0) if ml else 1e-14 * n
         trial = np.maximum(z + _ratio_moves(step), z_floor)
-        ll_trial = _loglik(_probs(K, _softmax_cells(trial)), f, used)
+        p = _softmax_cells(trial)
+        W = part.probs(p)
+        ll_trial = _loglik(part, W)
         short = np.flatnonzero(~_rises(ll, ll_trial, z, trial, score, n, slack))
         for _ in range(29):
             if not short.size:
                 break
             step[short] *= 0.5
             trial[short] = np.maximum(z[short] + _ratio_moves(step[short]), z_floor)
-            ll_trial[short] = _loglik(_probs(K, _softmax_cells(trial[short])), f[short], used)
+            shorts = part.take(short)
+            p[short] = _softmax_cells(trial[short])
+            W[short] = shorts.probs(p[short])
+            ll_trial[short] = _loglik(shorts, W[short])
             short = short[~_rises(*(a[short] for a in (ll, ll_trial, z, trial, score, n, slack)))]
         moved = ~(trial == z).all(axis=1)
         moved[short] = False
         if not moved.all():
             Z[live[~moved]], steps[live[~moved]] = z[~moved], k
-            live, f, n, trial, ll_trial = live[moved], f[moved], n[moved], trial[moved], ll_trial[moved]
+            live, n, part = live[moved], n[moved], part.take(moved)
+            trial, p, W, ll_trial = trial[moved], p[moved], W[moved], ll_trial[moved]
         z, ll = trial, ll_trial
         k += 1
     return Z, steps, converged
@@ -556,7 +637,8 @@ def _starts(K, F) -> np.ndarray:
     """
     n = np.maximum(F.sum(axis=-1, keepdims=True), 1.0)
     seen = np.maximum(F, 1.0) / n
-    p, se = _scaled_solve(_fisher(K, seen, F), _score(K, seen, F))
+    terms = _Terms(K, F)
+    p, se = _scaled_solve(_fisher(terms, seen), _score(terms, seen))
     resolved = p > se
     # An unresolved vacuum cell leaves no scale; the others then count from 1.
     vacuum = np.where(resolved[..., :1], p[..., :1], 1.0)
@@ -670,12 +752,10 @@ def _fit_stack(K, F, model, options: EstimateOptions | None, eml: bool) -> _Stac
     else:
         used, Z0 = None, _starts(K, F)[:, None]
     n_sets, n_starts = Z0.shape[:2]
-    F = np.repeat(F, n_starts, axis=0)
-    Z, steps, converged = _fisher_scoring(
-        K, F, Z0.reshape(n_sets * n_starts, -1), options.max_iter, used
-    )
+    terms = _Terms(K, np.repeat(F, n_starts, axis=0), used)
+    Z, steps, converged = _fisher_scoring(terms, Z0.reshape(n_sets * n_starts, -1), options.max_iter)
     P = _softmax_cells(Z)
-    logliks = _loglik(_probs(K, P), F, used).reshape(n_sets, n_starts)
+    logliks = _loglik(terms, terms.probs(P)).reshape(n_sets, n_starts)
     steps, converged = steps.reshape(n_sets, n_starts), converged.reshape(n_sets, n_starts)
     best = (np.arange(n_sets), np.argmax(logliks, axis=1))
     return _StackFit(

@@ -444,6 +444,161 @@ class TestMlEstimateMany:
             ml_estimate_many([], sweep_model("2d", 0.5, 0.0, 10))
 
 
+def core_case(layout, n_settings, eml):
+    """Model, truth-drawing function and outcome mask (None for ML) of one
+    likelihood-core case: bipartite or single-mode, ML or EML."""
+    model = sweep_model(layout, 0.5, 1e-6, n_settings)
+    random_truth = random_pps_pnd if layout == "2x2d" else random_single_pnd
+    return model, random_truth, model.eml_used() if eml else None
+
+
+def core_stack(layout, n_settings, eml):
+    """A 20-problem count stack of one likelihood-core case with its
+    ``_Terms``, and random cells for each problem."""
+    model, _, used = core_case(layout, n_settings, eml)
+    K, F = ppskit.estimate._stack(sampled_sets(model, 1e-3, 10**3, 17, 20), model)
+    p = ppskit.estimate._softmax_cells(
+        np.random.default_rng(3).normal(-5.0, 2.0, (len(F), K.shape[-1] - 1))
+    )
+    return K, F, used, ppskit.estimate._Terms(K, F, used), p
+
+
+CORE_CASES = [
+    (layout, n_settings, eml)
+    for eml in (False, True)
+    for layout in ("2x2d", "2d", "1d")
+    for n_settings in (1, 4)
+]
+
+
+class TestLikelihoodCore:
+    """``_loglik``, ``_score`` and ``_fisher`` on their ``_Terms``."""
+
+    @pytest.mark.parametrize("layout, n_settings, eml", CORE_CASES)
+    def test_each_problem_of_a_stack_matches_it_alone(self, layout, n_settings, eml):
+        K, F, used, terms, p = core_stack(layout, n_settings, eml)
+        assert (F == 0).any()  # unseen outcomes are part of the check
+        W = terms.probs(p)
+        core = (ppskit.estimate._loglik, ppskit.estimate._score, ppskit.estimate._fisher)
+        stacked = [f(terms, W) for f in core]
+        for i in range(len(F)):
+            alone = ppskit.estimate._Terms(K, F[i : i + 1], used)
+            W_i = alone.probs(p[i : i + 1])
+            assert W_i[0].tobytes() == W[i].tobytes()
+            for f, batch in zip(core, stacked):
+                assert f(alone, W_i)[0].tobytes() == batch[i].tobytes(), f.__name__
+
+    @pytest.mark.parametrize("layout, n_settings, eml", CORE_CASES)
+    def test_contractions_match_the_sums_they_stand_for(self, layout, n_settings, eml):
+        # The sums of the docstrings, written out with einsum.  Each entry
+        # sums m = records * outcomes terms of at most two products each,
+        # so any summation order lies within (m + 2) eps sum|terms| of the
+        # exact sum, and two orders within twice that of each other.
+        _, _, _, terms, p = core_stack(layout, n_settings, eml)
+        W = terms.probs(p)
+        K, F = terms.K, terms.F  # EML: the used outcomes alone
+        tol = 2.0 * (K.shape[0] * K.shape[1] + 2) * np.finfo(float).eps
+
+        ratio = F / np.where(F > 0, W, 1.0)
+        if eml:
+            ratio -= (F.sum(axis=1) / W.sum(axis=1))[:, None, :]
+        score = ppskit.estimate._score(terms, W)
+        reference = np.einsum("pvo,voc->pc", ratio, K)
+        size = np.einsum("pvo,voc->pc", abs(ratio), abs(K))
+        assert np.all(np.abs(score - reference) <= tol * size)
+
+        fisher = ppskit.estimate._fisher(terms, W)
+        if eml:
+            S = W.sum(axis=1, keepdims=True)
+            R = K - (W / S)[..., None] * K.sum(axis=0)
+            weight = F.sum(axis=1, keepdims=True) / (S * np.where(W > 0.0, W, np.inf))
+            reference = np.einsum("pvoc,pvo,pvod->pcd", R, weight, R)
+            size = np.einsum("pvoc,pvo,pvod->pcd", abs(R), weight, abs(R))
+        else:
+            weight = F.sum(axis=2, keepdims=True) / np.where(W > 0.0, W, np.inf)
+            reference = np.einsum("voc,pvo,vod->pcd", K, weight, K)
+            size = np.einsum("voc,pvo,vod->pcd", abs(K), weight, abs(K))
+        assert np.all(np.abs(fisher - reference) <= tol * size)
+
+    # Tolerances.  The score: five-point central differences of the
+    # loglik with steps h = 1e-3 p_c, whose truncation error is about
+    # (h / p_c)^4 = 1e-12 relative.  Their rounding error is about
+    # 1.5 / h times that of one loglik, a few eps M, where M sums the
+    # magnitudes of the loglik's terms, |F log W| (EML: and |N_o log S_o|).
+    # EML's score is a nearly cancelling difference, so that term
+    # dominates there; each direction passes within
+    # 1e-6 |score| + 8 eps M / h.  The information: central differences
+    # of the score with steps h = 1e-4 p_c, truncation about 1e-8
+    # relative.  The same rounding argument holds with G_a, the sum of
+    # the magnitudes of score a's terms, |F / W K_a| (EML: and
+    # |N_o / S_o k_oa|), in place of M: entry (a, c) passes within
+    # 1e-6 |info_ac| + 8 eps G_a / h_c.
+    @pytest.mark.parametrize(
+        "layout, n_settings, eml",
+        [("2x2d", 1, False), ("2x2d", 4, False), ("2d", 10, False), ("1d", 10, False),
+         ("2x2d", 4, True), ("2d", 10, True), ("1d", 10, True)],
+    )
+    def test_score_and_fisher_match_finite_differences(self, layout, n_settings, eml):
+        model, random_truth, used = core_case(layout, n_settings, eml)
+        truth = ppskit.estimate._cells(random_truth(1e-2, substream(23, "core"))).reshape(-1)
+        K, F = ppskit.estimate._stack([_draw_records(model, truth, 10**6, None)], model)
+        terms = ppskit.estimate._Terms(K, F, used)
+        loglik = lambda q: ppskit.estimate._loglik(terms, terms.probs(q[None]))[0]
+        score = lambda q: ppskit.estimate._score(terms, terms.probs(q[None]))[0]
+        n_cells, eps = truth.size, np.finfo(float).eps
+
+        # The score, away from the maximum.  ML's score leaves out the
+        # gradient of its loglik's sum_v n_v log sum_o W_vo, which points
+        # along (1, ..., 1); so ML compares along the tangent directions
+        # e_c - e_0 of the simplex, and EML, whose score is its whole
+        # gradient, along every e_c.
+        p = truth * np.exp(np.random.default_rng(5).normal(0.0, 1.0, n_cells))
+        p /= p.sum()
+        W = terms.probs(p[None])[0]
+        M = np.sum(terms.F[0] * np.abs(np.log(W)))
+        if eml:
+            M += np.sum(terms.totals[0] * np.abs(np.log(W.sum(axis=0))))
+        g = score(p)
+        for c in range(0 if eml else 1, n_cells):
+            u = np.zeros(n_cells)
+            u[c] = 1.0
+            if not eml:
+                u[0] = -1.0
+            h = 1e-3 * p[c]
+            near, far = (loglik(p + k * h * u) - loglik(p - k * h * u) for k in (1, 2))
+            fd = (8.0 * near - far) / (12.0 * h)
+            assert abs(fd - g @ u) <= 1e-6 * abs(g @ u) + 8.0 * eps * M / h, c
+
+        # The information, at the truth, whose expected counts these are:
+        # there it is the negative Jacobian of the score.
+        W = terms.probs(truth[None])[0]
+        info = ppskit.estimate._fisher(terms, W[None])[0]
+        G = (terms.F[0] / W).reshape(-1) @ abs(terms.K2)
+        if eml:
+            G += (terms.totals[0] / W.sum(axis=0)) @ abs(terms.k)
+        h = 1e-4 * truth
+        jac = np.empty((n_cells, n_cells))
+        for c in range(n_cells):
+            u = np.zeros(n_cells)
+            u[c] = h[c]
+            jac[:, c] = (score(truth + u) - score(truth - u)) / (2.0 * h[c])
+        assert np.all(np.abs(-jac - info) <= 1e-6 * np.abs(info) + 8.0 * eps * G[:, None] / h)
+
+    @pytest.mark.parametrize("layout", ["2d", "1d"])
+    def test_ml_loglik_ignores_the_last_bits_of_the_cell_sum(self, layout):
+        # At N = 1e11 counts (ten settings of 1e10 trials), cells summing
+        # to 1 + 4 ulp would move sum F log W by 4 ulp N, about 9e-5 nats,
+        # above ML's line-search slack of 1e-12 |loglik| (3.5e-5 nats for
+        # "2d"); the sum_v n_v log sum_o W_vo term takes that first-order
+        # move out.
+        model, random_truth, _ = core_case(layout, 10, False)
+        truth = random_truth(1e-4, substream(29, "drift"))
+        records = _draw_records(model, truth, 10**10, substream(29, "drift-counts"))
+        ll = log_likelihood(truth, records, model)
+        scaled = log_likelihood(truth * (1.0 + 4.0 * np.finfo(float).eps), records, model)
+        assert abs(scaled - ll) <= 1e-12 * abs(ll)
+
+
 class TestScoringSteps:
     # Free sets over 8 coordinates: different sets of one size, one set
     # repeated, every coordinate free, and nothing free.
@@ -734,12 +889,14 @@ def lbfgs_eml_loglik(records, model, options):
     scale = max(float(F[..., used].sum()), 1.0)
     z_floor = np.log(ppskit.estimate._FLOOR)
 
+    terms = ppskit.estimate._Terms(K, F, used)
+
     def negated(z):
         p = ppskit.estimate._softmax_cells(z[None])
-        W = ppskit.estimate._probs(K, p)
-        score = ppskit.estimate._score(K, W, F, used)
+        W = terms.probs(p)
+        score = ppskit.estimate._score(terms, W)
         grad = (ppskit.estimate._softmax_jacobian(p) @ score[..., None])[0, :, 0]
-        return -float(ppskit.estimate._loglik(W, F, used)[0]) / scale, -grad / scale
+        return -float(ppskit.estimate._loglik(terms, W)[0]) / scale, -grad / scale
 
     best = -np.inf
     for z in ppskit.estimate._eml_starts(K, F, used, options)[0]:

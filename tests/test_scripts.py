@@ -93,12 +93,14 @@ def test_acquisition_stages_times_every_command_at_both_points(capsys):
 def test_sweep_steps_prints_every_benchmark_sweep_kind(capsys):
     run_script("sweep_steps.py", ["--repeats", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "1 cells a kind, 20 reps each: Newton steps of every fit, ms per cell"
-    assert lines[1].split() == ["kind", "steps_median", "steps_max", "ms_median"]
+    assert lines[0] == (
+        "1 cells a kind, 20 reps each: Newton steps of every fit, ms per cell and in its fit"
+    )
+    assert lines[1].split() == ["kind", "steps_median", "steps_max", "ms_median", "fit_ms_median"]
     workloads = runpy.run_path(str(SCRIPTS.parent / "perfbench" / "workloads.py"))
     rows = [line.split() for line in lines[2:-1]]
     assert [row[0] for row in rows] == list(workloads["Sweep"].kinds)
     assert lines[-1].startswith("all (ms: sum of medians)")
-    for row in rows + [lines[-1].split()[-3:]]:
-        median, largest, ms = float(row[-3]), int(row[-2]), float(row[-1])
-        assert 0 <= median <= largest and ms > 0.0
+    for row in rows + [lines[-1].split()[-4:]]:
+        median, largest, ms, fit_ms = float(row[-4]), int(row[-3]), float(row[-2]), float(row[-1])
+        assert 0 <= median <= largest and 0.0 < fit_ms < ms
