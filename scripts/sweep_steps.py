@@ -10,8 +10,11 @@ plan.  For every kind the script runs one untimed cell, then
 sweep seed ``--seed + i``.  It prints the median and the largest Newton
 steps over all their fits, the median milliseconds per cell and the
 median milliseconds of the cell's batched fit (``estimate._fit_stack``,
-starts included), then the same over every kind, with the sums of the
-kinds' median times.  Run it with one BLAS thread, as the benchmark runs
+starts included) and ``digest``, the first 12 hex digits of a sha256
+over the bytes of every array those timed fits returned, then the same
+over every kind, with the sums of the kinds' median times and one digest
+over all the kinds' arrays.  Equal digests from two checkouts mean
+byte-identical fits.  Run it with one BLAS thread, as the benchmark runs
 the sweep.
 
 Example:
@@ -19,6 +22,8 @@ Example:
 """
 
 import argparse
+import dataclasses
+import hashlib
 import statistics
 import time
 
@@ -47,19 +52,19 @@ def sweep_kinds() -> list:
 
 
 def run_cells(method, p_g, n_m, eta, d, seeds) -> tuple:
-    """Newton steps of every fit, and seconds of each cell and of its
-    ``_fit_stack`` call, one cell per seed."""
+    """The ``_fit_stack`` result of every cell, and seconds of each cell
+    and of its ``_fit_stack`` call, one cell per seed."""
     spec = SweepSpec(
         p_g_grid=(p_g,), n_m_grid=(n_m,), eta_grid=(eta,), d_grid=(d,),
         gamma_design="va4" if method.startswith("eml") else "none", reps=REPS,
     )
-    steps, seconds, fit_seconds, fit_stack = [], [], [], estimate._fit_stack
+    stack_fits, seconds, fit_seconds, fit_stack = [], [], [], estimate._fit_stack
 
     def counting_stack(*args, **kwargs):
         start = time.perf_counter()
         fits = fit_stack(*args, **kwargs)
         fit_seconds.append(time.perf_counter() - start)
-        steps.append(fits.steps)
+        stack_fits.append(fits)
         return fits
 
     estimate._fit_stack = counting_stack
@@ -70,7 +75,12 @@ def run_cells(method, p_g, n_m, eta, d, seeds) -> tuple:
             seconds.append(time.perf_counter() - start)
     finally:
         estimate._fit_stack = fit_stack
-    return np.concatenate(steps), seconds, fit_seconds
+    return stack_fits, seconds, fit_seconds
+
+
+def fit_bytes(fits) -> bytes:
+    """The bytes of every array of a ``_fit_stack`` result, field by field."""
+    return b"".join(getattr(fits, field.name).tobytes() for field in dataclasses.fields(fits))
 
 
 def main(argv=None) -> None:
@@ -81,22 +91,31 @@ def main(argv=None) -> None:
 
     print(
         f"{args.repeats} cells a kind, {REPS} reps each: "
-        "Newton steps of every fit, ms per cell and in its fit"
+        "Newton steps of every fit, ms per cell and in its fit, digest of its fits"
     )
-    print(f"{'kind':<38} {'steps_median':>12} {'steps_max':>9} {'ms_median':>9} {'fit_ms_median':>13}")
-    all_steps, total_ms, total_fit_ms = [], 0.0, 0.0
+    print(
+        f"{'kind':<38} {'steps_median':>12} {'steps_max':>9} {'ms_median':>9} "
+        f"{'fit_ms_median':>13} {'digest':>12}"
+    )
+    all_steps, total_ms, total_fit_ms, total_hash = [], 0.0, 0.0, hashlib.sha256()
     for label, *cell in sweep_kinds():
         run_cells(*cell, [args.seed - 1])
-        steps, seconds, fit_seconds = run_cells(*cell, range(args.seed, args.seed + args.repeats))
+        fits, seconds, fit_seconds = run_cells(*cell, range(args.seed, args.seed + args.repeats))
         ms, fit_ms = 1e3 * statistics.median(seconds), 1e3 * statistics.median(fit_seconds)
+        steps = np.concatenate([fit.steps for fit in fits])
+        data = b"".join(map(fit_bytes, fits))
+        total_hash.update(data)
         all_steps.append(steps)
         total_ms += ms
         total_fit_ms += fit_ms
-        print(f"{label:<38} {np.median(steps):>12g} {steps.max():>9d} {ms:>9.2f} {fit_ms:>13.2f}")
+        print(
+            f"{label:<38} {np.median(steps):>12g} {steps.max():>9d} {ms:>9.2f} {fit_ms:>13.2f} "
+            f"{hashlib.sha256(data).hexdigest()[:12]:>12}"
+        )
     steps = np.concatenate(all_steps)
     print(
         f"{'all (ms: sum of medians)':<38} {np.median(steps):>12g} {steps.max():>9d} "
-        f"{total_ms:>9.2f} {total_fit_ms:>13.2f}"
+        f"{total_ms:>9.2f} {total_fit_ms:>13.2f} {total_hash.hexdigest()[:12]:>12}"
     )
 
 

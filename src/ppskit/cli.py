@@ -516,13 +516,16 @@ _FLAGS = {
     "--bootstrap": dict(action="store_true", help="also bootstrap after estimating"),
 }
 
-# Beyond --config and --out, each command takes only the flags it reads.
+# Each command's handler, help and flags beyond --config and --out; a
+# command takes only the flags it reads.
 _SUBCOMMANDS = (
-    ("jsd", "mode numbers, segmentation and synthesized PND of a filtered JSD", ()),
-    ("simulate", "generate synthetic count records", ("--seed", "--reps")),
-    ("sweep", "estimator accuracy over a parameter grid", ("--seed", "--reps")),
-    ("estimate", "reconstruct a PND from a counts file", ("--seed", "--counts", "--bootstrap")),
-    ("bootstrap", "bootstrap uncertainties of the estimates", ("--seed", "--counts")),
+    ("jsd", cmd_jsd, "mode numbers, segmentation and synthesized PND of a filtered JSD", ()),
+    ("simulate", cmd_simulate, "generate synthetic count records", ("--seed", "--reps")),
+    ("sweep", cmd_sweep, "estimator accuracy over a parameter grid", ("--seed", "--reps")),
+    ("estimate", cmd_estimate, "reconstruct a PND from a counts file",
+     ("--seed", "--counts", "--bootstrap")),
+    ("bootstrap", cmd_bootstrap, "bootstrap uncertainties of the estimates",
+     ("--seed", "--counts")),
 )
 
 
@@ -534,8 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate and estimate photon-pair-source photon number distributions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, flags in _SUBCOMMANDS:
+    for name, handler, help_text, flags in _SUBCOMMANDS:
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", required=True, help="path to the run config file")
         cmd.add_argument("--out", default=".", help="output directory (default: .)")
         for flag in flags:
@@ -543,20 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "jsd": cmd_jsd,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "estimate": cmd_estimate,
-    "bootstrap": cmd_bootstrap,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        return args.handler(cfg, args)
     except (PpskitError, OSError) as exc:  # an OSError names the path it failed on
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH if isinstance(exc, DataModelMismatchError) else EXIT_INPUT

@@ -25,8 +25,9 @@ The restarts stay available through ``EstimateOptions.n_starts`` above
 1, and then the best start wins.
 
 Record sets that share a model (bootstrap draws, the reps of a sweep
-cell) go through one call of either estimator's ``*_many`` form, which
-runs one ascent vectorized over the sets (and, for EML, their starts).
+cell) go through one call of either estimator's ``*_many`` form: one
+ascent over the sets (and, for EML, their starts), which each leave
+through one block that hands back their cells and objective.
 A caller that already holds the counts as one stack hands it to
 ``_fit_stack``, the batched core of both, and reads its arrays without
 building a result per set: a sweep cell its reps, and the command line
@@ -301,7 +302,8 @@ class _Terms:
     record's trials n_v = sum_o F_vo.  EML, given its outcome mask
     ``used``, keeps only the used outcomes, with their totals over the
     records N_o = sum_v F_vo and the kernel's column sums k_o = sum_v K_vo.
-    ``seen`` marks the counted outcomes.  The contractions run over the
+    ``seen`` marks the counted outcomes, and ``n`` is each problem's count
+    scale, its kept counts (at least 1).  The contractions run over the
     flattened (records x outcomes) axis: ``K2`` is K as (records *
     outcomes) x cells, and ML's ``KK`` holds every outer product K_vo
     K_vo^T as (records * outcomes) x cells^2.  The kernel terms are shared
@@ -324,12 +326,14 @@ class _Terms:
         else:
             self.totals = self.F.sum(axis=-2)  # N_o
             self.k = self.K.sum(axis=0)
+        self.n = np.maximum(self.totals.sum(axis=-1), 1.0)
 
     def take(self, rows) -> "_Terms":
         """The terms of the problems ``rows``, sharing the kernel terms."""
         part = object.__new__(_Terms)
         part.__dict__.update(
-            self.__dict__, F=self.F[rows], seen=self.seen[rows], totals=self.totals[rows]
+            self.__dict__, F=self.F[rows], seen=self.seen[rows], totals=self.totals[rows],
+            n=self.n[rows],
         )
         return part
 
@@ -544,25 +548,30 @@ def _fisher_scoring(terms: _Terms, Z, max_iter: int):
     roundoff slack is 1e-14 per used count, because its gains near the
     maximum are far below ML's slack of 1e-12 |loglik|.
 
-    A problem leaves the live set once it converges or fails; each takes
-    exactly the steps it would take alone.  Each step starts from the
-    cells p and outcome probabilities W of the trial its line search took.
-    Returns (Z, steps, converged), one entry per problem.
+    A problem that has converged, failed (a step that is not finite) or
+    taken ``max_iter`` steps takes a zero step, which rises at once; the
+    line search is skipped when no problem moves.  Those problems, and
+    any whose trial did not rise in 30 tries or left z as it was, leave
+    through one block after the line search, which writes back their
+    cells, objective, steps and convergence.  Each problem takes exactly
+    the steps it would take alone, each from the p and W of the trial its
+    line search took.  Returns (P, loglik, steps, converged): the cells
+    and objective of each problem's last accepted point.
     """
     ml = terms.ml
-    n = np.maximum(terms.totals.sum(axis=-1), 1.0)
     z_floor = np.log(_FLOOR)
     Z = np.maximum(Z, z_floor)
     steps = np.zeros(len(Z), dtype=int)
     converged = np.zeros(len(Z), dtype=bool)
-    p = _softmax_cells(Z)
-    W = terms.probs(p)
-    ll = _loglik(terms, W)
-    # The live problems, each k steps in; one leaves by writing back its z.
-    live = np.flatnonzero(np.isfinite(ll))
-    z, p, W, n, ll, part = Z[live], p[live], W[live], n[live], ll[live], terms.take(live)
+    P = _softmax_cells(Z)
+    W = terms.probs(P)
+    loglik = _loglik(terms, W)
+    # The live problems, each k steps in; one leaves by writing back its p and ll.
+    live = np.flatnonzero(np.isfinite(loglik))
+    z, p, W, ll, part = Z[live], P[live], W[live], loglik[live], terms.take(live)
     k = 0
     while live.size:
+        n = part.n
         score_p = _score(part, W) / n[:, None]
         J = _softmax_jacobian(p)
         score, fisher = (J @ score_p[..., None])[..., 0], _fisher(part, W) / n[:, None, None]
@@ -577,16 +586,7 @@ def _fisher_scoring(terms: _Terms, Z, max_iter: int):
         else:
             excess = np.where(z <= z_floor, score_p[:, 1:], -np.inf)
             done = (excess.max(axis=1) <= _KKT_TOL) & (gain <= _EML_GAIN_TOL)
-        stay = ~done & np.isfinite(step).all(axis=1) & (k < max_iter)
-        if not stay.all():
-            converged[live[done]] = True
-            Z[live[~stay]], steps[live[~stay]] = z[~stay], k
-            live, z, n, ll, step = live[stay], z[stay], n[stay], ll[stay], step[stay]
-            part = part.take(stay)
-            J, fisher, score, free = J[stay], fisher[stay], score[stay], free[stay]
-            tiny = None if ml else tiny[stay]
-            if not live.size:
-                break
+        step[done | ~np.isfinite(step).all(axis=1) | (k >= max_iter)] = 0.0
         lands = free & (z + step <= z_floor) & (score < 0.0)
         again = np.flatnonzero(lands.any(axis=1))
         if again.size:
@@ -595,37 +595,37 @@ def _fisher_scoring(terms: _Terms, Z, max_iter: int):
                 None if ml else tiny[again],
             )
             step[again] = np.where(lands[again], step[again], resolved)
-        # Backtracking: up to 30 tries, the step halved after each miss.  A
-        # trial must rise by a tenth of its move's linear gain, less roundoff.
+        # Backtracking, none when no step moves: up to 30 tries of every
+        # problem, from the Newton step, each halving the steps whose trial
+        # did not rise.  A step that rose is kept, so its trial repeats.
         slack = 1e-12 * np.maximum(np.abs(ll), 1.0) if ml else 1e-14 * n
-        trial = np.maximum(z + _ratio_moves(step), z_floor)
-        p = _softmax_cells(trial)
-        W = part.probs(p)
-        ll_trial = _loglik(part, W)
-        short = np.flatnonzero(~_rises(ll, ll_trial, z, trial, score, n, slack))
-        for _ in range(29):
-            if not short.size:
+        trial, p_try, W_try, ll_try, short = z, p, W, ll, np.zeros(len(z), dtype=bool)
+        for _ in range(30 if step.any() else 0):
+            trial = np.maximum(z + _ratio_moves(step), z_floor)
+            p_try = _softmax_cells(trial)
+            W_try = part.probs(p_try)
+            ll_try = _loglik(part, W_try)
+            short = ~_rises(ll, ll_try, z, trial, score, n, slack)
+            if not short.any():
                 break
             step[short] *= 0.5
-            trial[short] = np.maximum(z[short] + _ratio_moves(step[short]), z_floor)
-            shorts = part.take(short)
-            p[short] = _softmax_cells(trial[short])
-            W[short] = shorts.probs(p[short])
-            ll_trial[short] = _loglik(shorts, W[short])
-            short = short[~_rises(*(a[short] for a in (ll, ll_trial, z, trial, score, n, slack)))]
-        moved = ~(trial == z).all(axis=1)
-        moved[short] = False
+        moved = ~short & ~(trial == z).all(axis=1)
         if not moved.all():
-            Z[live[~moved]], steps[live[~moved]] = z[~moved], k
-            live, n, part = live[moved], n[moved], part.take(moved)
-            trial, p, W, ll_trial = trial[moved], p[moved], W[moved], ll_trial[moved]
-        z, ll = trial, ll_trial
+            gone = live[~moved]
+            P[gone], loglik[gone] = p[~moved], ll[~moved]
+            steps[gone], converged[gone] = k, done[~moved]
+            live = live[moved]
+            if not live.size:
+                break
+            part = part.take(moved)
+            trial, p_try, W_try, ll_try = (a[moved] for a in (trial, p_try, W_try, ll_try))
+        z, p, W, ll = trial, p_try, W_try, ll_try
         k += 1
-    return Z, steps, converged
+    return P, loglik, steps, converged
 
 
-def _starts(K, F) -> np.ndarray:
-    """Moment start of every problem in the free coordinates z.
+def _starts(terms: _Terms) -> np.ndarray:
+    """Moment start of every problem of ML ``terms`` in the free coordinates z.
 
     Neyman's minimum chi-square: the least-squares inversion of W = K p
     against the observed frequencies y_vo = F_vo / n_v, each outcome
@@ -635,10 +635,8 @@ def _starts(K, F) -> np.ndarray:
     outcome counted once.  A cell whose solution is not above its standard
     error with the other cells held (NaN included) starts on ``_FLOOR``.
     """
-    n = np.maximum(F.sum(axis=-1, keepdims=True), 1.0)
-    seen = np.maximum(F, 1.0) / n
-    terms = _Terms(K, F)
-    p, se = _scaled_solve(_fisher(terms, seen), _score(terms, seen))
+    freq = np.maximum(terms.F, 1.0) / np.maximum(terms.totals[..., None], 1.0)
+    p, se = _scaled_solve(_fisher(terms, freq), _score(terms, freq))
     resolved = p > se
     # An unresolved vacuum cell leaves no scale; the others then count from 1.
     vacuum = np.where(resolved[..., :1], p[..., :1], 1.0)
@@ -681,7 +679,7 @@ def _eml_starts(K, F, used, options: EstimateOptions) -> np.ndarray:
     keeping its trial count; the others add the same ``n_starts - 1``
     standard-normal jitters, drawn from ``options.seed``, to it.
     """
-    z0 = _starts(np.where(used[:, None], K, 0.0), F)
+    z0 = _starts(_Terms(np.where(used[:, None], K, 0.0), F))
     jitter = substream(options.seed, "estimate-starts").standard_normal(
         (int(options.n_starts) - 1, z0.shape[-1])
     )
@@ -737,8 +735,10 @@ def _fit_stack(K, F, model, options: EstimateOptions | None, eml: bool) -> _Stac
     :func:`_stack` builds them, in one batched ascent.
 
     Each start of each set is one problem: ML runs the moment start
-    alone, EML its ``n_starts`` starts with the model's used outcomes.
-    The start with the highest objective wins, the first among equals.
+    alone, on the count terms it shares with its ascent, EML its
+    ``n_starts`` starts with the model's used outcomes.  The start with
+    the highest objective wins, the first among equals; the ascent gives
+    each start's cells and objective, so none is evaluated again.
     The counts are taken as checked: ``*_estimate_many`` is the entry
     for record sets, and :func:`_results` wraps the arrays into
     :class:`EstimateResult` objects.
@@ -749,20 +749,15 @@ def _fit_stack(K, F, model, options: EstimateOptions | None, eml: bool) -> _Stac
             raise InvalidInputError("the baseline needs at least two attenuator settings")
         used = model.eml_used()
         Z0 = _eml_starts(K, F, used, options)
+        terms = _Terms(K, np.repeat(F, Z0.shape[1], axis=0), used)
     else:
-        used, Z0 = None, _starts(K, F)[:, None]
+        terms = _Terms(K, F)
+        Z0 = _starts(terms)[:, None]
     n_sets, n_starts = Z0.shape[:2]
-    terms = _Terms(K, np.repeat(F, n_starts, axis=0), used)
-    Z, steps, converged = _fisher_scoring(terms, Z0.reshape(n_sets * n_starts, -1), options.max_iter)
-    P = _softmax_cells(Z)
-    logliks = _loglik(terms, terms.probs(P)).reshape(n_sets, n_starts)
-    steps, converged = steps.reshape(n_sets, n_starts), converged.reshape(n_sets, n_starts)
-    best = (np.arange(n_sets), np.argmax(logliks, axis=1))
-    return _StackFit(
-        p=P.reshape(n_sets, n_starts, -1)[best], loglik=logliks[best], steps=steps[best],
-        converged=converged[best], start_loglik=logliks, start_steps=steps,
-        start_converged=converged,
-    )
+    fits = _fisher_scoring(terms, Z0.reshape(n_sets * n_starts, -1), options.max_iter)
+    P, ll, steps, converged = (a.reshape(n_sets, n_starts, *a.shape[1:]) for a in fits)
+    best = (np.arange(n_sets), np.argmax(ll, axis=1))
+    return _StackFit(P[best], ll[best], steps[best], converged[best], ll, steps, converged)
 
 
 def _results(fits: _StackFit, model) -> list:

@@ -378,15 +378,18 @@ class TestMlEstimateMany:
         d=st.sampled_from([0.0, 1e-6]),
         seed=st.integers(0, 2**31 - 1),
         order=st.integers(1, 25).flatmap(lambda n: st.permutations(range(n))),
+        max_iter=st.sampled_from([0, 1, 2, 40]),
     )
     @settings(max_examples=30, deadline=None)
     def test_each_problem_matches_its_lone_fit(
-        self, layout, n_settings, p_g, log_n_m, eta, d, seed, order
+        self, layout, n_settings, p_g, log_n_m, eta, d, seed, order, max_iter
     ):
+        # A small budget mixes, in one batch, problems that leave at different
+        # steps, some converged and some out of steps.
         model = sweep_model(layout, eta, d, n_settings)
         sets = sampled_sets(model, p_g, 10**log_n_m, seed, len(order))
         batch = [sets[i] for i in order]
-        options = EstimateOptions(max_iter=40)
+        options = EstimateOptions(max_iter=max_iter)
         for records, fit in zip(batch, ml_estimate_many(batch, model, options)):
             assert same_fit(fit, ml_estimate(records, model, options))
 
@@ -442,6 +445,19 @@ class TestMlEstimateMany:
     def test_requires_record_sets(self):
         with pytest.raises(InvalidInputError):
             ml_estimate_many([], sweep_model("2d", 0.5, 0.0, 10))
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 10000])
+    @pytest.mark.parametrize("layout", ["2x2d", "2d", "1d"])
+    def test_loglik_is_that_of_the_returned_cells(self, layout, max_iter):
+        # The ascent hands back each problem's cells with the objective it
+        # took there; no value is evaluated again after it.
+        model = sweep_model(layout, 0.5, 1e-6, 4)
+        sets = sampled_sets(model, 1e-3, 10**8, 23, 12)
+        fits = ml_estimate_many(sets, model, EstimateOptions(max_iter=max_iter))
+        if max_iter == 10000:
+            assert all(fit.converged for fit in fits)
+        for records, fit in zip(sets, fits):
+            assert fit.loglik == log_likelihood(fit.p_hat, records, model)
 
 
 def core_case(layout, n_settings, eml):
@@ -674,7 +690,7 @@ class TestStepRule:
             monkeypatch, "ml-1d", 928813558,
             p_g_grid=(1e-4,), n_m_grid=(1e9,), eta_grid=(1.0,), d_grid=(1e-6,),
         )
-        start = ppskit.estimate._starts(model.kernels, F)
+        start = ppskit.estimate._starts(ppskit.estimate._Terms(model.kernels, F))
         climbs = (start[:, 1] == np.log(ppskit.estimate._FLOOR)) & (fit.p[:, 2] > 1e-9)
         assert np.flatnonzero(climbs).tolist() == [9, 17]
         assert fit.converged.all()
@@ -702,7 +718,8 @@ class TestMomentStart:
         truth = random_truth(1e-2, substream(5, "pnd", 0))
         records = _draw_records(model, truth, 10**12, None)
         K, F = ppskit.estimate._stack([records], model)
-        start = ppskit.estimate._softmax_cells(ppskit.estimate._starts(K, F))[0]
+        z = ppskit.estimate._starts(ppskit.estimate._Terms(K, F))
+        start = ppskit.estimate._softmax_cells(z)[0]
         cells = truth.p.reshape(-1) if layout == "2x2d" else truth
         np.testing.assert_allclose(start, cells, rtol=1e-6, atol=0.0)
         assert ml_estimate(records, model).iterations == 0
@@ -720,7 +737,7 @@ class TestMomentStart:
         assert records[0].f[3, 3] == 0
         model = LikelihoodModel(det_s=det_s, det_i=det_i)
         K, F = ppskit.estimate._stack([records], model)
-        z = ppskit.estimate._starts(K, F)[0].reshape(-1)
+        z = ppskit.estimate._starts(ppskit.estimate._Terms(K, F))[0].reshape(-1)
         two_photon = np.maximum.outer(np.arange(3), np.arange(3)).reshape(-1)[1:] == 2
         assert np.all(z[two_photon] == np.log(ppskit.estimate._FLOOR))
         assert np.all(z[~two_photon] > np.log(ppskit.estimate._FLOOR))
@@ -920,17 +937,19 @@ class TestEmlEstimateMany:
         seed=st.integers(0, 2**31 - 1),
         order=st.integers(1, 25).flatmap(lambda n: st.permutations(range(n))),
         n_starts=st.sampled_from([1, 3]),
+        max_iter=st.sampled_from([0, 1, 2, 40]),
     )
     @settings(max_examples=40, deadline=None)
     def test_each_set_matches_its_lone_fit(
-        self, layout, n_settings, p_g, log_n_m, eta, d, seed, order, n_starts
+        self, layout, n_settings, p_g, log_n_m, eta, d, seed, order, n_starts, max_iter
     ):
         # With one start a lone set is a one-problem batch, whose arrays can
-        # lie in memory otherwise than a larger batch's.
+        # lie in memory otherwise than a larger batch's.  A small budget
+        # mixes problems that leave converged and out of steps.
         model = sweep_model(layout, eta, d, n_settings)
         sets = sampled_sets(model, p_g, 10**log_n_m, seed, len(order))
         batch = [sets[i] for i in order]
-        options = EstimateOptions(n_starts=n_starts, max_iter=40)
+        options = EstimateOptions(n_starts=n_starts, max_iter=max_iter)
         for records, fit in zip(batch, eml_estimate_many(batch, model, options)):
             assert same_fit(fit, eml_estimate(records, model, options))
 

@@ -94,13 +94,22 @@ def test_sweep_steps_prints_every_benchmark_sweep_kind(capsys):
     run_script("sweep_steps.py", ["--repeats", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == (
-        "1 cells a kind, 20 reps each: Newton steps of every fit, ms per cell and in its fit"
+        "1 cells a kind, 20 reps each: Newton steps of every fit, ms per cell and in its fit, "
+        "digest of its fits"
     )
-    assert lines[1].split() == ["kind", "steps_median", "steps_max", "ms_median", "fit_ms_median"]
+    assert lines[1].split() == [
+        "kind", "steps_median", "steps_max", "ms_median", "fit_ms_median", "digest"
+    ]
     workloads = runpy.run_path(str(SCRIPTS.parent / "perfbench" / "workloads.py"))
     rows = [line.split() for line in lines[2:-1]]
     assert [row[0] for row in rows] == list(workloads["Sweep"].kinds)
     assert lines[-1].startswith("all (ms: sum of medians)")
-    for row in rows + [lines[-1].split()[-4:]]:
-        median, largest, ms, fit_ms = float(row[-4]), int(row[-3]), float(row[-2]), float(row[-1])
+    for row in rows + [lines[-1].split()[-5:]]:
+        median, largest, ms, fit_ms = float(row[-5]), int(row[-4]), float(row[-3]), float(row[-2])
         assert 0 <= median <= largest and 0.0 < fit_ms < ms
+        assert len(row[-1]) == 12 and int(row[-1], 16) >= 0
+    digests = [line.split()[-1] for line in lines[2:]]
+    assert len(set(digests)) == len(digests)
+    # The same seeds fit the same counts to the same bytes.
+    run_script("sweep_steps.py", ["--repeats", "1"])
+    assert [line.split()[-1] for line in capsys.readouterr().out.splitlines()[2:]] == digests
