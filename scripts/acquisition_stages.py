@@ -9,15 +9,20 @@ simulated counts file, fitted with ML and five starts as the benchmark's
 directory.  For each point the script times three in-process
 ``cli.main`` runs, interleaved over the repeats after one untimed run
 of each: ``estimate`` alone, ``estimate`` with a ``--n-boot``-draw
-bootstrap, and ``bootstrap`` with the same draws.  It prints the median
-of each in milliseconds.
+bootstrap, and ``bootstrap`` with the same draws, each into its own
+output directory.  It prints one row per point and command: the median
+in milliseconds and ``digest``, the first 12 hex digits of a sha256 over
+the names and bytes of the files the command wrote.  Equal digests from
+two checkouts mean byte-identical command outputs.  Run it with one BLAS
+thread to compare digests across checkouts.
 
 Example:
-    python3 scripts/acquisition_stages.py --repeats 15 --n-boot 20
+    OPENBLAS_NUM_THREADS=1 python3 scripts/acquisition_stages.py --repeats 15 --n-boot 20
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import os
 import statistics
@@ -71,27 +76,41 @@ def timed_run(argv, out: str) -> float:
     return seconds
 
 
+def digest(out: str) -> str:
+    """First 12 hex digits of a sha256 over the names and bytes of the files in ``out``."""
+    total = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            total.update(name.encode() + b"\0" + fh.read())
+    return total.hexdigest()[:12]
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--n-boot", type=int, default=20, help="bootstrap draws per sample size")
     args = parser.parse_args(argv)
 
-    print(f"medians of {args.repeats} in-process runs (ms), {args.n_boot} bootstrap draws")
-    print(f"{'point':<14}" + "".join(f" {name:>13}" for name in COMMANDS))
+    print(
+        f"medians of {args.repeats} in-process runs (ms), {args.n_boot} bootstrap draws, "
+        "digest of the files written"
+    )
+    print(f"{'point':<14} {'command':<13} {'ms_median':>9} {'digest':>12}")
     with tempfile.TemporaryDirectory() as workdir:
         for xi_sq, n_m in POINTS:
             runs = write_inputs(workdir, xi_sq, n_m, args.n_boot)
-            out = os.path.join(workdir, "out")
+            outs = {name: os.path.join(workdir, runs["tag"], name) for name in COMMANDS}
             for name in COMMANDS:
-                timed_run(runs[name], out)
+                timed_run(runs[name], outs[name])
             times = {name: [] for name in COMMANDS}
             for _ in range(args.repeats):
                 for name in COMMANDS:
-                    times[name].append(timed_run(runs[name], out))
-            print(f"{runs['tag']:<14}" + "".join(
-                f" {1e3 * statistics.median(times[name]):>13.2f}" for name in COMMANDS
-            ))
+                    times[name].append(timed_run(runs[name], outs[name]))
+            for name in COMMANDS:
+                print(
+                    f"{runs['tag']:<14} {name:<13} {1e3 * statistics.median(times[name]):>9.2f} "
+                    f"{digest(outs[name]):>12}"
+                )
 
 
 if __name__ == "__main__":

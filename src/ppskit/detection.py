@@ -27,6 +27,8 @@ from .errors import DataModelMismatchError, InvalidInputError, check_count
 from .pnd import PndMatrix
 from .tables import parse_int, read_table, write_table
 
+# Largest n_max of an outcome map; see conversion_matrix.
+_MAX_PHOTONS = 10**4
 # In which of a mode's outcomes (XX, XO, OX, OO) its transmitted-port
 # detector (D1 on signal, D3 on idler, row 0) and its reflected-port
 # detector (D2, D4, row 1) clicked.
@@ -160,11 +162,20 @@ def conversion_matrix(T: float, eta_t: float, eta_r: float, n_max: int = 2) -> n
     probability T then detected with eta_t, reflected and detected with
     eta_r.  Columns sum to 1 within roundoff, and every entry is
     nonnegative.
+
+    ``n_max`` is a whole number of at most 10^4, checked before any column
+    is built: the columns come from a Python loop over the photon numbers,
+    which a huge ``n_max`` would run until memory ran out.  No larger
+    truncation is of use here, since a bipartite model's kernel holds
+    16 (n_max + 1)² floats per setting, 12.8 GB at the bound, and a
+    PndMatrix at the bound already has 10^8 cells.
     """
     for name, value in (("T", T), ("eta_t", eta_t), ("eta_r", eta_r)):
         if not (0.0 <= value <= 1.0):
             raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
     n_max = check_count("n_max", n_max, 0)
+    if n_max > _MAX_PHOTONS:
+        raise InvalidInputError(f"n_max must be at most {_MAX_PHOTONS}, got {n_max}")
     pt = T * eta_t          # per-photon click at the transmitted detector
     pr = (1.0 - T) * eta_r  # per-photon click at the reflected detector
     x, y = 1.0 - pt, 1.0 - pr  # per-photon miss at each detector

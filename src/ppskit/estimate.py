@@ -475,23 +475,13 @@ def _diagonal(n: int, value: float) -> np.ndarray:
     return _frozen(value * np.eye(n))
 
 
-def _scoring_steps(J, fisher, score, free, exp_curvature=None) -> np.ndarray:
-    """Fisher-scoring steps in z over each problem's ``free`` coordinates.
-
-    ``exp_curvature`` (problems x cells-1, optional) marks coordinates
-    whose score, where negative, is added with its magnitude to their
-    diagonal.  A cell too small to matter enters the objective as about
-    c + t e^z, whose curvature in z equals its score in z; the
-    information in p leaves that term out, so without it a shrinking
-    cell's step can run orders of magnitude past where the objective
-    stops rising.  Every problem is solved in one stack: a held
+def _scoring_steps(info, score, free) -> np.ndarray:
+    """Newton steps info x = score in z over each problem's ``free``
+    coordinates.  Every problem is solved in one stack: a held
     coordinate's row and column become those of the identity and its
     score 0, so it decouples and steps exactly 0.
     """
-    info = J @ fisher @ J.transpose(0, 2, 1)
     n = score.shape[-1]
-    if exp_curvature is not None:
-        info.reshape(-1, n * n)[:, :: n + 1] += np.where(exp_curvature, np.maximum(-score, 0.0), 0.0)
     info = np.where(free[:, :, None] & free[:, None, :], info, _diagonal(n, 1.0))
     x, _ = _scaled_solve(info, np.where(free, score, 0.0))
     return np.where(free, x, 0.0)
@@ -522,9 +512,10 @@ def _fisher_scoring(terms: _Terms, Z, max_iter: int):
     to cell 0.  A cell on the floor with an outward
     score is held there; one whose step crosses the floor with an outward
     score is sent there, and the rest are solved again without it.  Each
-    solve is one masked stack over every problem (``_scoring_steps``), in
-    which held cells step exactly 0 whatever mix of free sets the problems
-    hold.  A coordinate with a growing step s moves by log1p(s)
+    step's information J (F/n) J^T in z is formed once and serves both
+    solves, each one masked stack over every problem (``_scoring_steps``),
+    in which held cells step exactly 0 whatever mix of free sets the
+    problems hold.  A coordinate with a growing step s moves by log1p(s)
     (``_ratio_moves``), so its cell's ratio to cell 0 moves to the Newton
     target in p, 1 + s times the ratio: a cell on the floor, whose step in
     z can reach 1e11, gets there in one move.  The Newton step is halved,
@@ -541,9 +532,9 @@ def _fisher_scoring(terms: _Terms, Z, max_iter: int):
     EML's objective is homogeneous of degree 0 in p, so its multiplier is
     0.  It is not concave, and it is nearly flat along cells that only set
     the ratio of tiny outcome probabilities across settings, so three
-    things differ.  Its steps take the exp curvature of ``_scoring_steps``
-    on cells expected to give less than one used count.  Its KKT test
-    looks only at the cells on the floor and leaves the others to the
+    things differ.  Its information takes an exp-curvature term on the
+    diagonal of cells expected to give less than one used count.  Its KKT
+    test looks only at the cells on the floor and leaves the others to the
     gain test, which allows ``_EML_GAIN_TOL`` nats.  Its line search's
     roundoff slack is 1e-14 per used count, because its gains near the
     maximum are far below ML's slack of 1e-12 |loglik|.
@@ -574,10 +565,20 @@ def _fisher_scoring(terms: _Terms, Z, max_iter: int):
         n = part.n
         score_p = _score(part, W) / n[:, None]
         J = _softmax_jacobian(p)
-        score, fisher = (J @ score_p[..., None])[..., 0], _fisher(part, W) / n[:, None, None]
+        score = (J @ score_p[..., None])[..., 0]
+        info = J @ (_fisher(part, W) / n[:, None, None]) @ J.transpose(0, 2, 1)
+        if not ml:
+            # A cell worth less than one count enters the objective as about
+            # c + t e^z, whose curvature in z equals its score in z; the
+            # information in p leaves that term out, so without it a
+            # shrinking cell's step can run orders of magnitude past where
+            # the objective stops rising.
+            tiny = n[:, None] * p[:, 1:] < 1.0
+            info.reshape(len(info), -1)[:, :: info.shape[-1] + 1] += np.where(
+                tiny, np.maximum(-score, 0.0), 0.0
+            )
         free = (z > z_floor) | (score > 0.0)
-        tiny = None if ml else n[:, None] * p[:, 1:] < 1.0  # cells worth < 1 count
-        step = _scoring_steps(J, fisher, score, free, tiny)
+        step = _scoring_steps(info, score, free)
         gain = 0.5 * n * (score[:, None, :] @ step[..., None])[:, 0, 0]
         if ml:
             done = (score_p.max(axis=1) - 1.0 <= _KKT_TOL) & (
@@ -590,10 +591,7 @@ def _fisher_scoring(terms: _Terms, Z, max_iter: int):
         lands = free & (z + step <= z_floor) & (score < 0.0)
         again = np.flatnonzero(lands.any(axis=1))
         if again.size:
-            resolved = _scoring_steps(
-                J[again], fisher[again], score[again], (free & ~lands)[again],
-                None if ml else tiny[again],
-            )
+            resolved = _scoring_steps(info[again], score[again], (free & ~lands)[again])
             step[again] = np.where(lands[again], step[again], resolved)
         # Backtracking, none when no step moves: up to 30 tries of every
         # problem, from the Newton step, each halving the steps whose trial

@@ -115,7 +115,7 @@ def _squares_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.concatenate([np.square(x[i : i + rows]) @ w for i in range(0, x.shape[0], rows)])
 
 
-def _grid_norm_squared(values: np.ndarray, step_s: float, step_i: float) -> float:
+def _squared_norm(values: np.ndarray, step_s: float, step_i: float) -> float:
     with np.errstate(over="ignore"):  # JsdGrid rescales a grid whose |f|^2 overflows
         return float(np.sum(np.abs(values) ** 2)) * step_s * step_i
 
@@ -157,7 +157,7 @@ class JsdGrid:
                 f"values shape {values.shape} does not match axes "
                 f"({axis_s.size}, {axis_i.size})"
             )
-        norm_sq = _grid_norm_squared(values, step_s, step_i)
+        norm_sq = _squared_norm(values, step_s, step_i)
         if not 0.0 < norm_sq < math.inf:
             if not np.all(np.isfinite(values)):
                 raise InvalidInputError("JSD values must be finite")
@@ -165,7 +165,7 @@ class JsdGrid:
             peak = max(float(np.abs(part).max()) for part in (values.real, values.imag))
             if peak > 0.0:
                 values = values / peak
-                norm_sq = _grid_norm_squared(values, step_s, step_i)
+                norm_sq = _squared_norm(values, step_s, step_i)
             if not 0.0 < norm_sq < math.inf:
                 raise InvalidInputError("JSD has zero or non-finite norm")
         # The norm is taken before the private copy exists, so no
@@ -186,9 +186,6 @@ class JsdGrid:
     def scaled(self) -> np.ndarray:
         """Values scaled by sqrt(step_s * step_i), so plain sums are integrals."""
         return self.values * math.sqrt(self.step_s * self.step_i)
-
-    def norm_squared(self) -> float:
-        return _grid_norm_squared(self.values, self.step_s, self.step_i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,11 +256,6 @@ class FilterProfile:
         axis = np.asarray(axis, dtype=float)
         return cls(axis, np.ones_like(axis))
 
-    @classmethod
-    def blocking(cls, axis) -> "FilterProfile":
-        axis = np.asarray(axis, dtype=float)
-        return cls(axis, np.zeros_like(axis))
-
 
 @dataclass(frozen=True)
 class PumpGain:
@@ -304,9 +296,7 @@ class Segmentation:
     fields the pairwise exchange overlaps entering two-pair probabilities.
     ``purity`` is sum(s_k^4) over the singular values s_k of the scaled
     grid F (so 1 / ``purity`` is its mode number), from either route of
-    :func:`segment`.  On the factored route, F = Q B + R with Q of
-    orthonormal columns, ``singular_values`` are the s_k of Q B, computed
-    from B on first read; on the direct route they are ``None``.
+    :func:`segment`.
 
     ``parts`` holds the renormalized branch amplitudes (``None`` for empty
     branches).  It is built from the JSD and filter amplitudes on first
@@ -321,7 +311,6 @@ class Segmentation:
     oy23: float
     oc: complex
     purity: float
-    _factor_b: np.ndarray | None = field(default=None, repr=False)
     _jsd: JsdGrid | None = field(default=None, repr=False)
     _branches: tuple = field(default=(), repr=False)
 
@@ -330,14 +319,6 @@ class Segmentation:
             value = np.asarray(getattr(self, name), dtype=float)
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    @cached_property
-    def singular_values(self) -> np.ndarray | None:
-        if self._factor_b is None:
-            return None
-        s = np.linalg.svd(self._factor_b, compute_uv=False)
-        s.setflags(write=False)
-        return s
 
     @cached_property
     def parts(self) -> tuple:
@@ -673,7 +654,7 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     ):
         factor = None
     if factor is None:
-        b, f = None, jsd.scaled()
+        f = jsd.scaled()
         # H_t (branches 0, 2) or H_r (1, 3), each only for a live branch; a
         # side left out weighs below 2e-15, a roundoff in the purity.
         grams = [_gram(f, w) if live[k::2].any() else None for k, w in enumerate((tx, rx))]
@@ -682,7 +663,6 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
     else:
         qf, b = factor[:2]
         del factor  # frees the residual
-        b.setflags(write=False)
         grams = [_gram(b.conj().T, w) for w in (ty, ry)]
         traces = partial(_factored_traces, qf, (tx, rx), grams)
     gram = reduce(np.add, [g for g in grams if g is not None])  # t² + r² = 1
@@ -699,7 +679,6 @@ def segment(jsd: JsdGrid, filt_s: FilterProfile, filt_i: FilterProfile) -> Segme
         oy23=oy23,
         oc=oc,
         purity=purity,
-        _factor_b=b,
         _jsd=jsd,
         _branches=branches,
     )

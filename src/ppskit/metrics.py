@@ -26,6 +26,10 @@ from .tables import write_table
 _ALPHA = 1e-15
 
 
+# Largest n_boot of a bootstrap; see _resample.
+_MAX_BOOT = 10**6
+
+
 def _cells(P) -> np.ndarray:
     if isinstance(P, PndMatrix):
         return P.p
@@ -77,9 +81,16 @@ def fidelity(P, O) -> float:
 
 def _resample(record: CountRecord, n_boot: int, sample_size: int, seed: int = 0) -> np.ndarray:
     """The counts of :func:`bootstrap`'s samples, one row per sample
-    (n_boot x outcomes, float), drawn in one call."""
+    (n_boot x outcomes, float), drawn in one call.
+
+    ``n_boot`` is at most 10^6, checked before the table exists.  The
+    summaries' Monte Carlo error falls as 1 / sqrt(n_boot), to 0.1 % of
+    the spread they report at the bound, while the table grows by 16
+    floats a draw: 10^12 draws would ask for about 116 TiB at once.
+    """
     check_trials("sample_size", sample_size, 1)
-    check_count("n_boot", n_boot, 0)
+    if check_count("n_boot", n_boot, 0) > _MAX_BOOT:
+        raise InvalidInputError(f"n_boot must be at most {_MAX_BOOT}, got {n_boot!r}")
     total = float(record.f.sum())
     if total <= 0:
         raise InvalidInputError("cannot bootstrap an empty record")
@@ -95,7 +106,7 @@ def bootstrap(record: CountRecord, n_boot: int, sample_size: int, seed: int = 0)
     empirical outcome distribution f / n_m.  All ``n_boot`` samples are
     drawn in one call from ``substream(seed, "bootstrap", record.nu)``, one
     row per sample (``_resample``), so sample b does not depend on
-    ``n_boot``.  Deterministic under the seed.
+    ``n_boot``, which must be at most 10^6.  Deterministic under the seed.
     """
     counts = _resample(record, n_boot, sample_size, seed)
     return [CountRecord(f, int(sample_size), nu=record.nu) for f in counts.reshape(-1, 4, 4)]

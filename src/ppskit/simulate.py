@@ -229,15 +229,15 @@ _NAN = float("nan")  # every undefined row value, so that equal rows compare equ
 
 
 def _cell(spec, method, layout, p_g, n_m, eta, d, seed, cell_id, rows):
-    det = DetectorPair(T=spec.bs_T, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
     if layout == "2x2d":
+        det = DetectorPair(T=spec.bs_T, eta_t=eta, eta_r=eta, d_t=d, d_r=d)
         settings = _bipartite_settings(spec.gamma_design)
         model = est.LikelihoodModel(det_s=det, det_i=det, settings=settings)
         random_cells, gamma_label = _random_pps_cells, spec.gamma_design
     else:
         settings = DEFAULT_SINGLE_GAMMAS
         if layout == "2d":
-            model = est.SingleModeModel(det=det, gammas=settings)
+            model = est.SingleModeModel.two_detector(T=spec.bs_T, eta=eta, d=d, gammas=settings)
         else:
             model = est.SingleModeModel.one_detector(eta=eta, d=d, gammas=settings)
         random_cells, gamma_label = _random_single_cells, f"va{len(settings)}"

@@ -656,6 +656,20 @@ class TestBootstrapCommand:
         assert "n_boot" in capsys.readouterr().err
         assert not (out / "bootstrap_summary.csv").exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    def test_unbounded_n_boot_exits_2_writing_nothing(self, tmp_path, capsys, command):
+        # 10^12 draws would be a table of about 116 TiB; the bound refuses
+        # it before the table exists.
+        counts = self._counts(tmp_path)
+        config = write_config(
+            tmp_path, DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 1000000000000\n", name="boot.cfg"
+        )
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "n_boot must be at most" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_estimate_with_no_draws_exits_2_writing_nothing(self, tmp_path, capsys):
         # The draws are made before the fit, so a [bootstrap] error stops
         # the estimate before its first file.

@@ -75,6 +75,13 @@ class TestConversionMatrix:
         M = conversion_matrix(0.3, 0.7, 0.6)
         np.testing.assert_allclose(M[:, 0], [1, 0, 0, 0])
 
+    def test_n_max_bound_is_inclusive(self):
+        M = conversion_matrix(0.5, 0.5, 0.5, 10**4)
+        assert M.shape == (4, 10**4 + 1)
+        np.testing.assert_allclose(M.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+        with pytest.raises(InvalidInputError, match="at most 10000"):
+            conversion_matrix(0.5, 0.5, 0.5, 10**4 + 1)
+
     def test_single_photon_column_balanced_splitter(self):
         M = conversion_matrix(0.5, 1.0, 1.0)
         np.testing.assert_allclose(M[:, 1], [0, 0.5, 0.5, 0])

@@ -632,24 +632,24 @@ class TestScoringSteps:
         a = rng.standard_normal((m, n, n + 3))
         fisher = a @ a.transpose(0, 2, 1)
         score = rng.standard_normal((m, n - 1))
-        curvature = rng.random((m, n - 1)) < 0.5 if curved else None
-        step = ppskit.estimate._scoring_steps(J, fisher, score, free, curvature)
+        info = J @ fisher @ J.transpose(0, 2, 1)
+        if curved:  # EML's exp curvature, as the ascent adds it to the diagonal
+            curvature = rng.random((m, n - 1)) < 0.5
+            info += np.stack([np.diag(d) for d in np.where(curvature, np.maximum(-score, 0.0), 0.0)])
+        before = info.tobytes()
+        step = ppskit.estimate._scoring_steps(info, score, free)
+        assert info.tobytes() == before  # the floor re-solve reads it again
         for i, mask in enumerate(free):
-            alone = ppskit.estimate._scoring_steps(
-                J[i : i + 1], fisher[i : i + 1], score[i : i + 1], free[i : i + 1],
-                None if curvature is None else curvature[i : i + 1],
-            )
+            alone = ppskit.estimate._scoring_steps(info[i : i + 1], score[i : i + 1], free[i : i + 1])
             assert step[i].tobytes() == alone[0].tobytes()
             assert np.all(step[i][~mask] == 0.0)
             # The masked system: a held coordinate's row and column are the identity's.
-            info = J[i] @ fisher[i] @ J[i].T
-            if curved:
-                info = info + np.diag(np.where(curvature[i], np.maximum(-score[i], 0.0), 0.0))
+            masked = info[i].copy()
             held = np.flatnonzero(~mask)
-            info[held, :] = 0.0
-            info[:, held] = 0.0
-            info[held, held] = 1.0
-            x, _ = ppskit.estimate._scaled_solve(info[None], np.where(mask, score[i], 0.0)[None])
+            masked[held, :] = 0.0
+            masked[:, held] = 0.0
+            masked[held, held] = 1.0
+            x, _ = ppskit.estimate._scaled_solve(masked[None], np.where(mask, score[i], 0.0)[None])
             assert step[i].tobytes() == np.where(mask, x[0], 0.0).tobytes()
             if not mask.any():
                 continue
@@ -660,6 +660,32 @@ class TestScoringSteps:
                 reduced = reduced + np.diag(np.where(curvature[i][mask], np.maximum(-rhs, 0.0), 0.0))
             x, _ = ppskit.estimate._scaled_solve(reduced[None], rhs[None])
             np.testing.assert_allclose(step[i][mask], x[0], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("layout", ["2x2d", "2d", "1d"])
+    def test_a_failed_solve_leaves_only_its_problem_at_its_start(self, layout, monkeypatch):
+        # The first solve of the ascent hands one problem a NaN step, as a
+        # singular system would: it leaves at once, unconverged, at its start.
+        model = sweep_model(layout, 0.5, 1e-6, 4)
+        sets = sampled_sets(model, 1e-3, 10**8, 31, 6)
+        where, solve, calls = 2, ppskit.estimate._scoring_steps, []
+
+        def failing_solve(info, score, free):
+            step = solve(info, score, free)
+            if not calls:
+                step[where] = np.nan
+            calls.append(len(step))
+            return step
+
+        monkeypatch.setattr(ppskit.estimate, "_scoring_steps", failing_solve)
+        fits = ml_estimate_many(sets, model)
+        monkeypatch.undo()
+        assert calls[0] == len(sets) and len(calls) > 1
+        assert (fits[where].converged, fits[where].iterations) == (False, 0)
+        assert same_fit(fits[where], ml_estimate(sets[where], model, EstimateOptions(max_iter=0)))
+        for i, records in enumerate(sets):
+            if i != where:
+                assert fits[i].converged and fits[i].iterations > 0
+                assert same_fit(fits[i], ml_estimate(records, model))
 
 
 class TestStepRule:

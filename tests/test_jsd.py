@@ -28,6 +28,24 @@ from ppskit.pnd import apply_loss_bipartite
 from conftest import random_jsd, rect_fraction_filter, separable_rect_jsd
 
 
+@pytest.fixture
+def routes(monkeypatch):
+    """The route of every ``segment`` call from here on, "direct" or
+    "factored", read from the trace function it hands its traces to."""
+    taken = []
+    for route in ("direct", "factored"):
+        def spy(*args, _route=route, _traces=getattr(jsd_module, f"_{route}_traces")):
+            taken.append(_route)
+            return _traces(*args)
+        monkeypatch.setattr(jsd_module, f"_{route}_traces", spy)
+    return taken
+
+
+def factor_singular_values(jsd):
+    """Singular values of Q B, the low-rank factor of the scaled grid: those of B."""
+    return np.linalg.svd(jsd_module._low_rank_factor(jsd.scaled())[1], compute_uv=False)
+
+
 def hermite_modes(axis, k_max):
     """Orthonormal discrete modes from Gram-Schmidt over Hermite functions."""
     x = (axis - axis.mean()) / axis.std()
@@ -74,7 +92,8 @@ class TestSchmidtNumber:
 
     def test_grid_construction_normalizes(self):
         jsd = random_jsd(np.random.default_rng(0))
-        assert jsd.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        norm_squared = np.sum(np.abs(jsd.values) ** 2) * jsd.step_s * jsd.step_i
+        assert norm_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def complex_gram_mode_number(jsd):
@@ -181,7 +200,7 @@ class TestGaussianJsdBytes:
 
     @pytest.mark.parametrize("route", ["factored", "direct"])
     @pytest.mark.parametrize("theta_deg", [30, 45])
-    def test_segment_agrees_with_the_meshgrid_grid(self, theta_deg, route, monkeypatch):
+    def test_segment_agrees_with_the_meshgrid_grid(self, theta_deg, route, monkeypatch, routes):
         args = (0.05, 0.24, math.radians(theta_deg), 512, 512, 10.0, 80.0)
         grids = gaussian_jsd(*args), meshgrid_gaussian_jsd(*args)
         if route == "direct":
@@ -191,7 +210,7 @@ class TestGaussianJsdBytes:
                     FilterProfile.gauss(g.axis_i, -0.01, 0.15))
             for g in grids
         )
-        assert (built.singular_values is None) == (route == "direct")
+        assert routes == [route, route]
         for name in ("q", "kappa", "ox13", "ox24", "oy14", "oy23", "oc", "purity"):
             a, b = np.asarray(getattr(built, name)), np.asarray(getattr(reference, name))
             assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), name
@@ -346,7 +365,7 @@ class TestSegmentation:
         jsd = separable_rect_jsd(32, 32)
         seg = segment(
             jsd,
-            FilterProfile.blocking(jsd.axis_s),
+            FilterProfile(jsd.axis_s, np.zeros_like(jsd.axis_s)),
             FilterProfile.all_pass(jsd.axis_i),
         )
         assert seg.q[0] == 0.0 and seg.q[2] == 0.0
@@ -365,7 +384,7 @@ class TestSegmentation:
             ), [1, 3]),
             (lambda ax_s, ax_i: (
                 FilterProfile.rect(ax_s, 0.0, 0.8),
-                FilterProfile.blocking(ax_i),
+                FilterProfile(ax_i, np.zeros_like(ax_i)),
             ), [1, 2]),
         ],
         ids=["gauss", "rect-allpass-signal", "rect-blocking-idler"],
@@ -456,22 +475,21 @@ def chirped_jsd_512():
 
 
 class TestFactoredSegmentation:
-    def test_low_rank_jsd_takes_factored_route(self, chirped_jsd_512):
+    def test_low_rank_jsd_takes_factored_route(self, chirped_jsd_512, routes):
         jsd = chirped_jsd_512
         seg = segment(
             jsd,
             FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
             FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
         )
-        assert seg.singular_values is not None
-        assert seg.singular_values.size < 512 // 4
+        assert routes == ["factored"]
+        s = factor_singular_values(jsd)
+        assert s.size < 512 // 4
         assert np.all(seg.q > 1e-2)
         _assert_matches_contract_oracles(seg)
-        assert 1.0 / np.sum(seg.singular_values**4) == pytest.approx(
-            schmidt_number_svd(jsd), rel=1e-12
-        )
+        assert 1.0 / np.sum(s**4) == pytest.approx(schmidt_number_svd(jsd), rel=1e-12)
 
-    def test_tail_branch_falls_back_to_direct_route(self, chirped_jsd_512):
+    def test_tail_branch_falls_back_to_direct_route(self, chirped_jsd_512, routes):
         # The signal filter sits far in the JSD's tail, so the pair branch
         # carries a weight near 1e-11.  The factor's absolute error is far
         # too large relative to that.
@@ -482,12 +500,12 @@ class TestFactoredSegmentation:
             FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
         )
         assert 1e-11 < seg.q[2] < 1e-10
-        assert seg.singular_values is None
+        assert routes == ["direct"]
         _assert_matches_contract_oracles(seg)
         assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
 
     def test_rejected_factor_leaves_the_grid_for_the_direct_route(
-        self, chirped_jsd_512, monkeypatch
+        self, chirped_jsd_512, monkeypatch, routes
     ):
         # The factor's residual is updated in place after its first block;
         # that must never reach the scaled grid the direct route reuses.
@@ -513,26 +531,26 @@ class TestFactoredSegmentation:
             fallback = segment(jsd, *filters)
         (factor,) = factors
         assert factor is not None and factor[0].shape[1] > jsd_module._SKETCH_BLOCK
-        assert direct.singular_values is None and fallback.singular_values is None
+        assert routes == ["direct", "direct"]
         for name in ("q", "kappa"):
             assert getattr(fallback, name).tobytes() == getattr(direct, name).tobytes()
         for name in ("ox13", "ox24", "oy14", "oy23", "oc"):
             assert getattr(fallback, name) == getattr(direct, name)
         assert jsd.values.tobytes() == before
 
-    def test_full_rank_jsd_takes_direct_route(self, rng):
+    def test_full_rank_jsd_takes_direct_route(self, rng, routes):
         jsd = random_jsd(rng, 256, 256)
         seg = segment(
             jsd,
             FilterProfile.gauss(jsd.axis_s, 0.1, 0.7),
             FilterProfile.gauss(jsd.axis_i, -0.1, 1.5),
         )
-        assert seg.singular_values is None
+        assert routes == ["direct"]
         assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
         assert np.all(seg.q > 1e-2)
         _assert_matches_contract_oracles(seg)
 
-    def test_forced_direct_route_matches_oracles(self, chirped_jsd_512, monkeypatch):
+    def test_forced_direct_route_matches_oracles(self, chirped_jsd_512, monkeypatch, routes):
         # The grid and filters of the factored-route test above, so all four
         # branches are live on both routes: every trace of the direct route
         # is taken, from the two signal-weighted Grams alone.
@@ -551,12 +569,12 @@ class TestFactoredSegmentation:
         monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 0.0)
         monkeypatch.setattr(jsd_module, "_gram", counting_gram)
         seg = segment(jsd, *filters)
-        assert seg.singular_values is None
+        assert routes == ["direct"]
         assert np.all(seg.q > 1e-2) and len(grams) == 2
         _assert_matches_contract_oracles(seg)
         assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
 
-    def test_direct_route_purity_from_one_gram(self, chirped_jsd_512, monkeypatch):
+    def test_direct_route_purity_from_one_gram(self, chirped_jsd_512, monkeypatch, routes):
         # A signal filter that passes the whole axis leaves both reflected
         # signal branches empty: only F† D_tx² F is formed, and it is F† F.
         jsd = chirped_jsd_512
@@ -574,27 +592,29 @@ class TestFactoredSegmentation:
             FilterProfile.all_pass(jsd.axis_s),
             FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
         )
-        assert seg.singular_values is None
+        assert routes == ["direct"]
         assert seg.q[1] == seg.q[3] == 0.0 and len(grams) == 1
         _assert_matches_contract_oracles(seg)
         assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
 
-    def test_segmentation_is_deterministic(self, chirped_jsd_512):
+    def test_segmentation_is_deterministic(self, chirped_jsd_512, routes):
         jsd = chirped_jsd_512
         filters = (
             FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
             FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
         )
         a, b = segment(jsd, *filters), segment(jsd, *filters)
-        assert a.singular_values is not None
-        for name in ("q", "kappa", "singular_values"):
+        assert routes == ["factored", "factored"]
+        for name in ("q", "kappa"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        for name in ("ox13", "ox24", "oy14", "oy23", "oc"):
+        assert factor_singular_values(jsd).tobytes() == factor_singular_values(jsd).tobytes()
+        for name in ("ox13", "ox24", "oy14", "oy23", "oc", "purity"):
             assert getattr(a, name) == getattr(b, name)
 
     def test_branch_grids_are_built_on_first_read(self, monkeypatch):
         jsd = gaussian_jsd(0.3, 0.9, n_s=20, n_i=28)
-        filters = (FilterProfile.rect(jsd.axis_s, 0.0, 0.8), FilterProfile.blocking(jsd.axis_i))
+        filters = (FilterProfile.rect(jsd.axis_s, 0.0, 0.8),
+                   FilterProfile(jsd.axis_i, np.zeros_like(jsd.axis_i)))
         built = []
         post_init = JsdGrid.__post_init__
 
@@ -692,16 +712,16 @@ class TestLowRankFactorAtBenchmarkSize:
         assert q.shape[1] % jsd_module._SKETCH_BLOCK_STEP == 0
         assert np.linalg.norm(r) <= 1e-14
 
-    def test_purity_and_lazy_singular_values(self, benchmark_kind_1024, monkeypatch):
+    def test_purity_without_an_svd(self, benchmark_kind_1024, monkeypatch):
         jsd, filters = benchmark_kind_1024
         full = np.linalg.svd(jsd.scaled(), compute_uv=False)
         svds = _record_linalg_calls(monkeypatch, "svd")
         seg = segment(jsd, *filters)
-        assert svds == [] and "singular_values" not in seg.__dict__
-        s = seg.singular_values
-        assert len(svds) == 1 and seg.singular_values is s
+        assert svds == []
         monkeypatch.undo()
-        assert not s.flags.writeable and s.size < 3 * jsd_module._SKETCH_BLOCK
+        # The factor's spectrum is the grid's, to roundoff of the largest.
+        s = factor_singular_values(jsd)
+        assert s.size < 3 * jsd_module._SKETCH_BLOCK
         assert np.abs(s - full[:s.size]).max() <= 1e-14 * full[0]
         assert seg.purity == pytest.approx(1.0 / schmidt_number_svd(jsd), rel=1e-12)
 
@@ -711,7 +731,9 @@ class TestLowRankFactorAtBenchmarkSize:
     (512, 0.1, 0.2, 6.0, 0.0),
     (128, 0.1, 0.2, 10.0, 100.0),
 ])
-def test_factored_route_matches_oracles_on_other_families(n, sigma_plus, sigma_minus, span, chirp):
+def test_factored_route_matches_oracles_on_other_families(
+    n, sigma_plus, sigma_minus, span, chirp, routes
+):
     # Two other families, on which the factor takes 168, 32 and 32 columns
     # where the benchmark's grid takes 88: every quantity meets the oracles.
     jsd = gaussian_jsd(sigma_plus, sigma_minus, math.pi / 4, n_s=n, n_i=n, span=span, chirp=chirp)
@@ -720,11 +742,10 @@ def test_factored_route_matches_oracles_on_other_families(n, sigma_plus, sigma_m
         FilterProfile.gauss(jsd.axis_s, 0.02, 0.3),
         FilterProfile.gauss(jsd.axis_i, -0.01, 0.15),
     )
-    assert seg.singular_values is not None
+    assert routes == ["factored"]
     _assert_matches_contract_oracles(seg)
-    assert 1.0 / np.sum(seg.singular_values**4) == pytest.approx(
-        schmidt_number_svd(jsd), rel=1e-12
-    )
+    s = factor_singular_values(jsd)
+    assert 1.0 / np.sum(s**4) == pytest.approx(schmidt_number_svd(jsd), rel=1e-12)
 
 
 def _assert_relatively_close(real, twin, rtol=1e-14):
@@ -774,21 +795,23 @@ class TestRealGrids:
 
     @pytest.mark.parametrize("route", ["factored", "direct"])
     @pytest.mark.parametrize("filters", sorted(REAL_GRID_FILTERS))
-    def test_segmentation_matches_the_complex_twin(self, real_and_twin, filters, route, monkeypatch):
+    def test_segmentation_matches_the_complex_twin(
+        self, real_and_twin, filters, route, monkeypatch, routes
+    ):
         # A rank cap of the whole grid admits the factor; a cap of 0 forces
         # the direct Gram route.
         monkeypatch.setattr(jsd_module, "_SKETCH_RANK_FRACTION", 1.0 if route == "factored" else 0.0)
         real, twin = real_and_twin
         a = segment(real, *REAL_GRID_FILTERS[filters](real.axis_s))
         b = segment(twin, *REAL_GRID_FILTERS[filters](twin.axis_s))
-        assert (a.singular_values is None) == (route == "direct")
+        assert routes == [route, route]
         for name in ("q", "kappa", "ox13", "ox24", "oy14", "oy23", "oc"):
             _assert_relatively_close(getattr(a, name), getattr(b, name))
         assert isinstance(a.oc, complex) and a.oc.imag == 0.0
         if route == "factored":
             # The factor is accurate in absolute terms, so its singular
             # values are compared relative to the largest.
-            s_a, s_b = a.singular_values, b.singular_values
+            s_a, s_b = factor_singular_values(real), factor_singular_values(twin)
             assert s_a.size == s_b.size == 64
             assert np.max(np.abs(s_a - s_b)) <= 1e-14 * s_b[0]
         for part_a, part_b in zip(a.parts, b.parts):

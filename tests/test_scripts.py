@@ -82,12 +82,24 @@ def test_synthesis_stages_rotates_both_kinds_by_theta(monkeypatch, capsys, argv,
 def test_acquisition_stages_times_every_command_at_both_points(capsys):
     run_script("acquisition_stages.py", ["--repeats", "1", "--n-boot", "2"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "medians of 1 in-process runs (ms), 2 bootstrap draws"
-    assert lines[1].split() == ["point", "estimate", "estimate+boot", "bootstrap"]
+    assert lines[0] == (
+        "medians of 1 in-process runs (ms), 2 bootstrap draws, digest of the files written"
+    )
+    assert lines[1].split() == ["point", "command", "ms_median", "digest"]
     rows = [line.split() for line in lines[2:]]
-    assert [row[0] for row in rows] == ["xi1e-04_n1e+08", "xi1e-02_n1e+12"]
+    assert [row[:2] for row in rows] == [
+        [point, command]
+        for point in ("xi1e-04_n1e+08", "xi1e-02_n1e+12")
+        for command in ("estimate", "estimate+boot", "bootstrap")
+    ]
     for row in rows:
-        assert all(float(value) > 0.0 for value in row[1:])
+        assert float(row[2]) > 0.0
+        assert len(row[3]) == 12 and int(row[3], 16) >= 0
+    digests = [row[3] for row in rows]
+    assert len(set(digests)) == len(digests)
+    # The same inputs make the same files, byte for byte.
+    run_script("acquisition_stages.py", ["--repeats", "1", "--n-boot", "2"])
+    assert [line.split()[3] for line in capsys.readouterr().out.splitlines()[2:]] == digests
 
 
 def test_sweep_steps_prints_every_benchmark_sweep_kind(capsys):

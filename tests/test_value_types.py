@@ -74,6 +74,7 @@ BAD_VALUES = {
     ),
     "bootstrap-sample_size-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2, 2.5),
     "bootstrap-n_boot-fraction": lambda: bootstrap(FACTORIES["CountRecord"](), 2.5, 10),
+    "bootstrap-n_boot-huge": lambda: bootstrap(FACTORIES["CountRecord"](), 10**12, 10),
     "count-record-n_m-fraction": lambda: CountRecord(np.full((4, 4), 2.0), 32.5),
     "single-record-n_m-fraction": lambda: SingleCountRecord(np.array([6.0, 1.0, 2.0, 1.0]), 10.5),
     "count-record-nu-fraction": lambda: CountRecord(np.full((4, 4), 2.0), 32, nu=1.5),
@@ -100,6 +101,8 @@ BAD_VALUES = {
     "loss-n_max-negative": lambda: loss_matrix(0.5, n_max=-1),
     "loss-n_max-huge": lambda: loss_matrix(0.5, n_max=1e300),
     "conversion-n_max-fraction": lambda: conversion_matrix(0.5, 0.5, 0.5, 2.5),
+    "conversion-n_max-huge": lambda: conversion_matrix(0.5, 0.5, 0.5, 10**12),
+    "bipartite-n_max-huge": lambda: LikelihoodModel(*reference_detectors(), n_max=10**12),
 }
 
 
