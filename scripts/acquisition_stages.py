@@ -6,13 +6,13 @@ Each input is the wide/narrow source
 reference detectors at (xi_sq, n_m) = (1e-4, 1e8) and (1e-2, 1e12): one
 simulated counts file, fitted with ML and five starts as the benchmark's
 ``acquisition`` op fits it.  The inputs are written to a temporary
-directory.  For each point the script times three in-process
+directory.  For each point the script times two in-process
 ``cli.main`` runs, interleaved over the repeats after one untimed run
-of each: ``estimate`` alone, ``estimate`` with a ``--n-boot``-draw
-bootstrap, and ``bootstrap`` with the same draws, each into its own
-output directory.  It prints one row per point and command: the median
-in milliseconds and ``digest``, the first 12 hex digits of a sha256 over
-the names and bytes of the files the command wrote.  Equal digests from
+of each: ``estimate`` alone and ``estimate`` with a ``--n-boot``-draw
+``[bootstrap]`` section, each into its own output directory.  It prints
+one row per point and command: the median in milliseconds and
+``digest``, the first 12 hex digits of a sha256 over the names and
+bytes of the files the command wrote.  Equal digests from
 two checkouts mean byte-identical command outputs.  Run it with one BLAS
 thread to compare digests across checkouts.
 
@@ -34,7 +34,7 @@ from ppskit.detection import write_counts_csv
 from ppskit.simulate import ExperimentConfig, simulate_records
 
 POINTS = ((1e-4, 1e8), (1e-2, 1e12))  # (xi_sq, n_m)
-COMMANDS = ("estimate", "estimate+boot", "bootstrap")
+COMMANDS = ("estimate", "estimate+boot")
 
 
 def write_inputs(workdir: str, xi_sq: float, n_m: float, n_boot: int) -> dict:
@@ -61,7 +61,6 @@ def write_inputs(workdir: str, xi_sq: float, n_m: float, n_boot: int) -> dict:
         "tag": tag,
         "estimate": ["estimate", "--config", plain, "--counts", counts],
         "estimate+boot": ["estimate", "--config", boot, "--counts", counts],
-        "bootstrap": ["bootstrap", "--config", boot, "--counts", counts],
     }
 
 

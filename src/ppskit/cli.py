@@ -2,12 +2,15 @@
 
 Commands: ``jsd`` (mode numbers, filter segmentation, synthesized PND),
 ``simulate`` (synthetic count records), ``sweep`` (estimator accuracy
-grids), ``estimate`` (reconstruction from a counts file), ``bootstrap``
-(resampled uncertainties).  All inputs come from a flat ``key = value``
-config file with sections; unknown sections or keys and values of the
-wrong type are rejected when the file loads, and unset keys take the
-library's defaults.  Every command is deterministic given (config, seed)
-and writes fixed-name CSV files into the output directory.
+grids), ``estimate`` (reconstruction from a counts file and, with a
+``[bootstrap]`` section, resampled uncertainties).  The command line
+names only files: every command takes ``--config`` and ``--out``, and
+``estimate`` also ``--counts``.  Every run setting, seeds included, comes
+from the flat ``key = value`` config file with sections; unknown sections
+or keys and values of the wrong type are rejected when the file loads,
+and unset keys take the library's defaults.  Every command is
+deterministic given its files and writes fixed-name CSV files into the
+output directory.
 
 Exit codes: 0 success, 2 input/config error, 3 counts/model mismatch,
 4 non-convergence.
@@ -175,12 +178,6 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(parser, path)
 
 
-def _flagged(cfg: RunConfig, args, section: str, key: str, default):
-    """The ``--seed``/``--reps`` flag if given, else the config's key."""
-    value = getattr(args, key)
-    return value if value is not None else cfg.get(section, key, default)
-
-
 def _build_jsd(cfg: RunConfig):
     source = cfg.get("jsd", "source")
     if source == "csv":
@@ -315,7 +312,7 @@ def cmd_jsd(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    seed = _flagged(cfg, args, "simulate", "seed", 0)
+    seed = cfg.get("simulate", "seed", 0)
     det_s, det_i, _ = _build_detectors(cfg)
     pnd = _source_pnd(cfg, seed)
     config = ExperimentConfig(
@@ -325,7 +322,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         settings=_build_settings(cfg),
         n_m=cfg.get("simulate", "n_m"),
         seed=seed,
-        reps=_flagged(cfg, args, "simulate", "reps", 1),
+        reps=cfg.get("simulate", "reps", 1),
     )
     out = _outdir(args)
     write_pnd_csv(os.path.join(out, "pnd_true.csv"), pnd, {"seed": seed})
@@ -341,12 +338,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     spec = SweepSpec(
         p_g_grid=cfg.get("sweep", "p_g_grid"),
         n_m_grid=cfg.get("sweep", "n_m_grid"),
-        reps=_flagged(cfg, args, "sweep", "reps", 20),
+        reps=cfg.get("sweep", "reps", 20),
         **cfg.given("sweep", "eta_grid", "d_grid", "gamma_design", "bs_T", "exact_counts",
                     "n_starts", "max_iter"),
     )
-    seed = _flagged(cfg, args, "sweep", "seed", 0)
-    rows = run_sweep(spec, cfg.get("sweep", "method", "ml-2x2d"), seed=seed)
+    rows = run_sweep(spec, cfg.get("sweep", "method", "ml-2x2d"), seed=cfg.get("sweep", "seed", 0))
     out = _outdir(args)
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
     print(f"wrote {out}/sweep.csv ({len(rows)} rows)")
@@ -374,59 +370,55 @@ def _count_threshold_warnings(records, W) -> list[str]:
     return warnings
 
 
-def _counts_and_model(cfg: RunConfig, args):
-    """Counts file, fitted model and [estimate] method of estimate/bootstrap."""
-    if not args.counts:
-        raise ConfigError(f"{args.command} requires --counts <file>")
-    records, info = read_counts_csv(args.counts)
-    det_s, det_i, rep_rate = _build_detectors(cfg)
-    model = LikelihoodModel(det_s=det_s, det_i=det_i, settings=_build_settings(cfg))
-    method = cfg.get("estimate", "method", "ml")
-    if method not in ("ml", "eml"):
-        raise ConfigError(f"key 'method' in [estimate] must be ml|eml, got {method!r}")
-    return records, info, model, method, rep_rate
+# Most draws one run may bootstrap, over all sample sizes: the one-stack
+# refit holds about 4.3 KB per draw, and a run of 10^5 draws peaks at
+# about 450 MB.
+_MAX_DRAWS = 10**5
 
 
-def _estimate_options(cfg: RunConfig, args) -> EstimateOptions:
-    """[estimate] fit options, shared by the estimate and every bootstrap refit."""
-    fields = cfg.given("estimate", "n_starts", "max_iter", "seed")
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    return EstimateOptions(**fields)
-
-
-def _fit_counts(cfg, args, records, model, method, options, point: bool, boot: bool):
-    """Fit the file's counts (with ``point``) and their [bootstrap] draws
-    (with ``boot``) in one call of the batched core ``_fit_stack``.
+def _fit_counts(cfg: RunConfig, records, model, eml: bool, options: EstimateOptions):
+    """Fit the file's counts and, when the config has a [bootstrap]
+    section, their draws in one call of the batched core ``_fit_stack``.
 
     The count stack (problems x records x outcomes) holds the file's own
     counts first, then ``n_boot`` draws for every ``sample_sizes`` entry
     in order, each record resampled at that size, or by default at its
     own ``n_m``, and checked once per record column.  Each problem's fit
     is bit-identical to its lone fit.  Returns the kernel stack K, the
-    fits and the trial total of one draw of each size.
+    fits and the trial total of one draw of each size (none without a
+    bootstrap).
     """
-    seed, n_boot = _flagged(cfg, args, "bootstrap", "seed", 0), cfg.get("bootstrap", "n_boot", 100)
-    if boot and n_boot < 1:
-        raise ConfigError(f"key 'n_boot' in [bootstrap] must be at least 1, got {n_boot}")
     K, F = _stack([records], model)  # every record must fit the model
-    stacks, totals = [F] if point else [], []
-    for size in (cfg.get("bootstrap", "sample_sizes", None) or (None,)) if boot else ():
-        n_ms = [rec.n_m if size is None else size for rec in records]
-        draws = [_resample(rec, n_boot, n_m, seed) for rec, n_m in zip(records, n_ms)]
-        stacks.append(np.stack(draws, axis=1))
-        for r, n_m in enumerate(n_ms):
-            check_counts(stacks[-1][:, r], n_m)
-        totals.append(sum(n_ms))
-    return K, _fit_stack(K, np.concatenate(stacks), model, options, eml=method == "eml"), totals
+    stacks, totals = [F], []
+    if cfg.has("bootstrap"):
+        n_boot, seed = cfg.get("bootstrap", "n_boot", 100), cfg.get("bootstrap", "seed", 0)
+        sizes = cfg.get("bootstrap", "sample_sizes", None) or (None,)
+        if n_boot < 1:
+            raise ConfigError(f"key 'n_boot' in [bootstrap] must be at least 1, got {n_boot}")
+        if n_boot * len(sizes) > _MAX_DRAWS:
+            raise ConfigError(
+                f"[bootstrap] n_boot must be at most {_MAX_DRAWS // len(sizes)}, so that n_boot "
+                f"times the {len(sizes)} sample_sizes stays within {_MAX_DRAWS} draws, got {n_boot}"
+            )
+        for size in sizes:
+            n_ms = [rec.n_m if size is None else size for rec in records]
+            draws = [_resample(rec, n_boot, n_m, seed) for rec, n_m in zip(records, n_ms)]
+            stacks.append(np.stack(draws, axis=1))
+            for r, n_m in enumerate(n_ms):
+                check_counts(stacks[-1][:, r], n_m)
+            totals.append(sum(n_ms))
+    return K, _fit_stack(K, np.concatenate(stacks), model, options, eml), totals
 
 
 def cmd_estimate(cfg: RunConfig, args) -> int:
-    records, info, model, method, rep_rate = _counts_and_model(cfg, args)
-    det_s, det_i = model.det_s, model.det_i
-    options = _estimate_options(cfg, args)
-    boot = args.bootstrap or cfg.has("bootstrap")
-    K, fits, totals = _fit_counts(cfg, args, records, model, method, options, True, boot)
+    records, info = read_counts_csv(args.counts)
+    det_s, det_i, rep_rate = _build_detectors(cfg)
+    model = LikelihoodModel(det_s=det_s, det_i=det_i, settings=_build_settings(cfg))
+    method = cfg.get("estimate", "method", "ml")
+    if method not in ("ml", "eml"):
+        raise ConfigError(f"key 'method' in [estimate] must be ml|eml, got {method!r}")
+    options = EstimateOptions(**cfg.given("estimate", "n_starts", "max_iter", "seed"))
+    K, fits, totals = _fit_counts(cfg, records, model, method == "eml", options)
     p_hat, converged = model.fitted(fits.p[0]), bool(fits.converged[0])
 
     out = _outdir(args)
@@ -471,7 +463,8 @@ def cmd_estimate(cfg: RunConfig, args) -> int:
 
     for warning in _count_threshold_warnings(records, _probs(K, fits.p[0])):
         print(f"warning: {warning}", file=sys.stderr)
-    code = _write_bootstrap(fits.p[1:], fits.converged[1:], totals, model, out) if boot else EXIT_OK
+    code = (_write_bootstrap(fits.p[1:], fits.converged[1:], totals, model, out)
+            if totals else EXIT_OK)
     if not converged:
         print("warning: estimator did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -502,30 +495,14 @@ def _write_bootstrap(p, converged, totals, model, out) -> int:
     return EXIT_OK
 
 
-def cmd_bootstrap(cfg: RunConfig, args) -> int:
-    records, _, model, method, _ = _counts_and_model(cfg, args)
-    options = _estimate_options(cfg, args)
-    _, fits, totals = _fit_counts(cfg, args, records, model, method, options, False, True)
-    return _write_bootstrap(fits.p, fits.converged, totals, model, _outdir(args))
-
-
-_FLAGS = {
-    "--seed": dict(type=int, default=None, help="override config seeds"),
-    "--reps": dict(type=int, default=None, help="override repetitions"),
-    "--counts": dict(default=None, help="counts CSV file"),
-    "--bootstrap": dict(action="store_true", help="also bootstrap after estimating"),
-}
-
-# Each command's handler, help and flags beyond --config and --out; a
-# command takes only the flags it reads.
+# Each command's handler and help; every command takes --config and
+# --out, and estimate also --counts.
 _SUBCOMMANDS = (
-    ("jsd", cmd_jsd, "mode numbers, segmentation and synthesized PND of a filtered JSD", ()),
-    ("simulate", cmd_simulate, "generate synthetic count records", ("--seed", "--reps")),
-    ("sweep", cmd_sweep, "estimator accuracy over a parameter grid", ("--seed", "--reps")),
-    ("estimate", cmd_estimate, "reconstruct a PND from a counts file",
-     ("--seed", "--counts", "--bootstrap")),
-    ("bootstrap", cmd_bootstrap, "bootstrap uncertainties of the estimates",
-     ("--seed", "--counts")),
+    ("jsd", cmd_jsd, "mode numbers, segmentation and synthesized PND of a filtered JSD"),
+    ("simulate", cmd_simulate, "generate synthetic count records"),
+    ("sweep", cmd_sweep, "estimator accuracy over a parameter grid"),
+    ("estimate", cmd_estimate,
+     "reconstruct a PND from a counts file, and bootstrap it with a [bootstrap] section"),
 )
 
 
@@ -537,13 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate and estimate photon-pair-source photon number distributions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text, flags in _SUBCOMMANDS:
+    for name, handler, help_text in _SUBCOMMANDS:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", required=True, help="path to the run config file")
         cmd.add_argument("--out", default=".", help="output directory (default: .)")
-        for flag in flags:
-            cmd.add_argument(flag, **_FLAGS[flag])
+        if handler is cmd_estimate:
+            cmd.add_argument("--counts", required=True, help="counts CSV file")
     return parser
 
 

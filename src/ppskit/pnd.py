@@ -131,13 +131,16 @@ def loss_matrix(T, n_max: int = 2) -> np.ndarray:
     """Binomial loss transfer matrix L[n, m] = C(m, n) T^n (1-T)^(m-n).
 
     Maps an input distribution over m photons to the output distribution
-    over n <= m survivors; columns sum to 1.
+    over n <= m survivors; columns sum to 1.  ``n_max`` must be at most
+    1000: past 1029 a binomial coefficient C(m, n) leaves the float range.
     """
     if not (0.0 <= T <= 1.0):
         raise InvalidInputError(f"transmittance must lie in [0, 1], got {T}")
-    size = _check_n_max(n_max, 0) + 1
-    L = np.zeros((size, size))
-    for m in range(size):
+    n_max = _check_n_max(n_max, 0)
+    if n_max > 1000:
+        raise InvalidInputError(f"n_max of a loss matrix must be at most 1000, got {n_max}")
+    L = np.zeros((n_max + 1, n_max + 1))
+    for m in range(n_max + 1):
         for n in range(m + 1):
             L[n, m] = math.comb(m, n) * T**n * (1.0 - T) ** (m - n)
     return L

@@ -15,7 +15,6 @@ from its own stream, taken in turn from :func:`substreams`.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 
 import numpy as np
@@ -43,35 +42,12 @@ def stream_key(seed: int, *path) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint64)
 
 
-@functools.cache
-def _key_sequence():
-    """Seed-sequence class whose state is a given Philox key.
-
-    A Philox stream is fixed by its key alone, so the generator takes the
-    key as its seed sequence's state instead of seeding (and discarding) a
-    ``SeedSequence``.  Built on first use, so that importing the package
-    loads no ``numpy.random``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySequence(ISeedSequence):
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            # Philox asks for exactly its key: two 64-bit words.
-            return self.key
-
-    return KeySequence
-
-
 def substream(seed: int, *path) -> np.random.Generator:
     """Independent generator for (seed, path); identical inputs replay.
 
-    Its state is that of ``Generator(Philox(key=stream_key(seed, *path)))``.
+    It is ``Generator(Philox(key=stream_key(seed, *path)))``.
     """
-    seq = _key_sequence()(stream_key(seed, *path))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
 
 
 _ZEROS = np.zeros(4, dtype=np.uint64)  # a fresh Philox's counter and buffer

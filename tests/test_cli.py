@@ -13,6 +13,7 @@ from ppskit.estimate import (
     EstimateOptions,
     LikelihoodModel,
     characterize,
+    eml_estimate,
     eml_estimate_many,
     ml_estimate_many,
 )
@@ -209,12 +210,13 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", config, "--out", str(out_b)]) == 0
         assert (out_a / "counts.csv").read_bytes() == (out_b / "counts.csv").read_bytes()
 
-    def test_seed_flag_changes_counts(self, tmp_path):
-        config = write_config(tmp_path, SIMULATE_CONFIG)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cli.main(["simulate", "--config", config, "--out", str(out_a)])
-        cli.main(["simulate", "--config", config, "--out", str(out_b), "--seed", "4"])
-        assert (out_a / "counts.csv").read_bytes() != (out_b / "counts.csv").read_bytes()
+    def test_seed_key_changes_counts(self, tmp_path):
+        counts = []
+        for seed in ("3", "4"):
+            config = write_config(tmp_path, SIMULATE_CONFIG.replace("seed = 3", f"seed = {seed}"))
+            assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / seed)]) == 0
+            counts.append((tmp_path / seed / "counts.csv").read_bytes())
+        assert counts[0] != counts[1]
 
     @pytest.mark.parametrize("key", ["gamma_s", "gamma_i"])
     def test_detector_attenuator_key_exits_2(self, tmp_path, capsys, key):
@@ -238,20 +240,17 @@ class TestSimulateCommand:
         assert "n_m must be at most 2**63 - 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["flag", "config"])
-    def test_zero_reps_exits_2(self, tmp_path, capsys, where):
-        text = SIMULATE_CONFIG + ("reps = 0\n" if where == "config" else "")
-        config = write_config(tmp_path, text)
+    def test_zero_reps_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, SIMULATE_CONFIG + "reps = 0\n")
         out = tmp_path / "out"
-        argv = ["simulate", "--config", config, "--out", str(out)]
-        assert cli.main(argv + (["--reps", "0"] if where == "flag" else [])) == 2
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 2
         assert "reps" in capsys.readouterr().err
         assert not (out / "counts.csv").exists()
 
     def test_every_rep_gets_a_counts_file(self, tmp_path):
-        config = write_config(tmp_path, SIMULATE_CONFIG)
+        config = write_config(tmp_path, SIMULATE_CONFIG + "reps = 3\n")
         out = tmp_path / "out"
-        assert cli.main(["simulate", "--config", config, "--out", str(out), "--reps", "3"]) == 0
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.glob("counts*.csv")) == [
             "counts.csv", "counts_rep1.csv", "counts_rep2.csv",
         ]
@@ -378,24 +377,25 @@ class TestEstimateCommand:
         assert budget.split()[0] in capsys.readouterr().err
         assert not (out / "pnd_hat.csv").exists()
 
-    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+    def test_seed_key_is_the_fit_seed(self, tmp_path):
         settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n"  # EML needs two
         sim = write_config(tmp_path, SIMULATE_CONFIG + settings, name="sim.cfg")
         assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "data")]) == 0
         counts = str(tmp_path / "data" / "counts.csv")
-        fits = []
-        for name, seed_key, flag in (("flag", "", ["--seed", "11"]), ("key", "seed = 11\n", [])):
-            config = write_config(
-                tmp_path,
-                DETECTOR_SECTION + settings + f"\n[estimate]\nmethod = eml\nn_starts = 2\n{seed_key}",
-                name=f"{name}.cfg",
-            )
-            out = tmp_path / name
-            argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
-            assert cli.main(argv + flag) == 0
-            fits.append((out / "pnd_hat.csv").read_bytes())
-        assert fits[0] == fits[1]
-        assert read_pnd_csv(tmp_path / "flag" / "pnd_hat.csv")[1]["seed"] == "11"
+        config = write_config(
+            tmp_path,
+            DETECTOR_SECTION + settings + "\n[estimate]\nmethod = eml\nn_starts = 2\nseed = 11\n",
+            name="est.cfg",
+        )
+        out = tmp_path / "fit"
+        assert cli.main(["estimate", "--config", config, "--counts", counts, "--out", str(out)]) == 0
+        fit, meta = read_pnd_csv(out / "pnd_hat.csv")
+        assert meta["seed"] == "11"
+        cfg = cli.load_config(config)
+        model = LikelihoodModel(*cli._build_detectors(cfg)[:2], settings=cli._build_settings(cfg))
+        records, _ = read_counts_csv(counts)
+        expected = eml_estimate(records, model, EstimateOptions(n_starts=2, seed=11))
+        np.testing.assert_array_equal(fit.p, expected.p_hat.p)
 
     def test_count_ratio_rows_use_the_attenuators_of_their_record(self, tmp_path):
         # The count-ratio rows read the first record, so with the attenuated
@@ -418,9 +418,12 @@ class TestEstimateCommand:
         for key in ("pg_counts", "etaHs_counts", "etaHi_counts"):
             assert float(reports[0][key]) == pytest.approx(float(reports[1][key]), rel=0.02), key
 
-    def test_missing_counts_flag_exits_2(self, tmp_path):
+    def test_missing_counts_flag_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, DETECTOR_SECTION, name="est.cfg")
-        assert cli.main(["estimate", "--config", config]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--config", config])
+        assert exc.value.code == 2
+        assert "--counts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-76e6"])
     def test_unusable_rep_rate_exits_2(self, tmp_path, capsys, rate):
@@ -436,6 +439,9 @@ class TestEstimateCommand:
 
 
 class TestBootstrapCommand:
+    """``ppskit estimate`` with a [bootstrap] section: the file's own counts
+    and every draw refitted in one stack, then summarized."""
+
     def test_summary_written(self, tmp_path):
         sim_cfg = write_config(tmp_path, SIMULATE_CONFIG, name="sim.cfg")
         data = tmp_path / "data"
@@ -450,7 +456,7 @@ class TestBootstrapCommand:
         out = tmp_path / "boot"
         code = cli.main(
             [
-                "bootstrap", "--config", config,
+                "estimate", "--config", config,
                 "--counts", str(data / "counts.csv"), "--out", str(out),
             ]
         )
@@ -468,14 +474,42 @@ class TestBootstrapCommand:
         assert cli.main(["simulate", "--config", sim_cfg, "--out", str(data)]) == 0
         return str(data / "counts.csv")
 
+    @staticmethod
+    def _public_summary(tmp_path, config, counts, options, n_boot, sizes, seed):
+        """The rows, and the bytes of their CSV, that ``bootstrap``, ``*_many``
+        and ``bootstrap_stats`` give with a ``characterize`` pipeline for the
+        model and method of ``config``, each record resampled at every size."""
+        cfg = cli.load_config(config)
+        det_s, det_i, _ = cli._build_detectors(cfg)
+        model = LikelihoodModel(det_s, det_i, settings=cli._build_settings(cfg))
+        estimate_many = {"ml": ml_estimate_many, "eml": eml_estimate_many}[
+            cfg.get("estimate", "method", "ml")
+        ]
+        records, _ = read_counts_csv(counts)
+
+        def pipeline(fit):
+            if not fit.converged:
+                raise PpskitError("refit did not converge")
+            return characterize(fit).as_dict()
+
+        rows = []
+        for size in sizes:
+            draws = list(zip(*(bootstrap(rec, n_boot, size, seed=seed) for rec in records)))
+            fits = estimate_many(draws, model, options)
+            rows += bootstrap_stats(fits, pipeline, size * len(records))
+        expected = tmp_path / "expected.csv"
+        write_bootstrap_csv(expected, rows)
+        return rows, expected.read_bytes()
+
     @pytest.mark.parametrize(
-        "estimate",
-        ["max_iter = 4\n", "method = eml\nn_starts = 2\nseed = 11\n"],
+        "estimate, options",
+        [("max_iter = 4\n", dict(max_iter=4)),
+         ("method = eml\nn_starts = 2\nseed = 11\n", dict(n_starts=2, seed=11))],
         ids=["ml-max-iter-4", "eml"],
     )
-    def test_estimate_and_bootstrap_commands_refit_alike(self, tmp_path, estimate):
+    def test_refits_take_every_estimate_key(self, tmp_path, estimate, options):
         # max_iter = 4 leaves two of the three ML refits unconverged, so the
-        # summaries' n_fail shows that the budget reached both commands.
+        # summary's n_fail shows that the budget reached the refits.
         settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n"  # EML needs two
         counts = self._counts(tmp_path, settings)
         config = write_config(
@@ -484,12 +518,13 @@ class TestBootstrapCommand:
             + "\n[bootstrap]\nn_boot = 3\nseed = 2\n",
             name="boot.cfg",
         )
-        summaries = []
-        for argv in (["estimate", "--bootstrap"], ["bootstrap"]):
-            out = tmp_path / argv[0]
-            cli.main(argv + ["--config", config, "--counts", counts, "--out", str(out)])
-            summaries.append((out / "bootstrap_summary.csv").read_bytes())
-        assert summaries[0] == summaries[1]
+        out = tmp_path / "boot"
+        cli.main(["estimate", "--config", config, "--counts", counts, "--out", str(out)])
+        # Both records hold 10^8 trials, the default sample size of each.
+        _, expected = self._public_summary(
+            tmp_path, config, counts, EstimateOptions(**options), 3, (10**8,), 2
+        )
+        assert (out / "bootstrap_summary.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("method", ["ml", "eml"])
     def test_ml_refits_every_draw_in_one_batched_solve(self, tmp_path, monkeypatch, method):
@@ -510,14 +545,13 @@ class TestBootstrapCommand:
 
         monkeypatch.setattr(cli, "_fit_stack", spy_stack)
         out = tmp_path / "boot"
-        argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
+        argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
         assert cli.main(argv) == 0
-        assert batches == [(8, 2)]  # one stack of both sizes' draws x records
+        assert batches == [(9, 2)]  # one stack of the counts and both sizes' draws x records
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {"0"}
 
-    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
-    def test_unconverged_refits_count_as_failed_draws(self, tmp_path, monkeypatch, command):
+    def test_unconverged_refits_count_as_failed_draws(self, tmp_path, monkeypatch):
         counts = self._counts(tmp_path)
         config = write_config(
             tmp_path,
@@ -532,11 +566,10 @@ class TestBootstrapCommand:
 
         monkeypatch.setattr(cli, "_fit_stack", spy_stack)
         out = tmp_path / "boot"
-        argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
-        cli.main(argv + (["--bootstrap"] if command == "estimate" else []))
+        cli.main(["estimate", "--config", config, "--counts", counts, "--out", str(out)])
         assert len(calls) == 1
-        # Row 0 of the estimate's stack is the point fit, not a draw.
-        unconverged = int(np.sum(~calls[0].converged[1 if command == "estimate" else 0:]))
+        # Row 0 of the stack is the point fit, not a draw.
+        unconverged = int(np.sum(~calls[0].converged[1:]))
         assert 0 < unconverged < 20
         with open(out / "bootstrap_summary.csv", newline="") as fh:
             assert {row["n_fail"] for row in csv.DictReader(fh)} == {str(unconverged)}
@@ -550,7 +583,8 @@ class TestBootstrapCommand:
         # to the summary; its rows must be those that bootstrap, *_many and
         # bootstrap_stats give with a characterize pipeline.  The small
         # budgets leave some refits of every size unconverged (one of 30
-        # converges at max_iter = 1), so n_fail is compared too.
+        # converges at max_iter = 1), so n_fail is compared too; they leave
+        # the point fit unconverged as well, which exits 4 after the summary.
         settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n" if method == "eml" else ""
         counts = self._counts(tmp_path, settings)
         config = write_config(
@@ -561,29 +595,13 @@ class TestBootstrapCommand:
             name="boot.cfg",
         )
         out = tmp_path / "boot"
-        argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
-        assert cli.main(argv) == 0
-
-        cfg = cli.load_config(config)
-        det_s, det_i, _ = cli._build_detectors(cfg)
-        model = LikelihoodModel(det_s, det_i, settings=cli._build_settings(cfg))
-        records, _ = read_counts_csv(counts)
-
-        def pipeline(fit):
-            if not fit.converged:
-                raise PpskitError("refit did not converge")
-            return characterize(fit).as_dict()
-
-        rows = []
-        for size in sizes:
-            draws = list(zip(*(bootstrap(rec, 30, size, seed=4) for rec in records)))
-            estimate_many = ml_estimate_many if method == "ml" else eml_estimate_many
-            fits = estimate_many(draws, model, EstimateOptions(max_iter=max_iter))
-            rows += bootstrap_stats(fits, pipeline, size * len(records))
+        argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 4
+        rows, expected = self._public_summary(
+            tmp_path, config, counts, EstimateOptions(max_iter=max_iter), 30, sizes, 4
+        )
         assert all(0 < row["n_fail"] < 30 for row in rows)
-        expected = tmp_path / "expected.csv"
-        write_bootstrap_csv(expected, rows)
-        assert (out / "bootstrap_summary.csv").read_bytes() == expected.read_bytes()
+        assert (out / "bootstrap_summary.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("method", ["ml", "eml"])
     def test_estimate_outputs_do_not_depend_on_the_bootstrap(self, tmp_path, monkeypatch, method):
@@ -591,7 +609,9 @@ class TestBootstrapCommand:
         # size's draws; its files must be those of a lone estimate.
         settings = "\n[settings]\ngammas_s = 1.0, 0.5\ngammas_i = 1.0, 0.5\n"  # EML needs two
         counts = self._counts(tmp_path, settings)
-        estimate = DETECTOR_SECTION + settings + f"\n[estimate]\nmethod = {method}\nn_starts = 3\n"
+        estimate = (
+            DETECTOR_SECTION + settings + f"\n[estimate]\nmethod = {method}\nn_starts = 3\nseed = 9\n"
+        )
         plain = write_config(tmp_path, estimate, name="plain.cfg")
         boot = write_config(
             tmp_path, estimate + "\n[bootstrap]\nn_boot = 4\nsample_sizes = 1e6, 1e7\n",
@@ -605,15 +625,14 @@ class TestBootstrapCommand:
 
         monkeypatch.setattr(cli, "_fit_stack", spy_stack)
         for name, config in (("plain", plain), ("boot", boot)):
-            argv = ["estimate", "--config", config, "--counts", counts, "--seed", "9"]
+            argv = ["estimate", "--config", config, "--counts", counts]
             assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
         assert batches == [(1, 2), (9, 2)]  # the point alone, then with both sizes' draws
         for name in ("pnd_hat.csv", "characteristics.csv"):
             assert (tmp_path / "boot" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
         assert (tmp_path / "boot" / "bootstrap_summary.csv").exists()
 
-    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
-    def test_no_converged_refit_exits_4_with_no_summary(self, tmp_path, capsys, command):
+    def test_no_converged_refit_exits_4_with_no_summary(self, tmp_path, capsys):
         counts = self._counts(tmp_path)
         config = write_config(
             tmp_path,
@@ -621,8 +640,8 @@ class TestBootstrapCommand:
             name="boot.cfg",
         )
         out = tmp_path / "boot"
-        argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
-        assert cli.main(argv + (["--bootstrap"] if command == "estimate" else [])) == 4
+        argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 4
         assert "none of the 5 bootstrap refits converged" in capsys.readouterr().err
         assert not (out / "bootstrap_summary.csv").exists()
 
@@ -639,48 +658,41 @@ class TestBootstrapCommand:
 
         monkeypatch.setattr(cli, "characteristics_many", undefined)
         out = tmp_path / "boot"
-        argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
+        argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
         assert cli.main(argv) == 2
         assert "failed on all 3 samples" in capsys.readouterr().err
         assert not (out / "bootstrap_summary.csv").exists()
 
     @pytest.mark.parametrize("n_boot", ["0", "-1"])
     def test_no_draws_exits_2_naming_n_boot(self, tmp_path, capsys, n_boot):
+        # The draws are made before the fit, so a [bootstrap] error stops
+        # the estimate before its first file.
         counts = self._counts(tmp_path)
         config = write_config(
             tmp_path, DETECTOR_SECTION + f"\n[bootstrap]\nn_boot = {n_boot}\n", name="boot.cfg"
         )
         out = tmp_path / "boot"
-        argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
-        assert cli.main(argv) == 2
-        assert "n_boot" in capsys.readouterr().err
-        assert not (out / "bootstrap_summary.csv").exists()
-
-    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
-    def test_unbounded_n_boot_exits_2_writing_nothing(self, tmp_path, capsys, command):
-        # 10^12 draws would be a table of about 116 TiB; the bound refuses
-        # it before the table exists.
-        counts = self._counts(tmp_path)
-        config = write_config(
-            tmp_path, DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 1000000000000\n", name="boot.cfg"
-        )
-        out = tmp_path / "out"
-        argv = [command, "--config", config, "--counts", counts, "--out", str(out)]
-        assert cli.main(argv) == 2
-        assert "n_boot must be at most" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
-
-    def test_estimate_with_no_draws_exits_2_writing_nothing(self, tmp_path, capsys):
-        # The draws are made before the fit, so a [bootstrap] error stops
-        # the estimate before its first file.
-        counts = self._counts(tmp_path)
-        config = write_config(
-            tmp_path, DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 0\n", name="boot.cfg"
-        )
-        out = tmp_path / "fit"
         argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
         assert cli.main(argv) == 2
         assert "n_boot" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "bootstrap",
+        ["n_boot = 1000000000000\n", "n_boot = 50001\nsample_sizes = 1e6, 1e7\n"],
+        ids=["huge", "past-the-draw-bound"],
+    )
+    def test_unbounded_n_boot_exits_2_writing_nothing(self, tmp_path, capsys, bootstrap):
+        # 10^12 draws would be a table of about 116 TiB, and 2 x 50 001 draws
+        # a refit stack of about half a GB; the bound on n_boot times the
+        # number of sample sizes refuses both before the first draw.
+        counts = self._counts(tmp_path)
+        config = write_config(tmp_path, DETECTOR_SECTION + "\n[bootstrap]\n" + bootstrap, name="boot.cfg")
+        out = tmp_path / "out"
+        argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "n_boot must be at most" in err and "sample_sizes" in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_sample_sizes_are_exact_integers(self, tmp_path, capsys):
@@ -692,7 +704,7 @@ class TestBootstrapCommand:
                 name="boot.cfg",
             )
             out = tmp_path / "boot"
-            argv = ["bootstrap", "--config", config, "--counts", counts, "--out", str(out)]
+            argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
             assert cli.main(argv) == code
         assert "sample_sizes" in capsys.readouterr().err
         with open(out / "bootstrap_summary.csv", newline="") as fh:
@@ -702,11 +714,11 @@ class TestBootstrapCommand:
 # Beyond --config and --out, the flags each command declares (README, "CLI").
 COMMAND_FLAGS = {
     "jsd": {},
-    "simulate": {"--seed": "3", "--reps": "2"},
-    "sweep": {"--seed": "3", "--reps": "2"},
-    "estimate": {"--seed": "3", "--counts": "c.csv", "--bootstrap": None},
-    "bootstrap": {"--seed": "3", "--counts": "c.csv"},
+    "simulate": {},
+    "sweep": {},
+    "estimate": {"--counts": "c.csv"},
 }
+# Every flag the command line has had; run settings now live in the config.
 ALL_FLAGS = {"--seed": "3", "--reps": "2", "--counts": "c.csv", "--bootstrap": None}
 
 
@@ -735,9 +747,18 @@ class TestParser:
     def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
         config = write_config(tmp_path, DETECTOR_SECTION)
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--config", config] + flag_argv({flag: ALL_FLAGS[flag]}))
+            cli.main([command, "--config", config] + flag_argv(COMMAND_FLAGS[command])
+                     + flag_argv({flag: ALL_FLAGS[flag]}))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bootstrap_command_exits_2(self, tmp_path, capsys):
+        # A bootstrap is the [bootstrap] section of estimate.
+        config = write_config(tmp_path, DETECTOR_SECTION + "\n[bootstrap]\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bootstrap", "--config", config, "--counts", "c.csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bootstrap'" in capsys.readouterr().err
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -838,7 +859,7 @@ def test_unset_keys_take_the_defaults_the_cli_once_spelled_out(tmp_path, command
             tmp_path, "[pnd]\nsource = random\np_g = 1e-2\n\n[simulate]\nn_m = 1e9\n", name="sim.cfg"
         )
         assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "data")]) == 0
-        argv += ["--counts", str(tmp_path / "data" / "counts.csv"), "--bootstrap"]
+        argv += ["--counts", str(tmp_path / "data" / "counts.csv")]
     required, before, after = REQUIRED_AND_DEFAULTS[command]
     outputs = []
     for name, text in (("required", required), ("spelled", before + required + after)):

@@ -95,6 +95,11 @@ class TestLossMatrix:
 
 
 class TestApplyLoss:
+    def test_n_max_past_the_loss_bound_is_named(self):
+        # loss_matrix checks its bound before its loop, so this fails at once.
+        with pytest.raises(InvalidInputError, match="n_max of a loss matrix must be at most 1000"):
+            apply_loss_bipartite(tmsv_pnd(0.1, 1100), 0.5, 0.5)
+
     def test_no_loss_is_identity(self):
         P = tmsv_pnd(0.05)
         Q = apply_loss_bipartite(P, 1.0, 1.0)

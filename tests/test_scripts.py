@@ -90,7 +90,7 @@ def test_acquisition_stages_times_every_command_at_both_points(capsys):
     assert [row[:2] for row in rows] == [
         [point, command]
         for point in ("xi1e-04_n1e+08", "xi1e-02_n1e+12")
-        for command in ("estimate", "estimate+boot", "bootstrap")
+        for command in ("estimate", "estimate+boot")
     ]
     for row in rows:
         assert float(row[2]) > 0.0

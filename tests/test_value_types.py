@@ -100,6 +100,7 @@ BAD_VALUES = {
     "tmsv-n_max-huge": lambda: tmsv_pnd(0.01, 1e300),
     "loss-n_max-negative": lambda: loss_matrix(0.5, n_max=-1),
     "loss-n_max-huge": lambda: loss_matrix(0.5, n_max=1e300),
+    "loss-n_max-past-float-combs": lambda: loss_matrix(0.5, 1030),
     "conversion-n_max-fraction": lambda: conversion_matrix(0.5, 0.5, 0.5, 2.5),
     "conversion-n_max-huge": lambda: conversion_matrix(0.5, 0.5, 0.5, 10**12),
     "bipartite-n_max-huge": lambda: LikelihoodModel(*reference_detectors(), n_max=10**12),
