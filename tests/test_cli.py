@@ -665,13 +665,24 @@ class TestBootstrapCommand:
 
     @pytest.mark.parametrize("n_boot", ["0", "-1"])
     def test_no_draws_exits_2_naming_n_boot(self, tmp_path, capsys, n_boot):
-        # The draws are made before the fit, so a [bootstrap] error stops
-        # the estimate before its first file.
         counts = self._counts(tmp_path)
         config = write_config(
             tmp_path, DETECTOR_SECTION + f"\n[bootstrap]\nn_boot = {n_boot}\n", name="boot.cfg"
         )
         out = tmp_path / "boot"
+        argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "n_boot" in capsys.readouterr().err
+        assert not (out / "bootstrap_summary.csv").exists()
+
+    def test_estimate_with_no_draws_exits_2_writing_nothing(self, tmp_path, capsys):
+        # The draws are made before the fit, so a [bootstrap] error stops
+        # the estimate before its first file.
+        counts = self._counts(tmp_path)
+        config = write_config(
+            tmp_path, DETECTOR_SECTION + "\n[bootstrap]\nn_boot = 0\n", name="boot.cfg"
+        )
+        out = tmp_path / "fit"
         argv = ["estimate", "--config", config, "--counts", counts, "--out", str(out)]
         assert cli.main(argv) == 2
         assert "n_boot" in capsys.readouterr().err
